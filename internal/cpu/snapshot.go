@@ -241,6 +241,14 @@ func (c *CPU) StateDigest() uint64 {
 	return d
 }
 
+// LatentDigest folds the processor state that survives a context load:
+// the pending ALU fault mask, which Restore deliberately leaves set.
+// The kernel folds it in place of StateDigest while no copy owns the
+// processor, since the next copy start or resume overwrites the rest.
+//
+//nlft:noalloc
+func (c *CPU) LatentDigest() uint64 { return digestFold(0, uint64(c.aluFaultMask)) }
+
 // wordSig is one nonzero word's contribution to the maintained RAM
 // digest (Memory.wordSum): its avalanche-mixed (index, value) pair. Zero
 // words contribute nothing, so a fresh all-zero RAM sums to zero and the

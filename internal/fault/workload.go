@@ -131,7 +131,9 @@ type StdWorkloadConfig struct {
 	// ECC enables the memory ECC model. Default off (so memory faults
 	// actually stress the kernel checks; the ECC ablation turns it on).
 	ECC bool
-	// UseMMU enables access confinement. Default on.
+	// UseMMU enables access confinement. Default off: applyDefaults
+	// leaves it as given, so the zero config (the gate config included)
+	// runs without the MMU.
 	UseMMU bool
 	// Periods is the number of task periods per trial. Default 8.
 	Periods int
@@ -192,7 +194,8 @@ const (
 )
 
 // NewStdWorkload returns the standard single-task critical workload used
-// by campaigns and benchmarks. MMU defaults to enabled.
+// by campaigns and benchmarks. The MMU is enabled only when cfg.UseMMU
+// is set.
 func NewStdWorkload(cfg StdWorkloadConfig) Workload {
 	cfg.applyDefaults()
 	src := strings.Replace(checksumSrc, "LOOPCOUNT",

@@ -34,6 +34,30 @@ import (
 //     priority, and slices themselves never cross a pending event).
 //   - MMU regions/enable: rewritten by every runSlice before the CPU
 //     executes, so the values seen at a boundary are never read again.
+//   - The processor context (registers, PC, flags, signature) whenever
+//     it is dead: procOwner is not a started, not-done job still in the
+//     ready queue (see liveOwner). The processor's context is read only
+//     by runSlice, by the captureResult and slice-end Snapshot of that
+//     same slice, and by the NoContextRestore ablation's Snapshot in
+//     handleDetectedError, which runs inside runSlice or in the error or
+//     completion continuation a slice armed at its own end — and every
+//     one of them runs after a context load unless a live owner is
+//     resuming or was just running. The loads that give a new owner a
+//     fresh context are:
+//       - startCopy, for every copy with started == false — including a
+//         recycled record that is already procOwner (acquireJob clears
+//         started), so a stale owner identity never skips the load;
+//       - Restore(j.ctx) in runSlice, for a started job resuming with
+//         procOwner != j;
+//       - handleDetectedError, which sets procOwner = nil, so the
+//         restarted (or, under NoContextRestore, resumed) copy takes one
+//         of the two loads above.
+//     A dead context is therefore overwritten before anything reads it.
+//     Only the pending ALU fault mask survives a load (cpu.Restore
+//     leaves it set), so that alone is folded (cpu.LatentDigest), and a
+//     dead procOwner folds as one tag whatever record it names: its
+//     identity is only ever compared against a started job resuming,
+//     which a dead owner never is.
 //   - Settled jobs (jobDone, no live events) and the free-list order:
 //     acquireJob resets every field a new incarnation reads, so any
 //     settled record is interchangeable with any other. Folding them
@@ -42,9 +66,10 @@ import (
 //
 // Job identity is folded positionally, not by record: live jobs are
 // folded in ready-queue order, and current/procOwner as positions in
-// that order (or small tags for nil / settled). Two kernels whose live
-// jobs have identical contents in identical queue positions behave
-// identically regardless of which pooled records host those jobs.
+// that order (or a small tag for nil / settled / dead). Two kernels
+// whose live jobs have identical contents in identical queue positions
+// behave identically regardless of which pooled records host those
+// jobs.
 
 // kmix is the SplitMix64 finalizer (see cpu.digestMix; duplicated to
 // keep the hot digest path free of cross-package calls).
@@ -147,6 +172,26 @@ func (k *Kernel) jobDigest(j *job) uint64 {
 	return d
 }
 
+// liveOwner reports procOwner's ready-queue position when the processor
+// holds a live context — procOwner is a started, not-done job still in
+// k.ready, so the next slice resumes it straight from the registers —
+// and -1 when the context is dead (the next copy start or resume loads
+// a fresh one before anything reads it).
+//
+//nlft:noalloc
+func (k *Kernel) liveOwner() int {
+	o := k.procOwner
+	if o == nil || !o.started || o.state == jobDone {
+		return -1
+	}
+	for i, j := range k.ready {
+		if j == o {
+			return i
+		}
+	}
+	return -1
+}
+
 // ForwardDigest folds the forward-relevant state of the whole node —
 // simulator clock and pending-event multiset, processor, memory,
 // scheduler, and every live job — into a 64-bit digest. An event
@@ -170,7 +215,12 @@ func (k *Kernel) ForwardDigest(skip des.Event) uint64 {
 	pd, pc := k.sim.PendingDigest(skip)
 	d = kfold(d, pd)
 	d = kfold(d, uint64(pc))
-	d = kfold(d, k.proc.StateDigest())
+	owner := k.liveOwner()
+	if owner >= 0 {
+		d = kfold(d, k.proc.StateDigest())
+	} else {
+		d = kfold(d, k.proc.LatentDigest())
+	}
 	d = kfold(d, k.mem.StateDigest())
 
 	d = kfoldBool(d, k.failed)
@@ -200,31 +250,17 @@ func (k *Kernel) ForwardDigest(skip des.Event) uint64 {
 	}
 
 	d = kfold(d, uint64(len(k.ready)))
-	curIdx, ownerTag := -1, uint64(0)
+	curIdx := -1
 	for i, j := range k.ready {
 		d = kfold(d, k.jobDigest(j))
 		if j == k.current {
 			curIdx = i
 		}
 	}
-	switch {
-	case k.procOwner == nil:
-		ownerTag = 1
-	case k.procOwner == k.current:
-		ownerTag = 2
-	default:
-		ownerTag = 3 // a settled record: interchangeable with any other
-		for i, j := range k.ready {
-			if j == k.procOwner {
-				ownerTag = 16 + uint64(i)
-				break
-			}
-		}
-	}
 	if k.current != nil && curIdx < 0 {
 		curIdx = -2 // settled but not yet re-dispatched: also interchangeable
 	}
 	d = kfold(d, uint64(uint32(int32(curIdx))))
-	d = kfold(d, ownerTag)
+	d = kfold(d, uint64(uint32(int32(owner))))
 	return d
 }
