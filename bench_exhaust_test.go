@@ -7,10 +7,10 @@ package nlft
 // writes the measured numbers to the named file; without the variable
 // the benchmarks only report metrics. The committed BENCH_exhaust.json
 // records what the visited-digest dedup buys over fork-only
-// exploration and over rebuilding every placement from scratch, on the
-// full default space (every target, 50µs grid, ~30k placements); all
-// modes produce bit-identical results (TestVerifyDifferential in
-// internal/exhaust).
+// exploration on the full default space (every target, 50µs grid, ~30k
+// placements; its from-scratch point predates the removal of that
+// verifier mode); both modes produce bit-identical results
+// (TestVerifyDifferential in internal/exhaust).
 
 import (
 	"sync"
@@ -23,16 +23,13 @@ import (
 
 type exhaustBenchPoint struct {
 	// Mode is "dedup" (fork + convergence + visited-digest memo table),
-	// "no_dedup" (fork + convergence only), "no_fork" (every placement
-	// simulated from t=0), or "campaign" (planned sampling campaign over
-	// the identical fault list — the cross-check baseline).
+	// "no_dedup" (fork + convergence only), or "campaign" (planned
+	// sampling campaign over the identical fault list — the cross-check
+	// baseline).
 	Mode             string  `json:"mode"`
 	Placements       int     `json:"placements"`
 	NsPerOp          float64 `json:"ns_per_op"`
 	PlacementsPerSec float64 `json:"placements_per_sec"`
-	// SpeedupVsNoFork pairs each point with the no_fork baseline when
-	// the file is written.
-	SpeedupVsNoFork float64 `json:"speedup_vs_no_fork,omitempty"`
 }
 
 // benchExhaustOut accumulates results so TestMain
@@ -62,9 +59,9 @@ func exhaustBenchConfig() exhaust.Config {
 }
 
 // BenchmarkExhaustVerify contrasts the verifier's exploration tiers:
-// visited-digest dedup on top of fork+convergence, fork+convergence
-// alone, and the from-scratch baseline, plus the planned sampling
-// campaign the cross-check runs over the same fault list.
+// visited-digest dedup on top of fork+convergence and fork+convergence
+// alone, plus the planned sampling campaign the cross-check runs over
+// the same fault list.
 func BenchmarkExhaustVerify(b *testing.B) {
 	w := fault.NewStdWorkload(fault.StdWorkloadConfig{ECC: true, Periods: 3, Compute: 16})
 	spaceCfg := exhaustBenchConfig()
@@ -98,16 +95,13 @@ func BenchmarkExhaustVerify(b *testing.B) {
 	for _, tc := range []struct {
 		name, mode string
 		noDedup    bool
-		noFork     bool
 	}{
-		{"dedup", "dedup", false, false},
-		{"no-dedup", "no_dedup", true, false},
-		{"no-fork", "no_fork", false, true},
+		{"dedup", "dedup", false},
+		{"no-dedup", "no_dedup", true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := exhaustBenchConfig()
 			cfg.NoDedup = tc.noDedup
-			cfg.NoFork = tc.noFork
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -139,31 +133,16 @@ func BenchmarkExhaustVerify(b *testing.B) {
 	})
 }
 
-// emitBenchExhaust marshals the accumulated points, pairing speedups
-// against the no-fork baseline, and returns the document (nil if
-// nothing ran). Called from TestMain.
+// emitBenchExhaust marshals the accumulated points and returns the
+// document (nil if nothing ran). Called from TestMain.
 func emitBenchExhaust() *benchExhaustDoc {
 	benchExhaustOut.mu.Lock()
 	defer benchExhaustOut.mu.Unlock()
 	if len(benchExhaustOut.Points) == 0 {
 		return nil
 	}
-	doc := &benchExhaustDoc{
+	return &benchExhaustDoc{
 		Header: benchjson.NewHeader(),
 		Points: benchExhaustOut.Points,
 	}
-	var base float64
-	for _, p := range doc.Points {
-		if p.Mode == "no_fork" {
-			base = p.NsPerOp
-		}
-	}
-	if base > 0 {
-		for i := range doc.Points {
-			if doc.Points[i].Mode != "no_fork" {
-				doc.Points[i].SpeedupVsNoFork = base / doc.Points[i].NsPerOp
-			}
-		}
-	}
-	return doc
 }

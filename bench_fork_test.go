@@ -6,8 +6,9 @@ package nlft
 //
 // writes the measured numbers to the named file; without the variable
 // the benchmarks only report metrics. The committed BENCH_fork.json
-// records the fork engine's speedup over the rebuild-per-trial
-// baseline on the standard workload.
+// records the fork engine's throughput on the standard workload (its
+// rebuild-per-trial points predate the removal of the from-scratch
+// campaign mode).
 
 import (
 	"sync"
@@ -19,18 +20,14 @@ import (
 )
 
 type forkBenchPoint struct {
-	Mode      string `json:"mode"` // "no_fork" (rebuild per trial) or "fork"
+	Mode      string `json:"mode"` // always "fork"
 	Telemetry bool   `json:"telemetry"`
-	// IntervalNs is the checkpoint spacing (0 = workload default, one
-	// task period); only meaningful for fork points.
+	// IntervalNs is the checkpoint spacing (0 = workload default).
 	IntervalNs   int64   `json:"interval_ns,omitempty"`
 	Trials       int     `json:"trials"`
 	Workers      int     `json:"workers"`
 	NsPerOp      float64 `json:"ns_per_op"`
 	TrialsPerSec float64 `json:"trials_per_sec"`
-	// SpeedupVsNoFork is filled in when the file is written, pairing each
-	// fork point with the no-fork point of the same telemetry mode.
-	SpeedupVsNoFork float64 `json:"speedup_vs_no_fork,omitempty"`
 }
 
 // benchForkOut accumulates results so TestMain (bench_parallel_test.go,
@@ -45,36 +42,30 @@ type benchForkDoc struct {
 	Points []forkBenchPoint `json:"campaign_fork,omitempty"`
 }
 
-// BenchmarkCampaignFork contrasts the checkpoint/fork engine against the
-// rebuild-per-trial baseline, and sweeps the checkpoint spacing (the
-// default interval is one task period = 1ms; coarser spacing means
-// longer replayed prefixes, finer spacing more restore overhead and —
-// past the convergence boundary density — earlier cutoffs). Both paths
-// produce bit-identical results (TestCampaignForkEquivalence); this
-// benchmark only asks what skipping the fault-free prefix buys in wall
-// clock. The classify (no-telemetry) mode additionally benefits from
-// the convergence cutoff, which stops a trial as soon as its state
-// digest matches the golden run's.
+// BenchmarkCampaignFork measures the checkpoint/fork engine with and
+// without telemetry and sweeps the checkpoint spacing (the default
+// interval is 250µs; coarser spacing means longer replayed prefixes,
+// finer spacing more restore overhead and — past the convergence
+// boundary density — earlier cutoffs). The classify (no-telemetry) mode
+// additionally benefits from the convergence cutoff, which stops a
+// trial as soon as its state digest matches the golden run's.
 func BenchmarkCampaignFork(b *testing.B) {
 	const trials = 256
 	const workers = 1
 	for _, tc := range []struct {
 		name      string
-		noFork    bool
 		telemetry bool
 		interval  int64 // checkpoint spacing in ns; 0 = workload default
 	}{
-		{"classify/no-fork", true, false, 0},
-		{"classify/fork", false, false, 0},
-		{"classify/fork-interval-250us", false, false, 250_000},
-		{"classify/fork-interval-4ms", false, false, 4_000_000},
-		{"telemetry/no-fork", true, true, 0},
-		{"telemetry/fork", false, true, 0},
+		{"classify/fork", false, 0},
+		{"classify/fork-interval-250us", false, 250_000},
+		{"classify/fork-interval-4ms", false, 4_000_000},
+		{"telemetry/fork", true, 0},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			w := fault.NewStdWorkload(fault.StdWorkloadConfig{ECC: true})
 			cfg := fault.CampaignConfig{Trials: trials, Seed: 42,
-				Parallelism: workers, Telemetry: tc.telemetry, NoFork: tc.noFork,
+				Parallelism: workers, Telemetry: tc.telemetry,
 				SnapshotInterval: des.Time(tc.interval)}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -86,12 +77,8 @@ func BenchmarkCampaignFork(b *testing.B) {
 			b.StopTimer()
 			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			b.ReportMetric(float64(trials)/(ns/1e9), "trials/s")
-			mode := "fork"
-			if tc.noFork {
-				mode = "no_fork"
-			}
 			pt := forkBenchPoint{
-				Mode:         mode,
+				Mode:         "fork",
 				Telemetry:    tc.telemetry,
 				IntervalNs:   tc.interval,
 				Trials:       trials,
@@ -103,8 +90,7 @@ func BenchmarkCampaignFork(b *testing.B) {
 			benchForkOut.mu.Lock()
 			replaced := false
 			for i := range benchForkOut.Points {
-				if benchForkOut.Points[i].Mode == mode &&
-					benchForkOut.Points[i].Telemetry == tc.telemetry &&
+				if benchForkOut.Points[i].Telemetry == tc.telemetry &&
 					benchForkOut.Points[i].IntervalNs == tc.interval {
 					benchForkOut.Points[i] = pt
 					replaced = true
@@ -118,29 +104,16 @@ func BenchmarkCampaignFork(b *testing.B) {
 	}
 }
 
-// emitBenchFork marshals the accumulated fork benchmark points, pairing
-// speedups, and returns the document (nil if nothing ran). Called from
-// TestMain.
+// emitBenchFork marshals the accumulated fork benchmark points and
+// returns the document (nil if nothing ran). Called from TestMain.
 func emitBenchFork() *benchForkDoc {
 	benchForkOut.mu.Lock()
 	defer benchForkOut.mu.Unlock()
 	if len(benchForkOut.Points) == 0 {
 		return nil
 	}
-	doc := &benchForkDoc{
+	return &benchForkDoc{
 		Header: benchjson.NewHeader(),
 		Points: benchForkOut.Points,
 	}
-	base := map[bool]float64{}
-	for _, p := range doc.Points {
-		if p.Mode == "no_fork" {
-			base[p.Telemetry] = p.NsPerOp
-		}
-	}
-	for i := range doc.Points {
-		if b := base[doc.Points[i].Telemetry]; b > 0 && doc.Points[i].Mode == "fork" {
-			doc.Points[i].SpeedupVsNoFork = b / doc.Points[i].NsPerOp
-		}
-	}
-	return doc
 }

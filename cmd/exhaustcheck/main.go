@@ -10,14 +10,16 @@
 // Usage:
 //
 //	exhaustcheck [-quantum d] [-targets list] [-ecc] [-periods N] [-compute N]
-//	             [-parallel N] [-snapshot-interval d] [-no-fork] [-no-dedup]
+//	             [-parallel N] [-snapshot-interval d] [-no-dedup]
 //	             [-progress] [-cert-out file] [-label s] [-crosscheck=false]
 //
 // The default configuration is the CI gate: the small brake-by-wire
 // control workload (3 periods, compute 16, ECC on) whose full space
 // enumerates in seconds. -cert-out writes the coverage certificate — a
 // canonical, digest-stamped JSON artifact that is bit-identical for any
-// -parallel value and with the cutoffs on or off. -crosscheck (default
+// -parallel value and with the memo on or off (the test suite also pins
+// it against a from-scratch oracle that simulates every placement from
+// t=0). -crosscheck (default
 // on) additionally replays the entire placement list through the
 // sampling campaign engine as a planned campaign and verifies the
 // per-placement outcomes and per-class totals match exactly.
@@ -46,7 +48,6 @@ func main() {
 	compute := flag.Int("compute", 16, "workload inner-loop iterations (duty cycle)")
 	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS); results are bit-identical for any value")
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "fork checkpoint spacing (0 = default 250µs, or the workload's hint when finer)")
-	noFork := flag.Bool("no-fork", false, "simulate every placement from t=0 (reference path; results are identical either way)")
 	noDedup := flag.Bool("no-dedup", false, "disable the visited-digest memo table (results are identical either way)")
 	progress := flag.Bool("progress", false, "report live placement progress on stderr")
 	certOut := flag.String("cert-out", "", "write the coverage certificate (canonical JSON) to this file")
@@ -55,7 +56,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(*quantum, *targetsFlag, *ecc, *periods, *compute, *parallel,
-		*snapshotInterval, *noFork, *noDedup, *progress, *certOut, *label, *crosscheck); err != nil {
+		*snapshotInterval, *noDedup, *progress, *certOut, *label, *crosscheck); err != nil {
 		fmt.Fprintln(os.Stderr, "exhaustcheck:", err)
 		os.Exit(1)
 	}
@@ -102,7 +103,7 @@ func splitComma(s string) []string {
 }
 
 func run(quantum time.Duration, targetsFlag string, ecc bool, periods, compute, parallel int,
-	snapshotInterval time.Duration, noFork, noDedup, progress bool, certOut, label string, crosscheck bool) error {
+	snapshotInterval time.Duration, noDedup, progress bool, certOut, label string, crosscheck bool) error {
 	targets, err := parseTargets(targetsFlag)
 	if err != nil {
 		return err
@@ -115,7 +116,6 @@ func run(quantum time.Duration, targetsFlag string, ecc bool, periods, compute, 
 		Targets:          targets,
 		Parallelism:      parallel,
 		SnapshotInterval: des.Time(snapshotInterval),
-		NoFork:           noFork,
 		NoDedup:          noDedup,
 		Label:            label,
 	}
@@ -192,7 +192,6 @@ func run(quantum time.Duration, targetsFlag string, ecc bool, periods, compute, 
 		camp, err := fault.Run(w, fault.CampaignConfig{
 			Plan:             sp.Faults(),
 			Parallelism:      parallel,
-			NoFork:           noFork,
 			SnapshotInterval: des.Time(snapshotInterval),
 		})
 		if err != nil {

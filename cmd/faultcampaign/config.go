@@ -73,7 +73,6 @@ type cliConfig struct {
 	Parallel int    `json:"parallel,omitempty"`
 
 	// Engine shape.
-	NoFork           bool     `json:"no_fork,omitempty"`
 	SnapshotInterval duration `json:"snapshot_interval,omitempty"`
 	SnapshotStats    bool     `json:"snapshot_stats,omitempty"`
 	ConvergeCutoff   bool     `json:"converge_cutoff"`
@@ -136,7 +135,6 @@ func (c *cliConfig) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Targets, "targets", c.Targets, "comma-separated fault targets: register,pc,sp,alu,mem-data,mem-code (default all)")
 	fs.IntVar(&c.Parallel, "parallel", c.Parallel, "worker goroutines for the campaign (0 = GOMAXPROCS); results are identical for any value")
 
-	fs.BoolVar(&c.NoFork, "no-fork", c.NoFork, "disable the checkpoint/fork engine and simulate every trial from t=0 (results are identical either way)")
 	fs.Var(&c.SnapshotInterval, "snapshot-interval", "fork checkpoint spacing (0 = default 250µs, or the workload's hint when finer)")
 	fs.BoolVar(&c.SnapshotStats, "snapshot-stats", c.SnapshotStats, "report the fork engine's checkpoint-store traffic (delta vs full-image bytes, pages copied/restored)")
 	fs.BoolVar(&c.ConvergeCutoff, "converge-cutoff", c.ConvergeCutoff, "stop a forked trial early once its state digest reconverges with the golden run (classification-only campaigns)")
@@ -227,7 +225,7 @@ var modeFlags = map[string]map[string]bool{
 	"submit": {
 		"submit": true, "poll": true, "progress": true, "digest": true,
 		"trials": true, "seed": true, "ecc": true, "compute": true, "targets": true,
-		"lease-size": true, "no-fork": true, "snapshot-interval": true, "converge-cutoff": true,
+		"lease-size": true, "snapshot-interval": true, "converge-cutoff": true,
 	},
 }
 
@@ -333,7 +331,6 @@ func (c *cliConfig) spec() (shard.CampaignSpec, error) {
 		ECC:                c.ECC,
 		Compute:            c.Compute,
 		Targets:            targets,
-		NoFork:             c.NoFork,
 		SnapshotIntervalNs: int64(c.SnapshotInterval),
 		NoConvergeCutoff:   !c.ConvergeCutoff,
 		LeaseSize:          c.LeaseSize,

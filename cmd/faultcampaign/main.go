@@ -8,7 +8,7 @@
 //	faultcampaign [-trials N] [-seed S] [-ecc] [-compute N] [-targets list]
 //	              [-parallel N] [-cpuprofile file] [-memprofile file] [-progress]
 //	              [-metrics-out file] [-trace-out file] [-digest]
-//	              [-no-fork] [-snapshot-interval d] [-snapshot-stats]
+//	              [-snapshot-interval d] [-snapshot-stats]
 //	              [-converge-cutoff=false]
 //	              [-adaptive] [-strata N] [-ci-width f] [-ci-outcome o] [-max-trials N]
 //	              [-config file] [-dump-config]
@@ -43,12 +43,12 @@
 // -trace-out additionally retains each trial's structured event stream
 // and exports the merged JSONL (trial 0 is the fault-free golden run).
 //
-// The campaign uses the checkpoint/fork engine by default: each worker
-// snapshots the fault-free prefix at checkpoint boundaries and every
-// trial restores the latest checkpoint before its injection instant
-// instead of re-simulating from t=0. Results are bit-identical either
-// way; -no-fork is the escape hatch forcing the legacy from-scratch
-// path, -snapshot-interval overrides the checkpoint spacing (default
+// Every engine runs trials on the checkpoint/fork trial core: each
+// worker snapshots the fault-free prefix at checkpoint boundaries and
+// every trial restores the latest checkpoint before its injection
+// instant instead of re-simulating from t=0 (bit-identical to a
+// from-scratch trial; the test suite pins that against a from-scratch
+// oracle). -snapshot-interval overrides the checkpoint spacing (default
 // 250µs, or the workload's hint when finer), -snapshot-stats reports the
 // checkpoint store's delta-page traffic, and -converge-cutoff=false
 // disables the post-injection early-stop on state-digest convergence.
@@ -160,7 +160,6 @@ func runAdaptive(w nlft.Workload, targets []fault.Target, cfg *cliConfig) error 
 		CIWidth:          cfg.CIWidth,
 		CIOutcome:        outcome,
 		Parallelism:      cfg.Parallel,
-		NoFork:           cfg.NoFork,
 		SnapshotInterval: nlft.Time(cfg.SnapshotInterval),
 	}
 	if cfg.Progress {
@@ -212,7 +211,6 @@ func run(cfg *cliConfig) error {
 		Trials: cfg.Trials, Seed: cfg.Seed, Targets: targets, Parallelism: cfg.Parallel,
 		Telemetry:        cfg.MetricsOut != "",
 		TelemetryEvents:  cfg.TraceOut != "",
-		NoFork:           cfg.NoFork,
 		SnapshotInterval: nlft.Time(cfg.SnapshotInterval),
 		NoConvergeCutoff: !cfg.ConvergeCutoff,
 	}

@@ -23,8 +23,7 @@
 // for P(FailSilent): rare, scattered, and periodic — precisely the
 // structure importance splitting pays most to rediscover empirically.
 //
-// Determinism. Results are bit-identical for any Parallelism and with
-// the fork engine on or off:
+// Determinism. Results are bit-identical for any Parallelism:
 //
 //   - Every trial's RNG stream is a pure function of (Seed, stratum
 //     key, within-stratum index) via des.NewRandIndexed2 — no draw
@@ -35,9 +34,10 @@
 //     canonical stratum-slice order; workers write each trial's
 //     outcome at its precomputed flat index, so completion order
 //     cannot leak into any decision.
-//   - Fork on/off equivalence is inherited from the fork engine's
-//     soundness argument (internal/fault/fork.go): a forked trial's
-//     record is bit-identical to a from-scratch trial's.
+//   - Every trial runs on the campaign engine's trial core
+//     (fault.ForkSession.RunTrial), whose soundness argument
+//     (internal/fault/fork.go) makes a forked trial's record
+//     bit-identical to a from-scratch trial's.
 package adapt
 
 import (
@@ -86,9 +86,6 @@ type Config struct {
 	// Parallelism is the number of worker goroutines. Default (0) is
 	// runtime.GOMAXPROCS(0). Results are bit-identical for any value.
 	Parallelism int
-	// NoFork disables the checkpoint/fork engine and simulates every
-	// trial from t=0. Results are bit-identical either way.
-	NoFork bool
 	// NoSplit disables adaptive stratum refinement, leaving the base
 	// (target × bucket) grid fixed.
 	NoSplit bool
@@ -230,8 +227,8 @@ type Result struct {
 	// errors.
 	CD, PT, POM, PFS RatioEstimate
 	// Digest fingerprints the committed per-stratum tallies in
-	// canonical order — bit-identical across Parallelism and fork
-	// on/off for a fixed seed (guarded by TestAdaptiveDeterminism).
+	// canonical order — bit-identical across Parallelism for a fixed
+	// seed (guarded by TestAdaptiveDeterminism).
 	Digest string
 }
 

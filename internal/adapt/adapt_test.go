@@ -27,8 +27,7 @@ func mustRun(t *testing.T, w fault.Workload, cfg Config) *Result {
 
 // TestAdaptiveDeterminism pins the acceptance criterion: the committed
 // tally digest — and every estimate derived from it — is bit-identical
-// across Parallelism 1/4/GOMAXPROCS and with the fork engine on or off,
-// for a fixed seed.
+// across Parallelism 1/4/GOMAXPROCS for a fixed seed.
 func TestAdaptiveDeterminism(t *testing.T) {
 	w := gateWorkload()
 	base := Config{Seed: 11, RoundSize: 96, MaxTrials: 288}
@@ -39,7 +38,6 @@ func TestAdaptiveDeterminism(t *testing.T) {
 		{"workers-1", func() Config { c := base; c.Parallelism = 1; return c }},
 		{"workers-4", func() Config { c := base; c.Parallelism = 4; return c }},
 		{"workers-max", func() Config { c := base; c.Parallelism = runtime.GOMAXPROCS(0); return c }},
-		{"no-fork", func() Config { c := base; c.Parallelism = 4; c.NoFork = true; return c }},
 	}
 	ref := mustRun(t, w, variants[0].cfg())
 	if ref.Trials != base.MaxTrials {
@@ -244,9 +242,9 @@ func TestGridBoundTiling(t *testing.T) {
 // TestAdaptiveDifferentialExhaustive pins the adaptive estimator to the
 // PR 7 exhaustive ground truth: on the tiny register+ALU space, the
 // exact C_D computed from a full enumeration must lie inside the
-// adaptive campaign's own C_D interval — for 1/4/GOMAXPROCS workers and
-// with the fork engine on and off (all of which must also agree
-// bit-for-bit among themselves). The adaptive run models no kernel
+// adaptive campaign's own C_D interval — for 1/4/GOMAXPROCS workers (all
+// of which must also agree bit-for-bit among themselves). The adaptive
+// run models no kernel
 // coin, matching the verifier's coin-free population, and samples the
 // same [0, 1ms) hyperperiod window.
 func TestAdaptiveDifferentialExhaustive(t *testing.T) {
@@ -282,8 +280,6 @@ func TestAdaptiveDifferentialExhaustive(t *testing.T) {
 		{"workers-1", func() Config { c := base; c.Parallelism = 1; return c }},
 		{"workers-4", func() Config { c := base; c.Parallelism = 4; return c }},
 		{"workers-max", func() Config { c := base; c.Parallelism = runtime.GOMAXPROCS(0); return c }},
-		{"no-fork-1", func() Config { c := base; c.Parallelism = 1; c.NoFork = true; return c }},
-		{"no-fork-4", func() Config { c := base; c.Parallelism = 4; c.NoFork = true; return c }},
 	}
 	var ref *Result
 	for _, v := range variants {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/des"
 	"repro/internal/fault"
@@ -44,12 +43,9 @@ type engine struct {
 	// activity set is a pure time set, identical for every target).
 	kactFrac float64
 
-	// One trial runner per worker: fork sessions (each owns a live
-	// instance and checkpoint store) or scratch runners with the shared
-	// golden reference.
+	// One fork session per executor slot (each owns a live instance and
+	// checkpoint store), built on the slot's first round.
 	sessions []*fault.ForkSession
-	scratch  []*fault.ScratchRunner
-	golden   []fault.Write
 }
 
 // Run executes an adaptive campaign on the workload.
@@ -85,9 +81,7 @@ func Run(w fault.Workload, cfg Config) (*Result, error) {
 		kactFrac: float64(fault.OverlapWidth(kact, cfg.Window[0], cfg.Window[1])) /
 			float64(cfg.Window[1]-cfg.Window[0]),
 	}
-	if err := e.buildRunners(); err != nil {
-		return nil, err
-	}
+	e.sessions = make([]*fault.ForkSession, cfg.Parallelism)
 	stop := ""
 	for stop == "" {
 		e.rounds++
@@ -121,39 +115,6 @@ func Run(w fault.Workload, cfg Config) (*Result, error) {
 		}
 	}
 	return e.result(stop), nil
-}
-
-// buildRunners constructs one trial runner per worker. Fork sessions
-// each capture their own checkpoint store (a deterministic golden
-// prefix), so they are built concurrently; the scratch path shares one
-// golden reference.
-func (e *engine) buildRunners() error {
-	workers := e.cfg.Parallelism
-	if e.cfg.NoFork {
-		golden, err := fault.GoldenWrites(e.w)
-		if err != nil {
-			return err
-		}
-		e.golden = golden
-		e.scratch = make([]*fault.ScratchRunner, workers)
-		for i := range e.scratch {
-			e.scratch[i] = &fault.ScratchRunner{}
-		}
-		return nil
-	}
-	e.sessions = make([]*fault.ForkSession, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := range e.sessions {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.sessions[i], errs[i] = fault.NewForkSession(e.w, e.cfg.SnapshotInterval, false)
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // allocate distributes size trials over the strata: any stratum still
@@ -242,52 +203,43 @@ func (e *engine) planRound(alloc []int) []plannedTrial {
 	return plan
 }
 
-// runRound executes the planned trials over the worker pool. Workers
-// take strided shares ordered by injection instant (so consecutive
-// fork restores reuse nearby checkpoints) and write each outcome at
-// the trial's flat index; neither the worker count nor completion
-// order can influence what is committed.
+// runRound executes the planned trials on the range executor, one fork
+// session per slot, and writes each outcome at the trial's flat index;
+// neither the worker count nor completion order can influence what is
+// committed.
 func (e *engine) runRound(plan []plannedTrial) ([]fault.Outcome, error) {
 	outcomes := make([]fault.Outcome, len(plan))
-	workers := e.cfg.Parallelism
-	if workers > len(plan) {
-		workers = len(plan)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wk := wk
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mine := make([]int, 0, (len(plan)-wk+workers-1)/workers)
-			for i := wk; i < len(plan); i += workers {
-				mine = append(mine, i)
+	err := fault.ExecRange(0, len(plan), len(e.sessions), func(k int) (fault.RangeSlot, error) {
+		if e.sessions[k] == nil {
+			s, err := fault.NewForkSession(e.w, e.cfg.SnapshotInterval, false)
+			if err != nil {
+				return nil, err
 			}
-			sort.SliceStable(mine, func(a, b int) bool {
-				return plan[mine[a]].spec.Fault.At < plan[mine[b]].spec.Fault.At
-			})
-			for _, i := range mine {
-				var rec fault.TrialRecord
-				var err error
-				if e.cfg.NoFork {
-					rec, err = e.scratch[wk].RunTrial(e.w, plan[i].spec, e.golden)
-				} else {
-					rec, err = e.sessions[wk].RunTrial(plan[i].spec)
-				}
-				if err != nil {
-					errs[wk] = fmt.Errorf("adapt: trial %d: %w", i, err)
-					return
-				}
-				outcomes[i] = rec.Outcome
-			}
-		}()
+			e.sessions[k] = s
+		}
+		return &roundSlot{s: e.sessions[k], plan: plan, outcomes: outcomes}, nil
+	})
+	return outcomes, err
+}
+
+// roundSlot is one executor slot of a round.
+type roundSlot struct {
+	s        *fault.ForkSession
+	plan     []plannedTrial
+	outcomes []fault.Outcome
+}
+
+// Base selects trial i's fork base.
+func (r *roundSlot) Base(i int) int { return r.s.Select(r.plan[i].spec.Fault.At) }
+
+// Run executes trial i on the session's trial core.
+func (r *roundSlot) Run(i int) error {
+	rec, err := r.s.RunTrial(r.plan[i].spec)
+	if err != nil {
+		return fmt.Errorf("adapt: trial %d: %w", i, err)
 	}
-	wg.Wait()
-	return outcomes, errors.Join(errs...)
+	r.outcomes[i] = rec.Outcome
+	return nil
 }
 
 // refine splits the strata that dominate the Neyman scores: a stratum

@@ -2,13 +2,14 @@ package exhaust
 
 // The fork-path exploration engine. One worker owns one
 // fault.ForkSession (live instance + golden-prefix checkpoints) and
-// runs its strided share of the placement space, each placement
-// restoring the latest sound checkpoint before its injection instant
-// and simulating only the suffix. At every checkpoint boundary after
-// the injection the worker compares the instance's forward digest
-// against (a) the golden run's digest at that boundary — a match is
-// PR 5's convergence cutoff, the golden suffix is spliced on — and
-// (b) its visited-digest memo table: a match means an earlier placement
+// runs its share of the placement space on the campaign engine's trial
+// core (ForkSession.RunHooked): restore the latest sound checkpoint
+// before the injection instant, inject, and simulate only the suffix.
+// At every checkpoint boundary after the injection the core compares
+// the instance's forward digest against the golden run's digest there —
+// a match is the convergence cutoff, the golden suffix is spliced on —
+// and otherwise hands the boundary to this worker's hook, the
+// visited-digest memo table: a match means an earlier placement
 // already simulated this exact future, so its recorded suffix (writes,
 // events, counter deltas) is composed on instead of re-simulated.
 //
@@ -28,9 +29,9 @@ package exhaust
 // reproduced bit-identically.
 
 import (
-	"repro/internal/des"
+	"fmt"
+
 	"repro/internal/fault"
-	"repro/internal/kernel"
 	"repro/internal/obs"
 )
 
@@ -81,25 +82,23 @@ type mark struct {
 	mechOff, mechLen int
 }
 
-// worker owns one fork session and explores placements sequentially.
-// The injection and boundary-check callbacks are closures created once
-// per worker that read the worker's current-placement fields, so the
-// per-placement loop schedules events without allocating closures.
+// worker owns one fork session and explores its placements
+// sequentially; it is the placement range's fault.RangeSlot and its
+// own fault.BoundaryHook. The detection-counter callback is a closure
+// created once per worker, so boundary marks collect counters without
+// allocating closures.
 type worker struct {
-	s       *fault.ForkSession
-	faults  []fault.Fault
-	noDedup bool
-	visited map[memoKey]*suffixMemo
+	s        *fault.ForkSession
+	faults   []fault.Fault
+	recs     []fault.TrialRecord
+	viols    [][]Violation
+	progress func()
+	noDedup  bool
+	visited  map[memoKey]*suffixMemo
 
-	// Current-placement state read by the bound callbacks.
-	f           fault.Fault
-	kernelFlag  bool
-	converged   bool
-	convergedAt int
-	memo        *suffixMemo
-	memoAt      int
-	nextCheck   int
-	collectOff  int
+	// memo is the current placement's memo hit, set by Boundary.
+	memo       *suffixMemo
+	collectOff int
 
 	// Reused buffers: steady-state capacity, truncate-refill per
 	// placement.
@@ -111,42 +110,44 @@ type worker struct {
 	endMechs    []mechCount
 	mechNames   []string
 
-	injectFn  func()
-	checkFn   func()
 	collectFn func(string, uint64)
 
 	stats EngineStats
 }
 
 // newWorker builds a fork session (with full event streams) and the
-// bound callbacks.
-func newWorker(w fault.Workload, cfg *Config, faults []fault.Fault) (*worker, error) {
+// bound callback. Records and violations land in recs and viols at
+// their placement index.
+func newWorker(w fault.Workload, cfg *Config, faults []fault.Fault,
+	recs []fault.TrialRecord, viols [][]Violation, progress func()) (*worker, error) {
 	s, err := fault.NewForkSession(w, cfg.SnapshotInterval, true)
 	if err != nil {
 		return nil, err
 	}
-	wk := &worker{s: s, faults: faults, noDedup: cfg.NoDedup,
-		visited: make(map[memoKey]*suffixMemo)}
-	wk.injectFn = func() { wk.inject() }
-	wk.checkFn = func() { wk.checkBoundary() }
+	wk := &worker{s: s, faults: faults, recs: recs, viols: viols, progress: progress,
+		noDedup: cfg.NoDedup, visited: make(map[memoKey]*suffixMemo)}
 	wk.collectFn = func(m string, n uint64) { wk.collectMech(m, n) }
+	wk.stats.Checkpoints = s.Checkpoints()
 	return wk, nil
 }
 
-// inject applies the current placement — the planned-campaign decision
-// tree: no modelled kernel-hit coins, but a fault landing while the
-// kernel itself executes is always caught by the kernel EDMs (the
-// deterministic part of the model, identical to a planned
-// fault.Run trial's).
-//
-//nlft:noalloc
-func (wk *worker) inject() {
-	if wk.s.Inst.Kernel.Activity() == kernel.ActivityKernel {
-		wk.kernelFlag = true
-		wk.s.Inst.Kernel.ForceFailSilent("kernel EDM: assertion after fault")
-		return
+// Base selects placement i's fork base.
+func (wk *worker) Base(i int) int { return wk.s.Select(wk.faults[i].At) }
+
+// Run explores placement i and files its record and violations.
+func (wk *worker) Run(i int) error {
+	wk.memo = nil
+	wk.marks = wk.marks[:0]
+	wk.mechArena = wk.mechArena[:0]
+	end, err := wk.s.RunHooked(fault.TrialSpec{Fault: wk.faults[i]}, wk)
+	if err != nil {
+		return fmt.Errorf("exhaust: placement %d: %w", i, err)
 	}
-	fault.ApplyFault(wk.s.Inst, wk.f)
+	wk.recs[i], wk.viols[i] = wk.finalize(i, end)
+	if wk.progress != nil {
+		wk.progress()
+	}
+	return nil
 }
 
 // collectMech appends one detection counter to the arena segment that
@@ -167,91 +168,42 @@ func (wk *worker) collectMech(name string, n uint64) {
 	}
 }
 
-// checkBoundary fires at a checkpoint boundary after the injection (the
-// engine's hot loop: every simulated placement crosses every remaining
-// boundary until it converges, memo-hits, or reaches the horizon). It
-// is self-rearming like the campaign's convergence checker, so at
-// digest time no checker event is pending and the pending-event
-// multiset compares cleanly against the golden capture's.
+// Boundary is the memo hook (fault.BoundaryHook), called by the trial
+// core at every boundary a placement reaches without converging to
+// golden — the engine's hot loop. A (boundary, digest) pair seen before
+// ends the placement on that memo; a first visit is marked so this
+// placement's suffix becomes a memo at finalize.
 //
 //nlft:noalloc
-func (wk *worker) checkBoundary() {
-	b := wk.nextCheck
-	d := wk.s.Digest()
-	if d == wk.s.GoldenDigest(b) {
-		wk.converged = true
-		wk.convergedAt = b
-		wk.s.Inst.Sim.Stop()
-		return
+func (wk *worker) Boundary(b int, d uint64) bool {
+	if wk.noDedup {
+		return false
 	}
-	if !wk.noDedup {
-		if m, ok := wk.visited[memoKey{b: b, digest: d}]; ok {
-			wk.memo = m
-			wk.memoAt = b
-			wk.s.Inst.Sim.Stop()
-			return
-		}
-		// First visit: record the boundary so this placement's suffix
-		// becomes a memo at finalize.
-		wk.collectOff = len(wk.mechArena)
-		wk.s.Inst.Kernel.EachDetected(wk.collectFn)
-		wk.marks = append(wk.marks, mark{
-			b:         b,
-			digest:    d,
-			writesLen: len(wk.s.Inst.Rec.Writes),
-			eventsLen: len(wk.s.Col.Events()),
-			omissions: wk.s.Inst.Rec.Omissions,
-			masked:    wk.s.Inst.Rec.MaskedReleases,
-			ecc:       wk.s.Inst.Kernel.Mem().CorrectedErrors,
-			mechOff:   wk.collectOff,
-			mechLen:   len(wk.mechArena) - wk.collectOff,
-		})
+	if m, ok := wk.visited[memoKey{b: b, digest: d}]; ok {
+		wk.memo = m
+		return true
 	}
-	wk.nextCheck++
-	if wk.nextCheck < wk.s.Checkpoints() {
-		wk.s.Inst.Sim.Schedule(wk.s.CheckpointAt(wk.nextCheck), des.PrioObserver, wk.checkFn)
-	}
-}
-
-// runPlacement explores canonical placement i: restore the fork base,
-// swap the phantom for the real injection, arm the boundary checker,
-// run until the horizon or a cutoff, then compose and classify.
-func (wk *worker) runPlacement(i int) (fault.TrialRecord, []Violation, error) {
-	f := wk.faults[i]
-	ck := wk.s.Select(f.At)
-	wk.s.Restore(ck)
-
-	wk.f = f
-	wk.kernelFlag = false
-	wk.converged = false
-	wk.memo = nil
-	wk.marks = wk.marks[:0]
-	wk.mechArena = wk.mechArena[:0]
-	wk.s.Inst.Sim.Schedule(f.At, des.PrioInject, wk.injectFn)
-
-	wk.nextCheck = wk.s.Checkpoints()
-	for b := ck + 1; b < wk.s.Checkpoints(); b++ {
-		if wk.s.CheckpointAt(b) > f.At {
-			wk.nextCheck = b
-			break
-		}
-	}
-	if wk.nextCheck < wk.s.Checkpoints() {
-		wk.s.Inst.Sim.Schedule(wk.s.CheckpointAt(wk.nextCheck), des.PrioObserver, wk.checkFn)
-	}
-
-	err := wk.s.Inst.Sim.RunUntil(wk.s.Horizon())
-	if err := errStopOK(err, wk.converged || wk.memo != nil); err != nil {
-		return fault.TrialRecord{}, nil, err
-	}
-	return wk.finalize(i)
+	wk.collectOff = len(wk.mechArena)
+	wk.s.Inst.Kernel.EachDetected(wk.collectFn)
+	wk.marks = append(wk.marks, mark{
+		b:         b,
+		digest:    d,
+		writesLen: len(wk.s.Inst.Rec.Writes),
+		eventsLen: len(wk.s.Col.Events()),
+		omissions: wk.s.Inst.Rec.Omissions,
+		masked:    wk.s.Inst.Rec.MaskedReleases,
+		ecc:       wk.s.Inst.Kernel.Mem().CorrectedErrors,
+		mechOff:   wk.collectOff,
+		mechLen:   len(wk.mechArena) - wk.collectOff,
+	})
+	return false
 }
 
 // finalize composes the placement's full-horizon result from the live
 // stop state plus (when a cutoff fired) the golden or memoized suffix,
 // classifies it exactly like a campaign trial, evaluates the verifier's
 // guarantees, and memoizes every boundary this placement crossed first.
-func (wk *worker) finalize(i int) (fault.TrialRecord, []Violation, error) {
+func (wk *worker) finalize(i int, end fault.TrialEnd) (fault.TrialRecord, []Violation) {
 	inst := wk.s.Inst
 	wk.finalWrites = append(wk.finalWrites[:0], inst.Rec.Writes...)
 	wk.finalEvents = append(wk.finalEvents[:0], wk.s.Col.Events()...)
@@ -267,8 +219,8 @@ func (wk *worker) finalize(i int) (fault.TrialRecord, []Violation, error) {
 	wk.mechArena = wk.mechArena[:wk.collectOff]
 
 	switch {
-	case wk.converged:
-		b := wk.convergedAt
+	case end.ConvergedAt >= 0:
+		b := end.ConvergedAt
 		wk.finalWrites = append(wk.finalWrites, wk.s.Golden()[wk.s.GoldenWritesLen(b):]...)
 		wk.finalEvents = append(wk.finalEvents, wk.s.GoldenEvents()[wk.s.GoldenEventsLen(b):]...)
 		// Golden suffix: fault-free, so all counter deltas are zero and
@@ -291,7 +243,8 @@ func (wk *worker) finalize(i int) (fault.TrialRecord, []Violation, error) {
 	}
 	wk.stats.Placements++
 
-	rec := fault.TrialRecord{Fault: wk.f, Kernel: wk.kernelFlag}
+	f := wk.faults[i]
+	rec := fault.TrialRecord{Fault: f, Kernel: end.Kernel}
 	wk.mechNames = wk.mechNames[:0]
 	for _, mc := range wk.endMechs {
 		wk.mechNames = append(wk.mechNames, mc.name)
@@ -306,7 +259,7 @@ func (wk *worker) finalize(i int) (fault.TrialRecord, []Violation, error) {
 	rec.Outcome = fault.ClassifyRaw(failed, wk.finalWrites, omissions, masked,
 		ecc, wk.s.Golden(), false)
 
-	viols := checkPlacement(i, wk.f, wk.finalEvents, rec.Outcome, omissions)
+	viols := checkPlacement(i, f, wk.finalEvents, rec.Outcome, omissions)
 
 	if !wk.noDedup {
 		for _, mk := range wk.marks {
@@ -326,7 +279,7 @@ func (wk *worker) finalize(i int) (fault.TrialRecord, []Violation, error) {
 			wk.stats.Memos++
 		}
 	}
-	return rec, viols, nil
+	return rec, viols
 }
 
 // mergeAdd merges two name-sorted counter lists into dst, summing equal

@@ -9,10 +9,12 @@
 // same style of exhaustive timed exploration to fault-tolerant
 // systems).
 //
-// The explorer reuses the campaign's checkpoint/fork engine
-// (fault.ForkSession): each placement restores the latest sound golden
-// checkpoint before its injection instant and simulates only the
-// suffix. Two cutoffs bound the work:
+// The explorer runs on the campaign engine's trial core
+// (fault.ForkSession.RunHooked) and range executor (fault.ExecRange):
+// each placement restores the latest sound golden checkpoint before its
+// injection instant and simulates only the suffix, with exactly the
+// injection, checkpoint selection and boundary checks a sampled trial
+// gets. Two cutoffs bound the work:
 //
 //   - Golden convergence (PR 5's cutoff): at checkpoint boundaries
 //     after the injection the placement's forward digest is compared
@@ -20,13 +22,17 @@
 //     the golden suffix, which is spliced on instead of simulated.
 //
 //   - Visited-digest dedup (the cutoff turned into exhaustive
-//     coverage): every boundary state a placement passes through is
-//     recorded as (boundary, digest) → suffix memo. A later placement
-//     reaching the same digest at the same boundary has provably the
-//     same future — kernel.ForwardDigest folds everything that can
-//     influence the remainder of a run — so its suffix writes, events
-//     and counter deltas are composed from the memo without
-//     simulation. See DESIGN.md ("Digest-dedup soundness").
+//     coverage, plugged into the core as its boundary hook): every
+//     boundary state a placement passes through is recorded as
+//     (boundary, digest) → suffix memo. A later placement reaching the
+//     same digest at the same boundary has provably the same future —
+//     kernel.ForwardDigest folds everything that can influence the
+//     remainder of a run — so its suffix writes, events and counter
+//     deltas are composed from the memo without simulation. See
+//     DESIGN.md ("Digest-dedup soundness").
+//
+// runScratchPlacement is the independent from-scratch reference the
+// differential and fuzz tests pin the engine against.
 //
 // Outcome data (Records, Counts, ByTarget, ByMechanism, Violations,
 // and the certificate digest) is bit-identical at any worker count and
@@ -35,15 +41,11 @@
 package exhaust
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 
 	"repro/internal/des"
 	"repro/internal/fault"
-	"repro/internal/kernel"
 	"repro/internal/obs"
 )
 
@@ -70,10 +72,6 @@ type Config struct {
 	// SnapshotInterval is the fork checkpoint spacing (0 = the campaign
 	// engine's default).
 	SnapshotInterval des.Time
-	// NoFork simulates every placement from t=0 on a fresh instance —
-	// the independent reference path the differential tests compare
-	// against. Slow; results are identical either way.
-	NoFork bool
 	// NoDedup disables the visited-digest memo table (golden
 	// convergence still applies). Results are identical either way.
 	NoDedup bool
@@ -189,7 +187,11 @@ func VerifyFaults(w fault.Workload, cfg Config, faults []fault.Fault) (*Result, 
 // and validates the fault-free invariants the verifier's guarantees are
 // stated against.
 func goldenObserved(w fault.Workload) ([]fault.Write, []obs.Event, error) {
-	inst, col, err := scratchInstance(w)
+	col, err := fullTrace(w)
+	if err != nil {
+		return nil, nil, err
+	}
+	inst, err := w.(fault.ObservableWorkload).NewObserved(col)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -212,167 +214,78 @@ func goldenObserved(w fault.Workload) ([]fault.Write, []obs.Event, error) {
 	return inst.Rec.Writes, events, nil
 }
 
-// scratchInstance builds a fresh observed instance with an uncapped
-// event stream.
-func scratchInstance(w fault.Workload) (*fault.Instance, *obs.Collector, error) {
-	ow, ok := w.(fault.ObservableWorkload)
-	if !ok {
-		return nil, nil, fmt.Errorf("exhaust: workload is not observable; invariant checking needs event streams")
+// fullTrace builds an uncapped collector for an observable workload.
+func fullTrace(w fault.Workload) (*obs.Collector, error) {
+	if _, ok := w.(fault.ObservableWorkload); !ok {
+		return nil, fmt.Errorf("exhaust: workload is not observable; invariant checking needs event streams")
 	}
 	col := obs.NewCollector("")
 	col.SetEventLimit(0)
-	inst, err := ow.NewObserved(col)
-	return inst, col, err
+	return col, nil
 }
 
-// run explores every placement of faults, fanned over workers with a
-// strided assignment (records land at their placement index, so the
+// run explores every placement of faults on the range executor, one
+// fork session per slot (records land at their placement index, so the
 // canonical order is independent of workers and scheduling).
 func run(w fault.Workload, cfg *Config, faults []fault.Fault, space *Space) (*Result, error) {
 	if len(faults) == 0 {
 		return nil, fmt.Errorf("exhaust: empty placement set")
 	}
-	golden, _, err := goldenObserved(w)
-	if err != nil {
+	if _, _, err := goldenObserved(w); err != nil {
 		return nil, err
-	}
-	workers := cfg.Parallelism
-	if workers > len(faults) {
-		workers = len(faults)
 	}
 	recs := make([]fault.TrialRecord, len(faults))
 	pviols := make([][]Violation, len(faults))
-	stats := make([]EngineStats, workers)
-	errs := make([]error, workers)
-	var progressMu sync.Mutex
-	progressDone := 0
-	progress := func() {
-		if cfg.OnProgress != nil {
-			progressMu.Lock()
-			progressDone++
-			cfg.OnProgress(progressDone, len(faults))
-			progressMu.Unlock()
-		}
+	workers := make([]*worker, min(cfg.Parallelism, len(faults)))
+	progress := fault.ProgressCounter(cfg.OnProgress, len(faults))
+	err := fault.ExecRange(0, len(faults), len(workers), func(k int) (fault.RangeSlot, error) {
+		wk, err := newWorker(w, cfg, faults, recs, pviols, progress)
+		workers[k] = wk
+		return wk, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wk := wk
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if cfg.NoFork {
-				for i := wk; i < len(faults); i += workers {
-					rec, vs, err := runScratchPlacement(w, faults[i], golden, i)
-					if err != nil {
-						errs[wk] = fmt.Errorf("exhaust: placement %d: %w", i, err)
-						return
-					}
-					recs[i] = rec
-					pviols[i] = vs
-					stats[wk].Placements++
-					stats[wk].Simulated++
-					progress()
-				}
-				return
-			}
-			wkr, err := newWorker(w, cfg, faults)
-			if err != nil {
-				errs[wk] = err
-				return
-			}
-			for i := wk; i < len(faults); i += workers {
-				rec, vs, err := wkr.runPlacement(i)
-				if err != nil {
-					errs[wk] = fmt.Errorf("exhaust: placement %d: %w", i, err)
-					return
-				}
-				recs[i] = rec
-				pviols[i] = vs
-				progress()
-			}
-			wkr.stats.Checkpoints = wkr.s.Checkpoints()
-			stats[wk] = wkr.stats
-		}()
+	stats := EngineStats{Workers: len(workers)}
+	for _, wk := range workers {
+		s := wk.stats
+		stats.Placements += s.Placements
+		stats.Simulated += s.Simulated
+		stats.ConvergedGolden += s.ConvergedGolden
+		stats.DedupHits += s.DedupHits
+		stats.Memos += s.Memos
+		stats.Checkpoints = max(stats.Checkpoints, s.Checkpoints)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{
-		Space:       space,
-		Records:     recs,
-		Counts:      make(map[fault.Outcome]int),
-		ByTarget:    make(map[fault.Target]map[fault.Outcome]int),
-		ByMechanism: make(map[string]int),
-	}
-	for i := range recs {
-		rec := &recs[i]
-		res.Counts[rec.Outcome]++
-		if res.ByTarget[rec.Fault.Target] == nil {
-			res.ByTarget[rec.Fault.Target] = make(map[fault.Outcome]int)
-		}
-		res.ByTarget[rec.Fault.Target][rec.Outcome]++
-		for _, m := range rec.Mechanisms {
-			res.ByMechanism[m]++
-		}
-	}
+	return newResult(cfg, space, recs, pviols, stats), nil
+}
+
+// newResult assembles an exploration's outcome data from its
+// per-placement records and violations, in placement order.
+func newResult(cfg *Config, space *Space, recs []fault.TrialRecord, pviols [][]Violation, stats EngineStats) *Result {
+	res := &Result{Space: space, Records: recs, Stats: stats}
+	res.Counts, res.ByTarget, res.ByMechanism = fault.Tally(recs)
 	for _, vs := range pviols {
 		res.Violations = append(res.Violations, vs...)
 	}
-	for _, s := range stats {
-		res.Stats.Placements += s.Placements
-		res.Stats.Simulated += s.Simulated
-		res.Stats.ConvergedGolden += s.ConvergedGolden
-		res.Stats.DedupHits += s.DedupHits
-		res.Stats.Memos += s.Memos
-		if s.Checkpoints > res.Stats.Checkpoints {
-			res.Stats.Checkpoints = s.Checkpoints
-		}
-	}
-	res.Stats.Workers = workers
 	res.Cert = buildCertificate(cfg, space, res)
-	return res, nil
+	return res
 }
 
-// runScratchPlacement is the independent reference path: a fresh
-// instance, the injection simulated from t=0, no checkpoints, no
-// cutoffs, no composition. The differential and fuzz tests pin the fork
-// engine against it.
+// runScratchPlacement is the independent reference path: the campaign
+// engine's from-scratch oracle (fault.ScratchTrial) with a full-trace
+// collector — a fresh instance, the injection simulated from t=0, no
+// checkpoints, no cutoffs, no composition. The differential and fuzz
+// tests pin the fork engine against it.
 func runScratchPlacement(w fault.Workload, f fault.Fault, golden []fault.Write, idx int) (fault.TrialRecord, []Violation, error) {
-	inst, col, err := scratchInstance(w)
+	col, err := fullTrace(w)
 	if err != nil {
 		return fault.TrialRecord{}, nil, err
 	}
-	rec := fault.TrialRecord{Fault: f}
-	inst.Sim.Schedule(f.At, des.PrioInject, func() {
-		if inst.Kernel.Activity() == kernel.ActivityKernel {
-			rec.Kernel = true
-			inst.Kernel.ForceFailSilent("kernel EDM: assertion after fault")
-			return
-		}
-		fault.ApplyFault(inst, f)
-	})
-	if err := inst.Sim.RunUntil(w.Horizon()); err != nil {
+	rec, inst, err := fault.ScratchTrial(w, fault.TrialSpec{Fault: f}, golden, col)
+	if err != nil {
 		return fault.TrialRecord{}, nil, err
 	}
-	var mechs []string
-	inst.Kernel.EachDetected(func(m string, n uint64) {
-		if n > 0 {
-			mechs = append(mechs, m)
-		}
-	})
-	if inst.Kernel.Mem().CorrectedErrors > 0 {
-		mechs = append(mechs, "ecc")
-	}
-	sort.Strings(mechs)
-	rec.Mechanisms = mechs
-	failed, _ := inst.Kernel.Failed()
-	rec.Outcome = fault.ClassifyRaw(failed, inst.Rec.Writes, inst.Rec.Omissions,
-		inst.Rec.MaskedReleases, inst.Kernel.Mem().CorrectedErrors, golden, false)
-	viols := checkPlacement(idx, f, col.Events(), rec.Outcome, inst.Rec.Omissions)
-	return rec, viols, nil
+	return rec, checkPlacement(idx, f, col.Events(), rec.Outcome, inst.Rec.Omissions), nil
 }
 
 // checkPlacement evaluates the verifier's two guarantees over one
@@ -389,16 +302,4 @@ func checkPlacement(idx int, f fault.Fault, events []obs.Event, outcome fault.Ou
 			Detail: fmt.Sprintf("%d omission event(s), outcome %v", omissions, outcome)})
 	}
 	return out
-}
-
-// errStopOK filters the expected early-stop error.
-func errStopOK(err error, stopped bool) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, des.ErrStopped) && stopped:
-		return nil
-	default:
-		return err
-	}
 }

@@ -153,6 +153,45 @@ func TestVerifyGate(t *testing.T) {
 	}
 }
 
+// TestEngineStatsPinned pins the exploration's deterministic work
+// counters on the gate configuration at one worker (memo tables are
+// per worker, so only a fixed worker count has fixed counters). The
+// counters say how each placement ended — converged to golden, hit a
+// memo, or simulated to the horizon — so a change here means the engine
+// explores differently even when every outcome still agrees.
+func TestEngineStatsPinned(t *testing.T) {
+	res, err := Verify(gateWorkload(), Config{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := EngineStats{Placements: 29440, Simulated: 0, ConvergedGolden: 11522,
+		DedupHits: 17918, Memos: 3976, Workers: 1, Checkpoints: 14}
+	if res.Stats != want {
+		t.Errorf("engine stats %+v, want %+v", res.Stats, want)
+	}
+}
+
+// verifyScratch is the from-scratch reference verification: every
+// placement runs through runScratchPlacement — no checkpoints, cutoffs
+// or memo composition — and the outcome data is assembled as Verify
+// assembles its own.
+func verifyScratch(t testing.TB, w fault.Workload, cfg Config, faults []fault.Fault, space *Space) *Result {
+	t.Helper()
+	cfg.applyDefaults()
+	golden, _, err := goldenObserved(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]fault.TrialRecord, len(faults))
+	pviols := make([][]Violation, len(faults))
+	for i, f := range faults {
+		if recs[i], pviols[i], err = runScratchPlacement(w, f, golden, i); err != nil {
+			t.Fatalf("placement %d: %v", i, err)
+		}
+	}
+	return newResult(&cfg, space, recs, pviols, EngineStats{})
+}
+
 // TestVerifyDifferential pins the tentpole's determinism claim: outcome
 // data — per-placement records, tallies, violations, and the
 // certificate digest — is bit-identical at any worker count, with the
@@ -163,20 +202,21 @@ func TestVerifyDifferential(t *testing.T) {
 	base := tinyConfig()
 
 	variants := []struct {
-		name string
-		cfg  func() Config
+		name    string
+		cfg     func() Config
+		scratch bool // run the from-scratch oracle instead of Verify
 	}{
-		{"workers-1", func() Config { c := base; c.Parallelism = 1; return c }},
-		{"workers-4", func() Config { c := base; c.Parallelism = 4; return c }},
-		{"workers-max", func() Config { c := base; c.Parallelism = runtime.GOMAXPROCS(0); return c }},
-		{"no-dedup", func() Config { c := base; c.Parallelism = 4; c.NoDedup = true; return c }},
+		{"workers-1", func() Config { c := base; c.Parallelism = 1; return c }, false},
+		{"workers-4", func() Config { c := base; c.Parallelism = 4; return c }, false},
+		{"workers-max", func() Config { c := base; c.Parallelism = runtime.GOMAXPROCS(0); return c }, false},
+		{"no-dedup", func() Config { c := base; c.Parallelism = 4; c.NoDedup = true; return c }, false},
 		{"odd-interval", func() Config {
 			c := base
 			c.Parallelism = 2
 			c.SnapshotInterval = 300 * des.Microsecond
 			return c
-		}},
-		{"no-fork", func() Config { c := base; c.Parallelism = 4; c.NoFork = true; return c }},
+		}, false},
+		{"no-fork", func() Config { return base }, true},
 	}
 
 	ref, err := Verify(w, variants[0].cfg())
@@ -185,9 +225,20 @@ func TestVerifyDifferential(t *testing.T) {
 	}
 	for _, v := range variants[1:] {
 		t.Run(v.name, func(t *testing.T) {
-			got, err := Verify(w, v.cfg())
-			if err != nil {
-				t.Fatal(err)
+			var got *Result
+			if v.scratch {
+				cfg := v.cfg()
+				cfg.applyDefaults()
+				space, err := NewSpace(w, &cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = verifyScratch(t, w, cfg, space.Faults(), space)
+			} else {
+				var err error
+				if got, err = Verify(w, v.cfg()); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if !reflect.DeepEqual(got.Records, ref.Records) {
 				for i := range got.Records {
@@ -234,16 +285,11 @@ func TestBoundaryPlacements(t *testing.T) {
 		{At: end - 50*des.Microsecond, Target: fault.TargetRegister, Reg: 4, Bit: 31}, // final quantum
 		{At: end - 1, Target: fault.TargetMemoryData, Addr: 0x8000, Bit: 7},           // last window instant
 	}
-	forkCfg := Config{Parallelism: 1}
-	scratchCfg := Config{Parallelism: 1, NoFork: true}
-	got, err := VerifyFaults(w, forkCfg, placements)
+	got, err := VerifyFaults(w, Config{Parallelism: 1}, placements)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := VerifyFaults(w, scratchCfg, placements)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := verifyScratch(t, w, Config{}, placements, nil)
 	for i := range placements {
 		if !reflect.DeepEqual(got.Records[i], want.Records[i]) {
 			t.Errorf("placement %v: fork %+v, scratch %+v",

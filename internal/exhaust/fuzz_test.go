@@ -57,10 +57,7 @@ func FuzzPlacementEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := VerifyFaults(w, Config{Parallelism: 1, NoFork: true}, []fault.Fault{pl})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := verifyScratch(t, w, Config{}, []fault.Fault{pl}, nil)
 		if !reflect.DeepEqual(got.Records[0], want.Records[0]) {
 			t.Fatalf("placement %v: exhaust %+v, from-scratch %+v",
 				pl, got.Records[0], want.Records[0])

@@ -6,9 +6,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/des"
 	"repro/internal/kernel"
@@ -72,15 +70,6 @@ type CampaignConfig struct {
 	// but arrive from worker goroutines in completion (not trial) order.
 	OnProgress func(done, total int)
 
-	// NoFork disables the checkpoint/fork engine and simulates every
-	// trial from t=0. Forking is on by default: each worker captures
-	// full-machine snapshots of the fault-free prefix at checkpoint
-	// boundaries and every trial restores the latest sound checkpoint
-	// before its injection instant, simulating only the suffix. Results
-	// are bit-identical either way (see internal/fault/fork.go for the
-	// soundness argument; guarded by TestCampaignForkEquivalence and the
-	// digest pins).
-	NoFork bool
 	// SnapshotInterval is the fork checkpoint spacing. Default (0):
 	// 250µs, or the workload's own SnapshotHinter value when that hint
 	// is finer. Delta snapshots make dense checkpoints cheap — each
@@ -162,7 +151,8 @@ type Result struct {
 	GoldenEvents []obs.Event
 
 	// Snapshots reports the fork engine's checkpoint-store traffic (nil
-	// on the legacy no-fork path).
+	// on results assembled by FinalizeSharded alone, such as a sharded
+	// campaign's).
 	Snapshots *SnapshotStats
 
 	// Estimates of the paper's parameters (§3.2.2), conditioned as the
@@ -257,66 +247,6 @@ func (r *Result) Summary() string {
 	return b.String()
 }
 
-// tally is one worker's private aggregation; tallies are merged after
-// the pool drains so no lock sits on the per-trial hot path. Outcome
-// and per-target counters are flat arrays indexed by the enum values
-// (valid Outcomes/Targets start at 1, so slot 0 stays unused): the
-// per-trial record path touches no map buckets or hash functions, and
-// the merge walks array slots in index order, which is already the
-// canonical (declaration) order — no map iteration to neutralize.
-// Only the mechanism tally stays a map (mechanism names are an open
-// string set). All merges are pure additions, so the merge order
-// cannot influence the result.
-type tally struct {
-	counts      [NumOutcomes + 1]int
-	byTarget    [NumTargets + 1][NumOutcomes + 1]int
-	byMechanism map[string]int
-}
-
-func newTally() *tally {
-	return &tally{byMechanism: make(map[string]int)}
-}
-
-// record folds one settled trial into the worker's tally.
-//
-//nlft:merge
-func (t *tally) record(rec *TrialRecord) {
-	t.counts[rec.Outcome]++
-	t.byTarget[rec.Fault.Target][rec.Outcome]++
-	for _, m := range rec.Mechanisms {
-		t.byMechanism[m]++
-	}
-}
-
-// mergeInto adds the worker's tally to the Result's exported maps,
-// skipping empty slots so the map contents (and thus every digest or
-// report derived from them) match what the per-outcome map tallies
-// used to produce.
-//
-//nlft:merge
-func (t *tally) mergeInto(res *Result) {
-	for o, n := range t.counts {
-		if n > 0 {
-			res.Counts[Outcome(o)] += n
-		}
-	}
-	//nlft:allow nodeterminism tally merge adds, which commutes; iteration order cannot affect the result
-	for m, n := range t.byMechanism {
-		res.ByMechanism[m] += n
-	}
-	for target, counts := range t.byTarget {
-		for o, n := range counts {
-			if n == 0 {
-				continue
-			}
-			if res.ByTarget[Target(target)] == nil {
-				res.ByTarget[Target(target)] = make(map[Outcome]int)
-			}
-			res.ByTarget[Target(target)][Outcome(o)] += n
-		}
-	}
-}
-
 // newInstance builds a trial instance, attaching the collector when the
 // workload supports observation.
 func newInstance(w Workload, col *obs.Collector) (*Instance, error) {
@@ -366,196 +296,40 @@ func recordTrialMetrics(col *obs.Collector, rec *TrialRecord) {
 	}
 }
 
-// Run executes the campaign on the workload. Trials are distributed over
-// cfg.Parallelism workers; each trial draws from its own RNG stream
-// derived from (Seed, trial index), so the result is bit-identical
-// whatever the worker count. Campaign phases (golden run, trials, merge)
-// are labeled with pprof labels, so -cpuprofile output attributes time
-// per phase.
+// Run executes the campaign on the workload: the golden run, the range
+// executor over trials [0, Trials), then FinalizeSharded. Each trial
+// draws from its own RNG stream derived from (Seed, trial index), so the
+// result is bit-identical whatever the worker count. Campaign phases
+// (golden run, trials, merge) are labeled with pprof labels, so
+// -cpuprofile output attributes time per phase.
 func Run(w Workload, cfg CampaignConfig) (*Result, error) {
 	cfg.applyDefaults()
-	if w == nil {
-		return nil, fmt.Errorf("fault: nil workload")
+	r, goldenEvents, err := newRunner(w, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Trials < 1 {
-		return nil, fmt.Errorf("fault: %d trials", cfg.Trials)
+	records, events, metrics, err := r.run(0, cfg.Trials, ProgressCounter(cfg.OnProgress, cfg.Trials))
+	if err != nil {
+		return nil, err
 	}
-	var goldenCol *obs.Collector
-	if cfg.TelemetryEvents {
-		goldenCol = obs.NewCollector("")
-		goldenCol.SetEventLimit(cfg.EventsPerTrial)
-	}
-	var golden []Write
-	var goldenErr error
-	pprof.Do(context.Background(), pprof.Labels("campaign-phase", "golden-run"), func(context.Context) {
-		golden, goldenErr = goldenRun(w, goldenCol)
-	})
-	if goldenErr != nil {
-		return nil, goldenErr
-	}
-	if len(golden) == 0 {
-		return nil, fmt.Errorf("fault: golden run produced no outputs; workload broken")
-	}
-	res := &Result{
-		Config:      cfg,
-		Golden:      golden,
-		Counts:      make(map[Outcome]int),
-		ByMechanism: make(map[string]int),
-		ByTarget:    make(map[Target]map[Outcome]int),
-		Trials:      make([]TrialRecord, cfg.Trials),
-	}
-	if goldenCol != nil {
-		res.GoldenEvents = goldenCol.Events()
-	}
-	workers := cfg.Parallelism
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-	// With TelemetryEvents, per-trial collectors (legacy path) or
-	// per-trial event copies (fork path) land at their trial index, so
-	// the event merge below runs in trial order no matter which worker
-	// produced them. Metrics-only campaigns use one collector per worker:
-	// the registry merge is commutative, so the aggregate is unchanged,
-	// and the per-trial setup/merge cost disappears. The fork path always
-	// aggregates per worker (its shared collector is rewound to the
-	// checkpoint each trial, so per-trial registries are merged into a
-	// worker accumulator as they settle).
-	var collectors []*obs.Collector
-	if cfg.TelemetryEvents && cfg.NoFork {
-		collectors = make([]*obs.Collector, cfg.Trials)
-	}
-	var workerCols []*obs.Collector
-	if cfg.Telemetry && !cfg.TelemetryEvents && cfg.NoFork {
-		workerCols = make([]*obs.Collector, workers)
-	}
-	var trialEvents [][]obs.Event
-	if cfg.TelemetryEvents && !cfg.NoFork {
-		trialEvents = make([][]obs.Event, cfg.Trials)
-	}
-	var workerRegs []*obs.Registry
-	if cfg.Telemetry && !cfg.NoFork {
-		workerRegs = make([]*obs.Registry, workers)
-	}
-	var plans []trialPlan
-	var workerSnaps []SnapshotStats
-	if !cfg.NoFork {
-		plans = planTrials(w, &cfg)
-		workerSnaps = make([]SnapshotStats, workers)
-	}
-	var progressMu sync.Mutex
-	progressDone := 0
-	tallies := make([]*tally, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wk := wk
-		wg.Add(1)
-		go pprof.Do(context.Background(),
-			pprof.Labels("campaign-phase", "trials", "campaign-worker", strconv.Itoa(wk)),
-			func(context.Context) {
-				defer wg.Done()
-				t := newTally()
-				tallies[wk] = t
-				progress := func() {
-					if cfg.OnProgress != nil {
-						progressMu.Lock()
-						progressDone++
-						cfg.OnProgress(progressDone, cfg.Trials)
-						progressMu.Unlock()
-					}
-				}
-				if !cfg.NoFork {
-					errs[wk] = runForkTrials(w, &cfg, wk, workers, golden, res, t,
-						plans, trialEvents, workerRegs, workerSnaps, progress)
-					return
-				}
-				var scratch trialScratch
-				var wcol *obs.Collector
-				if workerCols != nil {
-					wcol = newWorkerCollector()
-					workerCols[wk] = wcol
-				}
-				// Strided assignment: worker wk owns trials wk, wk+W, ….
-				// Each record lands at its own index, so the trial order of
-				// the Result is the sequential order regardless of workers.
-				for trial := wk; trial < cfg.Trials; trial += workers {
-					plan := planForTrial(w, &cfg, trial)
-					col := wcol
-					if collectors != nil {
-						col = newTrialCollector(&cfg)
-						collectors[trial] = col
-					}
-					rec, err := runTrial(w, cfg, plan, golden, &scratch, col)
-					if err != nil {
-						errs[wk] = fmt.Errorf("fault: trial %d: %w", trial, err)
-						return
-					}
-					recordTrialMetrics(col, &rec)
-					res.Trials[trial] = rec
-					t.record(&rec)
-					progress()
-				}
-			})
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if workerSnaps != nil {
-		agg := &SnapshotStats{Workers: workers}
-		for _, s := range workerSnaps {
-			// Checkpoint count, page size, and RAM size are identical
-			// across workers; the traffic counters sum.
-			agg.Checkpoints = s.Checkpoints
-			agg.PageBytes = s.PageBytes
-			agg.RAMBytes = s.RAMBytes
-			agg.Snapshots += s.Snapshots
-			agg.Restores += s.Restores
-			agg.PagesCopied += s.PagesCopied
-			agg.PagesRestored += s.PagesRestored
-		}
-		res.Snapshots = agg
-	}
+	var res *Result
 	pprof.Do(context.Background(), pprof.Labels("campaign-phase", "merge"), func(context.Context) {
-		for _, t := range tallies {
-			t.mergeInto(res)
+		res, err = FinalizeSharded(cfg, r.golden, records, metrics)
+		if err != nil {
+			return
 		}
-		if cfg.Telemetry {
-			reg := obs.NewRegistry()
-			for i, col := range collectors {
-				reg.Merge(col.Registry())
-				for _, e := range col.Events() {
-					e.Trial = i + 1
-					res.Events = append(res.Events, e)
-				}
+		for i, evs := range events {
+			for _, e := range evs {
+				e.Trial = i + 1
+				res.Events = append(res.Events, e)
 			}
-			for _, col := range workerCols {
-				if col != nil {
-					reg.Merge(col.Registry())
-				}
-			}
-			for i, evs := range trialEvents {
-				for _, e := range evs {
-					e.Trial = i + 1
-					res.Events = append(res.Events, e)
-				}
-			}
-			for _, r := range workerRegs {
-				if r != nil {
-					reg.Merge(r)
-				}
-			}
-			res.Metrics = reg
 		}
 	})
-	activated := res.Activated()
-	detected := res.Detected()
-	res.CD = stats.NewProportion(detected, activated)
-	res.PT = stats.NewProportion(res.Counts[Masked], detected)
-	res.POM = stats.NewProportion(res.Counts[Omission], detected)
-	res.PFS = stats.NewProportion(res.Counts[FailSilent], detected)
+	if err != nil {
+		return nil, err
+	}
+	res.GoldenEvents = goldenEvents
+	res.Snapshots = r.snapshotStats()
 	return res, nil
 }
 
@@ -637,13 +411,6 @@ func drawLocus(w Workload, f *Fault, rng *des.Rand) {
 	}
 }
 
-// ApplyFault injects f into a live instance, exactly as a campaign
-// trial's injection callback does (minus the kernel-activity decision
-// tree, which the caller owns). Exported for the exhaustive verifier
-// (internal/exhaust), whose placements must corrupt state identically
-// to sampled trials.
-func ApplyFault(inst *Instance, f Fault) { apply(inst, f) }
-
 // apply injects the fault into a live instance.
 func apply(inst *Instance, f Fault) {
 	switch f.Target {
@@ -660,37 +427,31 @@ func apply(inst *Instance, f Fault) {
 	}
 }
 
-// trialScratch holds per-worker buffers reused across trials to cut
-// allocation churn in large campaigns.
-type trialScratch struct {
-	mechs []string
-}
-
-// runTrial executes one injection run and classifies it. The trial's
-// random decisions (or its enumerated placement, for planned campaigns)
-// arrive precomputed in plan — see planForTrial.
-func runTrial(w Workload, cfg CampaignConfig, plan trialPlan, golden []Write, scratch *trialScratch, col *obs.Collector) (TrialRecord, error) {
+// runTrial is the from-scratch reference trial: a fresh instance, the
+// injection scheduled at t=0 and simulated through, no checkpoints and
+// no cutoff. No engine runs it; it is the oracle the differential tests
+// (and ScratchTrial) compare the fork core against. The trial's random
+// decisions (or its enumerated placement) arrive precomputed in plan —
+// see planForTrial. The finished instance is returned with the record.
+func runTrial(w Workload, plan trialPlan, golden []Write, col *obs.Collector) (TrialRecord, *Instance, error) {
 	inst, err := newInstance(w, col)
 	if err != nil {
-		return TrialRecord{}, err
+		return TrialRecord{}, nil, err
 	}
 	f := plan.fault
 	rec := TrialRecord{Fault: f}
 	// Whether this fault lands in kernel execution was decided up front:
 	// the simulated kernel's logic runs outside the simulated CPU, so its
 	// share of exposure is modelled explicitly (see CampaignConfig).
-	kernelHit := plan.kernelHit
-	kernelDetected := plan.kernelDetected
 	undetectedKernel := false
-
 	inst.Sim.Schedule(f.At, des.PrioInject, func() {
-		if kernelHit || inst.Kernel.Activity() == kernel.ActivityKernel {
+		if plan.kernelHit || inst.Kernel.Activity() == kernel.ActivityKernel {
 			rec.Kernel = true
 			// A modelled kernel hit is detected with probability
 			// KernelDetect; a fault that lands while the kernel itself is
 			// executing (and was not already modelled as a kernel hit) is
 			// always caught by the kernel EDMs.
-			if kernelDetected || (inst.Kernel.Activity() == kernel.ActivityKernel && !kernelHit) {
+			if plan.kernelDetected || (inst.Kernel.Activity() == kernel.ActivityKernel && !plan.kernelHit) {
 				inst.Kernel.ForceFailSilent("kernel EDM: assertion after fault")
 			} else {
 				undetectedKernel = true
@@ -700,31 +461,35 @@ func runTrial(w Workload, cfg CampaignConfig, plan trialPlan, golden []Write, sc
 		apply(inst, f)
 	})
 	if err := inst.Sim.RunUntil(w.Horizon()); err != nil {
-		return TrialRecord{}, err
+		return TrialRecord{}, nil, err
 	}
+	_, rec.Mechanisms = detectedBy(inst, nil)
+	rec.Outcome = classify(inst, golden, undetectedKernel)
+	return rec, inst, nil
+}
 
-	// Collect mechanism attributions into the reused scratch buffer and
-	// copy them into a right-sized slice for the record.
-	mechs := scratch.mechs[:0]
-	st := inst.Kernel.Stats()
+// detectedBy collects the detection mechanisms that fired on inst —
+// every kernel EDM with a non-zero count, plus "ecc" when the memory
+// corrected an error — sorted, into the reused buffer buf. It returns
+// the buffer and a right-sized copy for a record (nil when none fired).
+func detectedBy(inst *Instance, buf []string) ([]string, []string) {
+	buf = buf[:0]
 	//nlft:allow nodeterminism collection order is erased by the sort.Strings below
-	for m, n := range st.ErrorsDetected {
+	for m, n := range inst.Kernel.Stats().ErrorsDetected {
 		if n > 0 {
-			mechs = append(mechs, m)
+			buf = append(buf, m)
 		}
 	}
 	if inst.Kernel.Mem().CorrectedErrors > 0 {
-		mechs = append(mechs, "ecc")
+		buf = append(buf, "ecc")
 	}
-	sort.Strings(mechs)
-	scratch.mechs = mechs
-	if len(mechs) > 0 {
-		rec.Mechanisms = make([]string, len(mechs))
-		copy(rec.Mechanisms, mechs)
+	if len(buf) == 0 {
+		return buf, nil
 	}
-
-	rec.Outcome = classify(inst, golden, undetectedKernel)
-	return rec, nil
+	sort.Strings(buf)
+	out := make([]string, len(buf))
+	copy(out, buf)
+	return buf, out
 }
 
 // classify maps a finished trial onto the paper's outcome classes,

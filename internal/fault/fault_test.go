@@ -255,11 +255,10 @@ func BenchmarkCampaignTrial(b *testing.B) {
 	}
 	cfg := CampaignConfig{Trials: 1}
 	cfg.applyDefaults()
-	var scratch trialScratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		plan := planForTrial(w, &cfg, i)
-		if _, err := runTrial(w, cfg, plan, golden, &scratch, nil); err != nil {
+		if _, _, err := runTrial(w, plan, golden, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,42 +19,41 @@ package fault
 //     exactly the handles that were live at capture time — and every
 //     holder of such a handle is restored from the same checkpoint.
 //
-//  2. Prefix equality. A legacy trial keeps its injection event queued
-//     from t=0 until it fires, and a pending event bounds the kernel's
-//     co-simulated CPU slices (runSlice cuts each slice at the next
-//     queued instant). The capture run therefore schedules a phantom
-//     injection at (MaxTime, PrioInject): the queue depth matches a
-//     legacy trial's, and the phantom, sitting at MaxTime, can never
-//     bound a slice differently from a legacy injection unless a slice
-//     reaches past the fault instant. The checkpoint-selection rule
-//     rejects exactly those checkpoints: a trial with fault time t
-//     restores the latest checkpoint k with time(k) < t AND
-//     cpuBusyUntil(k) <= t. cpuBusyUntil is the end of the last
-//     committed slice and is monotone over the run, so the condition
-//     guarantees no capture slice in the restored prefix crossed t —
-//     meaning the legacy injection event could not have bounded any of
-//     those slices either (a slice that would have been cut at t ends
-//     at or before t, and one that ran past t bumps cpuBusyUntil past t
-//     and disqualifies the checkpoint). The restored prefix is thus
-//     bit-identical to the prefix a from-scratch trial would simulate.
+//  2. Prefix equality. A from-scratch trial keeps its injection event
+//     queued from t=0 until it fires, and a pending event bounds the
+//     kernel's co-simulated CPU slices (runSlice cuts each slice at the
+//     next queued instant). The capture run therefore schedules a
+//     phantom injection at (MaxTime, PrioInject): the queue depth
+//     matches a from-scratch trial's, and the phantom, sitting at
+//     MaxTime, can never bound a slice differently from a real injection
+//     unless a slice reaches past the fault instant. The
+//     checkpoint-selection rule rejects exactly those checkpoints: a
+//     trial with fault time t restores the latest checkpoint k with
+//     time(k) < t AND cpuBusyUntil(k) <= t. cpuBusyUntil is the end of
+//     the last committed slice and is monotone over the run, so the
+//     condition guarantees no capture slice in the restored prefix
+//     crossed t — meaning the from-scratch injection event could not
+//     have bounded any of those slices either (a slice that would have
+//     been cut at t ends at or before t, and one that ran past t bumps
+//     cpuBusyUntil past t and disqualifies the checkpoint). The restored
+//     prefix is thus bit-identical to the prefix a from-scratch trial
+//     would simulate.
 //
 //  3. Suffix equality. After the restore the trial cancels the phantom
 //     and schedules the real injection at (t, PrioInject); the replayed
 //     [checkpoint, t) window and the post-injection suffix then run
-//     under exactly the legacy event set. The injection occupies the
-//     PrioInject band alone at its instant, so its sequence number
+//     under exactly the from-scratch event set. The injection occupies
+//     the PrioInject band alone at its instant, so its sequence number
 //     (which differs from a from-scratch trial's) can never influence
 //     tie-breaking.
 //
-// The convergence cutoff (§ optional, metrics-free campaigns only) is
-// documented on checkConvergence below.
+// The convergence cutoff (optional; metrics-free campaigns only) and
+// the boundary hook are documented on checkBoundary below.
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
-	"repro/internal/cpu"
 	"repro/internal/des"
 	"repro/internal/kernel"
 	"repro/internal/obs"
@@ -227,7 +226,7 @@ func (cs *checkpointStore) selectFor(at des.Time) int {
 // runTrial's exact order on the trial's (Seed, index) stream — fault
 // first, then the kernel-hit coin, then (only on a hit) the
 // kernel-detect coin — so planned trials consume the stream identically
-// to legacy trials and every derived value is bit-equal.
+// to from-scratch trials and every derived value is bit-equal.
 type trialPlan struct {
 	fault          Fault
 	kernelHit      bool
@@ -253,20 +252,25 @@ func planForTrial(w Workload, cfg *CampaignConfig, trial int) trialPlan {
 	return trialPlan{fault: f, kernelHit: kh, kernelDetected: kd}
 }
 
-// planTrials precomputes all trials' plans.
-func planTrials(w Workload, cfg *CampaignConfig) []trialPlan {
-	plans := make([]trialPlan, cfg.Trials)
-	for i := range plans {
-		plans[i] = planForTrial(w, cfg, i)
-	}
-	return plans
+// BoundaryHook extends the core's boundary check (see checkBoundary).
+// The exhaustive verifier's visited-digest memo is one: a hook sees
+// every boundary a trial reaches without converging to golden, and may
+// end the trial there.
+type BoundaryHook interface {
+	// Boundary is called at checkpoint boundary b, after the injection,
+	// with the trial's forward digest d there, once d has failed to
+	// match the golden run's. The live instance may be read but not
+	// changed: the hook schedules no events and never calls Sim.Stop.
+	// Returning true ends the trial at b; the core stops the run.
+	Boundary(b int, d uint64) bool
 }
 
-// forkWorker owns one instance, its checkpoint store, and the bound
-// per-trial callbacks. The injection and convergence callbacks are
-// closures created once per worker that read the worker's current-trial
-// fields, so the per-trial loop schedules events without allocating
-// closures.
+// forkWorker is the one forked-trial core every engine runs: fault.Run
+// and ShardRunner through the range executor, the adaptive engine and
+// the exhaustive verifier through ForkSession. It owns one instance and
+// its checkpoint store; the injection and boundary-check callbacks are
+// closures created once that read the current-trial fields, so the
+// per-trial loop schedules events without allocating closures.
 type forkWorker struct {
 	inst    *Instance
 	col     *obs.Collector
@@ -277,109 +281,49 @@ type forkWorker struct {
 
 	// Current-trial state read by the bound callbacks.
 	plan             trialPlan
-	rec              *TrialRecord
+	hook             BoundaryHook
+	rec              TrialRecord
 	undetectedKernel bool
-	converged        bool
-	convergedAt      int
+	convergedAt      int // boundary of the golden-digest match; -1 before one
+	hooked           bool
 	nextCheck        int
 
 	injectFn func()
 	checkFn  func()
 	splice   []Write
-	scratch  trialScratch
+	mechs    []string
 }
 
-// runForkTrials is one worker's trial loop on the fork path: build an
-// instance, capture checkpoints, then run this worker's strided share
-// of the trials bucketed by fork base (ascending checkpoint index, so
-// consecutive trials restore the same snapshot and the restore source
-// stays cache-warm). Records land at their trial index, so Result order
-// is the sequential order regardless of workers or bucketing.
-func runForkTrials(w Workload, cfg *CampaignConfig, wk, workers int, golden []Write,
-	res *Result, t *tally, plans []trialPlan, trialEvents [][]obs.Event,
-	workerRegs []*obs.Registry, snaps []SnapshotStats, progress func()) error {
-	var col *obs.Collector
-	switch {
-	case cfg.TelemetryEvents:
-		col = newTrialCollector(cfg)
-	case cfg.Telemetry:
-		col = newWorkerCollector()
-	}
-	var accCol *obs.Collector
-	if cfg.Telemetry {
-		accCol = newWorkerCollector()
-		workerRegs[wk] = accCol.Registry()
-	}
-	fw, err := newForkWorker(w, cfg, col, golden)
-	if err != nil {
-		return err
-	}
-	mine := make([]int, 0, (cfg.Trials-wk+workers-1)/workers)
-	for trial := wk; trial < cfg.Trials; trial += workers {
-		plans[trial].ckpt = fw.cs.selectFor(plans[trial].fault.At)
-		mine = append(mine, trial)
-	}
-	sort.SliceStable(mine, func(a, b int) bool {
-		return plans[mine[a]].ckpt < plans[mine[b]].ckpt
-	})
-	for _, trial := range mine {
-		rec, err := fw.runTrial(plans[trial])
-		if err != nil {
-			return fmt.Errorf("fault: trial %d: %w", trial, err)
-		}
-		if accCol != nil {
-			// The shared collector's registry holds exactly this trial's
-			// full registry (checkpoint prefix + simulated suffix), like a
-			// legacy per-trial collector's; accumulate it before the next
-			// restore rewinds it.
-			accCol.Registry().Merge(col.Registry())
-		}
-		if trialEvents != nil {
-			trialEvents[trial] = append([]obs.Event(nil), col.Events()...)
-		}
-		recordTrialMetrics(accCol, &rec)
-		res.Trials[trial] = rec
-		t.record(&rec)
-		progress()
-	}
-	ms := fw.inst.Kernel.Mem()
-	snaps[wk] = SnapshotStats{
-		Workers:       1,
-		Checkpoints:   len(fw.cs.states),
-		PageBytes:     cpu.PageBytes,
-		RAMBytes:      uint64(ms.SizeBytes()),
-		Snapshots:     ms.Snap.Snapshots,
-		Restores:      ms.Snap.Restores,
-		PagesCopied:   ms.Snap.PagesCopied,
-		PagesRestored: ms.Snap.PagesRestored,
-	}
-	return nil
+// newForkWorker binds the core to an instance and its checkpoint store.
+// cutoff arms the golden-convergence check for hook-free trials.
+func newForkWorker(inst *Instance, col *obs.Collector, cs *checkpointStore,
+	golden []Write, horizon des.Time, cutoff bool) *forkWorker {
+	fw := &forkWorker{inst: inst, col: col, cs: cs, golden: golden,
+		horizon: horizon, cutoff: cutoff}
+	fw.injectFn = func() { fw.inject() }
+	fw.checkFn = func() { fw.checkBoundary() }
+	return fw
 }
 
-// newForkWorker builds a worker instance and captures its checkpoints.
-func newForkWorker(w Workload, cfg *CampaignConfig, col *obs.Collector, golden []Write) (*forkWorker, error) {
+// captureForkWorker builds a campaign worker: a fresh instance, its
+// golden-prefix checkpoints at the campaign's spacing, and the core.
+// The convergence cutoff is on unless disabled or telemetry is
+// collected (suffix metrics and events cannot be skipped).
+func captureForkWorker(w Workload, cfg *CampaignConfig, col *obs.Collector, golden []Write) (*forkWorker, error) {
 	inst, err := newInstance(w, col)
 	if err != nil {
 		return nil, err
 	}
-	fw := &forkWorker{
-		inst:    inst,
-		col:     col,
-		golden:  golden,
-		horizon: w.Horizon(),
-		cutoff:  !cfg.NoConvergeCutoff && !cfg.Telemetry,
-	}
-	fw.injectFn = func() { fw.inject() }
-	fw.checkFn = func() { fw.checkConvergence() }
-	fw.cs, err = captureCheckpoints(inst, col, resolveForkInterval(w, cfg), fw.horizon)
+	cs, err := captureCheckpoints(inst, col, resolveForkInterval(w, cfg), w.Horizon())
 	if err != nil {
 		return nil, err
 	}
-	return fw, nil
+	return newForkWorker(inst, col, cs, golden, w.Horizon(),
+		!cfg.NoConvergeCutoff && !cfg.Telemetry), nil
 }
 
 // inject applies the current trial's fault — the same decision tree as
-// the legacy runTrial closure. A modelled kernel hit is detected with
+// the from-scratch runTrial. A modelled kernel hit is detected with
 // probability KernelDetect; a fault landing while the kernel itself
 // executes (and not already modelled as a kernel hit) is always caught
 // by the kernel EDMs.
@@ -396,16 +340,17 @@ func (fw *forkWorker) inject() {
 	apply(fw.inst, fw.plan.fault)
 }
 
-// checkConvergence fires at a checkpoint boundary after the injection
-// and compares the trial's forward digest against the golden run's at
-// the same boundary. The digest covers everything that can influence
-// the remainder of the run — the clock, the pending-event multiset, the
+// checkBoundary fires at a checkpoint boundary after the injection and
+// compares the trial's forward digest against the golden run's at the
+// same boundary. The digest covers everything that can influence the
+// remainder of the run — the clock, the pending-event multiset, the
 // processor, memory, and all live scheduler/TEM state (see
 // kernel.ForwardDigest) — so equality proves the trial's future is the
 // golden future and the suffix need not be simulated: the trial's
 // outcome is classified from its current counters plus the golden
 // suffix (whose omission/masking/detection deltas are zero, the golden
-// run being fault-free, and whose writes are spliced on).
+// run being fault-free, and whose writes are spliced on). Without a
+// match the boundary hook, if any, may end the trial instead.
 //
 // The checker is self-rearming: the next boundary's check is scheduled
 // only after the current one completes, so at digest time no checker
@@ -415,35 +360,41 @@ func (fw *forkWorker) inject() {
 // boundary instants; a split slice resumes the same copy with no
 // context-switch overhead and no state change, so outcomes and
 // recorder-visible behaviour are unaffected.
-func (fw *forkWorker) checkConvergence() {
+func (fw *forkWorker) checkBoundary() {
 	b := fw.nextCheck
-	if fw.inst.Kernel.ForwardDigest(des.Event{}) == fw.cs.states[b].fwdDigest {
-		fw.converged = true
+	d := fw.inst.Kernel.ForwardDigest(des.Event{})
+	switch {
+	case d == fw.cs.states[b].fwdDigest:
 		fw.convergedAt = b
-		fw.inst.Sim.Stop()
+	case fw.hook != nil && fw.hook.Boundary(b, d):
+		fw.hooked = true
+	default:
+		fw.nextCheck++
+		if fw.nextCheck < len(fw.cs.states) {
+			fw.inst.Sim.Schedule(fw.cs.states[fw.nextCheck].at, des.PrioObserver, fw.checkFn)
+		}
 		return
 	}
-	fw.nextCheck++
-	if fw.nextCheck < len(fw.cs.states) {
-		fw.inst.Sim.Schedule(fw.cs.states[fw.nextCheck].at, des.PrioObserver, fw.checkFn)
-	}
+	fw.inst.Sim.Stop()
 }
 
-// runTrial executes one forked trial: restore the fork base, swap the
-// phantom for the real injection, run (with optional convergence
-// cutoff), and classify exactly like the legacy path.
-func (fw *forkWorker) runTrial(plan trialPlan) (TrialRecord, error) {
+// run executes one forked trial up to its end: restore the fork base,
+// swap the phantom for the real injection, arm the boundary check (when
+// the cutoff is on or a hook is given), and run to the horizon or to a
+// boundary that ends the trial. The instance is left in its stop state.
+func (fw *forkWorker) run(plan trialPlan, hook BoundaryHook) error {
 	fw.inst.Restore(fw.cs.states[plan.ckpt], fw.col)
 	fw.inst.Sim.Cancel(fw.cs.phantom)
 
-	rec := TrialRecord{Fault: plan.fault}
 	fw.plan = plan
-	fw.rec = &rec
+	fw.hook = hook
+	fw.rec = TrialRecord{Fault: plan.fault}
 	fw.undetectedKernel = false
-	fw.converged = false
+	fw.convergedAt = -1
+	fw.hooked = false
 	fw.inst.Sim.Schedule(plan.fault.At, des.PrioInject, fw.injectFn)
 
-	if fw.cutoff {
+	if fw.cutoff || hook != nil {
 		fw.nextCheck = len(fw.cs.states)
 		for b := plan.ckpt + 1; b < len(fw.cs.states); b++ {
 			if fw.cs.states[b].at > plan.fault.At {
@@ -457,48 +408,38 @@ func (fw *forkWorker) runTrial(plan trialPlan) (TrialRecord, error) {
 	}
 
 	err := fw.inst.Sim.RunUntil(fw.horizon)
-	switch {
-	case err == nil:
-	case errors.Is(err, des.ErrStopped) && fw.converged:
-	default:
+	if err != nil && !(errors.Is(err, des.ErrStopped) && (fw.convergedAt >= 0 || fw.hooked)) {
+		return err
+	}
+	return nil
+}
+
+// finish attributes mechanisms and classifies the finished trial
+// exactly like runTrial. A converged trial's counters are final: the
+// golden suffix is fault-free, so it contributes no detections (and the
+// digest's memory fold proves no ECC flip was still pending at the
+// cutoff); its writes are completed by splicing on the golden suffix.
+func (fw *forkWorker) finish() TrialRecord {
+	rec := fw.rec
+	fw.mechs, rec.Mechanisms = detectedBy(fw.inst, fw.mechs)
+	if fw.convergedAt < 0 {
+		rec.Outcome = classify(fw.inst, fw.golden, fw.undetectedKernel)
+		return rec
+	}
+	wl := fw.cs.states[fw.convergedAt].writesLen
+	fw.splice = append(fw.splice[:0], fw.inst.Rec.Writes...)
+	fw.splice = append(fw.splice, fw.golden[wl:]...)
+	saved := fw.inst.Rec.Writes
+	fw.inst.Rec.Writes = fw.splice
+	rec.Outcome = classify(fw.inst, fw.golden, fw.undetectedKernel)
+	fw.inst.Rec.Writes = saved
+	return rec
+}
+
+// runTrial executes and classifies one forked trial with no hook.
+func (fw *forkWorker) runTrial(plan trialPlan) (TrialRecord, error) {
+	if err := fw.run(plan, nil); err != nil {
 		return TrialRecord{}, err
 	}
-
-	// Mechanism attribution, identical to the legacy path. A converged
-	// trial's counters are final: the golden suffix is fault-free, so it
-	// contributes no detections (and the digest's memory fold proves no
-	// ECC flip was still pending at the cutoff).
-	mechs := fw.scratch.mechs[:0]
-	st := fw.inst.Kernel.Stats()
-	//nlft:allow nodeterminism collection order is erased by the sort.Strings below
-	for m, n := range st.ErrorsDetected {
-		if n > 0 {
-			mechs = append(mechs, m)
-		}
-	}
-	if fw.inst.Kernel.Mem().CorrectedErrors > 0 {
-		mechs = append(mechs, "ecc")
-	}
-	sort.Strings(mechs)
-	fw.scratch.mechs = mechs
-	if len(mechs) > 0 {
-		rec.Mechanisms = make([]string, len(mechs))
-		copy(rec.Mechanisms, mechs)
-	}
-
-	if fw.converged {
-		// Splice the golden suffix onto the trial's writes and classify
-		// the full sequence. The trial's omission/masking counters are
-		// already final (golden suffix deltas are zero).
-		wl := fw.cs.states[fw.convergedAt].writesLen
-		fw.splice = append(fw.splice[:0], fw.inst.Rec.Writes...)
-		fw.splice = append(fw.splice, fw.golden[wl:]...)
-		saved := fw.inst.Rec.Writes
-		fw.inst.Rec.Writes = fw.splice
-		rec.Outcome = classify(fw.inst, fw.golden, fw.undetectedKernel)
-		fw.inst.Rec.Writes = saved
-	} else {
-		rec.Outcome = classify(fw.inst, fw.golden, fw.undetectedKernel)
-	}
-	return rec, nil
+	return fw.finish(), nil
 }

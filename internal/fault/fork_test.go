@@ -24,23 +24,72 @@ var forkEquivCases = []struct {
 	{"events", CampaignConfig{Trials: 48, Seed: 11, TelemetryEvents: true, Parallelism: 2}},
 }
 
-// TestCampaignForkEquivalence runs the same campaign with the fork
-// engine on and off and requires every observable — trial records,
-// outcome tallies, mechanism and target attributions, merged metrics,
-// and event streams — to be bit-identical. This is the differential
-// guard for the whole fork path: checkpoint selection, in-place restore,
-// phantom-injection swap, convergence cutoff, and telemetry
-// accumulation.
+// scratchCampaign is the from-scratch reference campaign: every trial
+// of cfg runs through the oracle runTrial, in index order, on a fresh
+// instance with a fresh collector when telemetry is on, and the result
+// is assembled by FinalizeSharded as fault.Run assembles its own.
+func scratchCampaign(t *testing.T, w Workload, cfg CampaignConfig) *Result {
+	t.Helper()
+	cfg.applyDefaults()
+	var goldenCol *obs.Collector
+	if cfg.TelemetryEvents {
+		goldenCol = newTrialCollector(&cfg)
+	}
+	golden, err := goldenRun(w, goldenCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := make([]TrialRecord, cfg.Trials)
+	var metrics *obs.Registry
+	if cfg.Telemetry {
+		metrics = obs.NewRegistry()
+	}
+	var events []obs.Event
+	for i := range records {
+		var col *obs.Collector
+		switch {
+		case cfg.TelemetryEvents:
+			col = newTrialCollector(&cfg)
+		case cfg.Telemetry:
+			col = newWorkerCollector()
+		}
+		rec, _, err := runTrial(w, planForTrial(w, &cfg, i), golden, col)
+		if err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		records[i] = rec
+		if col != nil {
+			recordTrialMetrics(col, &rec)
+			metrics.Merge(col.Registry())
+			for _, e := range col.Events() {
+				e.Trial = i + 1
+				events = append(events, e)
+			}
+		}
+	}
+	res, err := FinalizeSharded(cfg, golden, records, metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Events = events
+	if goldenCol != nil {
+		res.GoldenEvents = goldenCol.Events()
+	}
+	return res
+}
+
+// TestCampaignForkEquivalence runs the same campaign on the fork engine
+// and on the from-scratch oracle and requires every observable — trial
+// records, outcome tallies, mechanism and target attributions, merged
+// metrics, and event streams — to be bit-identical. This is the
+// differential guard for the whole fork path: checkpoint selection,
+// in-place restore, phantom-injection swap, convergence cutoff, and
+// telemetry accumulation.
 func TestCampaignForkEquivalence(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
 	for _, tc := range forkEquivCases {
 		t.Run(tc.name, func(t *testing.T) {
-			legacyCfg := tc.cfg
-			legacyCfg.NoFork = true
-			want, err := Run(w, legacyCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := scratchCampaign(t, w, tc.cfg)
 			got, err := Run(w, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -48,30 +97,30 @@ func TestCampaignForkEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(got.Trials, want.Trials) {
 				for i := range got.Trials {
 					if !reflect.DeepEqual(got.Trials[i], want.Trials[i]) {
-						t.Fatalf("trial %d diverged: fork %+v, legacy %+v",
+						t.Fatalf("trial %d diverged: fork %+v, scratch %+v",
 							i, got.Trials[i], want.Trials[i])
 					}
 				}
 			}
 			if !reflect.DeepEqual(got.Counts, want.Counts) {
-				t.Errorf("counts: fork %v, legacy %v", got.Counts, want.Counts)
+				t.Errorf("counts: fork %v, scratch %v", got.Counts, want.Counts)
 			}
 			if !reflect.DeepEqual(got.ByMechanism, want.ByMechanism) {
-				t.Errorf("mechanisms: fork %v, legacy %v", got.ByMechanism, want.ByMechanism)
+				t.Errorf("mechanisms: fork %v, scratch %v", got.ByMechanism, want.ByMechanism)
 			}
 			if !reflect.DeepEqual(got.ByTarget, want.ByTarget) {
-				t.Errorf("targets: fork %v, legacy %v", got.ByTarget, want.ByTarget)
+				t.Errorf("targets: fork %v, scratch %v", got.ByTarget, want.ByTarget)
 			}
 			if (got.Metrics == nil) != (want.Metrics == nil) {
-				t.Fatalf("metrics presence: fork %v, legacy %v",
+				t.Fatalf("metrics presence: fork %v, scratch %v",
 					got.Metrics != nil, want.Metrics != nil)
 			}
 			if got.Metrics != nil && got.Metrics.Digest() != want.Metrics.Digest() {
-				t.Errorf("metrics digest: fork %#x, legacy %#x",
+				t.Errorf("metrics digest: fork %#x, scratch %#x",
 					got.Metrics.Digest(), want.Metrics.Digest())
 			}
 			if !reflect.DeepEqual(got.Events, want.Events) {
-				t.Errorf("event streams differ: fork %d events (digest %#x), legacy %d (digest %#x)",
+				t.Errorf("event streams differ: fork %d events (digest %#x), scratch %d (digest %#x)",
 					len(got.Events), obs.DigestEvents(got.Events),
 					len(want.Events), obs.DigestEvents(want.Events))
 			}

@@ -138,8 +138,7 @@ func TestIdleFlipConvergesWithoutTaskCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r ScratchRunner
-	want, err := r.RunTrial(w, spec, golden)
+	want, _, err := ScratchTrial(w, spec, golden, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,8 @@ func TestCampaignPlanReplay(t *testing.T) {
 }
 
 // TestCampaignPlanForcesTrials: Plan overrides Trials, tosses no
-// kernel-hit coins, and runs identically on the fork and legacy paths.
+// kernel-hit coins, and runs identically on the fork engine and the
+// from-scratch oracle.
 func TestCampaignPlanForcesTrials(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{})
 	plan := []Fault{
@@ -63,11 +64,8 @@ func TestCampaignPlanForcesTrials(t *testing.T) {
 			t.Errorf("trial %d injected %v, planned %v", i, res.Trials[i].Fault, plan[i])
 		}
 	}
-	legacy, err := Run(w, CampaignConfig{Plan: plan, NoFork: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Trials, legacy.Trials) {
-		t.Errorf("planned campaign diverges between fork and legacy paths")
+	scratch := scratchCampaign(t, w, CampaignConfig{Plan: plan})
+	if !reflect.DeepEqual(res.Trials, scratch.Trials) {
+		t.Errorf("planned campaign diverges between the fork engine and the from-scratch oracle")
 	}
 }

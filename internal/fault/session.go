@@ -1,12 +1,13 @@
 package fault
 
-// ForkSession exposes the campaign engine's checkpoint/fork machinery
-// to the exhaustive verifier (internal/exhaust): one live instance, a
-// golden-prefix checkpoint store captured with the campaign's exact
-// phantom-injection queue geometry, and the finished golden run's
-// writes and event stream so converged suffixes can be spliced instead
-// of simulated. The soundness argument in fork.go applies unchanged —
-// a session restore followed by a real injection is bit-identical to a
+// ForkSession exposes the campaign engine's trial core to the adaptive
+// engine (internal/adapt) and the exhaustive verifier
+// (internal/exhaust): one live instance, a golden-prefix checkpoint
+// store captured with the campaign's exact phantom-injection queue
+// geometry, the finished golden run's writes and event stream so
+// converged suffixes can be spliced instead of simulated, and the fork
+// core itself (RunTrial, RunHooked). The soundness argument in fork.go
+// applies unchanged — a session trial is bit-identical to a
 // from-scratch trial of the same placement.
 
 import (
@@ -24,11 +25,10 @@ type ForkSession struct {
 	// with events); its buffer rewinds with every Restore.
 	Col *obs.Collector
 
-	cs           *checkpointStore
-	golden       []Write
+	// fw is the trial core bound to Inst; its checkpoint store, golden
+	// writes and horizon are the session's.
+	fw           *forkWorker
 	goldenEvents []obs.Event
-	horizon      des.Time
-	runner       *forkWorker
 }
 
 // NewForkSession builds an instance, captures golden-prefix checkpoints
@@ -50,13 +50,13 @@ func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSessio
 	if err != nil {
 		return nil, err
 	}
-	s := &ForkSession{Inst: inst, Col: col, horizon: w.Horizon()}
+	horizon := w.Horizon()
 	cfg := CampaignConfig{SnapshotInterval: interval}
-	s.cs, err = captureCheckpoints(inst, col, resolveForkInterval(w, &cfg), s.horizon)
+	cs, err := captureCheckpoints(inst, col, resolveForkInterval(w, &cfg), horizon)
 	if err != nil {
 		return nil, err
 	}
-	if err := inst.Sim.RunUntil(s.horizon); err != nil {
+	if err := inst.Sim.RunUntil(horizon); err != nil {
 		return nil, fmt.Errorf("fault: golden run: %w", err)
 	}
 	if failed, reason := inst.Kernel.Failed(); failed {
@@ -65,7 +65,12 @@ func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSessio
 	if inst.Rec.Omissions > 0 {
 		return nil, fmt.Errorf("fault: golden run had omissions; workload unschedulable")
 	}
-	s.golden = append([]Write(nil), inst.Rec.Writes...)
+	golden := append([]Write(nil), inst.Rec.Writes...)
+	s := &ForkSession{Inst: inst, Col: col,
+		// Without a collector the convergence cutoff is on; a
+		// collector's suffix events cannot be skipped unless a hook
+		// composes them.
+		fw: newForkWorker(inst, col, cs, golden, horizon, col == nil)}
 	if col != nil {
 		s.goldenEvents = append([]obs.Event(nil), col.Events()...)
 	}
@@ -73,44 +78,45 @@ func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSessio
 }
 
 // Checkpoints is the checkpoint count; boundaries are indexed [0, n).
-func (s *ForkSession) Checkpoints() int { return len(s.cs.states) }
+func (s *ForkSession) Checkpoints() int { return len(s.fw.cs.states) }
 
 // CheckpointAt is the capture instant of boundary k.
-func (s *ForkSession) CheckpointAt(k int) des.Time { return s.cs.states[k].at }
+func (s *ForkSession) CheckpointAt(k int) des.Time { return s.fw.cs.states[k].at }
 
 // GoldenDigest is the golden run's forward digest at boundary k (net of
 // the phantom, so directly comparable with Digest after an injection).
-func (s *ForkSession) GoldenDigest(k int) uint64 { return s.cs.states[k].fwdDigest }
+func (s *ForkSession) GoldenDigest(k int) uint64 { return s.fw.cs.states[k].fwdDigest }
 
 // GoldenWritesLen is the golden write count at boundary k.
-func (s *ForkSession) GoldenWritesLen(k int) int { return s.cs.states[k].writesLen }
+func (s *ForkSession) GoldenWritesLen(k int) int { return s.fw.cs.states[k].writesLen }
 
 // GoldenEventsLen is the golden event count at boundary k (0 without a
 // collector).
-func (s *ForkSession) GoldenEventsLen(k int) int { return s.cs.states[k].eventsLen }
+func (s *ForkSession) GoldenEventsLen(k int) int { return s.fw.cs.states[k].eventsLen }
 
 // Select returns the fork base for a fault at the given instant: the
 // latest checkpoint strictly before it whose committed CPU slices all
 // end at or before it (the cpuBusyUntil guard — see fork.go).
-func (s *ForkSession) Select(at des.Time) int { return s.cs.selectFor(at) }
+func (s *ForkSession) Select(at des.Time) int { return s.fw.cs.selectFor(at) }
 
 // Golden is the fault-free output sequence.
-func (s *ForkSession) Golden() []Write { return s.golden }
+func (s *ForkSession) Golden() []Write { return s.fw.golden }
 
 // GoldenEvents is the fault-free event stream (nil without a collector).
 func (s *ForkSession) GoldenEvents() []obs.Event { return s.goldenEvents }
 
 // Horizon is the simulated duration of one trial.
-func (s *ForkSession) Horizon() des.Time { return s.horizon }
+func (s *ForkSession) Horizon() des.Time { return s.fw.horizon }
 
 // Restore rewinds the session's instance (and collector) to checkpoint
-// k and cancels the phantom injection, leaving the instance ready for
-// the caller to schedule a real injection at PrioInject.
+// k and cancels the phantom injection — the state a trial forked from k
+// starts in, for probes that inspect it (trials themselves run through
+// RunTrial or RunHooked, which restore on their own).
 //
 //nlft:noalloc
 func (s *ForkSession) Restore(k int) {
-	s.Inst.Restore(s.cs.states[k], s.Col)
-	s.Inst.Sim.Cancel(s.cs.phantom)
+	s.Inst.Restore(s.fw.cs.states[k], s.Col)
+	s.Inst.Sim.Cancel(s.fw.cs.phantom)
 }
 
 // Digest is the instance's current forward digest with no event
@@ -131,53 +137,63 @@ type TrialSpec struct {
 	KernelDetected bool
 }
 
+// plan is spec's trial plan with its fork base selected.
+func (s *ForkSession) plan(spec TrialSpec) trialPlan {
+	return trialPlan{
+		fault:          spec.Fault,
+		kernelHit:      spec.KernelHit,
+		kernelDetected: spec.KernelDetected,
+		ckpt:           s.fw.cs.selectFor(spec.Fault.At),
+	}
+}
+
 // RunTrial executes one forked trial of spec on the session's
 // instance: restore the latest sound checkpoint before the fault, swap
 // the phantom for the real injection, run (with the convergence cutoff
 // when the session carries no collector — a collector's suffix events
-// cannot be skipped), and classify. The decision tree, checkpoint
-// selection, and classification are the campaign engine's own
-// (fork.go), so the record is bit-identical to what a campaign trial
-// of the same plan would produce.
+// cannot be skipped), and classify. This is the campaign engine's own
+// trial core (fork.go), so the record is bit-identical to what a
+// campaign trial of the same plan would produce.
 func (s *ForkSession) RunTrial(spec TrialSpec) (TrialRecord, error) {
-	if s.runner == nil {
-		fw := &forkWorker{
-			inst:    s.Inst,
-			col:     s.Col,
-			cs:      s.cs,
-			golden:  s.golden,
-			horizon: s.horizon,
-			cutoff:  s.Col == nil,
-		}
-		fw.injectFn = func() { fw.inject() }
-		fw.checkFn = func() { fw.checkConvergence() }
-		s.runner = fw
+	return s.fw.runTrial(s.plan(spec))
+}
+
+// TrialEnd reports how a hooked trial ended (see RunHooked).
+type TrialEnd struct {
+	// Kernel reports that the injection hit kernel execution (the
+	// record's Kernel flag).
+	Kernel bool
+	// ConvergedAt is the boundary at which the trial's forward digest
+	// met the golden run's, or -1 if it never did.
+	ConvergedAt int
+	// Hooked reports that the boundary hook ended the trial.
+	Hooked bool
+}
+
+// RunHooked executes one forked trial of spec on the trial core with
+// hook consulted at every boundary after the injection that does not
+// converge to golden (see BoundaryHook). The boundary check is armed
+// whatever the session's collector, and the trial is not classified:
+// the instance stays in its stop state for the caller to compose its
+// suffix from the golden run (ConvergedAt >= 0), from what the hook
+// found (Hooked), or from nothing (the trial ran to the horizon).
+func (s *ForkSession) RunHooked(spec TrialSpec, hook BoundaryHook) (TrialEnd, error) {
+	if err := s.fw.run(s.plan(spec), hook); err != nil {
+		return TrialEnd{}, err
 	}
-	return s.runner.runTrial(trialPlan{
-		fault:          spec.Fault,
-		kernelHit:      spec.KernelHit,
-		kernelDetected: spec.KernelDetected,
-		ckpt:           s.cs.selectFor(spec.Fault.At),
-	})
+	return TrialEnd{Kernel: s.fw.rec.Kernel, ConvergedAt: s.fw.convergedAt, Hooked: s.fw.hooked}, nil
 }
 
 // GoldenWrites executes the workload fault-free and returns its output
-// sequence — the classification reference for externally planned
-// scratch trials (RunScratchTrial).
+// sequence — the classification reference for ScratchTrial.
 func GoldenWrites(w Workload) ([]Write, error) { return goldenRun(w, nil) }
 
-// ScratchRunner executes externally planned trials from t=0 with no
-// fork machinery — the NoFork path for the adaptive campaign. The
-// zero value is ready to use; reuse one runner per worker so trial
-// scratch buffers amortize.
-type ScratchRunner struct {
-	scratch trialScratch
-}
-
-// RunTrial executes one trial of spec from scratch and classifies it
-// against golden, exactly as a NoFork campaign trial runs.
-func (r *ScratchRunner) RunTrial(w Workload, spec TrialSpec, golden []Write) (TrialRecord, error) {
-	plan := trialPlan{fault: spec.Fault, kernelHit: spec.KernelHit,
-		kernelDetected: spec.KernelDetected}
-	return runTrial(w, CampaignConfig{}, plan, golden, &r.scratch, nil)
+// ScratchTrial runs spec as the from-scratch reference trial (runTrial):
+// a fresh instance built with col, simulated from t=0 with no fork
+// machinery, classified against golden. It is a test oracle, not an
+// engine — the differential tests pin every engine's records to it.
+// The finished instance is returned for counters the record omits.
+func ScratchTrial(w Workload, spec TrialSpec, golden []Write, col *obs.Collector) (TrialRecord, *Instance, error) {
+	return runTrial(w, trialPlan{fault: spec.Fault, kernelHit: spec.KernelHit,
+		kernelDetected: spec.KernelDetected}, golden, col)
 }

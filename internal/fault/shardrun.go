@@ -1,139 +1,43 @@
 package fault
 
-// The range-restricted campaign entry point for the sharded
-// orchestrator (internal/shard). A worker process builds one
-// ShardRunner per campaign spec and runs every lease it wins through
-// it: the golden run and the per-slot checkpoint captures are paid
-// once and amortized across leases, so a lease costs only its trials'
+// The range-restricted campaign entry point. fault.Run is one call of
+// it over [0, Trials); the sharded orchestrator (internal/shard) builds
+// one ShardRunner per campaign spec and runs every lease it wins through
+// it: the golden run and the per-slot checkpoint captures are paid once
+// and amortized across leases, so a lease costs only its trials'
 // post-injection suffixes — the same economics the fork engine gives a
 // serial campaign.
 //
 // Why a shard is bit-identical to the same index range of a serial
 // run: every trial's plan is a pure function of (Seed, trial index)
-// (planForTrial), every trial executes on the same fork machinery
-// (forkWorker.runTrial / runTrial), records land at their trial index,
-// and all cross-trial aggregation — tally counts and the telemetry
-// registry — is commutative addition over per-trial contributions. No
-// part of a trial can observe which process, lease, or slot ran it.
+// (planForTrial), every trial executes on the same fork core
+// (forkWorker.runTrial), records land at their trial index, the
+// outcome tallies are computed from the records (FinalizeSharded), and
+// the telemetry registry is a commutative sum of per-trial
+// contributions. No part of a trial can observe which process, lease,
+// or slot ran it.
 
 import (
+	"context"
 	"fmt"
-	"sort"
-	"sync"
+	"runtime/pprof"
 
+	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
-// TallyDelta is the wire form of one shard's outcome tallies: the flat
-// tally arrays plus the open mechanism map. It marshals canonically
-// (arrays in index order, encoding/json sorts the map keys), merges by
-// pure addition, and applies to a Result with the exact skip-zero
-// semantics of the serial merge, so the folded maps are identical to a
-// serial run's for any shard partition and arrival order.
-type TallyDelta struct {
-	Counts      [NumOutcomes + 1]int                 `json:"counts"`
-	ByTarget    [NumTargets + 1][NumOutcomes + 1]int `json:"by_target"`
-	ByMechanism map[string]int                       `json:"by_mechanism,omitempty"`
-}
-
-// add folds one worker-slot tally into the delta.
-//
-//nlft:merge
-func (d *TallyDelta) add(t *tally) {
-	for o, n := range t.counts {
-		d.Counts[o] += n
-	}
-	for tg, counts := range t.byTarget {
-		for o, n := range counts {
-			d.ByTarget[tg][o] += n
-		}
-	}
-	//nlft:allow nodeterminism tally merge adds, which commutes; iteration order cannot affect the result
-	for m, n := range t.byMechanism {
-		if d.ByMechanism == nil {
-			d.ByMechanism = make(map[string]int)
-		}
-		d.ByMechanism[m] += n
-	}
-}
-
-// Merge adds another shard's delta; pure addition, so any merge order
-// yields the same delta.
-//
-//nlft:merge
-func (d *TallyDelta) Merge(o *TallyDelta) {
-	if o == nil {
-		return
-	}
-	for i, n := range o.Counts {
-		d.Counts[i] += n
-	}
-	for tg, counts := range o.ByTarget {
-		for i, n := range counts {
-			d.ByTarget[tg][i] += n
-		}
-	}
-	//nlft:allow nodeterminism tally merge adds, which commutes; iteration order cannot affect the result
-	for m, n := range o.ByMechanism {
-		if d.ByMechanism == nil {
-			d.ByMechanism = make(map[string]int)
-		}
-		d.ByMechanism[m] += n
-	}
-}
-
-// ApplyTo folds the delta into a Result's exported maps with the skip-
-// zero semantics of the serial merge (tally.mergeInto), so the map
-// contents — and every digest derived from them — match a serial run's.
-//
-//nlft:merge
-func (d *TallyDelta) ApplyTo(res *Result) {
-	for o, n := range d.Counts {
-		if n > 0 {
-			res.Counts[Outcome(o)] += n
-		}
-	}
-	//nlft:allow nodeterminism tally merge adds, which commutes; iteration order cannot affect the result
-	for m, n := range d.ByMechanism {
-		res.ByMechanism[m] += n
-	}
-	for target, counts := range d.ByTarget {
-		for o, n := range counts {
-			if n == 0 {
-				continue
-			}
-			if res.ByTarget[Target(target)] == nil {
-				res.ByTarget[Target(target)] = make(map[Outcome]int)
-			}
-			res.ByTarget[Target(target)][Outcome(o)] += n
-		}
-	}
-}
-
 // ShardResult is one completed trial-index range [Lo, Hi): the records
-// in trial order plus the shard's additive tally and telemetry deltas.
+// in trial order plus the shard's additive telemetry delta.
 type ShardResult struct {
 	Lo, Hi int
 	// Records holds the trials of the range in index order;
 	// Records[i] is trial Lo+i, bit-identical to the record a serial
 	// run produces at that index.
 	Records []TrialRecord
-	// Tally is the shard's outcome tally delta.
-	Tally TallyDelta
 	// Metrics is the shard's telemetry registry delta in canonical wire
 	// form (nil unless the campaign collects telemetry).
 	Metrics *obs.RegistryWire
-}
-
-// shardSlot is one parallel execution slot of a ShardRunner: a fork
-// worker (instance + checkpoint store, built once and reused across
-// leases — restore fully rewinds it) or, on the NoFork path, just the
-// reusable trial scratch.
-type shardSlot struct {
-	fw      *forkWorker
-	col     *obs.Collector // fork-path instance collector, rewound per restore
-	scratch trialScratch
 }
 
 // ShardRunner executes arbitrary trial-index ranges of one campaign
@@ -146,7 +50,9 @@ type ShardRunner struct {
 	w      Workload
 	cfg    CampaignConfig
 	golden []Write
-	slots  []*shardSlot
+	// slots holds one fork worker per slot, built on the slot's first
+	// range and reused after (restore fully rewinds it).
+	slots []*forkWorker
 }
 
 // NewShardRunner validates the configuration and runs the golden run.
@@ -155,9 +61,6 @@ type ShardRunner struct {
 // (cfg.TelemetryEvents) are trial-ordered rather than additive, so
 // they are a serial-only feature and rejected too.
 func NewShardRunner(w Workload, cfg CampaignConfig) (*ShardRunner, error) {
-	if w == nil {
-		return nil, fmt.Errorf("fault: nil workload")
-	}
 	if cfg.Plan != nil {
 		return nil, fmt.Errorf("fault: planned campaigns cannot be sharded")
 	}
@@ -165,22 +68,40 @@ func NewShardRunner(w Workload, cfg CampaignConfig) (*ShardRunner, error) {
 		return nil, fmt.Errorf("fault: per-trial event streams cannot be sharded; use Telemetry (metrics only)")
 	}
 	cfg.applyDefaults()
-	if cfg.Trials < 1 {
-		return nil, fmt.Errorf("fault: %d trials", cfg.Trials)
+	r, _, err := newRunner(w, cfg)
+	return r, err
+}
+
+// newRunner runs the golden run — recording its event stream when
+// cfg.TelemetryEvents is set — and builds a runner with one slot per
+// unit of cfg.Parallelism. cfg has its defaults applied.
+func newRunner(w Workload, cfg CampaignConfig) (*ShardRunner, []obs.Event, error) {
+	if w == nil {
+		return nil, nil, fmt.Errorf("fault: nil workload")
 	}
-	golden, err := goldenRun(w, nil)
+	if cfg.Trials < 1 {
+		return nil, nil, fmt.Errorf("fault: %d trials", cfg.Trials)
+	}
+	var goldenCol *obs.Collector
+	if cfg.TelemetryEvents {
+		goldenCol = newTrialCollector(&cfg)
+	}
+	var golden []Write
+	var err error
+	pprof.Do(context.Background(), pprof.Labels("campaign-phase", "golden-run"), func(context.Context) {
+		golden, err = goldenRun(w, goldenCol)
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(golden) == 0 {
-		return nil, fmt.Errorf("fault: golden run produced no outputs; workload broken")
+		return nil, nil, fmt.Errorf("fault: golden run produced no outputs; workload broken")
 	}
-	return &ShardRunner{
-		w:      w,
-		cfg:    cfg,
-		golden: golden,
-		slots:  make([]*shardSlot, cfg.Parallelism),
-	}, nil
+	r := &ShardRunner{w: w, cfg: cfg, golden: golden, slots: make([]*forkWorker, cfg.Parallelism)}
+	if goldenCol != nil {
+		return r, goldenCol.Events(), nil
+	}
+	return r, nil, nil
 }
 
 // Config is the runner's configuration with defaults applied.
@@ -190,161 +111,155 @@ func (r *ShardRunner) Config() CampaignConfig { return r.cfg }
 func (r *ShardRunner) Golden() []Write { return r.golden }
 
 // Run executes trials [lo, hi) and returns their records and additive
-// deltas. Any partition of [0, Trials) into Run calls — in any order,
-// including overlapping re-runs of the same range discarded by the
-// caller — merges to the serial result.
+// telemetry delta. Any partition of [0, Trials) into Run calls — in any
+// order, including overlapping re-runs of the same range discarded by
+// the caller — merges to the serial result.
 func (r *ShardRunner) Run(lo, hi int) (*ShardResult, error) {
 	if lo < 0 || hi > r.cfg.Trials || lo >= hi {
 		return nil, fmt.Errorf("fault: shard range [%d, %d) outside campaign [0, %d)", lo, hi, r.cfg.Trials)
 	}
-	n := hi - lo
-	slots := len(r.slots)
-	if slots > n {
-		slots = n
+	records, _, reg, err := r.run(lo, hi, nil)
+	if err != nil {
+		return nil, err
 	}
-	out := &ShardResult{Lo: lo, Hi: hi, Records: make([]TrialRecord, n)}
-	tallies := make([]*tally, slots)
-	regs := make([]*obs.Registry, slots)
-	errs := make([]error, slots)
-	var wg sync.WaitGroup
-	for k := 0; k < slots; k++ {
-		k := k
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tallies[k] = newTally()
-			regs[k], errs[k] = r.runSlot(k, slots, lo, hi, out.Records, tallies[k])
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, t := range tallies {
-		out.Tally.add(t)
-	}
-	if r.cfg.Telemetry {
-		merged := obs.NewRegistry()
-		for _, reg := range regs {
-			merged.Merge(reg)
-		}
-		out.Metrics = merged.Wire()
+	out := &ShardResult{Lo: lo, Hi: hi, Records: records}
+	if reg != nil {
+		out.Metrics = reg.Wire()
 	}
 	return out, nil
 }
 
-// runSlot executes slot k's strided share of [lo, hi): trials
-// lo+k, lo+k+slots, …. Records land at their range offset, so the
-// result order is the trial-index order regardless of slot count.
-func (r *ShardRunner) runSlot(k, slots, lo, hi int, records []TrialRecord, t *tally) (*obs.Registry, error) {
-	if r.cfg.NoFork {
-		return r.runSlotScratch(k, slots, lo, hi, records, t)
+// run executes trials [lo, hi) on the range executor and returns their
+// records in index order, their event streams (TelemetryEvents only)
+// and the merged telemetry registry (Telemetry only). progress, when
+// non-nil, is called after every trial.
+func (r *ShardRunner) run(lo, hi int, progress func()) ([]TrialRecord, [][]obs.Event, *obs.Registry, error) {
+	n := hi - lo
+	shared := campaignSlot{r: r, lo: lo, progress: progress,
+		plans: make([]trialPlan, n), records: make([]TrialRecord, n)}
+	if r.cfg.TelemetryEvents {
+		shared.events = make([][]obs.Event, n)
 	}
-	s := r.slots[k]
-	if s == nil {
-		s = &shardSlot{}
+	accs := make([]*obs.Collector, len(r.slots))
+	err := ExecRange(lo, hi, len(r.slots), func(k int) (RangeSlot, error) {
+		if r.slots[k] == nil {
+			var col *obs.Collector
+			switch {
+			case r.cfg.TelemetryEvents:
+				col = newTrialCollector(&r.cfg)
+			case r.cfg.Telemetry:
+				col = newWorkerCollector()
+			}
+			fw, err := captureForkWorker(r.w, &r.cfg, col, r.golden)
+			if err != nil {
+				return nil, err
+			}
+			r.slots[k] = fw
+		}
+		s := shared
+		s.fw = r.slots[k]
 		if r.cfg.Telemetry {
-			s.col = newWorkerCollector()
+			s.acc = newWorkerCollector()
+			accs[k] = s.acc
 		}
-		fw, err := newForkWorker(r.w, &r.cfg, s.col, r.golden)
-		if err != nil {
-			return nil, err
-		}
-		s.fw = fw
-		r.slots[k] = s
-	}
-	// accCol accumulates exactly this lease's per-trial registries — the
-	// shard's telemetry delta. The slot's instance collector is rewound
-	// by every restore, so after a trial it holds that trial's full
-	// registry (checkpoint prefix + simulated suffix), exactly like the
-	// serial fork path's per-worker accumulation.
-	var accCol *obs.Collector
-	if r.cfg.Telemetry {
-		accCol = newWorkerCollector()
-	}
-	mine := make([]int, 0, (hi-lo-k+slots-1)/slots)
-	plans := make(map[int]trialPlan, cap(mine))
-	for trial := lo + k; trial < hi; trial += slots {
-		plan := planForTrial(r.w, &r.cfg, trial)
-		plan.ckpt = s.fw.cs.selectFor(plan.fault.At)
-		plans[trial] = plan
-		mine = append(mine, trial)
-	}
-	// Bucket by fork base like the serial engine: consecutive trials
-	// restore the same snapshot, keeping the restore source cache-warm.
-	sort.SliceStable(mine, func(a, b int) bool {
-		return plans[mine[a]].ckpt < plans[mine[b]].ckpt
+		return &s, nil
 	})
-	for _, trial := range mine {
-		rec, err := s.fw.runTrial(plans[trial])
-		if err != nil {
-			return nil, fmt.Errorf("fault: trial %d: %w", trial, err)
-		}
-		if accCol != nil {
-			accCol.Registry().Merge(s.col.Registry())
-		}
-		recordTrialMetrics(accCol, &rec)
-		records[trial-lo] = rec
-		t.record(&rec)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	if accCol != nil {
-		return accCol.Registry(), nil
-	}
-	return nil, nil
-}
-
-// runSlotScratch is the NoFork slot loop: every trial simulates from
-// t=0 on a fresh instance, with a per-lease metrics collector whose
-// registry is the slot's additive delta.
-func (r *ShardRunner) runSlotScratch(k, slots, lo, hi int, records []TrialRecord, t *tally) (*obs.Registry, error) {
-	s := r.slots[k]
-	if s == nil {
-		s = &shardSlot{}
-		r.slots[k] = s
-	}
-	var col *obs.Collector
+	var reg *obs.Registry
 	if r.cfg.Telemetry {
-		col = newWorkerCollector()
-	}
-	for trial := lo + k; trial < hi; trial += slots {
-		plan := planForTrial(r.w, &r.cfg, trial)
-		rec, err := runTrial(r.w, r.cfg, plan, r.golden, &s.scratch, col)
-		if err != nil {
-			return nil, fmt.Errorf("fault: trial %d: %w", trial, err)
+		reg = obs.NewRegistry()
+		for _, acc := range accs {
+			if acc != nil {
+				reg.Merge(acc.Registry())
+			}
 		}
-		recordTrialMetrics(col, &rec)
-		records[trial-lo] = rec
-		t.record(&rec)
 	}
-	if col != nil {
-		return col.Registry(), nil
-	}
-	return nil, nil
+	return shared.records, shared.events, reg, nil
 }
 
-// FinalizeSharded assembles a campaign Result from shard-merged parts,
-// exactly as the serial merge phase does: the tally delta folds into
-// the exported maps with skip-zero semantics, the merged registry
-// becomes Result.Metrics when telemetry was collected, and the §3.2.2
-// estimators are computed from the folded counts. Snapshots stays nil
-// (checkpoint-store traffic is a per-process diagnostic, not part of
-// the campaign's observable result).
-func FinalizeSharded(cfg CampaignConfig, golden []Write, trials []TrialRecord, delta *TallyDelta, metrics *obs.Registry) (*Result, error) {
+// campaignSlot is one slot's view of a ShardRunner range: the slot's
+// fork worker and telemetry accumulator, plus the range's outputs
+// addressed by index offset (each index is written by one slot only).
+type campaignSlot struct {
+	r        *ShardRunner
+	fw       *forkWorker
+	acc      *obs.Collector
+	lo       int
+	plans    []trialPlan
+	records  []TrialRecord
+	events   [][]obs.Event
+	progress func()
+}
+
+// Base plans trial i and selects its fork base.
+func (s *campaignSlot) Base(i int) int {
+	p := planForTrial(s.r.w, &s.r.cfg, i)
+	p.ckpt = s.fw.cs.selectFor(p.fault.At)
+	s.plans[i-s.lo] = p
+	return p.ckpt
+}
+
+// Run executes trial i and files its record, events and metrics.
+func (s *campaignSlot) Run(i int) error {
+	rec, err := s.fw.runTrial(s.plans[i-s.lo])
+	if err != nil {
+		return fmt.Errorf("fault: trial %d: %w", i, err)
+	}
+	if s.acc != nil {
+		// Every restore rewinds the slot's instance collector, so it now
+		// holds exactly this trial's full registry (checkpoint prefix +
+		// simulated suffix); accumulate it before the next restore.
+		s.acc.Registry().Merge(s.fw.col.Registry())
+	}
+	if s.events != nil {
+		s.events[i-s.lo] = append([]obs.Event(nil), s.fw.col.Events()...)
+	}
+	recordTrialMetrics(s.acc, &rec)
+	s.records[i-s.lo] = rec
+	if s.progress != nil {
+		s.progress()
+	}
+	return nil
+}
+
+// snapshotStats sums the slots' checkpoint-store traffic. Checkpoint
+// count, page size and RAM size are identical across slots (capture is
+// deterministic); the traffic counters add.
+func (r *ShardRunner) snapshotStats() *SnapshotStats {
+	agg := &SnapshotStats{}
+	for _, fw := range r.slots {
+		if fw == nil {
+			continue
+		}
+		ms := fw.inst.Kernel.Mem()
+		agg.Workers++
+		agg.Checkpoints = len(fw.cs.states)
+		agg.PageBytes = cpu.PageBytes
+		agg.RAMBytes = uint64(ms.SizeBytes())
+		agg.Snapshots += ms.Snap.Snapshots
+		agg.Restores += ms.Snap.Restores
+		agg.PagesCopied += ms.Snap.PagesCopied
+		agg.PagesRestored += ms.Snap.PagesRestored
+	}
+	return agg
+}
+
+// FinalizeSharded assembles a campaign Result from its trial records and
+// merged telemetry registry, exactly as fault.Run does: the outcome,
+// per-target and per-mechanism tallies are counted from the records
+// (Tally), the registry becomes Result.Metrics when telemetry was
+// collected, and the §3.2.2 estimators are computed from the counts.
+// Snapshots stays nil (checkpoint-store traffic is a per-process
+// diagnostic, not part of the campaign's observable result).
+func FinalizeSharded(cfg CampaignConfig, golden []Write, trials []TrialRecord, metrics *obs.Registry) (*Result, error) {
 	cfg.applyDefaults()
 	if len(trials) != cfg.Trials {
 		return nil, fmt.Errorf("fault: %d trial records for a %d-trial campaign", len(trials), cfg.Trials)
 	}
-	res := &Result{
-		Config:      cfg,
-		Golden:      golden,
-		Counts:      make(map[Outcome]int),
-		ByMechanism: make(map[string]int),
-		ByTarget:    make(map[Target]map[Outcome]int),
-		Trials:      trials,
-	}
-	delta.ApplyTo(res)
+	res := &Result{Config: cfg, Golden: golden, Trials: trials}
+	res.Counts, res.ByTarget, res.ByMechanism = Tally(trials)
 	if cfg.Telemetry {
 		res.Metrics = metrics
 	}
@@ -355,4 +270,27 @@ func FinalizeSharded(cfg CampaignConfig, golden []Write, trials []TrialRecord, d
 	res.POM = stats.NewProportion(res.Counts[Omission], detected)
 	res.PFS = stats.NewProportion(res.Counts[FailSilent], detected)
 	return res, nil
+}
+
+// Tally counts trial records by outcome, by target and outcome, and by
+// detection mechanism. Only non-zero counts get map entries. The
+// counts are a function of the record multiset alone, so any engine,
+// shard layout or arrival order that yields the same records yields the
+// same tallies.
+func Tally(trials []TrialRecord) (map[Outcome]int, map[Target]map[Outcome]int, map[string]int) {
+	counts := make(map[Outcome]int)
+	byTarget := make(map[Target]map[Outcome]int)
+	byMechanism := make(map[string]int)
+	for i := range trials {
+		rec := &trials[i]
+		counts[rec.Outcome]++
+		if byTarget[rec.Fault.Target] == nil {
+			byTarget[rec.Fault.Target] = make(map[Outcome]int)
+		}
+		byTarget[rec.Fault.Target][rec.Outcome]++
+		for _, m := range rec.Mechanisms {
+			byMechanism[m]++
+		}
+	}
+	return counts, byTarget, byMechanism
 }

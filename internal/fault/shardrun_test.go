@@ -11,23 +11,22 @@ import (
 
 // mergeShards folds shard results (in the given order) into a final
 // Result the way the coordinator does: records land at their range
-// offset, tallies and registries merge commutatively.
+// offset, registries merge commutatively, and the tallies are counted
+// from the records.
 func mergeShards(t *testing.T, cfg CampaignConfig, golden []Write, shards []*ShardResult) *Result {
 	t.Helper()
 	cfg.applyDefaults()
 	records := make([]TrialRecord, cfg.Trials)
-	var delta TallyDelta
 	merged := obs.NewRegistry()
 	for _, sr := range shards {
 		copy(records[sr.Lo:sr.Hi], sr.Records)
-		delta.Merge(&sr.Tally)
 		merged.Merge(sr.Metrics.Registry())
 	}
 	var metrics *obs.Registry
 	if cfg.Telemetry {
 		metrics = merged
 	}
-	res, err := FinalizeSharded(cfg, golden, records, &delta, metrics)
+	res, err := FinalizeSharded(cfg, golden, records, metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,30 +110,6 @@ func fmtLabel(args ...interface{}) string {
 	return string(b)
 }
 
-// TestShardRunEquivalenceNoFork covers the scratch (NoFork) slot loop.
-func TestShardRunEquivalenceNoFork(t *testing.T) {
-	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
-	cfg := CampaignConfig{Trials: 24, Seed: 3, NoFork: true, Telemetry: true, Parallelism: 2}
-	want, err := Run(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := NewShardRunner(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shards []*ShardResult
-	for _, rg := range [][2]int{{12, 24}, {0, 12}} {
-		sr, err := runner.Run(rg[0], rg[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards = append(shards, sr)
-	}
-	got := mergeShards(t, cfg, runner.Golden(), shards)
-	requireResultsEqual(t, got, want, "nofork")
-}
-
 // TestShardRunIdempotent: re-running a range on a warm runner (the
 // re-lease path after a worker loss) yields a byte-identical shard
 // result, so the coordinator can discard duplicates freely.
@@ -184,34 +159,8 @@ func TestShardRunnerRejects(t *testing.T) {
 			t.Errorf("range [%d, %d) accepted", rg[0], rg[1])
 		}
 	}
-	if _, err := FinalizeSharded(CampaignConfig{Trials: 10}, nil, make([]TrialRecord, 4), &TallyDelta{}, nil); err == nil {
+	if _, err := FinalizeSharded(CampaignConfig{Trials: 10}, nil, make([]TrialRecord, 4), nil); err == nil {
 		t.Error("record-count mismatch accepted")
-	}
-}
-
-// TestTallyDeltaWireCanonical: the delta marshals canonically and
-// round-trips through JSON without changing what it applies.
-func TestTallyDeltaWireCanonical(t *testing.T) {
-	d := TallyDelta{ByMechanism: map[string]int{"tem": 3, "ecc": 5, "assert": 1}}
-	d.Counts[int(Masked)] = 4
-	d.ByTarget[int(TargetALU)][int(FailSilent)] = 2
-	j1, err := json.Marshal(&d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rt TallyDelta
-	if err := json.Unmarshal(j1, &rt); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := json.Marshal(&rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(j1) != string(j2) {
-		t.Fatalf("delta JSON not canonical:\n%s\n%s", j1, j2)
-	}
-	if !reflect.DeepEqual(d, rt) {
-		t.Fatalf("delta round-trip: got %+v, want %+v", rt, d)
 	}
 }
 

@@ -100,7 +100,6 @@ type campaign struct {
 	active  map[string]int // active lease ID -> span index
 
 	records   []fault.TrialRecord
-	tally     fault.TallyDelta
 	metrics   *obs.Registry
 	completed int // trials folded in
 
@@ -305,15 +304,14 @@ func (c *Coordinator) Complete(leaseID string, body io.Reader) error {
 // fold merges one shard result into the campaign accumulators. This is
 // the coordinator-side shard merge path, rooted for the mergecommute
 // analyzer: records land in disjoint index ranges (spans partition
-// [0, Trials) and duplicates were discarded before folding), the tally
-// delta and the registry merge by pure addition/extreme-keep, and the
-// completion counter is a sum — so any arrival order folds to the same
-// campaign state.
+// [0, Trials) and duplicates were discarded before folding), the
+// registry merges by pure addition/extreme-keep, and the completion
+// counter is a sum — so any arrival order folds to the same campaign
+// state.
 //
 //nlft:merge
 func (camp *campaign) fold(sr *fault.ShardResult) {
 	copy(camp.records[sr.Lo:sr.Hi], sr.Records)
-	camp.tally.Merge(&sr.Tally)
 	if sr.Metrics != nil {
 		if camp.metrics == nil {
 			camp.metrics = obs.NewRegistry()
@@ -369,7 +367,7 @@ func (c *Coordinator) Result(id string) (*fault.Result, error) {
 		return nil, fmt.Errorf("%w: %d/%d trials", ErrIncomplete, camp.completed, camp.spec.Trials)
 	}
 	if camp.result == nil {
-		camp.result, err = fault.FinalizeSharded(camp.cfg, camp.golden, camp.records, &camp.tally, camp.metrics)
+		camp.result, err = fault.FinalizeSharded(camp.cfg, camp.golden, camp.records, camp.metrics)
 		if err != nil {
 			return nil, err
 		}

@@ -2,11 +2,12 @@ package shard
 
 // Length-delimited JSON framing for completion streams. A completion
 // body is a sequence of frames — record batches in trial order, then
-// the shard's tally delta, then (when telemetry is on) the canonical
-// registry snapshot, then an end marker — so a worker can stream a
-// large shard without materializing one giant JSON document, and the
-// coordinator can reject a truncated body (no end frame) atomically
-// instead of folding half a shard.
+// (when telemetry is on) the canonical registry snapshot, then an end
+// marker — so a worker can stream a large shard without materializing
+// one giant JSON document, and the coordinator can reject a truncated
+// body (no end frame) atomically instead of folding half a shard. The
+// outcome tallies are not shipped: the coordinator counts them from the
+// records (fault.FinalizeSharded), so they cannot disagree.
 
 import (
 	"encoding/binary"
@@ -18,8 +19,9 @@ import (
 	"repro/internal/obs"
 )
 
-// maxFrameBytes bounds one frame so a corrupt length prefix cannot
-// drive an allocation by the advertised size.
+// maxFrameBytes bounds one frame. The body buffer grows with the bytes
+// actually received, so a corrupt length prefix cannot drive an
+// allocation by the advertised size either.
 const maxFrameBytes = 32 << 20
 
 // recordsPerFrame is the record-batch granule. 256 records is a few
@@ -59,9 +61,12 @@ func readFrame(r io.Reader, v any) error {
 	if n > maxFrameBytes {
 		return fmt.Errorf("shard: frame of %d bytes exceeds limit %d", n, maxFrameBytes)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return fmt.Errorf("shard: frame body: %w", err)
+	}
+	if len(buf) != int(n) {
+		return fmt.Errorf("shard: frame body: %w", io.ErrUnexpectedEOF)
 	}
 	return json.Unmarshal(buf, v)
 }
@@ -70,7 +75,6 @@ func readFrame(r io.Reader, v any) error {
 // field is set per frame.
 type completionFrame struct {
 	Records []fault.TrialRecord `json:"records,omitempty"`
-	Tally   *fault.TallyDelta   `json:"tally,omitempty"`
 	Metrics *obs.RegistryWire   `json:"metrics,omitempty"`
 	End     bool                `json:"end,omitempty"`
 }
@@ -86,9 +90,6 @@ func writeCompletion(w io.Writer, sr *fault.ShardResult) error {
 			return err
 		}
 	}
-	if err := writeFrame(w, &completionFrame{Tally: &sr.Tally}); err != nil {
-		return err
-	}
 	if sr.Metrics != nil {
 		if err := writeFrame(w, &completionFrame{Metrics: sr.Metrics}); err != nil {
 			return err
@@ -98,12 +99,13 @@ func writeCompletion(w io.Writer, sr *fault.ShardResult) error {
 }
 
 // readCompletion parses a completion stream, validating that it is
-// complete (end frame present, exactly one tally, the expected record
-// count) before anything is returned for folding.
+// complete (end frame present, exactly wantRecords records) before
+// anything is returned for folding. A stream is rejected as soon as its
+// running record total passes wantRecords, so a worker cannot make the
+// coordinator buffer more than one lease's records plus one frame.
 func readCompletion(r io.Reader, wantRecords int) (*fault.ShardResult, error) {
 	sr := &fault.ShardResult{}
-	sawTally, sawEnd := false, false
-	for !sawEnd {
+	for {
 		var f completionFrame
 		if err := readFrame(r, &f); err != nil {
 			if err == io.EOF {
@@ -112,30 +114,23 @@ func readCompletion(r io.Reader, wantRecords int) (*fault.ShardResult, error) {
 			return nil, err
 		}
 		switch {
-		case f.Records != nil:
-			sr.Records = append(sr.Records, f.Records...)
-		case f.Tally != nil:
-			if sawTally {
-				return nil, fmt.Errorf("shard: duplicate tally frame")
+		case len(f.Records) > 0:
+			if len(sr.Records)+len(f.Records) > wantRecords {
+				return nil, fmt.Errorf("shard: completion exceeds the %d records the lease covers", wantRecords)
 			}
-			sr.Tally = *f.Tally
-			sawTally = true
+			sr.Records = append(sr.Records, f.Records...)
 		case f.Metrics != nil:
 			if sr.Metrics != nil {
 				return nil, fmt.Errorf("shard: duplicate metrics frame")
 			}
 			sr.Metrics = f.Metrics
 		case f.End:
-			sawEnd = true
+			if len(sr.Records) != wantRecords {
+				return nil, fmt.Errorf("shard: completion has %d records, lease covers %d", len(sr.Records), wantRecords)
+			}
+			return sr, nil
 		default:
 			return nil, fmt.Errorf("shard: empty completion frame")
 		}
 	}
-	if !sawTally {
-		return nil, fmt.Errorf("shard: completion stream has no tally frame")
-	}
-	if len(sr.Records) != wantRecords {
-		return nil, fmt.Errorf("shard: completion has %d records, lease covers %d", len(sr.Records), wantRecords)
-	}
-	return sr, nil
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -368,7 +369,7 @@ func TestCompletionValidation(t *testing.T) {
 	if err := c.Complete(l.ID, strings.NewReader("")); err == nil {
 		t.Error("empty body accepted")
 	}
-	// Truncated: records but no tally/end.
+	// Truncated: records but no end frame.
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, &completionFrame{Records: make([]fault.TrialRecord, l.Hi-l.Lo)}); err != nil {
 		t.Fatal(err)
@@ -379,9 +380,6 @@ func TestCompletionValidation(t *testing.T) {
 	// Wrong record count.
 	buf.Reset()
 	if err := writeFrame(&buf, &completionFrame{Records: make([]fault.TrialRecord, 3)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(&buf, &completionFrame{Tally: &fault.TallyDelta{}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeFrame(&buf, &completionFrame{End: true}); err != nil {
@@ -412,6 +410,46 @@ func TestCompletionValidation(t *testing.T) {
 	}
 	if p.Completed != l.Hi-l.Lo {
 		t.Fatalf("completed %d, want %d", p.Completed, l.Hi-l.Lo)
+	}
+}
+
+// countingReader counts the bytes a consumer has taken from r.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestCompletionOverlongStream: a completion stream whose records run
+// past the lease span is rejected as soon as the running record total
+// exceeds the span — before the coordinator has read, let alone
+// buffered, the rest of the stream.
+func TestCompletionOverlongStream(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{})
+	if _, err := c.Submit(testSpec); err != nil {
+		t.Fatal(err)
+	}
+	l, err := (Loopback{C: c}).Lease("w")
+	if err != nil || l == nil {
+		t.Fatalf("lease: %v, %v", l, err)
+	}
+	span := l.Hi - l.Lo
+	var frame bytes.Buffer
+	if err := writeFrame(&frame, &completionFrame{Records: make([]fault.TrialRecord, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	// Far more one-record frames than the lease covers, and no end frame.
+	body := &countingReader{r: bytes.NewReader(bytes.Repeat(frame.Bytes(), 100*span))}
+	if err := c.Complete(l.ID, body); err == nil {
+		t.Fatal("over-long completion accepted")
+	}
+	if limit := (span + 1) * frame.Len(); body.n > limit {
+		t.Errorf("read %d bytes before rejecting, want at most %d (%d frames)", body.n, limit, span+1)
 	}
 }
 
@@ -468,4 +506,51 @@ func TestFrameCodec(t *testing.T) {
 	if err := readFrame(strings.NewReader("\x00\x00"), &m); err == nil || err.Error() == "EOF" {
 		t.Errorf("torn header: %v, want wrapped error", err)
 	}
+}
+
+// FuzzFrameDecode feeds arbitrary bytes to the completion decoder. It
+// must never panic, and any stream it accepts must carry exactly the
+// lease's record count. The corpus is seeded with a real shard's
+// completion stream and truncated and bit-flipped variants of it. The
+// shard is kept small (two records, no metrics frame) so the fuzzer's
+// minimization of new inputs stays cheap.
+func FuzzFrameDecode(f *testing.F) {
+	const want = 2
+	spec := testSpec
+	spec.Telemetry = false
+	cfg, err := spec.Config(1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	runner, err := fault.NewShardRunner(spec.Workload(), cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sr, err := runner.Run(0, want)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := writeCompletion(&buf, sr); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	if _, err := readCompletion(bytes.NewReader(valid), want); err != nil {
+		f.Fatalf("real completion rejected: %v", err)
+	}
+	f.Add(valid)
+	for _, cut := range []int{0, 2, 4, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	for _, bit := range []int{3, 4*8 + 1, 4 * len(valid), 8*len(valid) - 1} {
+		flipped := bytes.Clone(valid)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sr, err := readCompletion(bytes.NewReader(data), want)
+		if err == nil && len(sr.Records) != want {
+			t.Fatalf("accepted a completion with %d records, want %d", len(sr.Records), want)
+		}
+	})
 }

@@ -58,8 +58,6 @@ type CampaignSpec struct {
 
 	// Telemetry merges every trial's metrics registry into the result.
 	Telemetry bool `json:"telemetry,omitempty"`
-	// NoFork disables the checkpoint/fork engine on workers.
-	NoFork bool `json:"no_fork,omitempty"`
 	// SnapshotIntervalNs overrides the fork checkpoint spacing.
 	SnapshotIntervalNs int64 `json:"snapshot_interval_ns,omitempty"`
 	// NoConvergeCutoff disables the post-injection early stop.
@@ -131,7 +129,6 @@ func (s *CampaignSpec) Config(parallelism int) (fault.CampaignConfig, error) {
 		KernelDetect:     s.KernelDetect,
 		Parallelism:      parallelism,
 		Telemetry:        s.Telemetry,
-		NoFork:           s.NoFork,
 		SnapshotInterval: des.Time(s.SnapshotIntervalNs),
 		NoConvergeCutoff: s.NoConvergeCutoff,
 	}, nil
