@@ -8,9 +8,9 @@ package nlft
 // the benchmarks only report metrics. The committed BENCH_exhaust.json
 // records what the visited-digest dedup buys over fork-only
 // exploration on the full default space (every target, 50µs grid, ~30k
-// placements; its from-scratch point predates the removal of that
-// verifier mode); both modes produce bit-identical results
-// (TestVerifyDifferential in internal/exhaust).
+// placements; its no-dedup and from-scratch points predate the removal
+// of those verifier modes); the verifier's results are pinned to the
+// from-scratch oracle (TestVerifyDifferential in internal/exhaust).
 
 import (
 	"sync"
@@ -22,10 +22,9 @@ import (
 )
 
 type exhaustBenchPoint struct {
-	// Mode is "dedup" (fork + convergence + visited-digest memo table),
-	// "no_dedup" (fork + convergence only), or "campaign" (planned
-	// sampling campaign over the identical fault list — the cross-check
-	// baseline).
+	// Mode is "dedup" (fork + convergence + visited-digest memo table)
+	// or "campaign" (planned sampling campaign over the identical fault
+	// list — the cross-check baseline).
 	Mode             string  `json:"mode"`
 	Placements       int     `json:"placements"`
 	NsPerOp          float64 `json:"ns_per_op"`
@@ -58,10 +57,9 @@ func exhaustBenchConfig() exhaust.Config {
 	}
 }
 
-// BenchmarkExhaustVerify contrasts the verifier's exploration tiers:
-// visited-digest dedup on top of fork+convergence and fork+convergence
-// alone, plus the planned sampling campaign the cross-check runs over
-// the same fault list.
+// BenchmarkExhaustVerify contrasts the verifier (visited-digest dedup on
+// top of fork+convergence) with the planned sampling campaign the
+// cross-check runs over the same fault list.
 func BenchmarkExhaustVerify(b *testing.B) {
 	w := fault.NewStdWorkload(fault.StdWorkloadConfig{ECC: true, Periods: 3, Compute: 16})
 	spaceCfg := exhaustBenchConfig()
@@ -92,29 +90,20 @@ func BenchmarkExhaustVerify(b *testing.B) {
 		benchExhaustOut.mu.Unlock()
 	}
 
-	for _, tc := range []struct {
-		name, mode string
-		noDedup    bool
-	}{
-		{"dedup", "dedup", false},
-		{"no-dedup", "no_dedup", true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := exhaustBenchConfig()
-			cfg.NoDedup = tc.noDedup
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := exhaust.Verify(w, cfg); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("dedup", func(b *testing.B) {
+		cfg := exhaustBenchConfig()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := exhaust.Verify(w, cfg); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			b.ReportMetric(float64(placements)/(ns/1e9), "placements/s")
-			record(tc.mode, ns)
-		})
-	}
+		}
+		b.StopTimer()
+		ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(float64(placements)/(ns/1e9), "placements/s")
+		record("dedup", ns)
+	})
 
 	b.Run("campaign", func(b *testing.B) {
 		plan := space.Faults()

@@ -10,19 +10,18 @@
 // Usage:
 //
 //	exhaustcheck [-quantum d] [-targets list] [-ecc] [-periods N] [-compute N]
-//	             [-parallel N] [-snapshot-interval d] [-no-dedup]
-//	             [-progress] [-cert-out file] [-label s] [-crosscheck=false]
+//	             [-parallel N] [-snapshot-interval d]
+//	             [-progress] [-cert-out file] [-label s]
 //
 // The default configuration is the CI gate: the small brake-by-wire
 // control workload (3 periods, compute 16, ECC on) whose full space
 // enumerates in seconds. -cert-out writes the coverage certificate — a
 // canonical, digest-stamped JSON artifact that is bit-identical for any
-// -parallel value and with the memo on or off (the test suite also pins
-// it against a from-scratch oracle that simulates every placement from
-// t=0). -crosscheck (default
-// on) additionally replays the entire placement list through the
-// sampling campaign engine as a planned campaign and verifies the
-// per-placement outcomes and per-class totals match exactly.
+// -parallel value (the test suite also pins it against a from-scratch
+// oracle that simulates every placement from t=0). Every run then
+// replays the entire placement list through the sampling campaign
+// engine as a planned campaign and verifies the per-placement outcomes
+// and per-class totals match exactly.
 //
 // Exit status is 1 if any placement violates a guarantee or the
 // cross-check diverges.
@@ -48,63 +47,21 @@ func main() {
 	compute := flag.Int("compute", 16, "workload inner-loop iterations (duty cycle)")
 	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS); results are bit-identical for any value")
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "fork checkpoint spacing (0 = default 250µs, or the workload's hint when finer)")
-	noDedup := flag.Bool("no-dedup", false, "disable the visited-digest memo table (results are identical either way)")
 	progress := flag.Bool("progress", false, "report live placement progress on stderr")
 	certOut := flag.String("cert-out", "", "write the coverage certificate (canonical JSON) to this file")
 	label := flag.String("label", "", "label recorded in the certificate")
-	crosscheck := flag.Bool("crosscheck", true, "replay the full placement list as a planned sampling campaign and require identical outcomes")
 	flag.Parse()
 
 	if err := run(*quantum, *targetsFlag, *ecc, *periods, *compute, *parallel,
-		*snapshotInterval, *noDedup, *progress, *certOut, *label, *crosscheck); err != nil {
+		*snapshotInterval, *progress, *certOut, *label); err != nil {
 		fmt.Fprintln(os.Stderr, "exhaustcheck:", err)
 		os.Exit(1)
 	}
 }
 
-func parseTargets(spec string) ([]fault.Target, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	byName := map[string]fault.Target{}
-	for _, t := range fault.AllTargets() {
-		byName[t.String()] = t
-	}
-	var out []fault.Target
-	for _, name := range splitComma(spec) {
-		t, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown target %q", name)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			f := s[start:i]
-			for len(f) > 0 && f[0] == ' ' {
-				f = f[1:]
-			}
-			for len(f) > 0 && f[len(f)-1] == ' ' {
-				f = f[:len(f)-1]
-			}
-			if f != "" {
-				out = append(out, f)
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
 func run(quantum time.Duration, targetsFlag string, ecc bool, periods, compute, parallel int,
-	snapshotInterval time.Duration, noDedup, progress bool, certOut, label string, crosscheck bool) error {
-	targets, err := parseTargets(targetsFlag)
+	snapshotInterval time.Duration, progress bool, certOut, label string) error {
+	targets, err := fault.ParseTargets(targetsFlag)
 	if err != nil {
 		return err
 	}
@@ -116,7 +73,6 @@ func run(quantum time.Duration, targetsFlag string, ecc bool, periods, compute, 
 		Targets:          targets,
 		Parallelism:      parallel,
 		SnapshotInterval: des.Time(snapshotInterval),
-		NoDedup:          noDedup,
 		Label:            label,
 	}
 	if progress {
@@ -187,26 +143,24 @@ func run(quantum time.Duration, targetsFlag string, ecc bool, periods, compute, 
 		fmt.Println("\nall placements: TEM invariants hold, no deadline misses")
 	}
 
-	if crosscheck {
-		start := time.Now()
-		camp, err := fault.Run(w, fault.CampaignConfig{
-			Plan:             sp.Faults(),
-			Parallelism:      parallel,
-			SnapshotInterval: des.Time(snapshotInterval),
-		})
-		if err != nil {
-			return fmt.Errorf("cross-check campaign: %w", err)
+	start = time.Now()
+	camp, err := fault.Run(w, fault.CampaignConfig{
+		Plan:             sp.Faults(),
+		Parallelism:      parallel,
+		SnapshotInterval: des.Time(snapshotInterval),
+	})
+	if err != nil {
+		return fmt.Errorf("cross-check campaign: %w", err)
+	}
+	if diffs := res.CrossCheck(camp); len(diffs) > 0 {
+		ok = false
+		fmt.Printf("\nFAIL: cross-check against planned sampling campaign diverged:\n")
+		for _, d := range diffs {
+			fmt.Printf("  %s\n", d)
 		}
-		if diffs := res.CrossCheck(camp); len(diffs) > 0 {
-			ok = false
-			fmt.Printf("\nFAIL: cross-check against planned sampling campaign diverged:\n")
-			for _, d := range diffs {
-				fmt.Printf("  %s\n", d)
-			}
-		} else {
-			fmt.Printf("cross-check: planned sampling campaign over all %d placements matches exactly (%v)\n",
-				len(res.Records), time.Since(start).Round(time.Millisecond))
-		}
+	} else {
+		fmt.Printf("cross-check: planned sampling campaign over all %d placements matches exactly (%v)\n",
+			len(res.Records), time.Since(start).Round(time.Millisecond))
 	}
 
 	if !ok {

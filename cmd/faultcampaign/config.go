@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/shard"
 )
 
@@ -75,7 +76,6 @@ type cliConfig struct {
 	// Engine shape.
 	SnapshotInterval duration `json:"snapshot_interval,omitempty"`
 	SnapshotStats    bool     `json:"snapshot_stats,omitempty"`
-	ConvergeCutoff   bool     `json:"converge_cutoff"`
 
 	// Output.
 	Derive     bool   `json:"derive,omitempty"`
@@ -105,15 +105,14 @@ type cliConfig struct {
 // defaultConfig is the no-flags configuration.
 func defaultConfig() *cliConfig {
 	return &cliConfig{
-		Trials:         1000,
-		Seed:           1,
-		ECC:            true,
-		Compute:        64,
-		ConvergeCutoff: true,
-		Quantum:        duration(50 * time.Microsecond),
-		Poll:           duration(shard.DefaultPoll),
-		LeaseTTL:       duration(shard.DefaultLeaseTTL),
-		CIOutcome:      "fail-silent",
+		Trials:    1000,
+		Seed:      1,
+		ECC:       true,
+		Compute:   64,
+		Quantum:   duration(50 * time.Microsecond),
+		Poll:      duration(shard.DefaultPoll),
+		LeaseTTL:  duration(shard.DefaultLeaseTTL),
+		CIOutcome: "fail-silent",
 	}
 }
 
@@ -137,7 +136,6 @@ func (c *cliConfig) register(fs *flag.FlagSet) {
 
 	fs.Var(&c.SnapshotInterval, "snapshot-interval", "fork checkpoint spacing (0 = default 250µs, or the workload's hint when finer)")
 	fs.BoolVar(&c.SnapshotStats, "snapshot-stats", c.SnapshotStats, "report the fork engine's checkpoint-store traffic (delta vs full-image bytes, pages copied/restored)")
-	fs.BoolVar(&c.ConvergeCutoff, "converge-cutoff", c.ConvergeCutoff, "stop a forked trial early once its state digest reconverges with the golden run (classification-only campaigns)")
 
 	fs.BoolVar(&c.Derive, "derive", c.Derive, "also derive model parameters and print the headline comparison")
 	fs.BoolVar(&c.Digest, "digest", c.Digest, "print the campaign result digest (bit-identical across -parallel values and sharded runs)")
@@ -225,7 +223,7 @@ var modeFlags = map[string]map[string]bool{
 	"submit": {
 		"submit": true, "poll": true, "progress": true, "digest": true,
 		"trials": true, "seed": true, "ecc": true, "compute": true, "targets": true,
-		"lease-size": true, "snapshot-interval": true, "converge-cutoff": true,
+		"lease-size": true, "snapshot-interval": true,
 	},
 }
 
@@ -290,7 +288,7 @@ func (c *cliConfig) Validate(set map[string]bool) error {
 	}
 	if c.Adaptive {
 		for _, name := range []string{"trials", "quantum", "digest", "derive",
-			"metrics-out", "trace-out", "snapshot-stats", "converge-cutoff"} {
+			"metrics-out", "trace-out", "snapshot-stats"} {
 			if set[name] {
 				return fmt.Errorf("-%s conflicts with -adaptive", name)
 			}
@@ -319,11 +317,13 @@ func (c *cliConfig) Validate(set map[string]bool) error {
 
 // spec translates the config into the campaign submission wire form.
 func (c *cliConfig) spec() (shard.CampaignSpec, error) {
+	ts, err := fault.ParseTargets(c.Targets)
+	if err != nil {
+		return shard.CampaignSpec{}, err
+	}
 	var targets []string
-	if c.Targets != "" {
-		for _, name := range strings.Split(c.Targets, ",") {
-			targets = append(targets, strings.TrimSpace(name))
-		}
+	for _, t := range ts {
+		targets = append(targets, t.String())
 	}
 	spec := shard.CampaignSpec{
 		Trials:             c.Trials,
@@ -332,7 +332,6 @@ func (c *cliConfig) spec() (shard.CampaignSpec, error) {
 		Compute:            c.Compute,
 		Targets:            targets,
 		SnapshotIntervalNs: int64(c.SnapshotInterval),
-		NoConvergeCutoff:   !c.ConvergeCutoff,
 		LeaseSize:          c.LeaseSize,
 	}
 	return spec, nil

@@ -48,14 +48,20 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsUnknownField: stale config files fail loudly.
+// TestConfigRejectsUnknownField: stale config files — including ones
+// dumped before the convergence-cutoff switch was retired — fail loudly.
 func TestConfigRejectsUnknownField(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cfg.json")
-	if err := os.WriteFile(path, []byte(`{"trials": 5, "warp": 9}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := parseFlags([]string{"-config", path}); err == nil {
-		t.Error("unknown config field accepted")
+	for _, body := range []string{
+		`{"trials": 5, "warp": 9}`,
+		`{"trials": 5, "converge_cutoff": true}`,
+	} {
+		path := filepath.Join(t.TempDir(), "cfg.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := parseFlags([]string{"-config", path}); err == nil {
+			t.Errorf("%s: unknown config field accepted", body)
+		}
 	}
 }
 
@@ -116,7 +122,7 @@ func TestSpecMapping(t *testing.T) {
 	cfg, _, err := parseFlags([]string{
 		"-submit", "http://c", "-trials", "600", "-seed", "7",
 		"-targets", "alu, pc", "-lease-size", "64",
-		"-snapshot-interval", "125us", "-converge-cutoff=false",
+		"-snapshot-interval", "125us",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +137,7 @@ func TestSpecMapping(t *testing.T) {
 	if len(spec.Targets) != 2 || spec.Targets[0] != "alu" || spec.Targets[1] != "pc" {
 		t.Errorf("targets %v", spec.Targets)
 	}
-	if spec.LeaseSize != 64 || spec.SnapshotIntervalNs != 125_000 || !spec.NoConvergeCutoff {
+	if spec.LeaseSize != 64 || spec.SnapshotIntervalNs != 125_000 {
 		t.Errorf("spec %+v", spec)
 	}
 	if err := spec.Validate(); err != nil {

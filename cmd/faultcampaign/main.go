@@ -9,7 +9,6 @@
 //	              [-parallel N] [-cpuprofile file] [-memprofile file] [-progress]
 //	              [-metrics-out file] [-trace-out file] [-digest]
 //	              [-snapshot-interval d] [-snapshot-stats]
-//	              [-converge-cutoff=false]
 //	              [-adaptive] [-strata N] [-ci-width f] [-ci-outcome o] [-max-trials N]
 //	              [-config file] [-dump-config]
 //	faultcampaign -serve addr [-lease-ttl d]
@@ -49,9 +48,11 @@
 // instant instead of re-simulating from t=0 (bit-identical to a
 // from-scratch trial; the test suite pins that against a from-scratch
 // oracle). -snapshot-interval overrides the checkpoint spacing (default
-// 250µs, or the workload's hint when finer), -snapshot-stats reports the
-// checkpoint store's delta-page traffic, and -converge-cutoff=false
-// disables the post-injection early-stop on state-digest convergence.
+// 250µs, or the workload's hint when finer) and -snapshot-stats reports
+// the checkpoint store's delta-page traffic. Campaigns without telemetry
+// also stop a trial early once its state digest reconverges with the
+// golden run's; -metrics-out and -trace-out need every suffix simulated,
+// so they run without that cutoff.
 package main
 
 import (
@@ -60,7 +61,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 
 	nlft "repro"
 	"repro/internal/exhaust"
@@ -178,28 +178,9 @@ func runAdaptive(w nlft.Workload, targets []fault.Target, cfg *cliConfig) error 
 	return nil
 }
 
-func parseTargets(spec string) ([]fault.Target, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	byName := map[string]fault.Target{}
-	for _, t := range fault.AllTargets() {
-		byName[t.String()] = t
-	}
-	var out []fault.Target
-	for _, name := range strings.Split(spec, ",") {
-		t, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("unknown target %q", name)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // run executes the campaign locally in this process.
 func run(cfg *cliConfig) error {
-	targets, err := parseTargets(cfg.Targets)
+	targets, err := fault.ParseTargets(cfg.Targets)
 	if err != nil {
 		return err
 	}
@@ -212,7 +193,6 @@ func run(cfg *cliConfig) error {
 		Telemetry:        cfg.MetricsOut != "",
 		TelemetryEvents:  cfg.TraceOut != "",
 		SnapshotInterval: nlft.Time(cfg.SnapshotInterval),
-		NoConvergeCutoff: !cfg.ConvergeCutoff,
 	}
 	if cfg.Exhaustive {
 		// Exhaustive mode: the campaign runs the full enumerated plan
@@ -263,19 +243,16 @@ func run(cfg *cliConfig) error {
 	}
 
 	if cfg.SnapshotStats {
-		if s := res.Snapshots; s != nil {
-			fmt.Println("\ncheckpoint-store traffic (fork engine):")
-			fmt.Printf("  checkpoints:     %d per worker × %d workers\n", s.Checkpoints, s.Workers)
-			fmt.Printf("  snapshots:       %d captures, %d pages copied (%.1f pages/capture)\n",
-				s.Snapshots, s.PagesCopied, s.MeanPagesPerSnapshot())
-			fmt.Printf("  restores:        %d, %d pages copied back (%.1f pages/restore)\n",
-				s.Restores, s.PagesRestored, s.MeanPagesPerRestore())
-			fmt.Printf("  delta bytes:     %d (full-image equivalent %d, %.1fx less)\n",
-				s.DeltaBytes(), s.FullBytes(),
-				float64(s.FullBytes())/float64(max(s.DeltaBytes(), 1)))
-		} else {
-			fmt.Println("\ncheckpoint-store traffic: n/a (fork engine disabled)")
-		}
+		s := res.Snapshots
+		fmt.Println("\ncheckpoint-store traffic (fork engine):")
+		fmt.Printf("  checkpoints:     %d per worker × %d workers\n", s.Checkpoints, s.Workers)
+		fmt.Printf("  snapshots:       %d captures, %d pages copied (%.1f pages/capture)\n",
+			s.Snapshots, s.PagesCopied, s.MeanPagesPerSnapshot())
+		fmt.Printf("  restores:        %d, %d pages copied back (%.1f pages/restore)\n",
+			s.Restores, s.PagesRestored, s.MeanPagesPerRestore())
+		fmt.Printf("  delta bytes:     %d (full-image equivalent %d, %.1fx less)\n",
+			s.DeltaBytes(), s.FullBytes(),
+			float64(s.FullBytes())/float64(max(s.DeltaBytes(), 1)))
 	}
 
 	if res.Metrics != nil {

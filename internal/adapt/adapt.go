@@ -68,11 +68,6 @@ type Config struct {
 	// 512. Smaller rounds adapt faster; larger rounds amortize the
 	// barrier.
 	RoundSize int
-	// MinPerStratum is the cumulative per-stratum trial floor: any
-	// stratum (including fresh split children) is topped up to this
-	// many total trials before a round's Neyman shares are assigned,
-	// so no stratum's estimate rests on nothing. Default 4.
-	MinPerStratum int
 	// MaxTrials caps the sampled trial count. Default 100000.
 	MaxTrials int
 	// CIWidth, when positive, stops the campaign once the 95% CI for
@@ -86,9 +81,6 @@ type Config struct {
 	// Parallelism is the number of worker goroutines. Default (0) is
 	// runtime.GOMAXPROCS(0). Results are bit-identical for any value.
 	Parallelism int
-	// NoSplit disables adaptive stratum refinement, leaving the base
-	// (target × bucket) grid fixed.
-	NoSplit bool
 	// SnapshotInterval is the fork checkpoint spacing (0 = the campaign
 	// default; see internal/fault).
 	SnapshotInterval des.Time
@@ -122,9 +114,6 @@ func (c *Config) applyDefaults(w fault.Workload) {
 	}
 	if c.RoundSize == 0 {
 		c.RoundSize = 512
-	}
-	if c.MinPerStratum == 0 {
-		c.MinPerStratum = 4
 	}
 	if c.MaxTrials == 0 {
 		c.MaxTrials = 100000

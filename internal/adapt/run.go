@@ -109,16 +109,14 @@ func Run(w fault.Workload, cfg Config) (*Result, error) {
 		case e.total >= cfg.MaxTrials:
 			stop = "max-trials"
 		default:
-			if !cfg.NoSplit {
-				e.refine()
-			}
+			e.refine()
 		}
 	}
 	return e.result(stop), nil
 }
 
 // allocate distributes size trials over the strata: any stratum still
-// below the cumulative MinPerStratum floor (including fresh split
+// below the cumulative minPerStratum floor (including fresh split
 // children) is topped up first, in index order, and the remainder
 // follows the Neyman scores by largest-remainder apportionment. The
 // floor is cumulative, not per round — a stratum whose tally has
@@ -137,7 +135,7 @@ func (e *engine) allocate(size int) []int {
 	}
 	rem := size
 	for i, s := range e.strata {
-		if d := e.cfg.MinPerStratum - s.trials(); d > 0 {
+		if d := minPerStratum - s.trials(); d > 0 {
 			if d > rem {
 				d = rem
 			}
@@ -266,7 +264,7 @@ func (e *engine) refine() {
 		if scores[i] > splitFactor*mean &&
 			s.level < maxSplitLevel &&
 			s.end-s.start >= 2 &&
-			s.trials() >= 2*e.cfg.MinPerStratum {
+			s.trials() >= 2*minPerStratum {
 			cands = append(cands, candidate{si: i, score: scores[i]})
 		}
 	}

@@ -118,8 +118,13 @@ func (s *stratum) score(outcome fault.Outcome) float64 {
 	return s.weight * math.Sqrt(p*(1-p))
 }
 
-// Splitting policy.
+// Allocation and splitting policy.
 const (
+	// minPerStratum is the cumulative per-stratum trial floor: any
+	// stratum (including fresh split children) is topped up to this
+	// many total trials before a round's Neyman shares are assigned,
+	// so no stratum's estimate rests on nothing.
+	minPerStratum = 4
 	// splitFactor is the multiple of the mean Neyman score a stratum
 	// must exceed to be split. The variance signal behind a localized
 	// rare outcome is damped by the Laplace smoothing (a hot stratum's

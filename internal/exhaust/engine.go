@@ -38,8 +38,8 @@ import (
 // memoKey identifies a reached state: checkpoint boundary index plus
 // the forward digest there. Digest collisions across distinct states
 // are possible in principle (64-bit FNV-1a); the differential suite
-// pins dedup-on against dedup-off and fork-off to keep that theoretical
-// risk regression-tested.
+// pins the engine against the from-scratch oracle to keep that
+// theoretical risk regression-tested.
 type memoKey struct {
 	b      int
 	digest uint64
@@ -93,7 +93,6 @@ type worker struct {
 	recs     []fault.TrialRecord
 	viols    [][]Violation
 	progress func()
-	noDedup  bool
 	visited  map[memoKey]*suffixMemo
 
 	// memo is the current placement's memo hit, set by Boundary.
@@ -116,16 +115,24 @@ type worker struct {
 }
 
 // newWorker builds a fork session (with full event streams) and the
-// bound callback. Records and violations land in recs and viols at
-// their placement index.
+// bound callback. It also checks the fault-free baseline the verifier's
+// guarantees are stated against: the session's golden event stream
+// keeps the TEM invariants and omits no critical release. Records and
+// violations land in recs and viols at their placement index.
 func newWorker(w fault.Workload, cfg *Config, faults []fault.Fault,
 	recs []fault.TrialRecord, viols [][]Violation, progress func()) (*worker, error) {
 	s, err := fault.NewForkSession(w, cfg.SnapshotInterval, true)
 	if err != nil {
 		return nil, err
 	}
+	if vs := obs.CheckInvariants(s.GoldenEvents()); len(vs) > 0 {
+		return nil, fmt.Errorf("exhaust: golden run violates TEM invariants: %v", vs[0])
+	}
+	if vs := obs.CheckNoCriticalOmission(s.GoldenEvents()); len(vs) > 0 {
+		return nil, fmt.Errorf("exhaust: golden run omitted a critical release: %v", vs[0])
+	}
 	wk := &worker{s: s, faults: faults, recs: recs, viols: viols, progress: progress,
-		noDedup: cfg.NoDedup, visited: make(map[memoKey]*suffixMemo)}
+		visited: make(map[memoKey]*suffixMemo)}
 	wk.collectFn = func(m string, n uint64) { wk.collectMech(m, n) }
 	wk.stats.Checkpoints = s.Checkpoints()
 	return wk, nil
@@ -176,9 +183,6 @@ func (wk *worker) collectMech(name string, n uint64) {
 //
 //nlft:noalloc
 func (wk *worker) Boundary(b int, d uint64) bool {
-	if wk.noDedup {
-		return false
-	}
 	if m, ok := wk.visited[memoKey{b: b, digest: d}]; ok {
 		wk.memo = m
 		return true
@@ -261,23 +265,21 @@ func (wk *worker) finalize(i int, end fault.TrialEnd) (fault.TrialRecord, []Viol
 
 	viols := checkPlacement(i, f, wk.finalEvents, rec.Outcome, omissions)
 
-	if !wk.noDedup {
-		for _, mk := range wk.marks {
-			key := memoKey{b: mk.b, digest: mk.digest}
-			if _, ok := wk.visited[key]; ok {
-				continue
-			}
-			wk.visited[key] = &suffixMemo{
-				writes:     append([]fault.Write(nil), wk.finalWrites[mk.writesLen:]...),
-				events:     append([]obs.Event(nil), wk.finalEvents[mk.eventsLen:]...),
-				dOmissions: omissions - mk.omissions,
-				dMasked:    masked - mk.masked,
-				dECC:       ecc - mk.ecc,
-				mechs:      subCounts(wk.endMechs, wk.mechArena[mk.mechOff:mk.mechOff+mk.mechLen]),
-				failedEnd:  failed,
-			}
-			wk.stats.Memos++
+	for _, mk := range wk.marks {
+		key := memoKey{b: mk.b, digest: mk.digest}
+		if _, ok := wk.visited[key]; ok {
+			continue
 		}
+		wk.visited[key] = &suffixMemo{
+			writes:     append([]fault.Write(nil), wk.finalWrites[mk.writesLen:]...),
+			events:     append([]obs.Event(nil), wk.finalEvents[mk.eventsLen:]...),
+			dOmissions: omissions - mk.omissions,
+			dMasked:    masked - mk.masked,
+			dECC:       ecc - mk.ecc,
+			mechs:      subCounts(wk.endMechs, wk.mechArena[mk.mechOff:mk.mechOff+mk.mechLen]),
+			failedEnd:  failed,
+		}
+		wk.stats.Memos++
 	}
 	return rec, viols
 }

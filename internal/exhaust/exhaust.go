@@ -36,7 +36,7 @@
 //
 // Outcome data (Records, Counts, ByTarget, ByMechanism, Violations,
 // and the certificate digest) is bit-identical at any worker count and
-// with the cutoffs on or off; only EngineStats (how much work each
+// to the from-scratch reference; only EngineStats (how much work each
 // cutoff saved) varies with scheduling.
 package exhaust
 
@@ -72,9 +72,6 @@ type Config struct {
 	// SnapshotInterval is the fork checkpoint spacing (0 = the campaign
 	// engine's default).
 	SnapshotInterval des.Time
-	// NoDedup disables the visited-digest memo table (golden
-	// convergence still applies). Results are identical either way.
-	NoDedup bool
 	// Label tags the coverage certificate.
 	Label string
 	// OnProgress, when set, is called after every settled placement.
@@ -183,37 +180,6 @@ func VerifyFaults(w fault.Workload, cfg Config, faults []fault.Fault) (*Result, 
 	return run(w, &cfg, faults, nil)
 }
 
-// goldenObserved runs the workload fault-free with a full event stream
-// and validates the fault-free invariants the verifier's guarantees are
-// stated against.
-func goldenObserved(w fault.Workload) ([]fault.Write, []obs.Event, error) {
-	col, err := fullTrace(w)
-	if err != nil {
-		return nil, nil, err
-	}
-	inst, err := w.(fault.ObservableWorkload).NewObserved(col)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := inst.Sim.RunUntil(w.Horizon()); err != nil {
-		return nil, nil, err
-	}
-	if failed, reason := inst.Kernel.Failed(); failed {
-		return nil, nil, fmt.Errorf("exhaust: golden run failed silent: %s", reason)
-	}
-	if inst.Rec.Omissions > 0 {
-		return nil, nil, fmt.Errorf("exhaust: golden run had omissions; workload unschedulable")
-	}
-	events := col.Events()
-	if vs := obs.CheckInvariants(events); len(vs) > 0 {
-		return nil, nil, fmt.Errorf("exhaust: golden run violates TEM invariants: %v", vs[0])
-	}
-	if vs := obs.CheckNoCriticalOmission(events); len(vs) > 0 {
-		return nil, nil, fmt.Errorf("exhaust: golden run omitted a critical release: %v", vs[0])
-	}
-	return inst.Rec.Writes, events, nil
-}
-
 // fullTrace builds an uncapped collector for an observable workload.
 func fullTrace(w fault.Workload) (*obs.Collector, error) {
 	if _, ok := w.(fault.ObservableWorkload); !ok {
@@ -230,9 +196,6 @@ func fullTrace(w fault.Workload) (*obs.Collector, error) {
 func run(w fault.Workload, cfg *Config, faults []fault.Fault, space *Space) (*Result, error) {
 	if len(faults) == 0 {
 		return nil, fmt.Errorf("exhaust: empty placement set")
-	}
-	if _, _, err := goldenObserved(w); err != nil {
-		return nil, err
 	}
 	recs := make([]fault.TrialRecord, len(faults))
 	pviols := make([][]Violation, len(faults))

@@ -178,7 +178,7 @@ func TestEngineStatsPinned(t *testing.T) {
 func verifyScratch(t testing.TB, w fault.Workload, cfg Config, faults []fault.Fault, space *Space) *Result {
 	t.Helper()
 	cfg.applyDefaults()
-	golden, _, err := goldenObserved(w)
+	golden, err := fault.GoldenWrites(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +192,11 @@ func verifyScratch(t testing.TB, w fault.Workload, cfg Config, faults []fault.Fa
 	return newResult(&cfg, space, recs, pviols, EngineStats{})
 }
 
-// TestVerifyDifferential pins the tentpole's determinism claim: outcome
+// TestVerifyDifferential pins the verifier's determinism claim: outcome
 // data — per-placement records, tallies, violations, and the
-// certificate digest — is bit-identical at any worker count, with the
-// visited-digest dedup on or off, and on the from-scratch reference
-// path with no fork engine at all. Only EngineStats may differ.
+// certificate digest — is bit-identical at any worker count and
+// checkpoint spacing, and on the from-scratch reference path with no
+// fork engine, cutoff or memo at all. Only EngineStats may differ.
 func TestVerifyDifferential(t *testing.T) {
 	w := fault.NewStdWorkload(fault.StdWorkloadConfig{Periods: 3, Compute: 16})
 	base := tinyConfig()
@@ -209,7 +209,6 @@ func TestVerifyDifferential(t *testing.T) {
 		{"workers-1", func() Config { c := base; c.Parallelism = 1; return c }, false},
 		{"workers-4", func() Config { c := base; c.Parallelism = 4; return c }, false},
 		{"workers-max", func() Config { c := base; c.Parallelism = runtime.GOMAXPROCS(0); return c }, false},
-		{"no-dedup", func() Config { c := base; c.Parallelism = 4; c.NoDedup = true; return c }, false},
 		{"odd-interval", func() Config {
 			c := base
 			c.Parallelism = 2

@@ -76,16 +76,11 @@ type CampaignConfig struct {
 	// capture copies only the pages dirtied since the last one — so a
 	// fine default spacing shortens every trial's replayed suffix. The
 	// spacing is widened if needed so a horizon fits in the checkpoint
-	// store (see maxCheckpoints in fork.go).
+	// store (see maxCheckpoints in fork.go). Campaigns without Telemetry
+	// also get the convergence cutoff: a forked trial whose forward
+	// state digest matches the golden run's at a checkpoint boundary
+	// after the injection is classified without simulating its suffix.
 	SnapshotInterval des.Time
-	// NoConvergeCutoff disables the fork engine's convergence cutoff.
-	// When active (the default — but only for campaigns without
-	// Telemetry, whose suffix metrics and events cannot be skipped), a
-	// forked trial compares its forward state digest against the golden
-	// run's at checkpoint boundaries after the injection; on a match the
-	// remaining suffix is provably identical to the golden run's and the
-	// trial is classified without simulating it.
-	NoConvergeCutoff bool
 }
 
 func (c *CampaignConfig) applyDefaults() {
@@ -296,15 +291,16 @@ func recordTrialMetrics(col *obs.Collector, rec *TrialRecord) {
 	}
 }
 
-// Run executes the campaign on the workload: the golden run, the range
-// executor over trials [0, Trials), then FinalizeSharded. Each trial
-// draws from its own RNG stream derived from (Seed, trial index), so the
-// result is bit-identical whatever the worker count. Campaign phases
-// (golden run, trials, merge) are labeled with pprof labels, so
-// -cpuprofile output attributes time per phase.
+// Run executes the campaign on the workload: slot 0's fork session
+// (whose capture run is the golden run), the range executor over trials
+// [0, Trials), then FinalizeSharded. Each trial draws from its own RNG
+// stream derived from (Seed, trial index), so the result is
+// bit-identical whatever the worker count. Campaign phases (golden run,
+// trials, merge) are labeled with pprof labels, so -cpuprofile output
+// attributes time per phase.
 func Run(w Workload, cfg CampaignConfig) (*Result, error) {
 	cfg.applyDefaults()
-	r, goldenEvents, err := newRunner(w, cfg)
+	r, err := newRunner(w, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +310,7 @@ func Run(w Workload, cfg CampaignConfig) (*Result, error) {
 	}
 	var res *Result
 	pprof.Do(context.Background(), pprof.Labels("campaign-phase", "merge"), func(context.Context) {
-		res, err = FinalizeSharded(cfg, r.golden, records, metrics)
+		res, err = FinalizeSharded(cfg, r.Golden(), records, metrics)
 		if err != nil {
 			return
 		}
@@ -328,27 +324,43 @@ func Run(w Workload, cfg CampaignConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.GoldenEvents = goldenEvents
+	res.GoldenEvents = r.slots[0].GoldenEvents()
 	res.Snapshots = r.snapshotStats()
 	return res, nil
 }
 
-// goldenRun executes the workload fault-free.
+// goldenRun executes the workload fault-free on a fresh instance with no
+// checkpoints. No engine runs it: every engine's golden run is its fork
+// session's capture run (newForkSession), and goldenRun is the
+// reference GoldenWrites exposes to the from-scratch oracle.
 func goldenRun(w Workload, col *obs.Collector) ([]Write, error) {
 	inst, err := newInstance(w, col)
 	if err != nil {
 		return nil, err
 	}
 	if err := inst.Sim.RunUntil(w.Horizon()); err != nil {
+		return nil, fmt.Errorf("fault: golden run: %w", err)
+	}
+	if err := checkGolden(inst); err != nil {
 		return nil, err
 	}
+	return inst.Rec.Writes, nil
+}
+
+// checkGolden validates a finished fault-free run: the node must not
+// have failed silent, no release may have been omitted, and it must
+// have produced output.
+func checkGolden(inst *Instance) error {
 	if failed, reason := inst.Kernel.Failed(); failed {
-		return nil, fmt.Errorf("fault: golden run failed silent: %s", reason)
+		return fmt.Errorf("fault: golden run failed silent: %s", reason)
 	}
 	if inst.Rec.Omissions > 0 {
-		return nil, fmt.Errorf("fault: golden run had omissions; workload unschedulable")
+		return fmt.Errorf("fault: golden run had omissions; workload unschedulable")
 	}
-	return inst.Rec.Writes, nil
+	if len(inst.Rec.Writes) == 0 {
+		return fmt.Errorf("fault: golden run produced no outputs; workload broken")
+	}
+	return nil
 }
 
 // drawFault picks a random fault within the workload's windows. The

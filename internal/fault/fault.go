@@ -11,6 +11,7 @@ package fault
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/des"
 )
@@ -63,6 +64,33 @@ const NumTargets = int(TargetMemoryCode)
 func AllTargets() []Target {
 	return []Target{TargetRegister, TargetPC, TargetSP, TargetALU,
 		TargetMemoryData, TargetMemoryCode}
+}
+
+// ParseTargets parses a comma-separated list of target names (as
+// Target.String renders them; whitespace around a name is ignored). A
+// blank list means the default, all targets, and returns nil; an empty
+// item or an unknown name is an error.
+func ParseTargets(list string) ([]Target, error) {
+	if strings.TrimSpace(list) == "" {
+		return nil, nil
+	}
+	var out []Target
+	for _, item := range strings.Split(list, ",") {
+		name := strings.TrimSpace(item)
+		if name == "" {
+			return nil, fmt.Errorf("fault: empty target name in %q", list)
+		}
+		n := len(out)
+		for _, t := range AllTargets() {
+			if t.String() == name {
+				out = append(out, t)
+			}
+		}
+		if len(out) == n {
+			return nil, fmt.Errorf("fault: unknown target %q", name)
+		}
+	}
+	return out, nil
 }
 
 // Fault is a single transient fault to inject.

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -260,6 +261,45 @@ func BenchmarkCampaignTrial(b *testing.B) {
 		plan := planForTrial(w, &cfg, i)
 		if _, _, err := runTrial(w, plan, golden, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestParseTargets pins the one target-list grammar every front end
+// shares: comma-separated Target.String names, whitespace ignored, a
+// blank list meaning all targets, empty items and unknown names
+// rejected.
+func TestParseTargets(t *testing.T) {
+	cases := []struct {
+		list string
+		want []Target
+		err  string // error substring; "" = must parse
+	}{
+		{"", nil, ""},
+		{"   ", nil, ""},
+		{"alu", []Target{TargetALU}, ""},
+		{"alu,pc", []Target{TargetALU, TargetPC}, ""},
+		{" register , mem-data ,mem-code", []Target{TargetRegister, TargetMemoryData, TargetMemoryCode}, ""},
+		{"sp,sp", []Target{TargetSP, TargetSP}, ""},
+		{"alu,", nil, "empty target"},
+		{",alu", nil, "empty target"},
+		{"alu,,pc", nil, "empty target"},
+		{"alu, ,pc", nil, "empty target"},
+		{",", nil, "empty target"},
+		{"warp-core", nil, "unknown target \"warp-core\""},
+		{"alu,PC", nil, "unknown target \"PC\""},
+		{"mem data", nil, "unknown target"},
+	}
+	for _, tc := range cases {
+		got, err := ParseTargets(tc.list)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("ParseTargets(%q) = %v, %v; want error containing %q", tc.list, got, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseTargets(%q) = %v, %v; want %v", tc.list, got, err, tc.want)
 		}
 	}
 }

@@ -47,8 +47,9 @@ package fault
 //     (which differs from a from-scratch trial's) can never influence
 //     tie-breaking.
 //
-// The convergence cutoff (optional; metrics-free campaigns only) and
-// the boundary hook are documented on checkBoundary below.
+// The convergence cutoff (on exactly when the trial carries no
+// collector) and the boundary hook are documented on checkBoundary
+// below.
 
 import (
 	"errors"
@@ -265,19 +266,20 @@ type BoundaryHook interface {
 	Boundary(b int, d uint64) bool
 }
 
-// forkWorker is the one forked-trial core every engine runs: fault.Run
-// and ShardRunner through the range executor, the adaptive engine and
-// the exhaustive verifier through ForkSession. It owns one instance and
-// its checkpoint store; the injection and boundary-check callbacks are
-// closures created once that read the current-trial fields, so the
-// per-trial loop schedules events without allocating closures.
+// forkWorker is the one forked-trial core every engine runs, each
+// through a ForkSession (built by newForkSession, the only
+// constructor). It owns one instance and its checkpoint store; the
+// injection and boundary-check callbacks are closures created once that
+// read the current-trial fields, so the per-trial loop schedules events
+// without allocating closures. The convergence cutoff is on exactly
+// when the instance carries no collector: a collector's suffix metrics
+// and events cannot be skipped.
 type forkWorker struct {
 	inst    *Instance
 	col     *obs.Collector
 	cs      *checkpointStore
 	golden  []Write
 	horizon des.Time
-	cutoff  bool
 
 	// Current-trial state read by the bound callbacks.
 	plan             trialPlan
@@ -292,34 +294,6 @@ type forkWorker struct {
 	checkFn  func()
 	splice   []Write
 	mechs    []string
-}
-
-// newForkWorker binds the core to an instance and its checkpoint store.
-// cutoff arms the golden-convergence check for hook-free trials.
-func newForkWorker(inst *Instance, col *obs.Collector, cs *checkpointStore,
-	golden []Write, horizon des.Time, cutoff bool) *forkWorker {
-	fw := &forkWorker{inst: inst, col: col, cs: cs, golden: golden,
-		horizon: horizon, cutoff: cutoff}
-	fw.injectFn = func() { fw.inject() }
-	fw.checkFn = func() { fw.checkBoundary() }
-	return fw
-}
-
-// captureForkWorker builds a campaign worker: a fresh instance, its
-// golden-prefix checkpoints at the campaign's spacing, and the core.
-// The convergence cutoff is on unless disabled or telemetry is
-// collected (suffix metrics and events cannot be skipped).
-func captureForkWorker(w Workload, cfg *CampaignConfig, col *obs.Collector, golden []Write) (*forkWorker, error) {
-	inst, err := newInstance(w, col)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := captureCheckpoints(inst, col, resolveForkInterval(w, cfg), w.Horizon())
-	if err != nil {
-		return nil, err
-	}
-	return newForkWorker(inst, col, cs, golden, w.Horizon(),
-		!cfg.NoConvergeCutoff && !cfg.Telemetry), nil
 }
 
 // inject applies the current trial's fault — the same decision tree as
@@ -380,8 +354,9 @@ func (fw *forkWorker) checkBoundary() {
 
 // run executes one forked trial up to its end: restore the fork base,
 // swap the phantom for the real injection, arm the boundary check (when
-// the cutoff is on or a hook is given), and run to the horizon or to a
-// boundary that ends the trial. The instance is left in its stop state.
+// the instance has no collector, so the cutoff is on, or a hook is
+// given), and run to the horizon or to a boundary that ends the trial.
+// The instance is left in its stop state.
 func (fw *forkWorker) run(plan trialPlan, hook BoundaryHook) error {
 	fw.inst.Restore(fw.cs.states[plan.ckpt], fw.col)
 	fw.inst.Sim.Cancel(fw.cs.phantom)
@@ -394,7 +369,7 @@ func (fw *forkWorker) run(plan trialPlan, hook BoundaryHook) error {
 	fw.hooked = false
 	fw.inst.Sim.Schedule(plan.fault.At, des.PrioInject, fw.injectFn)
 
-	if fw.cutoff || hook != nil {
+	if fw.col == nil || hook != nil {
 		fw.nextCheck = len(fw.cs.states)
 		for b := plan.ckpt + 1; b < len(fw.cs.states); b++ {
 			if fw.cs.states[b].at > plan.fault.At {

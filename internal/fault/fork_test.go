@@ -17,7 +17,6 @@ var forkEquivCases = []struct {
 }{
 	{"classify", CampaignConfig{Trials: 64, Seed: 7}},
 	{"classify-parallel", CampaignConfig{Trials: 64, Seed: 7, Parallelism: 3}},
-	{"classify-no-cutoff", CampaignConfig{Trials: 64, Seed: 7, NoConvergeCutoff: true}},
 	{"classify-odd-interval", CampaignConfig{Trials: 64, Seed: 7,
 		SnapshotInterval: 300 * des.Microsecond}},
 	{"metrics", CampaignConfig{Trials: 48, Seed: 11, Telemetry: true, Parallelism: 2}},

@@ -28,9 +28,10 @@ func inCopy(s *ForkSession, k int) bool {
 // TestDeadContextCutoffDifferential: with boundaries every ~2 µs, many
 // land inside task copies (live context) and many in idle time (dead
 // context). A register/PC/SP-only planned campaign aimed just before
-// both kinds of boundary must produce identical records with the
-// convergence cutoff on and off — the dead-context rule may only end a
-// trial early, never change its outcome. Every in-copy boundary must
+// both kinds of boundary runs with the convergence cutoff on, and every
+// record must equal the from-scratch oracle's (ScratchTrial, no
+// cutoff) — the dead-context rule may only end a trial early, never
+// change its outcome. Every in-copy boundary must
 // fold its live context; the kernel's TestForwardDigestDeadContext
 // covers a live context parked at a pending event, which this
 // single-task workload never reaches at a quiescent boundary.
@@ -76,20 +77,21 @@ func TestDeadContextCutoffDifferential(t *testing.T) {
 	add(busy, min(48, len(busy)))
 	add(idle, 48)
 
-	cfg := CampaignConfig{Plan: plan, SnapshotInterval: interval, Parallelism: 1}
-	got, err := Run(w, cfg)
+	got, err := Run(w, CampaignConfig{Plan: plan, SnapshotInterval: interval, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.NoConvergeCutoff = true
-	want, err := Run(w, cfg)
+	golden, err := GoldenWrites(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Trials {
-		if !reflect.DeepEqual(got.Trials[i], want.Trials[i]) {
-			t.Fatalf("trial %d (%v): cutoff %+v, no cutoff %+v",
-				i, plan[i], got.Trials[i], want.Trials[i])
+	for i, f := range plan {
+		want, _, err := ScratchTrial(w, TrialSpec{Fault: f}, golden, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Trials[i], want) {
+			t.Fatalf("trial %d (%v): cutoff %+v, scratch %+v", i, f, got.Trials[i], want)
 		}
 	}
 	t.Logf("%d in-copy (live) / %d idle boundaries; %d planned trials agree",

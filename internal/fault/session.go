@@ -1,12 +1,13 @@
 package fault
 
-// ForkSession exposes the campaign engine's trial core to the adaptive
-// engine (internal/adapt) and the exhaustive verifier
-// (internal/exhaust): one live instance, a golden-prefix checkpoint
-// store captured with the campaign's exact phantom-injection queue
-// geometry, the finished golden run's writes and event stream so
-// converged suffixes can be spliced instead of simulated, and the fork
-// core itself (RunTrial, RunHooked). The soundness argument in fork.go
+// ForkSession is every engine's per-slot fork state: fault.Run and
+// ShardRunner hold one per slot, the adaptive engine (internal/adapt)
+// and the exhaustive verifier (internal/exhaust) one per worker. A
+// session is one live instance, a golden-prefix checkpoint store
+// captured with the campaign's exact phantom-injection queue geometry,
+// the finished golden run's writes and event stream so converged
+// suffixes can be spliced instead of simulated, and the fork core
+// itself (RunTrial, RunHooked). The soundness argument in fork.go
 // applies unchanged — a session trial is bit-identical to a
 // from-scratch trial of the same placement.
 
@@ -21,8 +22,8 @@ import (
 type ForkSession struct {
 	// Inst is the live instance every restore rewinds in place.
 	Inst *Instance
-	// Col is the instance's collector (nil unless the session was built
-	// with events); its buffer rewinds with every Restore.
+	// Col is the instance's collector (nil without one); its registry and
+	// event buffer rewind with every Restore.
 	Col *obs.Collector
 
 	// fw is the trial core bound to Inst; its checkpoint store, golden
@@ -31,12 +32,11 @@ type ForkSession struct {
 	goldenEvents []obs.Event
 }
 
-// NewForkSession builds an instance, captures golden-prefix checkpoints
-// at the resolved spacing (interval 0 means the campaign default), and
-// finishes the golden run to the horizon, validating it the way Run
-// does. With withEvents the instance carries a collector with no event
-// cap, so every restore rewinds a complete event stream — the
-// exhaustive verifier checks TEM invariants over full traces.
+// NewForkSession builds a session at the given checkpoint spacing
+// (interval 0 means the campaign default). With withEvents the instance
+// carries a collector with no event cap, so every restore rewinds a
+// complete event stream — the exhaustive verifier checks TEM invariants
+// over full traces.
 func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSession, error) {
 	var col *obs.Collector
 	if withEvents {
@@ -46,6 +46,19 @@ func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSessio
 		col = obs.NewCollector("")
 		col.SetEventLimit(0) // unlimited: invariant checks need full traces
 	}
+	return newForkSession(w, col, interval)
+}
+
+// newForkSession is the one constructor of every engine's fork state:
+// it builds an instance with col attached, captures the golden-prefix
+// checkpoints (interval 0 means the campaign default), and runs the
+// same instance on to the horizon. That capture run is the golden run:
+// its writes and col's event stream are the classification reference,
+// and it is validated here (checkGolden). The phantom injection stays
+// queued at MaxTime throughout, so it never fires; a capture-then-finish
+// run reproduces a plain golden run's writes and events exactly
+// (TestSessionGoldenMatchesGoldenRun).
+func newForkSession(w Workload, col *obs.Collector, interval des.Time) (*ForkSession, error) {
 	inst, err := newInstance(w, col)
 	if err != nil {
 		return nil, err
@@ -59,18 +72,14 @@ func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSessio
 	if err := inst.Sim.RunUntil(horizon); err != nil {
 		return nil, fmt.Errorf("fault: golden run: %w", err)
 	}
-	if failed, reason := inst.Kernel.Failed(); failed {
-		return nil, fmt.Errorf("fault: golden run failed silent: %s", reason)
+	if err := checkGolden(inst); err != nil {
+		return nil, err
 	}
-	if inst.Rec.Omissions > 0 {
-		return nil, fmt.Errorf("fault: golden run had omissions; workload unschedulable")
-	}
-	golden := append([]Write(nil), inst.Rec.Writes...)
-	s := &ForkSession{Inst: inst, Col: col,
-		// Without a collector the convergence cutoff is on; a
-		// collector's suffix events cannot be skipped unless a hook
-		// composes them.
-		fw: newForkWorker(inst, col, cs, golden, horizon, col == nil)}
+	fw := &forkWorker{inst: inst, col: col, cs: cs, horizon: horizon,
+		golden: append([]Write(nil), inst.Rec.Writes...)}
+	fw.injectFn = func() { fw.inject() }
+	fw.checkFn = func() { fw.checkBoundary() }
+	s := &ForkSession{Inst: inst, Col: col, fw: fw}
 	if col != nil {
 		s.goldenEvents = append([]obs.Event(nil), col.Events()...)
 	}
@@ -150,8 +159,8 @@ func (s *ForkSession) plan(spec TrialSpec) trialPlan {
 // RunTrial executes one forked trial of spec on the session's
 // instance: restore the latest sound checkpoint before the fault, swap
 // the phantom for the real injection, run (with the convergence cutoff
-// when the session carries no collector — a collector's suffix events
-// cannot be skipped), and classify. This is the campaign engine's own
+// exactly when the session carries no collector — a collector's suffix
+// metrics and events cannot be skipped), and classify. This is the campaign engine's own
 // trial core (fork.go), so the record is bit-identical to what a
 // campaign trial of the same plan would produce.
 func (s *ForkSession) RunTrial(spec TrialSpec) (TrialRecord, error) {
@@ -184,8 +193,10 @@ func (s *ForkSession) RunHooked(spec TrialSpec, hook BoundaryHook) (TrialEnd, er
 	return TrialEnd{Kernel: s.fw.rec.Kernel, ConvergedAt: s.fw.convergedAt, Hooked: s.fw.hooked}, nil
 }
 
-// GoldenWrites executes the workload fault-free and returns its output
-// sequence — the classification reference for ScratchTrial.
+// GoldenWrites executes the workload fault-free on a fresh instance with
+// no checkpoints and returns its output sequence — the classification
+// reference for ScratchTrial, and the reference a session's golden run
+// is pinned against.
 func GoldenWrites(w Workload) ([]Write, error) { return goldenRun(w, nil) }
 
 // ScratchTrial runs spec as the from-scratch reference trial (runTrial):

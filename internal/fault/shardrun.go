@@ -3,9 +3,9 @@ package fault
 // The range-restricted campaign entry point. fault.Run is one call of
 // it over [0, Trials); the sharded orchestrator (internal/shard) builds
 // one ShardRunner per campaign spec and runs every lease it wins through
-// it: the golden run and the per-slot checkpoint captures are paid once
-// and amortized across leases, so a lease costs only its trials'
-// post-injection suffixes — the same economics the fork engine gives a
+// it: the per-slot fork sessions (slot 0's capture run doubling as the
+// golden run) are paid once and amortized across leases, so a lease
+// costs only its trials' post-injection suffixes — the same economics the fork engine gives a
 // serial campaign.
 //
 // Why a shard is bit-identical to the same index range of a serial
@@ -41,25 +41,27 @@ type ShardResult struct {
 }
 
 // ShardRunner executes arbitrary trial-index ranges of one campaign
-// configuration. Build one per campaign and feed it every lease: the
-// golden run happens at construction and each slot's checkpoint
-// capture on its first lease, so subsequent leases start injecting
-// immediately. Not safe for concurrent Run calls (each lease already
-// fans out over cfg.Parallelism slots internally).
+// configuration. Build one per campaign and feed it every lease: slot
+// 0's fork session — whose capture run is the campaign's golden run —
+// is built at construction and every other slot's on its first range,
+// so subsequent leases start injecting immediately. Not safe for
+// concurrent Run calls (each lease already fans out over
+// cfg.Parallelism slots internally).
 type ShardRunner struct {
-	w      Workload
-	cfg    CampaignConfig
-	golden []Write
-	// slots holds one fork worker per slot, built on the slot's first
-	// range and reused after (restore fully rewinds it).
-	slots []*forkWorker
+	w   Workload
+	cfg CampaignConfig
+	// slots holds one fork session per slot, built on the slot's first
+	// range (slot 0's at construction) and reused after (restore fully
+	// rewinds it).
+	slots []*ForkSession
 }
 
-// NewShardRunner validates the configuration and runs the golden run.
-// Sharded campaigns draw every trial from its (Seed, index) stream, so
-// planned campaigns (cfg.Plan) are rejected; per-trial event streams
-// (cfg.TelemetryEvents) are trial-ordered rather than additive, so
-// they are a serial-only feature and rejected too.
+// NewShardRunner validates the configuration and builds slot 0's fork
+// session, whose capture run is the golden run. Sharded campaigns draw
+// every trial from its (Seed, index) stream, so planned campaigns
+// (cfg.Plan) are rejected; per-trial event streams
+// (cfg.TelemetryEvents) are trial-ordered rather than additive, so they
+// are a serial-only feature and rejected too.
 func NewShardRunner(w Workload, cfg CampaignConfig) (*ShardRunner, error) {
 	if cfg.Plan != nil {
 		return nil, fmt.Errorf("fault: planned campaigns cannot be sharded")
@@ -68,47 +70,49 @@ func NewShardRunner(w Workload, cfg CampaignConfig) (*ShardRunner, error) {
 		return nil, fmt.Errorf("fault: per-trial event streams cannot be sharded; use Telemetry (metrics only)")
 	}
 	cfg.applyDefaults()
-	r, _, err := newRunner(w, cfg)
-	return r, err
+	return newRunner(w, cfg)
 }
 
-// newRunner runs the golden run — recording its event stream when
-// cfg.TelemetryEvents is set — and builds a runner with one slot per
-// unit of cfg.Parallelism. cfg has its defaults applied.
-func newRunner(w Workload, cfg CampaignConfig) (*ShardRunner, []obs.Event, error) {
+// newRunner builds a runner with one slot per unit of cfg.Parallelism,
+// and slot 0's session eagerly: its capture run is the campaign's golden
+// run. cfg has its defaults applied.
+func newRunner(w Workload, cfg CampaignConfig) (*ShardRunner, error) {
 	if w == nil {
-		return nil, nil, fmt.Errorf("fault: nil workload")
+		return nil, fmt.Errorf("fault: nil workload")
 	}
 	if cfg.Trials < 1 {
-		return nil, nil, fmt.Errorf("fault: %d trials", cfg.Trials)
+		return nil, fmt.Errorf("fault: %d trials", cfg.Trials)
 	}
-	var goldenCol *obs.Collector
-	if cfg.TelemetryEvents {
-		goldenCol = newTrialCollector(&cfg)
-	}
-	var golden []Write
+	r := &ShardRunner{w: w, cfg: cfg, slots: make([]*ForkSession, cfg.Parallelism)}
 	var err error
 	pprof.Do(context.Background(), pprof.Labels("campaign-phase", "golden-run"), func(context.Context) {
-		golden, err = goldenRun(w, goldenCol)
+		r.slots[0], err = r.newSlot()
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if len(golden) == 0 {
-		return nil, nil, fmt.Errorf("fault: golden run produced no outputs; workload broken")
+	return r, nil
+}
+
+// newSlot builds one slot's fork session with the campaign's collector:
+// a per-trial one for event streams, a shared metrics-only one for
+// metrics, none (the convergence cutoff on) otherwise.
+func (r *ShardRunner) newSlot() (*ForkSession, error) {
+	var col *obs.Collector
+	switch {
+	case r.cfg.TelemetryEvents:
+		col = newTrialCollector(&r.cfg)
+	case r.cfg.Telemetry:
+		col = newWorkerCollector()
 	}
-	r := &ShardRunner{w: w, cfg: cfg, golden: golden, slots: make([]*forkWorker, cfg.Parallelism)}
-	if goldenCol != nil {
-		return r, goldenCol.Events(), nil
-	}
-	return r, nil, nil
+	return newForkSession(r.w, col, r.cfg.SnapshotInterval)
 }
 
 // Config is the runner's configuration with defaults applied.
 func (r *ShardRunner) Config() CampaignConfig { return r.cfg }
 
 // Golden is the fault-free output sequence.
-func (r *ShardRunner) Golden() []Write { return r.golden }
+func (r *ShardRunner) Golden() []Write { return r.slots[0].Golden() }
 
 // Run executes trials [lo, hi) and returns their records and additive
 // telemetry delta. Any partition of [0, Trials) into Run calls — in any
@@ -143,21 +147,14 @@ func (r *ShardRunner) run(lo, hi int, progress func()) ([]TrialRecord, [][]obs.E
 	accs := make([]*obs.Collector, len(r.slots))
 	err := ExecRange(lo, hi, len(r.slots), func(k int) (RangeSlot, error) {
 		if r.slots[k] == nil {
-			var col *obs.Collector
-			switch {
-			case r.cfg.TelemetryEvents:
-				col = newTrialCollector(&r.cfg)
-			case r.cfg.Telemetry:
-				col = newWorkerCollector()
-			}
-			fw, err := captureForkWorker(r.w, &r.cfg, col, r.golden)
+			sess, err := r.newSlot()
 			if err != nil {
 				return nil, err
 			}
-			r.slots[k] = fw
+			r.slots[k] = sess
 		}
 		s := shared
-		s.fw = r.slots[k]
+		s.fw = r.slots[k].fw
 		if r.cfg.Telemetry {
 			s.acc = newWorkerCollector()
 			accs[k] = s.acc
@@ -229,13 +226,13 @@ func (s *campaignSlot) Run(i int) error {
 // deterministic); the traffic counters add.
 func (r *ShardRunner) snapshotStats() *SnapshotStats {
 	agg := &SnapshotStats{}
-	for _, fw := range r.slots {
-		if fw == nil {
+	for _, sess := range r.slots {
+		if sess == nil {
 			continue
 		}
-		ms := fw.inst.Kernel.Mem()
+		ms := sess.Inst.Kernel.Mem()
 		agg.Workers++
-		agg.Checkpoints = len(fw.cs.states)
+		agg.Checkpoints = sess.Checkpoints()
 		agg.PageBytes = cpu.PageBytes
 		agg.RAMBytes = uint64(ms.SizeBytes())
 		agg.Snapshots += ms.Snap.Snapshots

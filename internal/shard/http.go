@@ -28,7 +28,9 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var spec CampaignSpec
-		if err := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		dec := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes))
+		dec.DisallowUnknownFields() // a misspelt or retired field must not run defaults
+		if err := dec.Decode(&spec); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("shard: bad spec: %w", err))
 			return
 		}

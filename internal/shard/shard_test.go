@@ -484,6 +484,39 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedTrials: the coordinator allocates one record
+// per trial on Submit, so an absurd trial count must be refused by
+// validation before anything is allocated (1<<40 records would abort
+// the process, which no handler can recover from).
+func TestSubmitRejectsOversizedTrials(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{})
+	for _, n := range []int{maxTrials + 1, 1 << 40} {
+		if _, err := c.Submit(CampaignSpec{Trials: n}); err == nil || !strings.Contains(err.Error(), "trials") {
+			t.Errorf("Submit(%d trials): error %v, want a trial-count rejection", n, err)
+		}
+	}
+	if err := (&CampaignSpec{Trials: maxTrials}).Validate(); err != nil {
+		t.Errorf("spec at the trial ceiling rejected: %v", err)
+	}
+}
+
+// TestHandlerRejectsUnknownSpecFields: POST /campaigns decodes strictly,
+// so a retired or misspelt field is a 400 rather than a campaign run
+// with that knob silently at its default.
+func TestHandlerRejectsUnknownSpecFields(t *testing.T) {
+	h := NewCoordinator(CoordinatorOptions{}).Handler()
+	for _, body := range []string{
+		`{"trials": 8, "seed": 1, "no_converge_cutoff": true}`,
+		`{"trials": 8, "seed": 1, "lease_sise": 4}`,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaigns", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown field") {
+			t.Errorf("%s: status %d body %q, want 400 naming the unknown field", body, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // TestFrameCodec covers the framing edge cases directly.
 func TestFrameCodec(t *testing.T) {
 	var buf bytes.Buffer

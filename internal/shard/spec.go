@@ -22,10 +22,16 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/des"
 	"repro/internal/fault"
 )
+
+// maxTrials bounds a spec's trial count. The coordinator allocates one
+// record per trial and one span per lease when it accepts a campaign, so
+// an unbounded count would let a single submission exhaust its memory.
+const maxTrials = 1 << 24
 
 // DefaultLeaseSize is the trials-per-lease granule when the spec does
 // not choose one. Small enough that a lost worker forfeits little work
@@ -60,8 +66,6 @@ type CampaignSpec struct {
 	Telemetry bool `json:"telemetry,omitempty"`
 	// SnapshotIntervalNs overrides the fork checkpoint spacing.
 	SnapshotIntervalNs int64 `json:"snapshot_interval_ns,omitempty"`
-	// NoConvergeCutoff disables the post-injection early stop.
-	NoConvergeCutoff bool `json:"no_converge_cutoff,omitempty"`
 
 	// LeaseSize is the trials-per-lease granule (0 = DefaultLeaseSize).
 	LeaseSize int `json:"lease_size,omitempty"`
@@ -69,8 +73,8 @@ type CampaignSpec struct {
 
 // Validate checks the spec without building anything.
 func (s *CampaignSpec) Validate() error {
-	if s.Trials < 1 {
-		return fmt.Errorf("shard: spec needs trials >= 1 (got %d)", s.Trials)
+	if s.Trials < 1 || s.Trials > maxTrials {
+		return fmt.Errorf("shard: spec needs 1 <= trials <= %d (got %d)", maxTrials, s.Trials)
 	}
 	if s.Compute < 0 {
 		return fmt.Errorf("shard: negative compute %d", s.Compute)
@@ -88,24 +92,9 @@ func (s *CampaignSpec) Validate() error {
 	return err
 }
 
-// targets resolves the target names.
+// targets resolves the target names (fault.ParseTargets grammar).
 func (s *CampaignSpec) targets() ([]fault.Target, error) {
-	if len(s.Targets) == 0 {
-		return nil, nil
-	}
-	byName := make(map[string]fault.Target, fault.NumTargets)
-	for _, t := range fault.AllTargets() {
-		byName[t.String()] = t
-	}
-	out := make([]fault.Target, 0, len(s.Targets))
-	for _, name := range s.Targets {
-		t, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("shard: unknown target %q", name)
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	return fault.ParseTargets(strings.Join(s.Targets, ","))
 }
 
 // Workload builds the spec's workload.
@@ -130,7 +119,6 @@ func (s *CampaignSpec) Config(parallelism int) (fault.CampaignConfig, error) {
 		Parallelism:      parallelism,
 		Telemetry:        s.Telemetry,
 		SnapshotInterval: des.Time(s.SnapshotIntervalNs),
-		NoConvergeCutoff: s.NoConvergeCutoff,
 	}, nil
 }
 
