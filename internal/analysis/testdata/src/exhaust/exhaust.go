@@ -1,6 +1,7 @@
-// Fixture for the exhaustive-verifier engine hot loop
-// (internal/exhaust/engine.go): the per-placement path runs once per
-// enumerated fault, so its checker and arena bookkeeping are annotated
+// Fixture for the exhaustive verifier's per-placement hot loop (the
+// fork core's boundary lookup and marks, internal/fault/fork.go and
+// suffix.go): the path runs once per enumerated fault, so its checker
+// and arena bookkeeping are annotated
 // //nlft:noalloc and must grow state with the pooled self-append idiom
 // and re-arm via a bound callback field. The package also sits inside
 // the deterministic-simulation core, so aggregation over maps needs a

@@ -9,35 +9,32 @@
 // same style of exhaustive timed exploration to fault-tolerant
 // systems).
 //
-// The explorer runs on the campaign engine's trial core
-// (fault.ForkSession.RunHooked) and range executor (fault.ExecRange):
-// each placement restores the latest sound golden checkpoint before its
-// injection instant and simulates only the suffix, with exactly the
-// injection, checkpoint selection and boundary checks a sampled trial
-// gets. Two cutoffs bound the work:
+// The explorer runs every placement on the campaign engine's trial
+// core with recording on (fault.ForkSession.Explore), one fork session
+// per slot of the range executor (fault.ExecRange): each placement
+// restores the latest sound golden checkpoint before its injection
+// instant and simulates only the suffix, with exactly the injection,
+// checkpoint selection and boundary lookups a sampled trial gets. The
+// session's suffix table bounds the work. It maps a (boundary, forward
+// digest) state to that state's recorded future, and starts with the
+// golden run's states; every boundary a placement passes without a hit
+// becomes an entry once the placement is composed. A later placement
+// reaching a state in the table has provably the same future —
+// kernel.ForwardDigest folds everything that can influence the
+// remainder of a run — so it ends there, its suffix composed from the
+// entry. See DESIGN.md ("The suffix table").
 //
-//   - Golden convergence (PR 5's cutoff): at checkpoint boundaries
-//     after the injection the placement's forward digest is compared
-//     with the golden run's; equality proves the remaining suffix is
-//     the golden suffix, which is spliced on instead of simulated.
-//
-//   - Visited-digest dedup (the cutoff turned into exhaustive
-//     coverage, plugged into the core as its boundary hook): every
-//     boundary state a placement passes through is recorded as
-//     (boundary, digest) → suffix memo. A later placement reaching the
-//     same digest at the same boundary has provably the same future —
-//     kernel.ForwardDigest folds everything that can influence the
-//     remainder of a run — so its suffix writes, events and counter
-//     deltas are composed from the memo without simulation. See
-//     DESIGN.md ("Digest-dedup soundness").
-//
-// runScratchPlacement is the independent from-scratch reference the
-// differential and fuzz tests pin the engine against.
+// This package keeps only what is the verifier's own: the placement
+// space, the guarantee checks over each composed event stream, the
+// coverage certificate and the EngineStats accounting of how each
+// placement ended. runScratchPlacement is the independent from-scratch
+// reference the differential and fuzz tests pin the engine against.
 //
 // Outcome data (Records, Counts, ByTarget, ByMechanism, Violations,
 // and the certificate digest) is bit-identical at any worker count and
-// to the from-scratch reference; only EngineStats (how much work each
-// cutoff saved) varies with scheduling.
+// to the from-scratch reference; only EngineStats (how much work the
+// table saved) varies with scheduling, because each worker's session
+// keeps its own table.
 package exhaust
 
 import (
@@ -118,20 +115,21 @@ func (v Violation) String() string {
 }
 
 // EngineStats reports how the engine covered the space. Unlike the
-// outcome data, these counters are NOT worker-count-invariant: the memo
-// tables are per-worker, so which placement simulates versus composes
-// from a memo depends on the striding. They are excluded from the
-// certificate digest for exactly that reason.
+// outcome data, these counters are NOT worker-count-invariant: the
+// suffix tables are per-worker, so which placement simulates versus
+// composes from a recorded entry depends on the striding. They are
+// excluded from the certificate digest for exactly that reason.
 type EngineStats struct {
 	// Placements is the enumerated placement count.
 	Placements int
 	// Simulated ran their full post-injection suffix.
 	Simulated int
-	// ConvergedGolden stopped early on a golden-digest match.
+	// ConvergedGolden stopped early on a golden suffix-table entry.
 	ConvergedGolden int
-	// DedupHits stopped early on a visited-digest memo.
+	// DedupHits stopped early on an entry an earlier placement recorded.
 	DedupHits int
-	// Memos is the number of suffix memos retained across workers.
+	// Memos is the number of recorded (non-golden) entries retained
+	// across workers.
 	Memos int
 	// Workers and Checkpoints describe the engine geometry.
 	Workers     int
@@ -216,10 +214,69 @@ func run(w fault.Workload, cfg *Config, faults []fault.Fault, space *Space) (*Re
 		stats.Simulated += s.Simulated
 		stats.ConvergedGolden += s.ConvergedGolden
 		stats.DedupHits += s.DedupHits
-		stats.Memos += s.Memos
-		stats.Checkpoints = max(stats.Checkpoints, s.Checkpoints)
+		stats.Memos += wk.s.RecordedEntries()
+		stats.Checkpoints = max(stats.Checkpoints, wk.s.Checkpoints())
 	}
 	return newResult(cfg, space, recs, pviols, stats), nil
+}
+
+// worker owns one fork session and explores its share of the
+// placements on it; it is the placement range's fault.RangeSlot.
+type worker struct {
+	s        *fault.ForkSession
+	faults   []fault.Fault
+	recs     []fault.TrialRecord
+	viols    [][]Violation
+	progress func()
+	stats    EngineStats
+}
+
+// newWorker builds a fork session with full event streams and checks
+// the fault-free baseline the verifier's guarantees are stated against:
+// the session's golden event stream keeps the TEM invariants and omits
+// no critical release. Records and violations land in recs and viols
+// at their placement index.
+func newWorker(w fault.Workload, cfg *Config, faults []fault.Fault,
+	recs []fault.TrialRecord, viols [][]Violation, progress func()) (*worker, error) {
+	s, err := fault.NewForkSession(w, cfg.SnapshotInterval, true)
+	if err != nil {
+		return nil, err
+	}
+	if vs := obs.CheckInvariants(s.GoldenEvents()); len(vs) > 0 {
+		return nil, fmt.Errorf("exhaust: golden run violates TEM invariants: %v", vs[0])
+	}
+	if vs := obs.CheckNoCriticalOmission(s.GoldenEvents()); len(vs) > 0 {
+		return nil, fmt.Errorf("exhaust: golden run omitted a critical release: %v", vs[0])
+	}
+	return &worker{s: s, faults: faults, recs: recs, viols: viols, progress: progress}, nil
+}
+
+// Base selects placement i's fork base.
+func (wk *worker) Base(i int) int { return wk.s.Select(wk.faults[i].At) }
+
+// Run explores placement i, checks its guarantees over the composed
+// event stream, and files its record and violations.
+func (wk *worker) Run(i int) error {
+	f := wk.faults[i]
+	x, err := wk.s.Explore(fault.TrialSpec{Fault: f})
+	if err != nil {
+		return fmt.Errorf("exhaust: placement %d: %w", i, err)
+	}
+	wk.recs[i] = x.Record
+	wk.viols[i] = checkPlacement(i, f, x.Events, x.Record.Outcome, x.Omissions)
+	wk.stats.Placements++
+	switch x.Suffix {
+	case fault.SuffixGolden:
+		wk.stats.ConvergedGolden++
+	case fault.SuffixRecorded:
+		wk.stats.DedupHits++
+	default:
+		wk.stats.Simulated++
+	}
+	if wk.progress != nil {
+		wk.progress()
+	}
+	return nil
 }
 
 // newResult assembles an exploration's outcome data from its

@@ -475,50 +475,35 @@ func runTrial(w Workload, plan trialPlan, golden []Write, col *obs.Collector) (T
 	if err := inst.Sim.RunUntil(w.Horizon()); err != nil {
 		return TrialRecord{}, nil, err
 	}
-	_, rec.Mechanisms = detectedBy(inst, nil)
-	rec.Outcome = classify(inst, golden, undetectedKernel)
+	rec.Mechanisms = detectedBy(inst)
+	failed, _ := inst.Kernel.Failed()
+	rec.Outcome = classify(failed, inst.Rec.Writes, inst.Rec.Omissions,
+		inst.Rec.MaskedReleases, inst.Kernel.Mem().CorrectedErrors, golden, undetectedKernel)
 	return rec, inst, nil
 }
 
-// detectedBy collects the detection mechanisms that fired on inst —
-// every kernel EDM with a non-zero count, plus "ecc" when the memory
-// corrected an error — sorted, into the reused buffer buf. It returns
-// the buffer and a right-sized copy for a record (nil when none fired).
-func detectedBy(inst *Instance, buf []string) ([]string, []string) {
-	buf = buf[:0]
+// detectedBy lists the detection mechanisms that fired on inst — every
+// kernel EDM with a non-zero count, plus "ecc" when the memory
+// corrected an error — sorted, or nil when none fired.
+func detectedBy(inst *Instance) []string {
+	var out []string
 	//nlft:allow nodeterminism collection order is erased by the sort.Strings below
 	for m, n := range inst.Kernel.Stats().ErrorsDetected {
 		if n > 0 {
-			buf = append(buf, m)
+			out = append(out, m)
 		}
 	}
 	if inst.Kernel.Mem().CorrectedErrors > 0 {
-		buf = append(buf, "ecc")
+		out = append(out, "ecc")
 	}
-	if len(buf) == 0 {
-		return buf, nil
-	}
-	sort.Strings(buf)
-	out := make([]string, len(buf))
-	copy(out, buf)
-	return buf, out
+	sort.Strings(out)
+	return out
 }
 
-// classify maps a finished trial onto the paper's outcome classes,
-// reading the observables off the live instance.
-func classify(inst *Instance, golden []Write, undetectedKernel bool) Outcome {
-	failed, _ := inst.Kernel.Failed()
-	return ClassifyRaw(failed, inst.Rec.Writes, inst.Rec.Omissions,
-		inst.Rec.MaskedReleases, inst.Kernel.Mem().CorrectedErrors,
-		golden, undetectedKernel)
-}
-
-// ClassifyRaw maps one finished trial's composed observables onto the
-// paper's outcome classes. classify is the instance-bound wrapper; the
-// exhaustive verifier calls this form directly because a deduplicated
-// placement's final writes and counters are composed from a memoized
-// suffix rather than read off a live instance.
-func ClassifyRaw(failed bool, writes []Write, omissions, maskedReleases int,
+// classify maps one finished trial's observables onto the paper's
+// outcome classes: read off the live instance by the from-scratch
+// oracle, composed from a suffix-table entry by the fork core.
+func classify(failed bool, writes []Write, omissions, maskedReleases int,
 	eccCorrected uint64, golden []Write, undetectedKernel bool) Outcome {
 	if undetectedKernel {
 		// A non-covered error in the kernel: §3.2.1 pessimistically

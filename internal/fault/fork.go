@@ -47,9 +47,9 @@ package fault
 //     (which differs from a from-scratch trial's) can never influence
 //     tie-breaking.
 //
-// The convergence cutoff (on exactly when the trial carries no
-// collector) and the boundary hook are documented on checkBoundary
-// below.
+// How a trial ends early — a boundary lookup in the worker's suffix
+// table, armed exactly when the trial carries no collector or records —
+// is documented on checkBoundary below and in suffix.go.
 
 import (
 	"errors"
@@ -132,11 +132,11 @@ type InstanceState struct {
 	// phantom).
 	//nlft:snapshot-skip capture metadata read by fork selection, set by Capture not Snapshot
 	at des.Time
-	//nlft:snapshot-skip capture metadata: golden-prefix length consumed by classification, not rewound
+	//nlft:snapshot-skip capture metadata: golden-prefix length that cuts the golden entry's write tail, not rewound
 	writesLen int
-	//nlft:snapshot-skip capture metadata: event-prefix length consumed by classification, not rewound
+	//nlft:snapshot-skip capture metadata: event-prefix length that cuts the golden entry's event tail, not rewound
 	eventsLen int
-	//nlft:snapshot-skip capture metadata set by the convergence probe, compared not rewound
+	//nlft:snapshot-skip capture metadata: keys the golden suffix-table entry, not rewound
 	fwdDigest uint64
 }
 
@@ -253,47 +253,50 @@ func planForTrial(w Workload, cfg *CampaignConfig, trial int) trialPlan {
 	return trialPlan{fault: f, kernelHit: kh, kernelDetected: kd}
 }
 
-// BoundaryHook extends the core's boundary check (see checkBoundary).
-// The exhaustive verifier's visited-digest memo is one: a hook sees
-// every boundary a trial reaches without converging to golden, and may
-// end the trial there.
-type BoundaryHook interface {
-	// Boundary is called at checkpoint boundary b, after the injection,
-	// with the trial's forward digest d there, once d has failed to
-	// match the golden run's. The live instance may be read but not
-	// changed: the hook schedules no events and never calls Sim.Stop.
-	// Returning true ends the trial at b; the core stops the run.
-	Boundary(b int, d uint64) bool
-}
-
 // forkWorker is the one forked-trial core every engine runs, each
 // through a ForkSession (built by newForkSession, the only
-// constructor). It owns one instance and its checkpoint store; the
-// injection and boundary-check callbacks are closures created once that
-// read the current-trial fields, so the per-trial loop schedules events
-// without allocating closures. The convergence cutoff is on exactly
-// when the instance carries no collector: a collector's suffix metrics
-// and events cannot be skipped.
+// constructor). It owns one instance, its checkpoint store and its
+// suffix table (suffix.go); the injection and boundary-check callbacks
+// are closures created once that read the current-trial fields, so the
+// per-trial loop schedules events without allocating closures. The
+// boundary lookup is armed exactly when the instance carries no
+// collector — a collector's suffix metrics and events cannot be
+// skipped — or when the trial records (Explore), whose collector keeps
+// the full event stream the table's event tails are cut from.
 type forkWorker struct {
 	inst    *Instance
 	col     *obs.Collector
 	cs      *checkpointStore
 	golden  []Write
 	horizon des.Time
+	table   map[suffixKey]*suffixEntry
 
 	// Current-trial state read by the bound callbacks.
 	plan             trialPlan
-	hook             BoundaryHook
+	record           bool
 	rec              TrialRecord
 	undetectedKernel bool
-	convergedAt      int // boundary of the golden-digest match; -1 before one
-	hooked           bool
+	hit              *suffixEntry // the entry that ended the trial; nil before one
 	nextCheck        int
 
-	injectFn func()
-	checkFn  func()
-	splice   []Write
-	mechs    []string
+	injectFn  func()
+	checkFn   func()
+	collectFn func(string, uint64)
+
+	// Reused buffers (suffix.go): the trial's marks, the arena of
+	// detection counters they and finish collect, and the trial's
+	// composed full-horizon observables.
+	marks      []mark
+	arena      []mechCount
+	collectOff int
+	writes     []Write
+	events     []obs.Event
+	omissions  int
+	masked     int
+	ecc        uint64
+	failed     bool
+	mechs      []mechCount
+	names      []string
 }
 
 // inject applies the current trial's fault — the same decision tree as
@@ -315,16 +318,14 @@ func (fw *forkWorker) inject() {
 }
 
 // checkBoundary fires at a checkpoint boundary after the injection and
-// compares the trial's forward digest against the golden run's at the
-// same boundary. The digest covers everything that can influence the
-// remainder of the run — the clock, the pending-event multiset, the
-// processor, memory, and all live scheduler/TEM state (see
-// kernel.ForwardDigest) — so equality proves the trial's future is the
-// golden future and the suffix need not be simulated: the trial's
-// outcome is classified from its current counters plus the golden
-// suffix (whose omission/masking/detection deltas are zero, the golden
-// run being fault-free, and whose writes are spliced on). Without a
-// match the boundary hook, if any, may end the trial instead.
+// looks the trial's (boundary, forward digest) up in the suffix table.
+// The digest covers everything that can influence the remainder of the
+// run — the clock, the pending-event multiset, the processor, memory,
+// and all live scheduler/TEM state (see kernel.ForwardDigest) — so a
+// hit proves the trial's future is the entry's recorded future: the
+// trial ends here and finish composes its suffix from the entry. A miss
+// is marked when the trial records, so the entry this trial's own
+// suffix makes can end later trials at this state.
 //
 // The checker is self-rearming: the next boundary's check is scheduled
 // only after the current one completes, so at digest time no checker
@@ -334,42 +335,42 @@ func (fw *forkWorker) inject() {
 // boundary instants; a split slice resumes the same copy with no
 // context-switch overhead and no state change, so outcomes and
 // recorder-visible behaviour are unaffected.
+//
+//nlft:noalloc
 func (fw *forkWorker) checkBoundary() {
-	b := fw.nextCheck
-	d := fw.inst.Kernel.ForwardDigest(des.Event{})
-	switch {
-	case d == fw.cs.states[b].fwdDigest:
-		fw.convergedAt = b
-	case fw.hook != nil && fw.hook.Boundary(b, d):
-		fw.hooked = true
-	default:
-		fw.nextCheck++
-		if fw.nextCheck < len(fw.cs.states) {
-			fw.inst.Sim.Schedule(fw.cs.states[fw.nextCheck].at, des.PrioObserver, fw.checkFn)
-		}
+	key := suffixKey{b: fw.nextCheck, digest: fw.inst.Kernel.ForwardDigest(des.Event{})}
+	if e, ok := fw.table[key]; ok {
+		fw.hit = e
+		fw.inst.Sim.Stop()
 		return
 	}
-	fw.inst.Sim.Stop()
+	if fw.record {
+		fw.mark(key)
+	}
+	fw.nextCheck++
+	if fw.nextCheck < len(fw.cs.states) {
+		fw.inst.Sim.Schedule(fw.cs.states[fw.nextCheck].at, des.PrioObserver, fw.checkFn)
+	}
 }
 
-// run executes one forked trial up to its end: restore the fork base,
-// swap the phantom for the real injection, arm the boundary check (when
-// the instance has no collector, so the cutoff is on, or a hook is
-// given), and run to the horizon or to a boundary that ends the trial.
-// The instance is left in its stop state.
-func (fw *forkWorker) run(plan trialPlan, hook BoundaryHook) error {
+// run executes one forked trial, records marks when record is set, and
+// classifies it: restore the fork base, swap the phantom for the real
+// injection, arm the boundary lookup (see forkWorker), run to the
+// horizon or to a boundary whose state the table holds, and compose.
+func (fw *forkWorker) run(plan trialPlan, record bool) (TrialRecord, error) {
 	fw.inst.Restore(fw.cs.states[plan.ckpt], fw.col)
 	fw.inst.Sim.Cancel(fw.cs.phantom)
 
 	fw.plan = plan
-	fw.hook = hook
+	fw.record = record
 	fw.rec = TrialRecord{Fault: plan.fault}
 	fw.undetectedKernel = false
-	fw.convergedAt = -1
-	fw.hooked = false
+	fw.hit = nil
+	fw.marks = fw.marks[:0]
+	fw.arena = fw.arena[:0]
 	fw.inst.Sim.Schedule(plan.fault.At, des.PrioInject, fw.injectFn)
 
-	if fw.col == nil || hook != nil {
+	if fw.col == nil || record {
 		fw.nextCheck = len(fw.cs.states)
 		for b := plan.ckpt + 1; b < len(fw.cs.states); b++ {
 			if fw.cs.states[b].at > plan.fault.At {
@@ -383,37 +384,7 @@ func (fw *forkWorker) run(plan trialPlan, hook BoundaryHook) error {
 	}
 
 	err := fw.inst.Sim.RunUntil(fw.horizon)
-	if err != nil && !(errors.Is(err, des.ErrStopped) && (fw.convergedAt >= 0 || fw.hooked)) {
-		return err
-	}
-	return nil
-}
-
-// finish attributes mechanisms and classifies the finished trial
-// exactly like runTrial. A converged trial's counters are final: the
-// golden suffix is fault-free, so it contributes no detections (and the
-// digest's memory fold proves no ECC flip was still pending at the
-// cutoff); its writes are completed by splicing on the golden suffix.
-func (fw *forkWorker) finish() TrialRecord {
-	rec := fw.rec
-	fw.mechs, rec.Mechanisms = detectedBy(fw.inst, fw.mechs)
-	if fw.convergedAt < 0 {
-		rec.Outcome = classify(fw.inst, fw.golden, fw.undetectedKernel)
-		return rec
-	}
-	wl := fw.cs.states[fw.convergedAt].writesLen
-	fw.splice = append(fw.splice[:0], fw.inst.Rec.Writes...)
-	fw.splice = append(fw.splice, fw.golden[wl:]...)
-	saved := fw.inst.Rec.Writes
-	fw.inst.Rec.Writes = fw.splice
-	rec.Outcome = classify(fw.inst, fw.golden, fw.undetectedKernel)
-	fw.inst.Rec.Writes = saved
-	return rec
-}
-
-// runTrial executes and classifies one forked trial with no hook.
-func (fw *forkWorker) runTrial(plan trialPlan) (TrialRecord, error) {
-	if err := fw.run(plan, nil); err != nil {
+	if err != nil && !(errors.Is(err, des.ErrStopped) && fw.hit != nil) {
 		return TrialRecord{}, err
 	}
 	return fw.finish(), nil

@@ -15,7 +15,7 @@ import (
 func contextLive(s *ForkSession, k int) bool {
 	s.Restore(k)
 	s.Inst.Kernel.Proc().FlipRegister(6, 7)
-	return s.Digest() != s.GoldenDigest(k)
+	return s.Digest() != s.fw.cs.states[k].fwdDigest
 }
 
 // inCopy reports whether a task copy holds the processor at boundary k

@@ -5,11 +5,10 @@ package fault
 // and the exhaustive verifier (internal/exhaust) one per worker. A
 // session is one live instance, a golden-prefix checkpoint store
 // captured with the campaign's exact phantom-injection queue geometry,
-// the finished golden run's writes and event stream so converged
-// suffixes can be spliced instead of simulated, and the fork core
-// itself (RunTrial, RunHooked). The soundness argument in fork.go
-// applies unchanged — a session trial is bit-identical to a
-// from-scratch trial of the same placement.
+// the finished golden run's writes and event stream, the suffix table
+// they seed (suffix.go), and the fork core itself (RunTrial, Explore).
+// The soundness argument in fork.go applies unchanged — a session
+// trial is bit-identical to a from-scratch trial of the same placement.
 
 import (
 	"fmt"
@@ -27,7 +26,7 @@ type ForkSession struct {
 	Col *obs.Collector
 
 	// fw is the trial core bound to Inst; its checkpoint store, golden
-	// writes and horizon are the session's.
+	// writes, suffix table and horizon are the session's.
 	fw           *forkWorker
 	goldenEvents []obs.Event
 }
@@ -53,10 +52,11 @@ func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSessio
 // it builds an instance with col attached, captures the golden-prefix
 // checkpoints (interval 0 means the campaign default), and runs the
 // same instance on to the horizon. That capture run is the golden run:
-// its writes and col's event stream are the classification reference,
-// and it is validated here (checkGolden). The phantom injection stays
-// queued at MaxTime throughout, so it never fires; a capture-then-finish
-// run reproduces a plain golden run's writes and events exactly
+// its writes and col's event stream are the classification reference
+// and seed the suffix table's golden entries, and it is validated here
+// (checkGolden). The phantom injection stays queued at MaxTime
+// throughout, so it never fires; a capture-then-finish run reproduces a
+// plain golden run's writes and events exactly
 // (TestSessionGoldenMatchesGoldenRun).
 func newForkSession(w Workload, col *obs.Collector, interval des.Time) (*ForkSession, error) {
 	inst, err := newInstance(w, col)
@@ -79,10 +79,12 @@ func newForkSession(w Workload, col *obs.Collector, interval des.Time) (*ForkSes
 		golden: append([]Write(nil), inst.Rec.Writes...)}
 	fw.injectFn = func() { fw.inject() }
 	fw.checkFn = func() { fw.checkBoundary() }
+	fw.collectFn = func(m string, n uint64) { fw.collectMech(m, n) }
 	s := &ForkSession{Inst: inst, Col: col, fw: fw}
 	if col != nil {
 		s.goldenEvents = append([]obs.Event(nil), col.Events()...)
 	}
+	fw.table = seedGolden(cs, fw.golden, s.goldenEvents)
 	return s, nil
 }
 
@@ -91,17 +93,6 @@ func (s *ForkSession) Checkpoints() int { return len(s.fw.cs.states) }
 
 // CheckpointAt is the capture instant of boundary k.
 func (s *ForkSession) CheckpointAt(k int) des.Time { return s.fw.cs.states[k].at }
-
-// GoldenDigest is the golden run's forward digest at boundary k (net of
-// the phantom, so directly comparable with Digest after an injection).
-func (s *ForkSession) GoldenDigest(k int) uint64 { return s.fw.cs.states[k].fwdDigest }
-
-// GoldenWritesLen is the golden write count at boundary k.
-func (s *ForkSession) GoldenWritesLen(k int) int { return s.fw.cs.states[k].writesLen }
-
-// GoldenEventsLen is the golden event count at boundary k (0 without a
-// collector).
-func (s *ForkSession) GoldenEventsLen(k int) int { return s.fw.cs.states[k].eventsLen }
 
 // Select returns the fork base for a fault at the given instant: the
 // latest checkpoint strictly before it whose committed CPU slices all
@@ -120,7 +111,7 @@ func (s *ForkSession) Horizon() des.Time { return s.fw.horizon }
 // Restore rewinds the session's instance (and collector) to checkpoint
 // k and cancels the phantom injection — the state a trial forked from k
 // starts in, for probes that inspect it (trials themselves run through
-// RunTrial or RunHooked, which restore on their own).
+// RunTrial or Explore, which restore on their own).
 //
 //nlft:noalloc
 func (s *ForkSession) Restore(k int) {
@@ -158,40 +149,73 @@ func (s *ForkSession) plan(spec TrialSpec) trialPlan {
 
 // RunTrial executes one forked trial of spec on the session's
 // instance: restore the latest sound checkpoint before the fault, swap
-// the phantom for the real injection, run (with the convergence cutoff
-// exactly when the session carries no collector — a collector's suffix
-// metrics and events cannot be skipped), and classify. This is the campaign engine's own
-// trial core (fork.go), so the record is bit-identical to what a
-// campaign trial of the same plan would produce.
+// the phantom for the real injection, run (ending on a suffix-table
+// entry exactly when the session carries no collector — a collector's
+// suffix metrics and events cannot be skipped), and classify. This is
+// the campaign engine's own trial core (fork.go), so the record is
+// bit-identical to what a campaign trial of the same plan would
+// produce. RunTrial records nothing: the table keeps its golden
+// entries (and any an Explore call added).
 func (s *ForkSession) RunTrial(spec TrialSpec) (TrialRecord, error) {
-	return s.fw.runTrial(s.plan(spec))
+	return s.fw.run(s.plan(spec), false)
 }
 
-// TrialEnd reports how a hooked trial ended (see RunHooked).
-type TrialEnd struct {
-	// Kernel reports that the injection hit kernel execution (the
-	// record's Kernel flag).
-	Kernel bool
-	// ConvergedAt is the boundary at which the trial's forward digest
-	// met the golden run's, or -1 if it never did.
-	ConvergedAt int
-	// Hooked reports that the boundary hook ended the trial.
-	Hooked bool
+// Suffix says where an explored trial's suffix came from.
+type Suffix int
+
+// Suffix sources.
+const (
+	// SuffixSimulated: no table entry matched; the trial ran to the
+	// horizon.
+	SuffixSimulated Suffix = iota
+	// SuffixGolden: the trial reached a golden run's state and took the
+	// golden suffix.
+	SuffixGolden
+	// SuffixRecorded: the trial reached a state an earlier explored
+	// trial recorded and took that trial's suffix.
+	SuffixRecorded
+)
+
+// Explored is one explored trial's full-horizon result. Events aliases
+// a session buffer that the next trial overwrites.
+type Explored struct {
+	// Record is the trial's record, as RunTrial would classify it.
+	Record TrialRecord
+	// Events is the composed full-horizon event stream.
+	Events []obs.Event
+	// Omissions is the composed omission count.
+	Omissions int
+	// Suffix says how the trial ended.
+	Suffix Suffix
 }
 
-// RunHooked executes one forked trial of spec on the trial core with
-// hook consulted at every boundary after the injection that does not
-// converge to golden (see BoundaryHook). The boundary check is armed
-// whatever the session's collector, and the trial is not classified:
-// the instance stays in its stop state for the caller to compose its
-// suffix from the golden run (ConvergedAt >= 0), from what the hook
-// found (Hooked), or from nothing (the trial ran to the horizon).
-func (s *ForkSession) RunHooked(spec TrialSpec, hook BoundaryHook) (TrialEnd, error) {
-	if err := s.fw.run(s.plan(spec), hook); err != nil {
-		return TrialEnd{}, err
+// Explore executes one forked trial of spec with recording on: the
+// boundary lookup is armed whatever the session's collector, every
+// boundary the trial passes without a hit is marked, and once the
+// trial is composed each mark becomes a suffix-table entry, so later
+// trials reaching the same state end there. Event tails are cut from
+// the session's collector, so a session that explores is built with
+// events (NewForkSession's withEvents) — the exhaustive verifier's.
+func (s *ForkSession) Explore(spec TrialSpec) (Explored, error) {
+	rec, err := s.fw.run(s.plan(spec), true)
+	if err != nil {
+		return Explored{}, err
 	}
-	return TrialEnd{Kernel: s.fw.rec.Kernel, ConvergedAt: s.fw.convergedAt, Hooked: s.fw.hooked}, nil
+	x := Explored{Record: rec, Events: s.fw.events, Omissions: s.fw.omissions}
+	switch {
+	case s.fw.hit == nil:
+		x.Suffix = SuffixSimulated
+	case s.fw.hit.golden:
+		x.Suffix = SuffixGolden
+	default:
+		x.Suffix = SuffixRecorded
+	}
+	return x, nil
 }
+
+// RecordedEntries is the number of suffix-table entries explored trials
+// have added (golden entries not counted).
+func (s *ForkSession) RecordedEntries() int { return len(s.fw.table) - len(s.fw.cs.states) }
 
 // GoldenWrites executes the workload fault-free on a fresh instance with
 // no checkpoints and returns its output sequence — the classification

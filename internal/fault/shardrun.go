@@ -11,7 +11,7 @@ package fault
 // Why a shard is bit-identical to the same index range of a serial
 // run: every trial's plan is a pure function of (Seed, trial index)
 // (planForTrial), every trial executes on the same fork core
-// (forkWorker.runTrial), records land at their trial index, the
+// (forkWorker.run), records land at their trial index, the
 // outcome tallies are computed from the records (FinalizeSharded), and
 // the telemetry registry is a commutative sum of per-trial
 // contributions. No part of a trial can observe which process, lease,
@@ -200,7 +200,7 @@ func (s *campaignSlot) Base(i int) int {
 
 // Run executes trial i and files its record, events and metrics.
 func (s *campaignSlot) Run(i int) error {
-	rec, err := s.fw.runTrial(s.plans[i-s.lo])
+	rec, err := s.fw.run(s.plans[i-s.lo], false)
 	if err != nil {
 		return fmt.Errorf("fault: trial %d: %w", i, err)
 	}

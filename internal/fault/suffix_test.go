@@ -1,0 +1,188 @@
+package fault
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/des"
+	"repro/internal/obs"
+)
+
+// endedGolden reports whether the session's last trial ended on a
+// golden entry of its suffix table.
+func endedGolden(s *ForkSession) bool { return s.fw.hit != nil && s.fw.hit.golden }
+
+// campaignSpecs is a campaign's own trial plans as session specs: the
+// (Seed, index) draws fault.Run makes, coins included.
+func campaignSpecs(w Workload, cfg CampaignConfig) []TrialSpec {
+	cfg.applyDefaults()
+	specs := make([]TrialSpec, cfg.Trials)
+	for i := range specs {
+		p := planForTrial(w, &cfg, i)
+		specs[i] = TrialSpec{Fault: p.fault, KernelHit: p.kernelHit, KernelDetected: p.kernelDetected}
+	}
+	return specs
+}
+
+// TestTrialWorkCountersPinned pins the deterministic per-trial work of
+// the fork core on the benchmark's gate workload at seed 1: the
+// checkpoint count, the events fired and the kernel+task cycles summed
+// over every trial's simulated span, and how many trials end on a
+// golden suffix-table entry. The sampled config carries no collector,
+// so the table ends trials early; the telemetry config's metrics
+// collector turns the lookup off and every suffix is simulated. A drift
+// here means trials stop at different boundaries, even when every
+// outcome still agrees. Each trial is measured the way perfbench's layer
+// probe measures it: restore its fork base, read the counters, run it,
+// read them again.
+func TestTrialWorkCountersPinned(t *testing.T) {
+	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
+	cases := []struct {
+		name                   string
+		cfg                    CampaignConfig
+		col                    func() *obs.Collector
+		checkpoints            int
+		fired, cycles, goldens uint64
+	}{
+		{"sampled", CampaignConfig{Trials: 2048, Seed: 1, Parallelism: 1},
+			func() *obs.Collector { return nil }, 34, 25364, 3183049, 1939},
+		{"telemetry", CampaignConfig{Trials: 512, Seed: 1, Parallelism: 1, Telemetry: true},
+			newWorkerCollector, 34, 21008, 4106049, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := newForkSession(w, tc.col(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fired, cycles, goldens uint64
+			for i, spec := range campaignSpecs(w, tc.cfg) {
+				s.Restore(s.Select(spec.Fault.At))
+				f0, st0 := s.Inst.Sim.Fired(), s.Inst.Kernel.Stats()
+				if _, err := s.RunTrial(spec); err != nil {
+					t.Fatalf("trial %d: %v", i, err)
+				}
+				st := s.Inst.Kernel.Stats()
+				fired += s.Inst.Sim.Fired() - f0
+				cycles += st.KernelCycles + st.TaskCycles - st0.KernelCycles - st0.TaskCycles
+				if endedGolden(s) {
+					goldens++
+				}
+			}
+			if s.Checkpoints() != tc.checkpoints || fired != tc.fired || cycles != tc.cycles || goldens != tc.goldens {
+				t.Errorf("checkpoints %d, fired %d, cycles %d, golden ends %d; want %d, %d, %d, %d",
+					s.Checkpoints(), fired, cycles, goldens, tc.checkpoints, tc.fired, tc.cycles, tc.goldens)
+			}
+		})
+	}
+}
+
+// TestSuffixTableRecordedComposition explores a planned ALU and
+// code-memory placement list twice on one recording session: on the
+// gate workload, where ECC corrects the code flips, and without ECC on
+// a deadline too tight for every recovery, where a code flip recurs
+// until the node fails silent. Together they compose every counter
+// delta and the failed state from recorded entries. Every
+// record, composed event stream and omission count, from both passes,
+// must equal the from-scratch oracle's with a full-trace collector —
+// whether the placement was simulated, ended on a golden entry, or was
+// composed from an entry an earlier placement recorded. The second
+// pass finds every placement's first post-injection state already in
+// the table, so each must end there: on the golden entry where the
+// first pass did, on a recorded entry otherwise, and recording nothing
+// new.
+func TestSuffixTableRecordedComposition(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  StdWorkloadConfig
+	}{
+		{"gate", StdWorkloadConfig{ECC: true}},
+		{"no-ecc-tight-deadline", StdWorkloadConfig{Deadline: 35 * des.Microsecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testRecordedComposition(t, NewStdWorkload(tc.cfg)) })
+	}
+}
+
+func testRecordedComposition(t *testing.T, w Workload) {
+	s, err := NewForkSession(w, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := GoldenWrites(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []TrialSpec
+	codeBase, _ := w.CodeRange()
+	last := s.CheckpointAt(s.Checkpoints() - 1)
+	for at := des.Time(0); at < last; at += 130 * des.Microsecond {
+		specs = append(specs,
+			TrialSpec{Fault: Fault{At: at, Target: TargetALU, Mask: 1 << 9}},
+			TrialSpec{Fault: Fault{At: at, Target: TargetMemoryCode, Addr: codeBase + 8, Bit: 5}})
+	}
+	firstBoundary := func(at des.Time) int {
+		b := 1
+		for s.CheckpointAt(b) <= at {
+			b++
+		}
+		return b
+	}
+	explore := func(pass int, spec TrialSpec) Explored {
+		t.Helper()
+		x, err := s.Explore(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := obs.NewCollector("")
+		col.SetEventLimit(0)
+		want, inst, err := ScratchTrial(w, spec, golden, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(x.Record, want) {
+			t.Errorf("pass %d, %v: record %+v, from-scratch %+v", pass, spec.Fault, x.Record, want)
+		}
+		if len(x.Events) != len(col.Events()) || (len(x.Events) > 0 && !reflect.DeepEqual(x.Events, col.Events())) {
+			t.Errorf("pass %d, %v: %d composed events (digest %#x), from-scratch %d (digest %#x)", pass, spec.Fault,
+				len(x.Events), obs.DigestEvents(x.Events), len(col.Events()), obs.DigestEvents(col.Events()))
+		}
+		if x.Omissions != inst.Rec.Omissions {
+			t.Errorf("pass %d, %v: %d omissions, from-scratch %d", pass, spec.Fault, x.Omissions, inst.Rec.Omissions)
+		}
+		return x
+	}
+
+	goldenFirst := make([]bool, len(specs))
+	var simulated int
+	for i, spec := range specs {
+		x := explore(1, spec)
+		goldenFirst[i] = x.Suffix == SuffixGolden && s.fw.nextCheck == firstBoundary(spec.Fault.At)
+		if x.Suffix == SuffixSimulated {
+			simulated++
+		}
+	}
+	recorded := s.RecordedEntries()
+	if simulated == 0 || recorded == 0 {
+		t.Fatalf("first pass simulated %d placements and recorded %d entries; the list exercises nothing", simulated, recorded)
+	}
+	var recordedHits int
+	for i, spec := range specs {
+		x := explore(2, spec)
+		want := SuffixRecorded
+		if goldenFirst[i] {
+			want = SuffixGolden
+		}
+		if b := firstBoundary(spec.Fault.At); x.Suffix != want || s.fw.nextCheck != b {
+			t.Errorf("pass 2, %v: ended on suffix %d at boundary %d, want %d at %d", spec.Fault, x.Suffix, s.fw.nextCheck, want, b)
+		}
+		if x.Suffix == SuffixRecorded {
+			recordedHits++
+		}
+	}
+	if got := s.RecordedEntries(); got != recorded {
+		t.Errorf("pass 2 recorded %d new entries, want 0", got-recorded)
+	}
+	if recordedHits == 0 {
+		t.Error("pass 2 composed no placement from a recorded entry")
+	}
+}

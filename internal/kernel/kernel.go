@@ -252,13 +252,13 @@ func (k *Kernel) Stats() Stats {
 
 // EachDetected calls fn for every (mechanism, count) pair of the
 // detected-error counters without copying the map (Stats allocates a
-// fresh map per call, which the exhaustive verifier's boundary loop
-// cannot afford). Iteration order is unspecified; callers needing
-// determinism must canonicalize what they collect.
+// fresh map per call, which the fork core's per-trial composition and
+// boundary marks cannot afford). Iteration order is unspecified;
+// callers needing determinism must canonicalize what they collect.
 //
 //nlft:noalloc
 func (k *Kernel) EachDetected(fn func(mechanism string, n uint64)) {
-	//nlft:allow nodeterminism iteration order is surfaced to the caller, which must canonicalize (the exhaust engine insertion-sorts by name)
+	//nlft:allow nodeterminism iteration order is surfaced to the caller, which must canonicalize (the fork core insertion-sorts by name)
 	for m, n := range k.stats.ErrorsDetected {
 		fn(m, n)
 	}
