@@ -55,7 +55,10 @@ type CampaignConfig struct {
 	// the aggregate is identical for any Parallelism. The merged registry
 	// carries kernel counters/histograms plus campaign.* series (trials,
 	// outcomes, detected_by, kernel_hits) that let Table 1 coverage be
-	// recomputed from exported metrics alone.
+	// recomputed from exported metrics alone. Telemetry keeps the
+	// convergence cutoff (see SnapshotInterval): a trial that stops on
+	// the golden state takes the golden suffix's metrics and events, so
+	// every trial's telemetry equals a from-scratch trial's.
 	Telemetry bool
 	// TelemetryEvents additionally retains each trial's structured event
 	// stream (up to EventsPerTrial records), merged in trial order into
@@ -76,10 +79,11 @@ type CampaignConfig struct {
 	// capture copies only the pages dirtied since the last one — so a
 	// fine default spacing shortens every trial's replayed suffix. The
 	// spacing is widened if needed so a horizon fits in the checkpoint
-	// store (see maxCheckpoints in fork.go). Campaigns without Telemetry
-	// also get the convergence cutoff: a forked trial whose forward
-	// state digest matches the golden run's at a checkpoint boundary
-	// after the injection is classified without simulating its suffix.
+	// store (see maxCheckpoints in fork.go). Every campaign also gets
+	// the convergence cutoff: a forked trial whose forward state digest
+	// matches the golden run's at a checkpoint boundary after the
+	// injection is classified, and its telemetry completed, without
+	// simulating its suffix.
 	SnapshotInterval des.Time
 }
 

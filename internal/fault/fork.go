@@ -47,12 +47,11 @@ package fault
 //     (which differs from a from-scratch trial's) can never influence
 //     tie-breaking.
 //
-// How a trial ends early — a boundary lookup in the worker's suffix
-// table, armed exactly when the trial carries no collector or records —
-// is documented on checkBoundary below and in suffix.go.
+// How a trial ends early — a lookup in the worker's suffix table at
+// each post-injection boundary, whatever the collector — is documented
+// on run and lookup below and in suffix.go.
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/des"
@@ -127,15 +126,11 @@ type InstanceState struct {
 	maskedReleases int
 
 	// at is the capture instant; writesLen the golden write count at it;
-	// eventsLen the collector's event count at it (0 without a
-	// collector); fwdDigest the kernel forward digest at it (net of the
-	// phantom).
+	// fwdDigest the kernel forward digest at it (net of the phantom).
 	//nlft:snapshot-skip capture metadata read by fork selection, set by Capture not Snapshot
 	at des.Time
 	//nlft:snapshot-skip capture metadata: golden-prefix length that cuts the golden entry's write tail, not rewound
 	writesLen int
-	//nlft:snapshot-skip capture metadata: event-prefix length that cuts the golden entry's event tail, not rewound
-	eventsLen int
 	//nlft:snapshot-skip capture metadata: keys the golden suffix-table entry, not rewound
 	fwdDigest uint64
 }
@@ -152,7 +147,6 @@ func (inst *Instance) Snapshot(into *InstanceState, col *obs.Collector) {
 			into.col = obs.NewCollectorState()
 		}
 		col.Snapshot(into.col)
-		into.eventsLen = len(col.Events())
 	}
 	into.writes = append(into.writes[:0], inst.Rec.Writes...)
 	into.omissions = inst.Rec.Omissions
@@ -183,14 +177,23 @@ type checkpointStore struct {
 	// revalidates at every restore; each trial cancels it and schedules
 	// the real injection.
 	phantom des.Event
+	// tel is the golden run's telemetry after each checkpoint (nil
+	// without a collector): recorded by the capture run, ended by
+	// newForkSession at the horizon, composed by finish on golden hits.
+	tel *obs.Suffixes
 }
 
 // captureCheckpoints runs inst fault-free, snapshotting at every
 // boundary k·interval < horizon. Checkpoint 0 is captured before any
 // event fires, so a fault at t=0 still restores a pre-injection state
-// (the injection priority band fires before the first releases).
+// (the injection priority band fires before the first releases). With
+// a collector the run also records the suffix telemetry intervals
+// between boundaries; the caller ends them at the horizon.
 func captureCheckpoints(inst *Instance, col *obs.Collector, interval, horizon des.Time) (*checkpointStore, error) {
 	cs := &checkpointStore{}
+	if col != nil {
+		cs.tel = obs.NewSuffixes(int((horizon + interval - 1) / interval))
+	}
 	cs.phantom = inst.Sim.Schedule(des.MaxTime, des.PrioInject, func() {})
 	for t := des.Time(0); t < horizon; t += interval {
 		if t > 0 {
@@ -198,10 +201,12 @@ func captureCheckpoints(inst *Instance, col *obs.Collector, interval, horizon de
 				return nil, fmt.Errorf("fault: capture run: %w", err)
 			}
 		}
+		cs.tel.Close(col)
 		st := &InstanceState{at: t}
 		inst.Snapshot(st, col)
 		st.fwdDigest = inst.Kernel.ForwardDigest(cs.phantom)
 		cs.states = append(cs.states, st)
+		cs.tel.Open(col)
 	}
 	return cs, nil
 }
@@ -256,13 +261,12 @@ func planForTrial(w Workload, cfg *CampaignConfig, trial int) trialPlan {
 // forkWorker is the one forked-trial core every engine runs, each
 // through a ForkSession (built by newForkSession, the only
 // constructor). It owns one instance, its checkpoint store and its
-// suffix table (suffix.go); the injection and boundary-check callbacks
-// are closures created once that read the current-trial fields, so the
-// per-trial loop schedules events without allocating closures. The
-// boundary lookup is armed exactly when the instance carries no
-// collector — a collector's suffix metrics and events cannot be
-// skipped — or when the trial records (Explore), whose collector keeps
-// the full event stream the table's event tails are cut from.
+// suffix table (suffix.go); the injection callback is a closure created
+// once that reads the current-trial fields, so the per-trial loop
+// schedules it without allocating. Every trial looks its state up at
+// each post-injection boundary, whatever the collector: a golden hit
+// composes the golden run's telemetry into the collector, so the
+// collector ends every trial holding what a from-scratch trial's would.
 type forkWorker struct {
 	inst    *Instance
 	col     *obs.Collector
@@ -271,16 +275,15 @@ type forkWorker struct {
 	horizon des.Time
 	table   map[suffixKey]*suffixEntry
 
-	// Current-trial state read by the bound callbacks.
+	// Current-trial state read by the injection callback and finish.
 	plan             trialPlan
 	record           bool
 	rec              TrialRecord
 	undetectedKernel bool
 	hit              *suffixEntry // the entry that ended the trial; nil before one
-	nextCheck        int
+	end              int          // the boundary the trial ended at (valid with hit)
 
 	injectFn  func()
-	checkFn   func()
 	collectFn func(string, uint64)
 
 	// Reused buffers (suffix.go): the trial's marks, the arena of
@@ -290,7 +293,6 @@ type forkWorker struct {
 	arena      []mechCount
 	collectOff int
 	writes     []Write
-	events     []obs.Event
 	omissions  int
 	masked     int
 	ecc        uint64
@@ -317,46 +319,43 @@ func (fw *forkWorker) inject() {
 	apply(fw.inst, fw.plan.fault)
 }
 
-// checkBoundary fires at a checkpoint boundary after the injection and
-// looks the trial's (boundary, forward digest) up in the suffix table.
-// The digest covers everything that can influence the remainder of the
-// run — the clock, the pending-event multiset, the processor, memory,
-// and all live scheduler/TEM state (see kernel.ForwardDigest) — so a
-// hit proves the trial's future is the entry's recorded future: the
-// trial ends here and finish composes its suffix from the entry. A miss
-// is marked when the trial records, so the entry this trial's own
-// suffix makes can end later trials at this state.
-//
-// The checker is self-rearming: the next boundary's check is scheduled
-// only after the current one completes, so at digest time no checker
-// event is pending and the trial's pending-event multiset is compared
-// against the golden capture's without correction. Pending checker
-// events between boundaries can split the kernel's CPU slices at
-// boundary instants; a split slice resumes the same copy with no
-// context-switch overhead and no state change, so outcomes and
-// recorder-visible behaviour are unaffected.
+// lookup runs at checkpoint boundary b after the injection, once the
+// trial has fired every event up to and including the boundary instant
+// — the capture run's state when it snapshotted b — and looks the
+// trial's (b, forward digest) up in the suffix table. The digest covers
+// everything that can influence the remainder of the run — the clock,
+// the pending-event multiset, the processor, memory, and all live
+// scheduler/TEM state (see kernel.ForwardDigest) — so a hit proves the
+// trial's future is the entry's recorded future: the trial ends here
+// and finish composes its suffix from the entry. The lookup is not an
+// event, so the trial's pending multiset is the model's own, compared
+// without correction, and a collector sees exactly the from-scratch
+// trial's events. A golden hit is taken
+// only when the golden event tail holds every event the collector would
+// still retain (obs.Suffixes.Fits: a capped golden stream may have
+// dropped them); otherwise the trial simulates on. A miss is marked
+// when the trial records, so the entry this trial's own suffix makes
+// can end later trials at this state.
 //
 //nlft:noalloc
-func (fw *forkWorker) checkBoundary() {
-	key := suffixKey{b: fw.nextCheck, digest: fw.inst.Kernel.ForwardDigest(des.Event{})}
-	if e, ok := fw.table[key]; ok {
-		fw.hit = e
-		fw.inst.Sim.Stop()
-		return
+func (fw *forkWorker) lookup(b int) bool {
+	key := suffixKey{b: b, digest: fw.inst.Kernel.ForwardDigest(des.Event{})}
+	e, ok := fw.table[key]
+	if ok && (!e.golden || fw.cs.tel.Fits(fw.col, fw.cs.states[b].col)) {
+		fw.hit, fw.end = e, b
+		return true
 	}
-	if fw.record {
+	if !ok && fw.record {
 		fw.mark(key)
 	}
-	fw.nextCheck++
-	if fw.nextCheck < len(fw.cs.states) {
-		fw.inst.Sim.Schedule(fw.cs.states[fw.nextCheck].at, des.PrioObserver, fw.checkFn)
-	}
+	return false
 }
 
 // run executes one forked trial, records marks when record is set, and
 // classifies it: restore the fork base, swap the phantom for the real
-// injection, arm the boundary lookup (see forkWorker), run to the
-// horizon or to a boundary whose state the table holds, and compose.
+// injection, run boundary by boundary — RunUntil each post-injection
+// boundary, then one lookup — to the horizon or to a boundary whose
+// state the table holds, and compose.
 func (fw *forkWorker) run(plan trialPlan, record bool) (TrialRecord, error) {
 	fw.inst.Restore(fw.cs.states[plan.ckpt], fw.col)
 	fw.inst.Sim.Cancel(fw.cs.phantom)
@@ -370,21 +369,19 @@ func (fw *forkWorker) run(plan trialPlan, record bool) (TrialRecord, error) {
 	fw.arena = fw.arena[:0]
 	fw.inst.Sim.Schedule(plan.fault.At, des.PrioInject, fw.injectFn)
 
-	if fw.col == nil || record {
-		fw.nextCheck = len(fw.cs.states)
-		for b := plan.ckpt + 1; b < len(fw.cs.states); b++ {
-			if fw.cs.states[b].at > plan.fault.At {
-				fw.nextCheck = b
-				break
-			}
+	for b := plan.ckpt + 1; b < len(fw.cs.states); b++ {
+		at := fw.cs.states[b].at
+		if at <= plan.fault.At {
+			continue
 		}
-		if fw.nextCheck < len(fw.cs.states) {
-			fw.inst.Sim.Schedule(fw.cs.states[fw.nextCheck].at, des.PrioObserver, fw.checkFn)
+		if err := fw.inst.Sim.RunUntil(at); err != nil {
+			return TrialRecord{}, err
+		}
+		if fw.lookup(b) {
+			return fw.finish(), nil
 		}
 	}
-
-	err := fw.inst.Sim.RunUntil(fw.horizon)
-	if err != nil && !(errors.Is(err, des.ErrStopped) && fw.hit != nil) {
+	if err := fw.inst.Sim.RunUntil(fw.horizon); err != nil {
 		return TrialRecord{}, err
 	}
 	return fw.finish(), nil

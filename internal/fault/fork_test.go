@@ -21,6 +21,12 @@ var forkEquivCases = []struct {
 		SnapshotInterval: 300 * des.Microsecond}},
 	{"metrics", CampaignConfig{Trials: 48, Seed: 11, Telemetry: true, Parallelism: 2}},
 	{"events", CampaignConfig{Trials: 48, Seed: 11, TelemetryEvents: true, Parallelism: 2}},
+	// The gate's golden stream has 81 events, so both caps cut it and
+	// golden hits must respect what the capped golden tail lacks.
+	{"events-capped-4", CampaignConfig{Trials: 48, Seed: 11, TelemetryEvents: true,
+		EventsPerTrial: 4, Parallelism: 2}},
+	{"events-capped-40", CampaignConfig{Trials: 48, Seed: 11, TelemetryEvents: true,
+		EventsPerTrial: 40, Parallelism: 2}},
 }
 
 // scratchCampaign is the from-scratch reference campaign: every trial
@@ -45,13 +51,7 @@ func scratchCampaign(t *testing.T, w Workload, cfg CampaignConfig) *Result {
 	}
 	var events []obs.Event
 	for i := range records {
-		var col *obs.Collector
-		switch {
-		case cfg.TelemetryEvents:
-			col = newTrialCollector(&cfg)
-		case cfg.Telemetry:
-			col = newWorkerCollector()
-		}
+		col := campaignCollector(&cfg)
 		rec, _, err := runTrial(w, planForTrial(w, &cfg, i), golden, col)
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
@@ -125,6 +125,70 @@ func TestCampaignForkEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.GoldenEvents, want.GoldenEvents) {
 				t.Errorf("golden event streams differ")
+			}
+		})
+	}
+}
+
+// TestTrialTelemetryEquivalence checks every trial of the telemetry
+// equivalence cases on its own: after RunTrial the session's collector
+// must hold the from-scratch trial's registry (digest), event stream
+// and drop count. A merged campaign digest can hide one trial's wrong
+// histogram or gauge extreme behind another trial's; this cannot. The
+// cases must end some trials on golden entries, or the composition is
+// not exercised.
+func TestTrialTelemetryEquivalence(t *testing.T) {
+	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
+	for _, tc := range forkEquivCases {
+		cfg := tc.cfg
+		cfg.applyDefaults()
+		if !cfg.Telemetry {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := newForkSession(w, campaignCollector(&cfg), cfg.SnapshotInterval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The capture run's queue peaks at t=0, phantom included, so
+			// only trials injected at t=0 end below the golden suffix's
+			// des.pending_peak: these two converge and pin the phantom rule.
+			dataBase, _ := w.DataRange()
+			specs := append(campaignSpecs(w, cfg),
+				TrialSpec{Fault: Fault{At: 0, Target: TargetRegister, Reg: 4, Bit: 3}},
+				TrialSpec{Fault: Fault{At: 0, Target: TargetMemoryData, Addr: dataBase, Bit: 1}})
+			goldens := 0
+			for i, spec := range specs {
+				rec, err := s.RunTrial(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if endedGolden(s) {
+					goldens++
+				}
+				col := campaignCollector(&cfg)
+				want, _, err := ScratchTrial(w, spec, s.Golden(), col)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(rec, want) {
+					t.Fatalf("trial %d: record %+v, from-scratch %+v", i, rec, want)
+				}
+				if got, want := s.Col.Registry().Digest(), col.Registry().Digest(); got != want {
+					t.Errorf("trial %d (golden end %v): registry digest %#x, from-scratch %#x",
+						i, endedGolden(s), got, want)
+				}
+				if got, want := s.Col.Events(), col.Events(); len(got) != len(want) ||
+					(len(got) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Errorf("trial %d (golden end %v): %d events (digest %#x), from-scratch %d (digest %#x)",
+						i, endedGolden(s), len(got), obs.DigestEvents(got), len(want), obs.DigestEvents(want))
+				}
+				if got, want := s.Col.Dropped(), col.Dropped(); got != want {
+					t.Errorf("trial %d: %d events dropped, from-scratch %d", i, got, want)
+				}
+			}
+			if goldens == 0 {
+				t.Error("no trial ended on a golden entry")
 			}
 		})
 	}

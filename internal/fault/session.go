@@ -5,8 +5,9 @@ package fault
 // and the exhaustive verifier (internal/exhaust) one per worker. A
 // session is one live instance, a golden-prefix checkpoint store
 // captured with the campaign's exact phantom-injection queue geometry,
-// the finished golden run's writes and event stream, the suffix table
-// they seed (suffix.go), and the fork core itself (RunTrial, Explore).
+// the finished golden run's writes and suffix telemetry, the suffix
+// table they seed (suffix.go), and the fork core itself (RunTrial,
+// Explore).
 // The soundness argument in fork.go applies unchanged — a session
 // trial is bit-identical to a from-scratch trial of the same placement.
 
@@ -22,13 +23,13 @@ type ForkSession struct {
 	// Inst is the live instance every restore rewinds in place.
 	Inst *Instance
 	// Col is the instance's collector (nil without one); its registry and
-	// event buffer rewind with every Restore.
+	// event buffer rewind with every Restore, and after every trial hold
+	// what a from-scratch trial's collector would.
 	Col *obs.Collector
 
 	// fw is the trial core bound to Inst; its checkpoint store, golden
 	// writes, suffix table and horizon are the session's.
-	fw           *forkWorker
-	goldenEvents []obs.Event
+	fw *forkWorker
 }
 
 // NewForkSession builds a session at the given checkpoint spacing
@@ -52,12 +53,16 @@ func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSessio
 // it builds an instance with col attached, captures the golden-prefix
 // checkpoints (interval 0 means the campaign default), and runs the
 // same instance on to the horizon. That capture run is the golden run:
-// its writes and col's event stream are the classification reference
-// and seed the suffix table's golden entries, and it is validated here
-// (checkGolden). The phantom injection stays queued at MaxTime
-// throughout, so it never fires; a capture-then-finish run reproduces a
-// plain golden run's writes and events exactly
-// (TestSessionGoldenMatchesGoldenRun).
+// its writes are the classification reference and seed the suffix
+// table's golden entries, its telemetry after each checkpoint is what a
+// golden hit composes, and it is validated here (checkGolden). The
+// phantom injection stays queued at MaxTime throughout, so it never
+// fires; a capture-then-finish run reproduces a plain golden run's
+// writes and events exactly (TestSessionGoldenMatchesGoldenRun). The
+// phantom does sit in the queue, so every des.pending_peak sample of
+// the capture run reads one above a trial's past its injection (whose
+// real injection has fired and whose phantom is cancelled): the golden
+// suffix maxima are taken net of it.
 func newForkSession(w Workload, col *obs.Collector, interval des.Time) (*ForkSession, error) {
 	inst, err := newInstance(w, col)
 	if err != nil {
@@ -72,20 +77,17 @@ func newForkSession(w Workload, col *obs.Collector, interval des.Time) (*ForkSes
 	if err := inst.Sim.RunUntil(horizon); err != nil {
 		return nil, fmt.Errorf("fault: golden run: %w", err)
 	}
+	cs.tel.End(col)
+	cs.tel.ShiftGauge(obs.PendingPeak, -1)
 	if err := checkGolden(inst); err != nil {
 		return nil, err
 	}
 	fw := &forkWorker{inst: inst, col: col, cs: cs, horizon: horizon,
 		golden: append([]Write(nil), inst.Rec.Writes...)}
 	fw.injectFn = func() { fw.inject() }
-	fw.checkFn = func() { fw.checkBoundary() }
 	fw.collectFn = func(m string, n uint64) { fw.collectMech(m, n) }
-	s := &ForkSession{Inst: inst, Col: col, fw: fw}
-	if col != nil {
-		s.goldenEvents = append([]obs.Event(nil), col.Events()...)
-	}
-	fw.table = seedGolden(cs, fw.golden, s.goldenEvents)
-	return s, nil
+	fw.table = seedGolden(cs, fw.golden)
+	return &ForkSession{Inst: inst, Col: col, fw: fw}, nil
 }
 
 // Checkpoints is the checkpoint count; boundaries are indexed [0, n).
@@ -102,8 +104,9 @@ func (s *ForkSession) Select(at des.Time) int { return s.fw.cs.selectFor(at) }
 // Golden is the fault-free output sequence.
 func (s *ForkSession) Golden() []Write { return s.fw.golden }
 
-// GoldenEvents is the fault-free event stream (nil without a collector).
-func (s *ForkSession) GoldenEvents() []obs.Event { return s.goldenEvents }
+// GoldenEvents is the fault-free event stream (nil without a collector
+// that keeps events).
+func (s *ForkSession) GoldenEvents() []obs.Event { return s.fw.cs.tel.Events() }
 
 // Horizon is the simulated duration of one trial.
 func (s *ForkSession) Horizon() des.Time { return s.fw.horizon }
@@ -149,12 +152,14 @@ func (s *ForkSession) plan(spec TrialSpec) trialPlan {
 
 // RunTrial executes one forked trial of spec on the session's
 // instance: restore the latest sound checkpoint before the fault, swap
-// the phantom for the real injection, run (ending on a suffix-table
-// entry exactly when the session carries no collector — a collector's
-// suffix metrics and events cannot be skipped), and classify. This is
-// the campaign engine's own trial core (fork.go), so the record is
-// bit-identical to what a campaign trial of the same plan would
-// produce. RunTrial records nothing: the table keeps its golden
+// the phantom for the real injection, run boundary by boundary until
+// the state is in the suffix table or the horizon is reached, and
+// classify. This is the campaign engine's own trial core (fork.go), so
+// the record is bit-identical to what a campaign trial of the same plan
+// would produce. A golden hit composes the golden suffix's telemetry
+// into Col, so Col then holds exactly the from-scratch trial's registry
+// and event stream; an entry an Explore call recorded composes its
+// event tail only. RunTrial records nothing: the table keeps its golden
 // entries (and any an Explore call added).
 func (s *ForkSession) RunTrial(spec TrialSpec) (TrialRecord, error) {
 	return s.fw.run(s.plan(spec), false)
@@ -177,7 +182,7 @@ const (
 )
 
 // Explored is one explored trial's full-horizon result. Events aliases
-// a session buffer that the next trial overwrites.
+// the session collector's buffer, which the next trial overwrites.
 type Explored struct {
 	// Record is the trial's record, as RunTrial would classify it.
 	Record TrialRecord
@@ -189,19 +194,19 @@ type Explored struct {
 	Suffix Suffix
 }
 
-// Explore executes one forked trial of spec with recording on: the
-// boundary lookup is armed whatever the session's collector, every
-// boundary the trial passes without a hit is marked, and once the
-// trial is composed each mark becomes a suffix-table entry, so later
-// trials reaching the same state end there. Event tails are cut from
-// the session's collector, so a session that explores is built with
-// events (NewForkSession's withEvents) — the exhaustive verifier's.
+// Explore executes one forked trial of spec with recording on: every
+// boundary the trial passes without a hit is marked, and once the trial
+// is composed each mark becomes a suffix-table entry, so later trials
+// reaching the same state end there. The composed event stream is the
+// session collector's, and recorded entries cut their event tails from
+// it, so a session that explores is built with events
+// (NewForkSession's withEvents) — the exhaustive verifier's.
 func (s *ForkSession) Explore(spec TrialSpec) (Explored, error) {
 	rec, err := s.fw.run(s.plan(spec), true)
 	if err != nil {
 		return Explored{}, err
 	}
-	x := Explored{Record: rec, Events: s.fw.events, Omissions: s.fw.omissions}
+	x := Explored{Record: rec, Events: s.Col.Events(), Omissions: s.fw.omissions}
 	switch {
 	case s.fw.hit == nil:
 		x.Suffix = SuffixSimulated

@@ -94,18 +94,22 @@ func newRunner(w Workload, cfg CampaignConfig) (*ShardRunner, error) {
 	return r, nil
 }
 
-// newSlot builds one slot's fork session with the campaign's collector:
-// a per-trial one for event streams, a shared metrics-only one for
-// metrics, none (the convergence cutoff on) otherwise.
+// newSlot builds one slot's fork session with the campaign's collector.
 func (r *ShardRunner) newSlot() (*ForkSession, error) {
-	var col *obs.Collector
+	return newForkSession(r.w, campaignCollector(&r.cfg), r.cfg.SnapshotInterval)
+}
+
+// campaignCollector is the collector a campaign trial runs with: a
+// per-trial one for event streams, a shared metrics-only one for
+// metrics, none otherwise.
+func campaignCollector(cfg *CampaignConfig) *obs.Collector {
 	switch {
-	case r.cfg.TelemetryEvents:
-		col = newTrialCollector(&r.cfg)
-	case r.cfg.Telemetry:
-		col = newWorkerCollector()
+	case cfg.TelemetryEvents:
+		return newTrialCollector(cfg)
+	case cfg.Telemetry:
+		return newWorkerCollector()
 	}
-	return newForkSession(r.w, col, r.cfg.SnapshotInterval)
+	return nil
 }
 
 // Config is the runner's configuration with defaults applied.

@@ -10,13 +10,18 @@ package fault
 // its failed latch or'ed with the entry's final failed state.
 //
 // Two kinds of entry share that rule. newForkSession seeds one golden
-// entry per checkpoint from the capture run: its tails are the golden
-// run's own writes and events past the boundary (sharing the golden
-// slices), and its deltas are zero — the golden suffix is fault-free,
-// and the digest's memory fold proves no ECC flip is pending. A
-// recording trial (Explore) marks every boundary it passes without a
-// hit; when it finishes, each mark becomes an entry holding the
-// composed tails from the mark on and the counter deltas since it.
+// entry per checkpoint from the capture run: its write tail is the
+// golden run's own writes past the boundary (sharing the golden slice),
+// and its deltas are zero — the golden suffix is fault-free, and the
+// digest's memory fold proves no ECC flip is pending. Its telemetry is
+// the capture run's obs.Suffixes: the registry delta from the boundary
+// to the horizon, the suffix's histogram and gauge extremes, and the
+// event tail, which finish composes into the collector. A recording
+// trial (Explore) marks every boundary it passes without a hit; when it
+// finishes, each mark becomes an entry holding the composed tails from
+// the mark on and the counter deltas since it. Recorded entries carry
+// no registry delta: a trial ending on one gets its event tail, and its
+// registry holds the simulated span only.
 // Deltas, not absolutes: the digest excludes pure measurements, so two
 // trials meeting at one state share a future, not a past. Failure
 // latches and the digest folds the latch, so the final failed state
@@ -44,7 +49,8 @@ type mechCount struct {
 
 // suffixEntry is one reached state's recorded future: the suffix's
 // writes and events verbatim, its counter deltas, and the final failed
-// state. Golden entries have zero deltas and never fail.
+// state. Golden entries have zero deltas, never fail, and take their
+// event tail from the checkpoint store's suffix telemetry.
 type suffixEntry struct {
 	writes     []Write
 	events     []obs.Event
@@ -74,12 +80,12 @@ type mark struct {
 }
 
 // seedGolden returns a suffix table holding each checkpoint's golden
-// entry, cut from the capture run's golden writes and events.
-func seedGolden(cs *checkpointStore, golden []Write, events []obs.Event) map[suffixKey]*suffixEntry {
+// entry, cut from the capture run's golden writes.
+func seedGolden(cs *checkpointStore, golden []Write) map[suffixKey]*suffixEntry {
 	table := make(map[suffixKey]*suffixEntry, len(cs.states))
 	entries := make([]suffixEntry, len(cs.states))
 	for b, st := range cs.states {
-		entries[b] = suffixEntry{writes: golden[st.writesLen:], events: events[st.eventsLen:], golden: true}
+		entries[b] = suffixEntry{writes: golden[st.writesLen:], golden: true}
 		table[suffixKey{b: b, digest: st.fwdDigest}] = &entries[b]
 	}
 	return table
@@ -134,13 +140,20 @@ func (fw *forkWorker) collectMech(name string, n uint64) {
 // finish composes the stopped trial's full-horizon observables — the
 // live prefix plus the entry that ended it, or the empty
 // simulatedSuffix when it ran to the horizon — and classifies them
-// exactly like runTrial. A recording trial then turns its marks into
-// entries.
+// exactly like runTrial. The collector gets the entry's telemetry: the
+// golden suffix's registry delta and event tail on a golden hit, the
+// event tail on a recorded one. A recording trial then turns its marks
+// into entries.
 func (fw *forkWorker) finish() TrialRecord {
 	inst := fw.inst
 	e := fw.hit
-	if e == nil {
+	switch {
+	case e == nil:
 		e = &simulatedSuffix
+	case e.golden:
+		fw.cs.tel.Compose(fw.col, fw.end, fw.cs.states[fw.end].col)
+	default:
+		fw.col.AppendTail(e.events, 0)
 	}
 	failed, _ := inst.Kernel.Failed()
 	fw.failed = failed || e.failed
@@ -166,21 +179,21 @@ func (fw *forkWorker) finish() TrialRecord {
 	rec.Outcome = classify(fw.failed, fw.writes, fw.omissions, fw.masked, fw.ecc,
 		fw.golden, fw.undetectedKernel)
 	if fw.record {
-		fw.events = append(append(fw.events[:0], fw.col.Events()...), e.events...)
 		fw.memoize()
 	}
 	return rec
 }
 
 // memoize turns the recording trial's marks into entries: each holds
-// the composed tails from its mark on and the counter deltas since it.
+// the composed tails from its mark on — the event tail cut from the
+// collector, which finish completed — and the counter deltas since it.
 // A mark's key missed the table when it was made, and the table does
 // not change during a trial, so no entry is replaced.
 func (fw *forkWorker) memoize() {
 	for _, mk := range fw.marks {
 		fw.table[mk.key] = &suffixEntry{
 			writes:     append([]Write(nil), fw.writes[mk.writesLen:]...),
-			events:     append([]obs.Event(nil), fw.events[mk.eventsLen:]...),
+			events:     append([]obs.Event(nil), fw.col.Events()[mk.eventsLen:]...),
 			dOmissions: fw.omissions - mk.omissions,
 			dMasked:    fw.masked - mk.masked,
 			dECC:       fw.ecc - mk.ecc,

@@ -28,50 +28,60 @@ func campaignSpecs(w Workload, cfg CampaignConfig) []TrialSpec {
 // the fork core on the benchmark's gate workload at seed 1: the
 // checkpoint count, the events fired and the kernel+task cycles summed
 // over every trial's simulated span, and how many trials end on a
-// golden suffix-table entry. The sampled config carries no collector,
-// so the table ends trials early; the telemetry config's metrics
-// collector turns the lookup off and every suffix is simulated. A drift
-// here means trials stop at different boundaries, even when every
-// outcome still agrees. Each trial is measured the way perfbench's layer
-// probe measures it: restore its fork base, read the counters, run it,
-// read them again.
+// golden suffix-table entry. The sampled config carries no collector;
+// the telemetry config's metrics collector must not change where any
+// trial stops, so its counters must also equal a no-collector session's
+// over the same specs. A drift here means trials stop at different
+// boundaries, even when every outcome still agrees. Each trial is
+// measured the way perfbench's layer probe measures it: restore its
+// fork base, read the counters, run it, read them again.
 func TestTrialWorkCountersPinned(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
-	cases := []struct {
-		name                   string
-		cfg                    CampaignConfig
-		col                    func() *obs.Collector
+	type work struct {
 		checkpoints            int
 		fired, cycles, goldens uint64
+	}
+	measure := func(t *testing.T, col *obs.Collector, specs []TrialSpec) work {
+		s, err := newForkSession(w, col, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := work{checkpoints: s.Checkpoints()}
+		for i, spec := range specs {
+			s.Restore(s.Select(spec.Fault.At))
+			f0, st0 := s.Inst.Sim.Fired(), s.Inst.Kernel.Stats()
+			if _, err := s.RunTrial(spec); err != nil {
+				t.Fatalf("trial %d: %v", i, err)
+			}
+			st := s.Inst.Kernel.Stats()
+			got.fired += s.Inst.Sim.Fired() - f0
+			got.cycles += st.KernelCycles + st.TaskCycles - st0.KernelCycles - st0.TaskCycles
+			if endedGolden(s) {
+				got.goldens++
+			}
+		}
+		return got
+	}
+	cases := []struct {
+		name string
+		cfg  CampaignConfig
+		col  func() *obs.Collector
+		want work
 	}{
 		{"sampled", CampaignConfig{Trials: 2048, Seed: 1, Parallelism: 1},
-			func() *obs.Collector { return nil }, 34, 25364, 3183049, 1939},
+			func() *obs.Collector { return nil }, work{34, 17530, 3183049, 1939}},
 		{"telemetry", CampaignConfig{Trials: 512, Seed: 1, Parallelism: 1, Telemetry: true},
-			newWorkerCollector, 34, 21008, 4106049, 0},
+			newWorkerCollector, work{34, 4606, 833709, 483}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := newForkSession(w, tc.col(), 0)
-			if err != nil {
-				t.Fatal(err)
+			specs := campaignSpecs(w, tc.cfg)
+			got := measure(t, tc.col(), specs)
+			if got != tc.want {
+				t.Errorf("checkpoints, fired, cycles, golden ends = %v; want %v", got, tc.want)
 			}
-			var fired, cycles, goldens uint64
-			for i, spec := range campaignSpecs(w, tc.cfg) {
-				s.Restore(s.Select(spec.Fault.At))
-				f0, st0 := s.Inst.Sim.Fired(), s.Inst.Kernel.Stats()
-				if _, err := s.RunTrial(spec); err != nil {
-					t.Fatalf("trial %d: %v", i, err)
-				}
-				st := s.Inst.Kernel.Stats()
-				fired += s.Inst.Sim.Fired() - f0
-				cycles += st.KernelCycles + st.TaskCycles - st0.KernelCycles - st0.TaskCycles
-				if endedGolden(s) {
-					goldens++
-				}
-			}
-			if s.Checkpoints() != tc.checkpoints || fired != tc.fired || cycles != tc.cycles || goldens != tc.goldens {
-				t.Errorf("checkpoints %d, fired %d, cycles %d, golden ends %d; want %d, %d, %d, %d",
-					s.Checkpoints(), fired, cycles, goldens, tc.checkpoints, tc.fired, tc.cycles, tc.goldens)
+			if bare := measure(t, nil, specs); got != bare {
+				t.Errorf("collector session work %v, no-collector session %v", got, bare)
 			}
 		})
 	}
@@ -156,7 +166,7 @@ func testRecordedComposition(t *testing.T, w Workload) {
 	var simulated int
 	for i, spec := range specs {
 		x := explore(1, spec)
-		goldenFirst[i] = x.Suffix == SuffixGolden && s.fw.nextCheck == firstBoundary(spec.Fault.At)
+		goldenFirst[i] = x.Suffix == SuffixGolden && s.fw.end == firstBoundary(spec.Fault.At)
 		if x.Suffix == SuffixSimulated {
 			simulated++
 		}
@@ -172,8 +182,8 @@ func testRecordedComposition(t *testing.T, w Workload) {
 		if goldenFirst[i] {
 			want = SuffixGolden
 		}
-		if b := firstBoundary(spec.Fault.At); x.Suffix != want || s.fw.nextCheck != b {
-			t.Errorf("pass 2, %v: ended on suffix %d at boundary %d, want %d at %d", spec.Fault, x.Suffix, s.fw.nextCheck, want, b)
+		if b := firstBoundary(spec.Fault.At); x.Suffix != want || s.fw.end != b {
+			t.Errorf("pass 2, %v: ended on suffix %d at boundary %d, want %d at %d", spec.Fault, x.Suffix, s.fw.end, want, b)
 		}
 		if x.Suffix == SuffixRecorded {
 			recordedHits++

@@ -28,10 +28,13 @@ import (
 //   - job ctx/cyclesUsed/outputs for a copy that has not started:
 //     startCopy overwrites all three before any read.
 //   - result slots at index ≥ nresults: captureResult fully rewrites a
-//     slot before copyComplete reads it, and the capture→complete
-//     window never spans a checkpoint boundary (the completion event
-//     fires at kernel priority, below the boundary checker's observer
-//     priority, and slices themselves never cross a pending event).
+//     slot before copyComplete reads it. A slot captured by a slice
+//     that spans a checkpoint boundary is still unread there, but its
+//     content — the copy's outputs, the processor signature and the
+//     task's data words, all read at the slice's end — is state the
+//     digest folds (the copy owns the processor), and nothing changes
+//     it before the boundary: slices never cross a pending event, so
+//     no event fires inside one.
 //   - MMU regions/enable: rewritten by every runSlice before the CPU
 //     executes, so the values seen at a boundary are never read again.
 //   - The processor context (registers, PC, flags, signature) whenever

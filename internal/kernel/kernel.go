@@ -878,9 +878,13 @@ func (k *Kernel) copyComplete(j *job) {
 	if t.obsCopyCycles != nil {
 		t.obsCopyCycles.Observe(j.cyclesUsed)
 	}
-	if k.cfg.Trace != nil || k.cfg.Obs != nil {
-		//nlft:allow noalloc trace detail built only when a trace or telemetry sink is attached; the zero-alloc gate runs detached
+	if k.cfg.Trace != nil || k.cfg.Obs.KeepsEvents() {
+		//nlft:allow noalloc trace detail built only when a sink keeps events; the zero-alloc gates run detached or metrics-only
 		k.trace(TraceCopyEnd, t.spec.Name, j.copyIndex, fmt.Sprintf("crc=%08x", res.crc()))
+	} else if k.cfg.Obs != nil {
+		// A metrics-only collector keeps no events and keys copy-end
+		// counters by task, so the detail is never read.
+		k.trace(TraceCopyEnd, t.spec.Name, j.copyIndex, "")
 	}
 	j.state = jobReady
 	j.started = false

@@ -335,6 +335,10 @@ func prioBandIndex(prio int) int {
 // prioBand names the des tie-break band of an event priority.
 func prioBand(prio int) string { return bandNames[prioBandIndex(prio)] }
 
+// PendingPeak names the gauge AttachSimulator keeps at the deepest
+// event queue observed.
+const PendingPeak = "des.pending_peak"
+
 // AttachSimulator instruments a discrete-event simulator: every fired
 // event increments a des.events_fired counter keyed by its priority
 // band, and the des.pending_peak gauge tracks the deepest event queue
@@ -349,7 +353,7 @@ func AttachSimulator(c *Collector, sim *des.Simulator) {
 	for i, b := range bandNames {
 		bands[i] = c.Counter("des.events_fired", "", b)
 	}
-	peak := c.Gauge("des.pending_peak", "")
+	peak := c.Gauge(PendingPeak, "")
 	sim.SetEventObserver(func(at des.Time, prio int) {
 		bands[prioBandIndex(prio)].Inc()
 		peak.SetMax(float64(sim.Pending()))
