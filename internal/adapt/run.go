@@ -46,10 +46,23 @@ type engine struct {
 	// One fork session per executor slot (each owns a live instance and
 	// checkpoint store), built on the slot's first round.
 	sessions []*fault.ForkSession
+	// trial runs one planned trial on a slot's session:
+	// (*fault.ForkSession).RunTrial, which tests wrap to measure it.
+	trial func(*fault.ForkSession, fault.TrialSpec) (fault.TrialRecord, error)
 }
 
 // Run executes an adaptive campaign on the workload.
 func Run(w fault.Workload, cfg Config) (*Result, error) {
+	e, err := newEngine(w, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.run()
+}
+
+// newEngine validates cfg, fixes the kernel-activity set and builds the
+// initial strata.
+func newEngine(w fault.Workload, cfg Config) (*engine, error) {
 	if w == nil {
 		return nil, fmt.Errorf("adapt: nil workload")
 	}
@@ -82,6 +95,13 @@ func Run(w fault.Workload, cfg Config) (*Result, error) {
 			float64(cfg.Window[1]-cfg.Window[0]),
 	}
 	e.sessions = make([]*fault.ForkSession, cfg.Parallelism)
+	e.trial = (*fault.ForkSession).RunTrial
+	return e, nil
+}
+
+// run executes the campaign's rounds until a stop condition holds.
+func (e *engine) run() (*Result, error) {
+	cfg := e.cfg
 	stop := ""
 	for stop == "" {
 		e.rounds++
@@ -215,13 +235,14 @@ func (e *engine) runRound(plan []plannedTrial) ([]fault.Outcome, error) {
 			}
 			e.sessions[k] = s
 		}
-		return &roundSlot{s: e.sessions[k], plan: plan, outcomes: outcomes}, nil
+		return &roundSlot{e: e, s: e.sessions[k], plan: plan, outcomes: outcomes}, nil
 	})
 	return outcomes, err
 }
 
 // roundSlot is one executor slot of a round.
 type roundSlot struct {
+	e        *engine
 	s        *fault.ForkSession
 	plan     []plannedTrial
 	outcomes []fault.Outcome
@@ -232,7 +253,7 @@ func (r *roundSlot) Base(i int) int { return r.s.Select(r.plan[i].spec.Fault.At)
 
 // Run executes trial i on the session's trial core.
 func (r *roundSlot) Run(i int) error {
-	rec, err := r.s.RunTrial(r.plan[i].spec)
+	rec, err := r.e.trial(r.s, r.plan[i].spec)
 	if err != nil {
 		return fmt.Errorf("adapt: trial %d: %w", i, err)
 	}

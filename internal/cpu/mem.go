@@ -45,6 +45,11 @@ type Memory struct {
 	// content as of the last Snapshot/Restore unless the page has been
 	// dirtied since.
 	shadow []*memPage
+	// synced is the state whose page array m.shadow equals exactly: the
+	// target of the last Snapshot or Restore (nil before the first).
+	// Restore from it visits only dirty pages (see snapshot.go).
+	//nlft:snapshot-skip synchronization metadata naming the last Snapshot/Restore target, not machine state
+	synced *MemoryState
 	// Snap counts snapshot/restore page traffic (measurements only;
 	// excluded from digests like the other counters).
 	Snap SnapStats
@@ -84,13 +89,6 @@ func NewMemory(sizeWords int, ecc bool) *Memory {
 func (m *Memory) markDirty(idx uint32) {
 	p := idx >> pageShift
 	m.dirty[p>>6] |= 1 << (p & 63)
-}
-
-// pageDirty reports whether page p carries the modified flag.
-//
-//nlft:noalloc
-func (m *Memory) pageDirty(p int) bool {
-	return m.dirty[p>>6]&(1<<(uint(p)&63)) != 0
 }
 
 // AttachIO connects the memory-mapped I/O bus.

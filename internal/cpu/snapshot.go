@@ -9,6 +9,8 @@ package cpu
 // capture *everything* that influences the remainder of the run, so the
 // state types here include both.
 
+import "math/bits"
+
 // CPUState is preallocated scratch for CPU.SnapshotState/RestoreState.
 type CPUState struct {
 	regs         [NumRegs]uint32
@@ -105,7 +107,9 @@ type MemoryState struct {
 // m.shadow. The invariant maintained with Restore is that
 // (m.shadow[p] != nil && page p not dirty) implies RAM page p equals
 // m.shadow[p]'s contents — every word write sets the dirty bit, so a
-// shared buffer can never go stale.
+// shared buffer can never go stale. The capture therefore visits only
+// the set bits of the dirty bitmap (before the first synchronization
+// every page counts as dirty) and copies the pointer array.
 //
 //nlft:noalloc
 func (m *Memory) Snapshot(into *MemoryState) {
@@ -114,17 +118,24 @@ func (m *Memory) Snapshot(into *MemoryState) {
 		into.pages = make([]*memPage, len(m.shadow))
 	}
 	m.Snap.Snapshots++
-	for p := range m.shadow {
-		if m.shadow[p] == nil || m.pageDirty(p) {
+	if m.synced == nil {
+		for p := range m.shadow {
+			m.markDirty(uint32(p) << pageShift)
+		}
+	}
+	for i, w := range m.dirty {
+		for ; w != 0; w &= w - 1 {
+			p := i<<6 | bits.TrailingZeros64(w)
 			//nlft:allow noalloc cold capture path: a fresh immutable buffer per dirtied page, retained by the checkpoint store
 			pg := &memPage{}
 			copy(pg.words[:], m.words[p<<pageShift:])
 			m.shadow[p] = pg
 			m.Snap.PagesCopied++
 		}
-		into.pages[p] = m.shadow[p]
 	}
 	clear(m.dirty)
+	copy(into.pages, m.shadow)
+	m.synced = into
 	into.wordSum = m.wordSum
 	into.flips = into.flips[:0]
 	//nlft:allow nodeterminism capture order is irrelevant: the entries refill a map on restore and fold commutatively in digests
@@ -145,16 +156,36 @@ func (m *Memory) Snapshot(into *MemoryState) {
 // from the checkpoint directly (it was exact at capture), so no page
 // scan or recompute is needed.
 //
+// Synced-state invariant: every Snapshot(into) and Restore(from) leaves
+// m.shadow equal to that state's page array, and m.synced names that
+// state. Restoring m.synced again finds every buffer already installed,
+// so only the set bits of the dirty bitmap are visited; restoring any
+// other state first scans the page array, installing each differing
+// buffer and flagging its page. Either way exactly the pages the full
+// scan would copy are copied, so PagesRestored does not depend on the
+// path. The fork engine runs trials in fork-base order, so only a
+// change of base pays the scan. States are compared by identity, which
+// is sound because only this memory's own Snapshot writes a state's
+// page array.
+//
 //nlft:noalloc
 func (m *Memory) Restore(from *MemoryState) {
 	m.Snap.Restores++
-	for p, pg := range from.pages {
-		if m.shadow[p] == pg && !m.pageDirty(p) {
-			continue // RAM already holds this page's contents
+	if m.synced != from {
+		for p, pg := range from.pages {
+			if m.shadow[p] != pg {
+				m.shadow[p] = pg
+				m.markDirty(uint32(p) << pageShift)
+			}
 		}
-		copy(m.words[p<<pageShift:], pg.words[:])
-		m.shadow[p] = pg
-		m.Snap.PagesRestored++
+		m.synced = from
+	}
+	for i, w := range m.dirty {
+		for ; w != 0; w &= w - 1 {
+			p := i<<6 | bits.TrailingZeros64(w)
+			copy(m.words[p<<pageShift:], m.shadow[p].words[:])
+			m.Snap.PagesRestored++
+		}
 	}
 	clear(m.dirty)
 	m.wordSum = from.wordSum

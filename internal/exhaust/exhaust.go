@@ -10,8 +10,8 @@
 // systems).
 //
 // The explorer runs every placement on the campaign engine's trial
-// core with recording on (fault.ForkSession.Explore), one fork session
-// per slot of the range executor (fault.ExecRange): each placement
+// core in a recording session (fault.ForkSession.Explore), one fork
+// session per slot of the range executor (fault.ExecRange): each placement
 // restores the latest sound golden checkpoint before its injection
 // instant and simulates only the suffix, with exactly the injection,
 // checkpoint selection and boundary lookups a sampled trial gets. The

@@ -273,11 +273,13 @@ type forkWorker struct {
 	cs      *checkpointStore
 	golden  []Write
 	horizon des.Time
-	table   map[suffixKey]*suffixEntry
+	table   *suffixTable
+	// record is fixed when the session is built: trials mark the
+	// boundaries they pass without a hit and memoize them (suffix.go).
+	record bool
 
 	// Current-trial state read by the injection callback and finish.
 	plan             trialPlan
-	record           bool
 	rec              TrialRecord
 	undetectedKernel bool
 	hit              *suffixEntry // the entry that ended the trial; nil before one
@@ -334,34 +336,33 @@ func (fw *forkWorker) inject() {
 // only when the golden event tail holds every event the collector would
 // still retain (obs.Suffixes.Fits: a capped golden stream may have
 // dropped them); otherwise the trial simulates on. A miss is marked
-// when the trial records, so the entry this trial's own suffix makes
-// can end later trials at this state.
+// when the session records and the table has room, so the entry this
+// trial's own suffix makes can end later trials at this state.
 //
 //nlft:noalloc
 func (fw *forkWorker) lookup(b int) bool {
 	key := suffixKey{b: b, digest: fw.inst.Kernel.ForwardDigest(des.Event{})}
-	e, ok := fw.table[key]
+	e, ok := fw.table.m[key]
 	if ok && (!e.golden || fw.cs.tel.Fits(fw.col, fw.cs.states[b].col)) {
 		fw.hit, fw.end = e, b
 		return true
 	}
-	if !ok && fw.record {
+	if !ok && fw.record && len(fw.table.m)+len(fw.marks) < maxSuffixEntries {
 		fw.mark(key)
 	}
 	return false
 }
 
-// run executes one forked trial, records marks when record is set, and
-// classifies it: restore the fork base, swap the phantom for the real
-// injection, run boundary by boundary — RunUntil each post-injection
-// boundary, then one lookup — to the horizon or to a boundary whose
-// state the table holds, and compose.
-func (fw *forkWorker) run(plan trialPlan, record bool) (TrialRecord, error) {
+// run executes one forked trial and classifies it: restore the fork
+// base, swap the phantom for the real injection, run boundary by
+// boundary — RunUntil each post-injection boundary, then one lookup —
+// to the horizon or to a boundary whose state the table holds, and
+// compose. A recording session's trial then memoizes its marks.
+func (fw *forkWorker) run(plan trialPlan) (TrialRecord, error) {
 	fw.inst.Restore(fw.cs.states[plan.ckpt], fw.col)
 	fw.inst.Sim.Cancel(fw.cs.phantom)
 
 	fw.plan = plan
-	fw.record = record
 	fw.rec = TrialRecord{Fault: plan.fault}
 	fw.undetectedKernel = false
 	fw.hit = nil

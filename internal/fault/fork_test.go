@@ -146,7 +146,7 @@ func TestTrialTelemetryEquivalence(t *testing.T) {
 			continue
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := newForkSession(w, campaignCollector(&cfg), cfg.SnapshotInterval)
+			s, err := newForkSession(w, campaignCollector(&cfg), cfg.SnapshotInterval, false)
 			if err != nil {
 				t.Fatal(err)
 			}

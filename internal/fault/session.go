@@ -24,7 +24,9 @@ type ForkSession struct {
 	Inst *Instance
 	// Col is the instance's collector (nil without one); its registry and
 	// event buffer rewind with every Restore, and after every trial hold
-	// what a from-scratch trial's collector would.
+	// what a from-scratch trial's collector would — the registry only in
+	// a session that does not record (recorded entries compose events,
+	// not metrics).
 	Col *obs.Collector
 
 	// fw is the trial core bound to Inst; its checkpoint store, golden
@@ -32,11 +34,13 @@ type ForkSession struct {
 	fw *forkWorker
 }
 
-// NewForkSession builds a session at the given checkpoint spacing
-// (interval 0 means the campaign default). With withEvents the instance
-// carries a collector with no event cap, so every restore rewinds a
-// complete event stream — the exhaustive verifier checks TEM invariants
-// over full traces.
+// NewForkSession builds a recording session at the given checkpoint
+// spacing (interval 0 means the campaign default). With withEvents the
+// instance carries a collector with no event cap, so every restore
+// rewinds a complete event stream — the exhaustive verifier checks TEM
+// invariants over full traces. Its registry is not meant to be read: a
+// trial ending on a recorded entry composes the entry's events but no
+// registry delta (see suffix.go).
 func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSession, error) {
 	var col *obs.Collector
 	if withEvents {
@@ -46,7 +50,7 @@ func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSessio
 		col = obs.NewCollector("")
 		col.SetEventLimit(0) // unlimited: invariant checks need full traces
 	}
-	return newForkSession(w, col, interval)
+	return newForkSession(w, col, interval, true)
 }
 
 // newForkSession is the one constructor of every engine's fork state:
@@ -63,7 +67,13 @@ func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSessio
 // the capture run reads one above a trial's past its injection (whose
 // real injection has fired and whose phantom is cancelled): the golden
 // suffix maxima are taken net of it.
-func newForkSession(w Workload, col *obs.Collector, interval des.Time) (*ForkSession, error) {
+//
+// record is decided here, once: a recording session's trials memoize
+// every boundary they pass without a hit, so a later trial of the
+// session stops at any state an earlier one reached. Recorded entries
+// carry no registry delta, so a session whose registry is read — a
+// telemetry campaign's — must not record.
+func newForkSession(w Workload, col *obs.Collector, interval des.Time, record bool) (*ForkSession, error) {
 	inst, err := newInstance(w, col)
 	if err != nil {
 		return nil, err
@@ -82,7 +92,7 @@ func newForkSession(w Workload, col *obs.Collector, interval des.Time) (*ForkSes
 	if err := checkGolden(inst); err != nil {
 		return nil, err
 	}
-	fw := &forkWorker{inst: inst, col: col, cs: cs, horizon: horizon,
+	fw := &forkWorker{inst: inst, col: col, cs: cs, horizon: horizon, record: record,
 		golden: append([]Write(nil), inst.Rec.Writes...)}
 	fw.injectFn = func() { fw.inject() }
 	fw.collectFn = func(m string, n uint64) { fw.collectMech(m, n) }
@@ -158,11 +168,12 @@ func (s *ForkSession) plan(spec TrialSpec) trialPlan {
 // the record is bit-identical to what a campaign trial of the same plan
 // would produce. A golden hit composes the golden suffix's telemetry
 // into Col, so Col then holds exactly the from-scratch trial's registry
-// and event stream; an entry an Explore call recorded composes its
-// event tail only. RunTrial records nothing: the table keeps its golden
-// entries (and any an Explore call added).
+// and event stream; a recorded entry composes its event tail only. A
+// session built by NewForkSession records: the trial memoizes the
+// boundaries it passed without a hit, so later trials reaching those
+// states end there.
 func (s *ForkSession) RunTrial(spec TrialSpec) (TrialRecord, error) {
-	return s.fw.run(s.plan(spec), false)
+	return s.fw.run(s.plan(spec))
 }
 
 // Suffix says where an explored trial's suffix came from.
@@ -194,15 +205,13 @@ type Explored struct {
 	Suffix Suffix
 }
 
-// Explore executes one forked trial of spec with recording on: every
-// boundary the trial passes without a hit is marked, and once the trial
-// is composed each mark becomes a suffix-table entry, so later trials
-// reaching the same state end there. The composed event stream is the
-// session collector's, and recorded entries cut their event tails from
-// it, so a session that explores is built with events
-// (NewForkSession's withEvents) — the exhaustive verifier's.
+// Explore executes one forked trial of spec like RunTrial and reports
+// where its suffix came from. The composed event stream is the session
+// collector's, and recorded entries cut their event tails from it, so a
+// session that explores is built with events (NewForkSession's
+// withEvents) — the exhaustive verifier's.
 func (s *ForkSession) Explore(spec TrialSpec) (Explored, error) {
-	rec, err := s.fw.run(s.plan(spec), true)
+	rec, err := s.fw.run(s.plan(spec))
 	if err != nil {
 		return Explored{}, err
 	}
@@ -218,9 +227,9 @@ func (s *ForkSession) Explore(spec TrialSpec) (Explored, error) {
 	return x, nil
 }
 
-// RecordedEntries is the number of suffix-table entries explored trials
-// have added (golden entries not counted).
-func (s *ForkSession) RecordedEntries() int { return len(s.fw.table) - len(s.fw.cs.states) }
+// RecordedEntries is the number of suffix-table entries the session's
+// trials have recorded (golden entries not counted).
+func (s *ForkSession) RecordedEntries() int { return len(s.fw.table.m) - len(s.fw.cs.states) }
 
 // GoldenWrites executes the workload fault-free on a fresh instance with
 // no checkpoints and returns its output sequence — the classification

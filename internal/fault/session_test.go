@@ -47,7 +47,7 @@ func TestSessionGoldenMatchesGoldenRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s, err := newForkSession(w, sh.col(), 0)
+				s, err := newForkSession(w, sh.col(), 0, false)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -95,8 +95,11 @@ func newRunner(w Workload, cfg CampaignConfig) (*ShardRunner, error) {
 }
 
 // newSlot builds one slot's fork session with the campaign's collector.
+// A slot without one records (its trials memoize the states they pass);
+// a telemetry slot, whose registry every trial merges, does not.
 func (r *ShardRunner) newSlot() (*ForkSession, error) {
-	return newForkSession(r.w, campaignCollector(&r.cfg), r.cfg.SnapshotInterval)
+	col := campaignCollector(&r.cfg)
+	return newForkSession(r.w, col, r.cfg.SnapshotInterval, col == nil)
 }
 
 // campaignCollector is the collector a campaign trial runs with: a
@@ -204,7 +207,7 @@ func (s *campaignSlot) Base(i int) int {
 
 // Run executes trial i and files its record, events and metrics.
 func (s *campaignSlot) Run(i int) error {
-	rec, err := s.fw.run(s.plans[i-s.lo], false)
+	rec, err := s.fw.run(s.plans[i-s.lo])
 	if err != nil {
 		return fmt.Errorf("fault: trial %d: %w", i, err)
 	}

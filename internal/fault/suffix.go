@@ -16,12 +16,18 @@ package fault
 // digest's memory fold proves no ECC flip is pending. Its telemetry is
 // the capture run's obs.Suffixes: the registry delta from the boundary
 // to the horizon, the suffix's histogram and gauge extremes, and the
-// event tail, which finish composes into the collector. A recording
-// trial (Explore) marks every boundary it passes without a hit; when it
-// finishes, each mark becomes an entry holding the composed tails from
-// the mark on and the counter deltas since it. Recorded entries carry
-// no registry delta: a trial ending on one gets its event tail, and its
-// registry holds the simulated span only.
+// event tail, which finish composes into the collector. A trial of a
+// recording session marks every boundary it passes without a hit; when
+// it finishes, each mark becomes an entry holding the composed tails
+// from the mark on and the counter deltas since it. Recorded entries
+// carry no registry delta: a trial ending on one gets its event tail,
+// and its registry holds the simulated span only. That is why a session
+// records exactly when nothing reads its registry (newForkSession's
+// record): fault.Run and ShardRunner slots without telemetry, the
+// adaptive engine's and the exhaustive verifier's sessions, but not a
+// telemetry campaign's. Recorded entries live in the table's chunked
+// arenas, and the table stops growing at maxSuffixEntries.
+//
 // Deltas, not absolutes: the digest excludes pure measurements, so two
 // trials meeting at one state share a future, not a past. Failure
 // latches and the digest folds the latch, so the final failed state
@@ -30,6 +36,68 @@ package fault
 // DESIGN.md ("The suffix table") gives the soundness argument.
 
 import "repro/internal/obs"
+
+// maxSuffixEntries bounds a worker's suffix table, in the way
+// maxCheckpoints bounds its checkpoints. The reachable (boundary,
+// digest) states of a workload are finite, so a recording session's
+// table saturates on its own — the seed-1 gate workload's sampled
+// trials reach about 27.6k entries (4.4 MiB) after 200,000 trials, and
+// the exhaustive verifier records about 4k — and the cap only stops a
+// pathological workload from growing the table without bound. A full
+// table still serves lookups; its trials stop marking.
+const maxSuffixEntries = 1 << 16
+
+// Arena chunk lengths, in elements: 24–40 KiB each, so a saturated
+// table is a few hundred chunks.
+const (
+	entryChunk = 256
+	writeChunk = 4096
+	eventChunk = 512
+	mechChunk  = 1024
+)
+
+// suffixTable is one worker's table and the arenas its recorded
+// entries live in: a recording trial's entries, its one composed
+// write and event tail (every mark's tail is a suffix of it), and its
+// counter deltas are carved from chunks, so recording allocates per
+// chunk rather than per entry.
+type suffixTable struct {
+	m       map[suffixKey]*suffixEntry
+	entries arena[suffixEntry]
+	writes  arena[Write]
+	events  arena[obs.Event]
+	mechs   arena[mechCount]
+}
+
+// arena hands out slices of T carved from fixed-capacity chunks. A
+// chunk is never appended past its capacity, so its backing array never
+// moves and every slice or pointer into it stays valid; a full chunk is
+// simply replaced by a fresh one.
+type arena[T any] struct {
+	free []T // the current chunk: [0, len) handed out, [len, cap) free
+}
+
+// reserve makes room for n more elements in the current chunk, starting
+// a fresh chunk of at least chunk elements when it is short.
+func (a *arena[T]) reserve(n, chunk int) {
+	if cap(a.free)-len(a.free) < n {
+		a.free = make([]T, 0, max(n, chunk))
+	}
+}
+
+// copyOf returns a copy of src carved from the arena (nil when src is
+// empty).
+//
+//nlft:noalloc
+func (a *arena[T]) copyOf(src []T, chunk int) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	a.reserve(len(src), chunk)
+	off := len(a.free)
+	a.free = append(a.free, src...)
+	return a.free[off:len(a.free):len(a.free)]
+}
 
 // suffixKey identifies a reached state: a checkpoint boundary index and
 // the forward digest there. Distinct states can collide in principle
@@ -81,14 +149,14 @@ type mark struct {
 
 // seedGolden returns a suffix table holding each checkpoint's golden
 // entry, cut from the capture run's golden writes.
-func seedGolden(cs *checkpointStore, golden []Write) map[suffixKey]*suffixEntry {
-	table := make(map[suffixKey]*suffixEntry, len(cs.states))
+func seedGolden(cs *checkpointStore, golden []Write) *suffixTable {
+	t := &suffixTable{m: make(map[suffixKey]*suffixEntry, len(cs.states))}
 	entries := make([]suffixEntry, len(cs.states))
 	for b, st := range cs.states {
 		entries[b] = suffixEntry{writes: golden[st.writesLen:], golden: true}
-		table[suffixKey{b: b, digest: st.fwdDigest}] = &entries[b]
+		t.m[suffixKey{b: b, digest: st.fwdDigest}] = &entries[b]
 	}
-	return table
+	return t
 }
 
 // mark records the live instance at a boundary the recording trial
@@ -178,7 +246,7 @@ func (fw *forkWorker) finish() TrialRecord {
 	}
 	rec.Outcome = classify(fw.failed, fw.writes, fw.omissions, fw.masked, fw.ecc,
 		fw.golden, fw.undetectedKernel)
-	if fw.record {
+	if len(fw.marks) > 0 {
 		fw.memoize()
 	}
 	return rec
@@ -187,19 +255,32 @@ func (fw *forkWorker) finish() TrialRecord {
 // memoize turns the recording trial's marks into entries: each holds
 // the composed tails from its mark on — the event tail cut from the
 // collector, which finish completed — and the counter deltas since it.
-// A mark's key missed the table when it was made, and the table does
-// not change during a trial, so no entry is replaced.
+// The tails from the first mark on are copied into the arenas once;
+// every later mark's tail is a suffix of that copy. A mark's key missed
+// the table when it was made, and the table does not change during a
+// trial, so no entry is replaced.
+//
+//nlft:noalloc
 func (fw *forkWorker) memoize() {
+	t := fw.table
+	first := fw.marks[0]
+	writes := t.writes.copyOf(fw.writes[first.writesLen:], writeChunk)
+	events := t.events.copyOf(fw.col.Events()[first.eventsLen:], eventChunk)
+	// Reserving every entry of the trial up front keeps the appends
+	// below inside one chunk, which never moves under the pointers the
+	// map keeps.
+	t.entries.reserve(len(fw.marks), entryChunk)
 	for _, mk := range fw.marks {
-		fw.table[mk.key] = &suffixEntry{
-			writes:     append([]Write(nil), fw.writes[mk.writesLen:]...),
-			events:     append([]obs.Event(nil), fw.col.Events()[mk.eventsLen:]...),
+		t.entries.free = append(t.entries.free, suffixEntry{
+			writes:     writes[mk.writesLen-first.writesLen:],
+			events:     events[mk.eventsLen-first.eventsLen:],
 			dOmissions: fw.omissions - mk.omissions,
 			dMasked:    fw.masked - mk.masked,
 			dECC:       fw.ecc - mk.ecc,
-			mechs:      subCounts(fw.mechs, fw.arena[mk.mechOff:mk.mechEnd]),
+			mechs:      fw.subCounts(fw.arena[mk.mechOff:mk.mechEnd]),
 			failed:     fw.failed,
-		}
+		})
+		t.m[mk.key] = &t.entries.free[len(t.entries.free)-1]
 	}
 }
 
@@ -235,13 +316,18 @@ func mergeAdd(dst, a, b []mechCount) []mechCount {
 	return dst
 }
 
-// subCounts returns end minus at (both name-sorted; counters are
-// monotone over a run, so every boundary entry appears at the end with
-// an equal or larger count), keeping positive deltas only.
-func subCounts(end, at []mechCount) []mechCount {
-	var out []mechCount
+// subCounts returns the trial's composed counters minus at (both
+// name-sorted; counters are monotone over a run, so every boundary
+// entry appears at the end with an equal or larger count), keeping
+// positive deltas only, carved from the table's arena.
+//
+//nlft:noalloc
+func (fw *forkWorker) subCounts(at []mechCount) []mechCount {
+	a := &fw.table.mechs
+	a.reserve(len(fw.mechs), mechChunk)
+	off := len(a.free)
 	j := 0
-	for _, e := range end {
+	for _, e := range fw.mechs {
 		for j < len(at) && at[j].name < e.name {
 			j++
 		}
@@ -251,10 +337,13 @@ func subCounts(end, at []mechCount) []mechCount {
 			j++
 		}
 		if n > 0 {
-			out = append(out, mechCount{name: e.name, n: n})
+			a.free = append(a.free, mechCount{name: e.name, n: n})
 		}
 	}
-	return out
+	if len(a.free) == off {
+		return nil
+	}
+	return a.free[off:len(a.free):len(a.free)]
 }
 
 // insertSorted inserts s into a sorted string slice.

@@ -24,64 +24,89 @@ func campaignSpecs(w Workload, cfg CampaignConfig) []TrialSpec {
 	return specs
 }
 
-// TestTrialWorkCountersPinned pins the deterministic per-trial work of
-// the fork core on the benchmark's gate workload at seed 1: the
+// endedRecorded reports whether the session's last trial ended on a
+// recorded entry of its suffix table.
+func endedRecorded(s *ForkSession) bool { return s.fw.hit != nil && !s.fw.hit.golden }
+
+// trialWork is the deterministic work of a list of forked trials: the
 // checkpoint count, the events fired and the kernel+task cycles summed
-// over every trial's simulated span, and how many trials end on a
-// golden suffix-table entry. The sampled config carries no collector;
-// the telemetry config's metrics collector must not change where any
-// trial stops, so its counters must also equal a no-collector session's
-// over the same specs. A drift here means trials stop at different
-// boundaries, even when every outcome still agrees. Each trial is
-// measured the way perfbench's layer probe measures it: restore its
-// fork base, read the counters, run it, read them again.
+// over every trial's simulated span, how many trials end on a golden
+// and on a recorded suffix-table entry, and the pages every restore
+// copied back into RAM.
+type trialWork struct {
+	checkpoints                                int
+	fired, cycles, goldens, recorded, restored uint64
+}
+
+// measureTrialWork runs specs on a fresh session with col that records
+// when record is set. Each trial is measured the way perfbench's layer
+// probe measures it: restore its fork base, read the counters, run it,
+// read them again.
+func measureTrialWork(t *testing.T, w Workload, col *obs.Collector, record bool, specs []TrialSpec) trialWork {
+	t.Helper()
+	s, err := newForkSession(w, col, 0, record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &s.Inst.Kernel.Mem().Snap
+	pages0 := snap.PagesRestored
+	got := trialWork{checkpoints: s.Checkpoints()}
+	for i, spec := range specs {
+		s.Restore(s.Select(spec.Fault.At))
+		f0, st0 := s.Inst.Sim.Fired(), s.Inst.Kernel.Stats()
+		if _, err := s.RunTrial(spec); err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		st := s.Inst.Kernel.Stats()
+		got.fired += s.Inst.Sim.Fired() - f0
+		got.cycles += st.KernelCycles + st.TaskCycles - st0.KernelCycles - st0.TaskCycles
+		switch {
+		case endedGolden(s):
+			got.goldens++
+		case endedRecorded(s):
+			got.recorded++
+		}
+	}
+	got.restored = snap.PagesRestored - pages0
+	return got
+}
+
+// TestTrialWorkCountersPinned pins the deterministic per-trial work of
+// the fork core on the benchmark's gate workload at seed 1 (see
+// trialWork), twice per config: on the config's own session, and on a
+// no-collector session that does not record — a table holding the
+// golden entries only. The sampled config carries no collector, so its
+// session records and trials also end on entries earlier trials
+// recorded; its golden-only row is the work before recording, and its
+// pages restored are what the full-scan restore copies. The telemetry
+// config's metrics collector does not record and must not change where
+// any trial stops, so its two rows are equal. A drift here means trials
+// stop at different boundaries, or restores copy different pages, even
+// when every outcome still agrees. The adaptive engine's row is in
+// internal/adapt.
 func TestTrialWorkCountersPinned(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
-	type work struct {
-		checkpoints            int
-		fired, cycles, goldens uint64
-	}
-	measure := func(t *testing.T, col *obs.Collector, specs []TrialSpec) work {
-		s, err := newForkSession(w, col, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := work{checkpoints: s.Checkpoints()}
-		for i, spec := range specs {
-			s.Restore(s.Select(spec.Fault.At))
-			f0, st0 := s.Inst.Sim.Fired(), s.Inst.Kernel.Stats()
-			if _, err := s.RunTrial(spec); err != nil {
-				t.Fatalf("trial %d: %v", i, err)
-			}
-			st := s.Inst.Kernel.Stats()
-			got.fired += s.Inst.Sim.Fired() - f0
-			got.cycles += st.KernelCycles + st.TaskCycles - st0.KernelCycles - st0.TaskCycles
-			if endedGolden(s) {
-				got.goldens++
-			}
-		}
-		return got
-	}
 	cases := []struct {
-		name string
-		cfg  CampaignConfig
-		col  func() *obs.Collector
-		want work
+		name             string
+		cfg              CampaignConfig
+		col              func() *obs.Collector
+		want, goldenOnly trialWork
 	}{
-		{"sampled", CampaignConfig{Trials: 2048, Seed: 1, Parallelism: 1},
-			func() *obs.Collector { return nil }, work{34, 17530, 3183049, 1939}},
-		{"telemetry", CampaignConfig{Trials: 512, Seed: 1, Parallelism: 1, Telemetry: true},
-			newWorkerCollector, work{34, 4606, 833709, 483}},
+		{"sampled", CampaignConfig{Trials: 2048, Seed: 1, Parallelism: 1}, func() *obs.Collector { return nil },
+			trialWork{34, 12700, 2184244, 1559, 474, 1911}, trialWork{34, 17530, 3183049, 1939, 0, 1928}},
+		{"telemetry", CampaignConfig{Trials: 512, Seed: 1, Parallelism: 1, Telemetry: true}, newWorkerCollector,
+			trialWork{34, 4606, 833709, 483, 0, 481}, trialWork{34, 4606, 833709, 483, 0, 481}},
 	}
+	const cols = "checkpoints, fired, cycles, golden ends, recorded ends, pages restored"
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			specs := campaignSpecs(w, tc.cfg)
-			got := measure(t, tc.col(), specs)
-			if got != tc.want {
-				t.Errorf("checkpoints, fired, cycles, golden ends = %v; want %v", got, tc.want)
+			col := tc.col()
+			if got := measureTrialWork(t, w, col, col == nil, specs); got != tc.want {
+				t.Errorf("%s = %v; want %v", cols, got, tc.want)
 			}
-			if bare := measure(t, nil, specs); got != bare {
-				t.Errorf("collector session work %v, no-collector session %v", got, bare)
+			if got := measureTrialWork(t, w, nil, false, specs); got != tc.goldenOnly {
+				t.Errorf("golden-only no-collector session: %s = %v; want %v", cols, got, tc.goldenOnly)
 			}
 		})
 	}

@@ -141,6 +141,60 @@ func TestShardedEqualsSerial(t *testing.T) {
 	}
 }
 
+// TestWorkerRunnerCacheBounded: a worker that serves more distinct
+// campaigns than maxRunners keeps maxRunners runners, most recently
+// leased first, and a re-leased campaign matches its serial run —
+// both the most recent one, whose warm runner's suffix table its first
+// leases recorded into, and the first one, whose runner was evicted
+// and is rebuilt.
+func TestWorkerRunnerCacheBounded(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{})
+	w := &Worker{Transport: Loopback{C: c}, Name: "w", Parallelism: 2}
+	spec := func(seed uint64) CampaignSpec {
+		return CampaignSpec{Trials: 48, Seed: seed, ECC: true, LeaseSize: 16}
+	}
+	serve := func(seed uint64) string {
+		t.Helper()
+		id, err := c.Submit(spec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drain(t, w)
+		return id
+	}
+	last := uint64(maxRunners + 2)
+	for seed := uint64(1); seed <= last; seed++ {
+		serve(seed)
+	}
+	if len(w.runners) != maxRunners {
+		t.Fatalf("%d cached runners after %d campaigns, want %d", len(w.runners), last, maxRunners)
+	}
+	for i, cr := range w.runners {
+		s := spec(last - uint64(i))
+		if key, _ := s.Canonical(); cr.key != key {
+			t.Errorf("cache slot %d holds %s, want seed %d's runner", i, cr.key, s.Seed)
+		}
+	}
+	for _, seed := range []uint64{last, 1} {
+		id := serve(seed)
+		s := spec(seed)
+		want, err := fault.Run(s.Workload(), mustConfig(t, &s, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Digest() != want.Digest() {
+			t.Errorf("seed %d re-leased: digest %#x, serial %#x", seed, got.Digest(), want.Digest())
+		}
+		if key, _ := s.Canonical(); len(w.runners) != maxRunners || w.runners[0].key != key {
+			t.Errorf("seed %d re-leased: %d runners, front %s", seed, len(w.runners), w.runners[0].key)
+		}
+	}
+}
+
 // TestWorkerLossRelease: a worker takes a lease and dies silently; the
 // coordinator re-leases the range at TTL expiry and the final result
 // is still bit-identical to the serial and no-loss runs.

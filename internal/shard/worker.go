@@ -13,11 +13,19 @@ import (
 // DefaultPoll is the idle poll interval when no work is available.
 const DefaultPoll = 500 * time.Millisecond
 
+// maxRunners bounds a worker's runner cache. A runner holds one
+// checkpoint capture per slot and, in a campaign without telemetry, the
+// suffix table its slots keep recording into; every new seed is a new
+// campaign, so a long-lived worker keeps only the runners of the
+// campaigns it leased most recently.
+const maxRunners = 4
+
 // Worker leases trial ranges from a coordinator and runs them on the
 // campaign engine. One ShardRunner is built per campaign and reused
 // across leases, keyed by the spec's canonical JSON — the golden run
 // and each slot's checkpoint capture are paid once, so every lease
-// after the first starts injecting immediately.
+// after the first starts injecting immediately. At most maxRunners
+// runners are kept, most recently leased first.
 type Worker struct {
 	// Transport reaches the coordinator.
 	Transport Transport
@@ -32,7 +40,13 @@ type Worker struct {
 	Log func(format string, args ...any)
 
 	mu      sync.Mutex
-	runners map[string]*fault.ShardRunner
+	runners []cachedRunner // most recently leased first
+}
+
+// cachedRunner is one campaign's runner, keyed by its canonical spec.
+type cachedRunner struct {
+	key string
+	r   *fault.ShardRunner
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -42,7 +56,8 @@ func (w *Worker) logf(format string, args ...any) {
 }
 
 // runner returns the cached ShardRunner for the lease's campaign,
-// building it on first sight.
+// building it on first sight, and moves it to the front of the cache;
+// building one beyond maxRunners evicts the least recently leased.
 func (w *Worker) runner(l *Lease) (*fault.ShardRunner, error) {
 	key, err := l.Spec.Canonical()
 	if err != nil {
@@ -50,8 +65,12 @@ func (w *Worker) runner(l *Lease) (*fault.ShardRunner, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if r, ok := w.runners[key]; ok {
-		return r, nil
+	for i, c := range w.runners {
+		if c.key == key {
+			copy(w.runners[1:i+1], w.runners[:i])
+			w.runners[0] = c
+			return c.r, nil
+		}
 	}
 	cfg, err := l.Spec.Config(w.Parallelism)
 	if err != nil {
@@ -61,10 +80,11 @@ func (w *Worker) runner(l *Lease) (*fault.ShardRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w.runners == nil {
-		w.runners = make(map[string]*fault.ShardRunner)
+	if len(w.runners) < maxRunners {
+		w.runners = append(w.runners, cachedRunner{})
 	}
-	w.runners[key] = r
+	copy(w.runners[1:], w.runners)
+	w.runners[0] = cachedRunner{key: key, r: r}
 	return r, nil
 }
 
