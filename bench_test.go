@@ -397,6 +397,47 @@ func BenchmarkSolverComparison(b *testing.B) {
 	})
 }
 
+// BenchmarkTransientSeries contrasts Chain.TransientSeries with a
+// pointwise Transient loop on a Figure-12-shaped grid: 501 uniform
+// points across one year on the paper's stiff wheel-subsystem chain.
+// The series solver pays one expm plus a vector product per step
+// (re-anchoring every 32 steps); the pointwise loop pays a full expm
+// per point.
+func BenchmarkTransientSeries(b *testing.B) {
+	p := PaperParams()
+	chain, err := core.WheelsDegradedNLFT(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p0, err := chain.InitialAt(core.StateOK)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const points = 501
+	times := make([]float64, points)
+	for i := range times {
+		times[i] = HoursPerYear * float64(i) / float64(points-1)
+	}
+	b.Run("series", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := chain.TransientSeries(p0, times); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pointwise", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, tm := range times {
+				if _, err := chain.Transient(p0, tm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkMonteCarloValidation cross-validates the analytic Figure 12
 // numbers by behavioural simulation.
 func BenchmarkMonteCarloValidation(b *testing.B) {

@@ -1,22 +1,6 @@
 package cpu
 
-// Benchmarks for the CPU dispatch engines. Running
-//
-//	BENCH_CPU_JSON=$PWD/BENCH_cpu.json go test -run=NONE -bench=CPUDispatch ./internal/cpu
-//
-// writes the measured numbers to the named file (relative paths resolve
-// against the package directory); without the variable
-// the benchmarks only report metrics. The committed BENCH_cpu.json
-// records the predecoded engine's speedup over the per-step interpretive
-// decoder on a checksum-style compute loop.
-
-import (
-	"os"
-	"sync"
-	"testing"
-
-	"repro/internal/benchjson"
-)
+import "testing"
 
 // benchDispatchSrc mirrors the standard campaign workload's compute
 // kernel: a register-heavy checksum loop, restarted forever so the
@@ -38,29 +22,6 @@ loop:
 	bgt loop
 	jmp start
 `
-
-type cpuBenchPoint struct {
-	Engine      string  `json:"engine"` // "interpretive" or "predecoded"
-	MMU         bool    `json:"mmu"`
-	NsPerInstr  float64 `json:"ns_per_instr"`
-	InstrPerSec float64 `json:"instr_per_sec"`
-	// SpeedupVsInterpretive is filled in when the file is written,
-	// pairing each predecoded point with the interpretive point of the
-	// same MMU mode.
-	SpeedupVsInterpretive float64 `json:"speedup_vs_interpretive,omitempty"`
-}
-
-// benchCPUOut accumulates results so TestMain can emit them as one JSON
-// document.
-var benchCPUOut struct {
-	mu     sync.Mutex
-	Points []cpuBenchPoint
-}
-
-type benchCPUDoc struct {
-	benchjson.Header
-	Points []cpuBenchPoint `json:"cpu_dispatch,omitempty"`
-}
 
 // BenchmarkCPUDispatch contrasts the per-step interpretive decoder with
 // the predecoded (threaded-code) dispatch engine on the same compute
@@ -114,62 +75,6 @@ func BenchmarkCPUDispatch(b *testing.B) {
 			}
 			nsPerInstr := float64(b.Elapsed().Nanoseconds()) / float64(retired)
 			b.ReportMetric(1e9/nsPerInstr, "instr/s")
-			engine := "interpretive"
-			if tc.predecode {
-				engine = "predecoded"
-			}
-			pt := cpuBenchPoint{
-				Engine:      engine,
-				MMU:         tc.mmu,
-				NsPerInstr:  nsPerInstr,
-				InstrPerSec: 1e9 / nsPerInstr,
-			}
-			// Keep only the final (longest) calibration run per case.
-			benchCPUOut.mu.Lock()
-			replaced := false
-			for i := range benchCPUOut.Points {
-				if benchCPUOut.Points[i].Engine == engine && benchCPUOut.Points[i].MMU == tc.mmu {
-					benchCPUOut.Points[i] = pt
-					replaced = true
-				}
-			}
-			if !replaced {
-				benchCPUOut.Points = append(benchCPUOut.Points, pt)
-			}
-			benchCPUOut.mu.Unlock()
 		})
 	}
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	code = benchjson.EmitFunc("BENCH_CPU_JSON", code, emitBenchCPU)
-	os.Exit(code)
-}
-
-// emitBenchCPU marshals the accumulated points, pairing each predecoded
-// engine with its interpretive baseline, and returns the document (nil
-// if nothing ran).
-func emitBenchCPU() *benchCPUDoc {
-	benchCPUOut.mu.Lock()
-	defer benchCPUOut.mu.Unlock()
-	if len(benchCPUOut.Points) == 0 {
-		return nil
-	}
-	doc := &benchCPUDoc{
-		Header: benchjson.NewHeader(),
-		Points: benchCPUOut.Points,
-	}
-	base := map[bool]float64{}
-	for _, p := range doc.Points {
-		if p.Engine == "interpretive" {
-			base[p.MMU] = p.NsPerInstr
-		}
-	}
-	for i := range doc.Points {
-		if b := base[doc.Points[i].MMU]; b > 0 && doc.Points[i].Engine == "predecoded" {
-			doc.Points[i].SpeedupVsInterpretive = b / doc.Points[i].NsPerInstr
-		}
-	}
-	return doc
 }

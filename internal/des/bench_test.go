@@ -1,120 +1,9 @@
 package des
 
-// Benchmarks for the pooled zero-allocation event core, with
-// machine-readable output. Running
-//
-//	BENCH_DES_JSON=BENCH_des.json go test -run=NONE -bench=DES ./internal/des
-//
-// writes the measured numbers to the named file (relative to this
-// package directory); without the variable the benchmarks only report
-// metrics. The committed BENCH_des.json records the post-rewrite
-// steady-state cost per event.
-
 import (
 	"fmt"
-	"os"
-	"sync"
 	"testing"
-
-	"repro/internal/benchjson"
 )
-
-type churnPoint struct {
-	Pending    int     `json:"pending"`
-	Cancels    bool    `json:"cancels"`
-	NsPerEvent float64 `json:"ns_per_event"`
-}
-
-type nextEventResult struct {
-	Pending     int     `json:"pending"`
-	CanceledPct int     `json:"canceled_pct"`
-	HeapWalkNs  float64 `json:"heap_walk_ns_per_op"`
-	NaiveScanNs float64 `json:"naive_scan_ns_per_op"`
-	Speedup     float64 `json:"speedup_vs_naive_scan"`
-}
-
-var benchDESOut struct {
-	mu        sync.Mutex
-	Churn     []churnPoint
-	NextEvent []nextEventResult
-}
-
-type benchDESDoc struct {
-	benchjson.Header
-	Churn     []churnPoint      `json:"event_churn,omitempty"`
-	NextEvent []nextEventResult `json:"next_event_after,omitempty"`
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	code = benchjson.EmitFunc("BENCH_DES_JSON", code, emitBenchDES)
-	os.Exit(code)
-}
-
-// emitBenchDES returns the accumulated document (nil if nothing ran).
-func emitBenchDES() *benchDESDoc {
-	benchDESOut.mu.Lock()
-	defer benchDESOut.mu.Unlock()
-	if benchDESOut.Churn == nil && benchDESOut.NextEvent == nil {
-		return nil
-	}
-	return &benchDESDoc{
-		Header:    benchjson.NewHeader(),
-		Churn:     benchDESOut.Churn,
-		NextEvent: benchDESOut.NextEvent,
-	}
-}
-
-// BenchmarkDESChurn measures the steady-state cost of one event through
-// the queue (one Schedule + its Step) at several queue depths, with and
-// without a cancellation stream exercising the lazy-delete path. With
-// the pooled core this runs allocation-free (see alloc_test.go).
-func BenchmarkDESChurn(b *testing.B) {
-	for _, pending := range []int{64, 1024, 16384} {
-		for _, cancels := range []bool{false, true} {
-			name := fmt.Sprintf("pending=%d/cancels=%v", pending, cancels)
-			b.Run(name, func(b *testing.B) {
-				s := New()
-				nop := func() {}
-				for i := 0; i < pending; i++ {
-					s.Schedule(Time(i%97), PrioKernel, nop)
-				}
-				var doomed Event
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					at := s.Now() + Time(1+i%97)
-					if cancels {
-						// Every op also schedules and lazily cancels a decoy,
-						// keeping a tombstone stream flowing through the heap.
-						s.Cancel(doomed)
-						doomed = s.Schedule(at+1, PrioDispatch, nop)
-					}
-					s.Schedule(at, PrioKernel, nop)
-					if !s.Step() {
-						b.Fatal("queue drained")
-					}
-				}
-				b.StopTimer()
-				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				b.ReportMetric(ns, "ns/event")
-				pt := churnPoint{Pending: pending, Cancels: cancels, NsPerEvent: ns}
-				benchDESOut.mu.Lock()
-				replaced := false
-				for i := range benchDESOut.Churn {
-					if benchDESOut.Churn[i].Pending == pending && benchDESOut.Churn[i].Cancels == cancels {
-						benchDESOut.Churn[i] = pt
-						replaced = true
-					}
-				}
-				if !replaced {
-					benchDESOut.Churn = append(benchDESOut.Churn, pt)
-				}
-				benchDESOut.mu.Unlock()
-			})
-		}
-	}
-}
 
 // naiveNextEventAfter reproduces the pre-rewrite O(n) implementation:
 // a full scan over every live queue entry. The benchmark contrasts it
@@ -134,7 +23,6 @@ func naiveNextEventAfter(s *Simulator, t Time) Time {
 // deep queue whose head region is dense around the threshold — the
 // kernel's exact access pattern — for the heap walk and the old scan.
 func BenchmarkDESNextEventAfter(b *testing.B) {
-	const canceledPct = 25
 	for _, pending := range []int{64, 1024, 16384} {
 		s := New()
 		nop := func() {}
@@ -145,7 +33,6 @@ func BenchmarkDESNextEventAfter(b *testing.B) {
 			}
 		}
 		threshold := Time(3)
-		var walkNs, scanNs float64
 		b.Run(fmt.Sprintf("pending=%d/walk", pending), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -153,7 +40,6 @@ func BenchmarkDESNextEventAfter(b *testing.B) {
 					b.Fatal("no event found")
 				}
 			}
-			walkNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		})
 		b.Run(fmt.Sprintf("pending=%d/naive", pending), func(b *testing.B) {
 			b.ReportAllocs()
@@ -162,28 +48,6 @@ func BenchmarkDESNextEventAfter(b *testing.B) {
 					b.Fatal("no event found")
 				}
 			}
-			scanNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		})
-		if walkNs > 0 && scanNs > 0 {
-			res := nextEventResult{
-				Pending:     pending,
-				CanceledPct: canceledPct,
-				HeapWalkNs:  walkNs,
-				NaiveScanNs: scanNs,
-				Speedup:     scanNs / walkNs,
-			}
-			benchDESOut.mu.Lock()
-			replaced := false
-			for i := range benchDESOut.NextEvent {
-				if benchDESOut.NextEvent[i].Pending == pending {
-					benchDESOut.NextEvent[i] = res
-					replaced = true
-				}
-			}
-			if !replaced {
-				benchDESOut.NextEvent = append(benchDESOut.NextEvent, res)
-			}
-			benchDESOut.mu.Unlock()
-		}
 	}
 }

@@ -81,9 +81,10 @@ type CampaignConfig struct {
 	// spacing is widened if needed so a horizon fits in the checkpoint
 	// store (see maxCheckpoints in fork.go). Every campaign also gets
 	// the convergence cutoff: a forked trial whose forward state digest
-	// matches the golden run's at a checkpoint boundary after the
-	// injection is classified, and its telemetry completed, without
-	// simulating its suffix.
+	// at a checkpoint boundary after the injection is a state the
+	// slot's suffix table holds (golden, or recorded by an earlier trial
+	// when the campaign has no collector) is classified, and its
+	// telemetry completed, without simulating its suffix.
 	SnapshotInterval des.Time
 }
 

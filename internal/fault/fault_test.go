@@ -248,23 +248,6 @@ func TestFaultString(t *testing.T) {
 	}
 }
 
-func BenchmarkCampaignTrial(b *testing.B) {
-	w := NewStdWorkload(StdWorkloadConfig{})
-	golden, err := goldenRun(w, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := CampaignConfig{Trials: 1}
-	cfg.applyDefaults()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		plan := planForTrial(w, &cfg, i)
-		if _, _, err := runTrial(w, plan, golden, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestParseTargets pins the one target-list grammar every front end
 // shares: comma-separated Target.String names, whitespace ignored, a
 // blank list meaning all targets, empty items and unknown names

@@ -17,7 +17,8 @@
 // Hot-path discipline: Emit performs no allocation beyond the amortized
 // growth of the preallocated event buffer, and metric lookups use
 // comparable struct keys, so telemetry stays off the campaign's
-// critical path (BenchmarkCampaignParallel runs with telemetry on).
+// critical path (perfbench's telemetry workload runs campaigns with
+// telemetry on).
 package obs
 
 import (
