@@ -193,8 +193,7 @@ func BenchmarkFigure3TEMScenarios(b *testing.B) {
 			var last kernel.Stats
 			for i := 0; i < b.N; i++ {
 				sim := des.New()
-				trace := &kernel.Trace{}
-				k, _ := benchKernel(sim, trace)
+				k, _ := benchKernel(sim)
 				sc.inject(sim, k)
 				if err := sim.RunUntil(des.Millisecond / 2); err != nil {
 					b.Fatal(err)
@@ -230,9 +229,9 @@ type benchEnv struct{ writes int }
 func (e *benchEnv) ReadInput(uint32) uint32    { return 0 }
 func (e *benchEnv) WriteOutput(uint32, uint32) { e.writes++ }
 
-func benchKernel(sim *des.Simulator, trace *kernel.Trace) (*kernel.Kernel, *benchEnv) {
+func benchKernel(sim *des.Simulator) (*kernel.Kernel, *benchEnv) {
 	env := &benchEnv{}
-	k := kernel.New(sim, env, kernel.Config{Trace: trace})
+	k := kernel.New(sim, env, kernel.Config{})
 	spec := kernel.TaskSpec{
 		Name:        "burn",
 		Program:     benchProgram,

@@ -1,6 +1,6 @@
 // Command temtrace replays the four temporal-error-masking scenarios of
-// the paper's Figure 3 on the simulated kernel and prints the kernel
-// trace for each: (i) fault-free double execution, (ii) an error caught
+// the paper's Figure 3 on the simulated kernel and prints the kernel's
+// event stream for each: (i) fault-free double execution, (ii) an error caught
 // by the comparison, (iii)/(iv) errors caught by a hardware EDM in the
 // second/first copy with context restore and immediate re-execution.
 //
@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cpu"
@@ -45,26 +46,21 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the structured event stream of all scenarios as JSONL")
 	metricsOut := flag.String("metrics-out", "", "write the merged metrics registry (JSON, or CSV if the name ends in .csv)")
 	flag.Parse()
-	if err := run(*traceOut, *metricsOut); err != nil {
+	if err := run(os.Stdout, *traceOut, *metricsOut); err != nil {
 		fmt.Fprintln(os.Stderr, "temtrace:", err)
 		os.Exit(1)
 	}
 }
 
-func run(traceOut, metricsOut string) error {
+// run replays the scenarios, printing each one's events to w.
+func run(w io.Writer, traceOut, metricsOut string) error {
 	prog, err := cpu.Assemble(taskSrc)
 	if err != nil {
 		return err
 	}
 	// One collector across all scenarios; each runs under its own node
-	// label so the exported stream distinguishes them.
-	var col *obs.Collector
-	if traceOut != "" || metricsOut != "" {
-		col = obs.NewCollector("")
-		if traceOut == "" {
-			col.SetEventLimit(-1) // metrics only
-		}
-	}
+	// label so the printed and exported streams distinguish them.
+	col := obs.NewCollector("")
 	scenarios := []struct {
 		id     string
 		name   string
@@ -93,13 +89,12 @@ func run(traceOut, metricsOut string) error {
 			}},
 	}
 	for _, sc := range scenarios {
-		fmt.Printf("=== Figure 3 %s ===\n    %s\n", sc.name, sc.legend)
+		fmt.Fprintf(w, "=== Figure 3 %s ===\n    %s\n", sc.name, sc.legend)
 		sim := des.New()
-		trace := &kernel.Trace{}
 		e := &env{}
 		scol := col.Labeled(sc.id)
 		obs.AttachSimulator(scol, sim)
-		k := kernel.New(sim, e, kernel.Config{Trace: trace, Obs: scol})
+		k := kernel.New(sim, e, kernel.Config{Obs: scol})
 		spec := kernel.TaskSpec{
 			Name:        "T",
 			Program:     prog,
@@ -119,26 +114,27 @@ func run(traceOut, metricsOut string) error {
 		if err := k.Start(); err != nil {
 			return err
 		}
+		first := len(col.Events())
 		sc.inject(sim, k)
 		if err := sim.RunUntil(des.Millisecond / 2); err != nil {
 			return err
 		}
-		for _, ev := range trace.Events {
-			fmt.Println("   ", ev)
+		for _, ev := range col.Events()[first:] {
+			fmt.Fprintln(w, "   ", ev)
 		}
-		fmt.Printf("    delivered: %v (expected [500500])\n\n", e.delivered)
+		fmt.Fprintf(w, "    delivered: %v (expected [500500])\n\n", e.delivered)
 	}
 	if traceOut != "" {
 		if err := obs.WriteEventsFile(traceOut, col.Events()); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d events to %s\n", len(col.Events()), traceOut)
+		fmt.Fprintf(w, "wrote %d events to %s\n", len(col.Events()), traceOut)
 	}
 	if metricsOut != "" {
 		if err := col.Registry().WriteMetricsFile(metricsOut); err != nil {
 			return err
 		}
-		fmt.Printf("wrote metrics to %s\n", metricsOut)
+		fmt.Fprintf(w, "wrote metrics to %s\n", metricsOut)
 	}
 	return nil
 }

@@ -258,20 +258,20 @@ func newInstance(w Workload, col *obs.Collector) (*Instance, error) {
 	return w.New()
 }
 
-// newTrialCollector builds a per-trial collector retaining up to
-// EventsPerTrial events. Used only when TelemetryEvents is set: the
-// event stream needs per-trial attribution and capping, so each trial
-// gets its own buffer. Metrics-only campaigns share one collector per
-// worker instead (the registry merge is commutative, so per-worker
-// aggregation is just as deterministic and far cheaper).
+// newTrialCollector builds a slot's event-keeping collector, capped at
+// EventsPerTrial events. Used only when TelemetryEvents is set. It is
+// built once per slot (campaignCollector); each trial's restore rewinds
+// it to the checkpoint, so its buffer holds one trial's stream at a
+// time and the cap applies per trial.
 func newTrialCollector(cfg *CampaignConfig) *obs.Collector {
 	col := obs.NewCollector("")
 	col.SetEventLimit(cfg.EventsPerTrial)
 	return col
 }
 
-// newWorkerCollector builds a metrics-only collector shared by all
-// trials of one worker.
+// newWorkerCollector builds a slot's metrics-only collector. It is
+// built once per slot (campaignCollector) and rewound by each trial's
+// restore like the event-keeping one; it just retains no events.
 func newWorkerCollector() *obs.Collector {
 	col := obs.NewCollector("")
 	col.SetEventLimit(-1) // metrics only

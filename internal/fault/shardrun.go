@@ -102,9 +102,9 @@ func (r *ShardRunner) newSlot() (*ForkSession, error) {
 	return newForkSession(r.w, col, r.cfg.SnapshotInterval, col == nil)
 }
 
-// campaignCollector is the collector a campaign trial runs with: a
-// per-trial one for event streams, a shared metrics-only one for
-// metrics, none otherwise.
+// campaignCollector is the collector a campaign slot's trials run
+// with: an event-keeping one for event streams, a metrics-only one for
+// metrics, none otherwise. Each slot builds one; restores rewind it.
 func campaignCollector(cfg *CampaignConfig) *obs.Collector {
 	switch {
 	case cfg.TelemetryEvents:

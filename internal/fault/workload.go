@@ -163,9 +163,6 @@ type StdWorkloadConfig struct {
 	// the task's execution time and the fraction of time faults can hit
 	// live state. Default 64 (~11 µs per copy at 50 MHz).
 	Compute int
-	// Trace, when non-nil, is attached to each instance's kernel (use
-	// only for single trials; traces grow).
-	Trace *kernel.Trace
 }
 
 func (c *StdWorkloadConfig) applyDefaults() {
@@ -219,7 +216,6 @@ func (w *stdWorkload) build(col *obs.Collector) (*Instance, error) {
 		ECC:                  w.cfg.ECC,
 		UseMMU:               w.cfg.UseMMU,
 		PermanentThreshold:   w.cfg.PermanentThreshold,
-		Trace:                w.cfg.Trace,
 		Obs:                  col,
 		AlwaysTriple:         w.cfg.AlwaysTriple,
 		NoContextRestore:     w.cfg.NoContextRestore,

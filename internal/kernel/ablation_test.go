@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/obs"
 )
 
 // TestAblationAlwaysTriple: unconditional triple execution commits the
@@ -47,7 +48,7 @@ func TestAblationAlwaysTriple(t *testing.T) {
 // TestAblationAlwaysTripleMasksWithVote: with unconditional TMR a fault
 // in one copy is outvoted.
 func TestAblationAlwaysTripleMasksWithVote(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{AlwaysTriple: true})
+	sim, env, k, col := buildKernel(t, Config{AlwaysTriple: true})
 	spec := taskABase(t, burnSrc)
 	spec.InputPorts = nil
 	spec.Budget = 200 * des.Microsecond
@@ -69,7 +70,7 @@ func TestAblationAlwaysTripleMasksWithVote(t *testing.T) {
 	if len(env.writes) != 1 || env.writes[0].value != 500500 {
 		t.Errorf("writes = %v", env.writes)
 	}
-	if n := len(trace.Filter(TraceVote)); n != 1 {
+	if n := len(eventsOf(col, obs.KindVote)); n != 1 {
 		t.Errorf("votes = %d", n)
 	}
 }

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/obs"
 )
 
 // TestDeadlineFiresMidExecution: a task whose fault-free execution
 // cannot fit its deadline is cut off by the deadline monitor itself
 // (not by the recovery-time check).
 func TestDeadlineFiresMidExecution(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{PermanentThreshold: 100})
+	sim, env, k, col := buildKernel(t, Config{PermanentThreshold: 100})
 	spec := taskABase(t, burnSrc) // ~80 µs per copy; two copies ≈ 165 µs
 	spec.InputPorts = nil
 	spec.Deadline = 150 * des.Microsecond
@@ -29,7 +30,7 @@ func TestDeadlineFiresMidExecution(t *testing.T) {
 	if st.Omissions != 1 || st.OK != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	om := trace.Filter(TraceOmission)
+	om := eventsOf(col, obs.KindOmission)
 	if len(om) != 1 || !strings.Contains(om[0].Detail, "deadline") {
 		t.Errorf("omission events = %v", om)
 	}
@@ -78,49 +79,8 @@ func TestSysYield(t *testing.T) {
 	}
 }
 
-// TestTraceLimitAndHelpers covers the bounded trace and its filters.
-func TestTraceLimitAndHelpers(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{})
-	trace.Limit = 5
-	env.inputs[0] = 1
-	if err := k.AddTask(taskABase(t, adderSrc)); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.RunUntil(5 * des.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if len(trace.Events) != 5 {
-		t.Errorf("events = %d, want capped 5", len(trace.Events))
-	}
-	if trace.Dropped == 0 {
-		t.Error("no drops recorded")
-	}
-	if got := trace.ForTask("taskA"); len(got) == 0 {
-		t.Error("ForTask found nothing")
-	}
-	if got := trace.ForTask("ghost"); len(got) != 0 {
-		t.Errorf("ForTask(ghost) = %v", got)
-	}
-	for _, e := range trace.Events {
-		if e.String() == "" {
-			t.Error("empty event string")
-		}
-	}
-}
-
 // TestStringersNamed covers the enum String methods, including unknowns.
 func TestStringersNamed(t *testing.T) {
-	for _, k := range []EventKind{TraceRelease, TraceCopyStart, TraceCopyEnd,
-		TracePreempt, TraceResume, TraceErrorDetected, TraceCompareMatch,
-		TraceCompareMismatch, TraceVote, TraceCommit, TraceOmission,
-		TraceTaskShutdown, TraceNodeFailSilent, TraceStateCRCError, EventKind(99)} {
-		if k.String() == "" {
-			t.Errorf("EventKind(%d) unnamed", int(k))
-		}
-	}
 	for _, a := range []Activity{ActivityIdle, ActivityTask, ActivityKernel, Activity(9)} {
 		if a.String() == "" {
 			t.Errorf("Activity(%d) unnamed", int(a))

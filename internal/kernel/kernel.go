@@ -61,12 +61,10 @@ type Config struct {
 	// signature — the cheaper comparison §2.6 warns lets state
 	// corruption escape.
 	CompareOutputsOnly bool
-	// Trace, when non-nil, records kernel events.
-	Trace *Trace
 	// Obs, when non-nil, receives structured telemetry: typed event
 	// records for every TEM state-machine step plus counters and
-	// histograms in the collector's registry (see internal/obs). Trace
-	// and Obs are independent sinks; either or both may be set.
+	// histograms in the collector's registry (see internal/obs). It is
+	// the kernel's only event stream.
 	Obs *obs.Collector
 }
 
@@ -137,6 +135,7 @@ type OutcomeInfo struct {
 // Kernel is a simulated fault-tolerant real-time kernel bound to one
 // simulated processor, driven by a des.Simulator.
 type Kernel struct {
+	//nlft:snapshot-skip configuration fixed at New, never assigned after
 	cfg Config
 	//nlft:snapshot-skip simulator wiring; the des core snapshots its own state
 	sim  *des.Simulator
@@ -371,10 +370,11 @@ func (k *Kernel) Start() error {
 		}
 	}
 	if !k.cfg.InterpretiveDispatch {
-		// Predecode covers the loaded program images only: instances are
-		// built per trial in legacy campaigns, so the cache must stay
-		// proportional to code size, not RAM size. PCs outside coverage
-		// (faulted jumps into data or stack) execute interpretively.
+		// Predecode covers the loaded program images only: every
+		// campaign slot and golden run builds its own instance, so the
+		// cache must stay proportional to code size, not RAM size. PCs
+		// outside coverage (faulted jumps into data or stack) execute
+		// interpretively.
 		k.mem.EnablePredecode(progEnd / 4)
 	}
 	for _, t := range k.order {
@@ -420,50 +420,18 @@ func (k *Kernel) Trigger(name string) error {
 	return nil
 }
 
-// obsKinds maps kernel trace kinds onto the structured telemetry kinds.
-var obsKinds = map[EventKind]obs.Kind{
-	TraceRelease:         obs.KindRelease,
-	TraceCopyStart:       obs.KindCopyStart,
-	TraceCopyEnd:         obs.KindCopyEnd,
-	TracePreempt:         obs.KindPreempt,
-	TraceResume:          obs.KindResume,
-	TraceErrorDetected:   obs.KindErrorDetected,
-	TraceCompareMatch:    obs.KindCompareMatch,
-	TraceCompareMismatch: obs.KindCompareMismatch,
-	TraceVote:            obs.KindVote,
-	TraceCommit:          obs.KindCommit,
-	TraceOmission:        obs.KindOmission,
-	TraceTaskShutdown:    obs.KindTaskShutdown,
-	TraceNodeFailSilent:  obs.KindFailSilent,
-	TraceStateCRCError:   obs.KindStateCRCError,
-}
-
-// trace appends to the configured trace sink and mirrors the record into
-// the structured telemetry stream. Release records carry the task's
-// criticality as the telemetry detail so stream consumers (the invariant
-// checker) can tell TEM tasks from single-copy ones.
+// emit records one TEM state-machine step in the telemetry stream.
 //
 //nlft:noalloc
-func (k *Kernel) trace(kind EventKind, task string, copyIdx int, detail string) {
-	if k.cfg.Trace == nil && k.cfg.Obs == nil {
+func (k *Kernel) emit(kind obs.Kind, task string, copyIdx int, detail string) {
+	if k.cfg.Obs == nil {
 		return
 	}
-	k.cfg.Trace.add(TraceEvent{At: k.sim.Now(), Kind: kind, Task: task, Copy: copyIdx, Detail: detail})
-	if k.cfg.Obs != nil {
-		obsDetail := detail
-		if kind == TraceRelease && obsDetail == "" {
-			if t, ok := k.tasks[task]; ok {
-				obsDetail = t.spec.Criticality.String()
-			}
-		}
-		k.cfg.Obs.Emit(obs.Event{
-			At: k.sim.Now(), Kind: obsKinds[kind], Task: task, Copy: copyIdx, Detail: obsDetail,
-		})
-	}
+	k.cfg.Obs.Emit(obs.Event{At: k.sim.Now(), Kind: kind, Task: task, Copy: copyIdx, Detail: detail})
 }
 
-// countDetected attributes one detected error to a mechanism in both the
-// legacy stats map and the telemetry registry.
+// countDetected attributes one detected error to a mechanism in both
+// Stats.ErrorsDetected and the telemetry registry.
 func (k *Kernel) countDetected(task, mechanism string) {
 	k.stats.ErrorsDetected[mechanism]++
 	if k.cfg.Obs != nil {
@@ -496,7 +464,7 @@ func (k *Kernel) release(t *tcb) {
 	if t.spec.DataWords > 0 && t.stateCRCSet {
 		if t.dataCRC(k.mem) != t.stateCRC {
 			crcError = true
-			k.trace(TraceStateCRCError, t.spec.Name, 0, "restoring committed state")
+			k.emit(obs.KindStateCRCError, t.spec.Name, 0, "restoring committed state")
 			k.countDetected(t.spec.Name, "state-crc")
 			if len(t.stateImage) == int(t.spec.DataWords) {
 				for i, w := range t.stateImage {
@@ -521,7 +489,9 @@ func (k *Kernel) release(t *tcb) {
 	}
 	j.deadlineEvent = k.sim.Schedule(j.deadline, des.PrioKernel, j.deadlineFn)
 	k.ready = append(k.ready, j)
-	k.trace(TraceRelease, t.spec.Name, 0, "")
+	// The criticality lets stream consumers (the invariant checker) tell
+	// TEM tasks from single-copy ones.
+	k.emit(obs.KindRelease, t.spec.Name, 0, t.spec.Criticality.String())
 	k.scheduleDispatch()
 }
 
@@ -639,15 +609,10 @@ func (k *Kernel) dispatch() {
 		if k.current != nil && k.current.state != jobDone && k.current.started {
 			// Mid-copy preemption; the context was saved at slice end.
 			k.current.state = jobReady
-			k.trace(TracePreempt, k.current.task.spec.Name, k.current.copyIndex, "")
+			k.emit(obs.KindPreempt, k.current.task.spec.Name, k.current.copyIndex, "")
 		}
 		k.current = best
-		if k.cfg.Obs != nil {
-			k.cfg.Obs.Emit(obs.Event{
-				At: k.sim.Now(), Kind: obs.KindDispatch,
-				Task: best.task.spec.Name, Copy: best.copyIndex,
-			})
-		}
+		k.emit(obs.KindDispatch, best.task.spec.Name, best.copyIndex, "")
 		// Context-switch overhead: the kernel occupies the CPU first.
 		k.stats.KernelCycles += k.cfg.SwitchCycles
 		if k.obsKernelCycles != nil {
@@ -680,7 +645,7 @@ func (k *Kernel) startCopy(j *job) {
 	j.outputs = j.outputs[:0]
 	j.cyclesUsed = 0
 	j.started = true
-	k.trace(TraceCopyStart, t.spec.Name, j.copyIndex, "")
+	k.emit(obs.KindCopyStart, t.spec.Name, j.copyIndex, "")
 }
 
 // budgetCycles converts the task's per-copy budget to cycles.
@@ -707,7 +672,7 @@ func (k *Kernel) runSlice(j *job) {
 		// from the TCB area.
 		k.proc.Restore(j.ctx)
 		k.procOwner = j
-		k.trace(TraceResume, j.task.spec.Name, j.copyIndex, "")
+		k.emit(obs.KindResume, j.task.spec.Name, j.copyIndex, "")
 	}
 	j.state = jobRunning
 	if k.cfg.UseMMU {
@@ -827,7 +792,7 @@ func (k *Kernel) handleDetectedError(j *job, mechanism string) {
 	k.countDetected(j.task.spec.Name, mechanism)
 	j.errorsDetected++
 	j.detectedBy = append(j.detectedBy, mechanism)
-	k.trace(TraceErrorDetected, j.task.spec.Name, j.copyIndex, mechanism)
+	k.emit(obs.KindErrorDetected, j.task.spec.Name, j.copyIndex, mechanism)
 
 	if k.cfg.FailSilentOnError {
 		k.emitOutcome(j, OutcomeOmission)
@@ -878,13 +843,13 @@ func (k *Kernel) copyComplete(j *job) {
 	if t.obsCopyCycles != nil {
 		t.obsCopyCycles.Observe(j.cyclesUsed)
 	}
-	if k.cfg.Trace != nil || k.cfg.Obs.KeepsEvents() {
-		//nlft:allow noalloc trace detail built only when a sink keeps events; the zero-alloc gates run detached or metrics-only
-		k.trace(TraceCopyEnd, t.spec.Name, j.copyIndex, fmt.Sprintf("crc=%08x", res.crc()))
-	} else if k.cfg.Obs != nil {
+	if k.cfg.Obs.KeepsEvents() {
+		//nlft:allow noalloc trace detail built only when the collector keeps events; the zero-alloc gates run detached or metrics-only
+		k.emit(obs.KindCopyEnd, t.spec.Name, j.copyIndex, fmt.Sprintf("crc=%08x", res.crc()))
+	} else {
 		// A metrics-only collector keeps no events and keys copy-end
 		// counters by task, so the detail is never read.
-		k.trace(TraceCopyEnd, t.spec.Name, j.copyIndex, "")
+		k.emit(obs.KindCopyEnd, t.spec.Name, j.copyIndex, "")
 	}
 	j.state = jobReady
 	j.started = false
@@ -920,7 +885,7 @@ func (k *Kernel) copyComplete(j *job) {
 			return
 		}
 		if k.resultsEqual(&j.results[0], &j.results[1]) {
-			k.trace(TraceCompareMatch, t.spec.Name, 0, "")
+			k.emit(obs.KindCompareMatch, t.spec.Name, 0, "")
 			k.commit(j, &j.results[0])
 			return
 		}
@@ -929,7 +894,7 @@ func (k *Kernel) copyComplete(j *job) {
 		k.countDetected(t.spec.Name, "comparison")
 		j.errorsDetected++
 		j.detectedBy = append(j.detectedBy, "comparison")
-		k.trace(TraceCompareMismatch, t.spec.Name, 0, "")
+		k.emit(obs.KindCompareMismatch, t.spec.Name, 0, "")
 		if !k.timeForAnotherCopy(j) {
 			k.omission(j, "no time for third copy")
 			return
@@ -957,11 +922,11 @@ func (k *Kernel) copyComplete(j *job) {
 			winner = &j.results[1]
 		}
 		if winner == nil {
-			k.trace(TraceVote, t.spec.Name, 0, "no majority")
+			k.emit(obs.KindVote, t.spec.Name, 0, "no majority")
 			k.omission(j, "three divergent results")
 			return
 		}
-		k.trace(TraceVote, t.spec.Name, 0, "majority found")
+		k.emit(obs.KindVote, t.spec.Name, 0, "majority found")
 		k.commit(j, winner)
 	default:
 		//nlft:allow noalloc panic message on a state-machine bug; unreachable in a correct kernel
@@ -1013,13 +978,11 @@ func (k *Kernel) commit(j *job, res *copyResult) {
 	outcome := OutcomeOK
 	if j.errorsDetected > 0 {
 		outcome = OutcomeMasked
-		k.stats.Masked++
 		t.consecutiveErrors++
 	} else {
-		k.stats.OK++
 		t.consecutiveErrors = 0
 	}
-	k.trace(TraceCommit, t.spec.Name, 0, outcome.String())
+	k.emit(obs.KindCommit, t.spec.Name, 0, outcome.String())
 	k.emitOutcome(j, outcome)
 	if t.consecutiveErrors >= k.cfg.PermanentThreshold {
 		//nlft:allow noalloc permanent-fault suspicion message; reached only after consecutive error releases
@@ -1043,9 +1006,8 @@ func (k *Kernel) omission(j *job, reason string) {
 	if j == k.current {
 		k.current = nil
 	}
-	k.stats.Omissions++
 	t.consecutiveErrors++
-	k.trace(TraceOmission, t.spec.Name, 0, reason)
+	k.emit(obs.KindOmission, t.spec.Name, 0, reason)
 	k.emitOutcome(j, OutcomeOmission)
 	if t.consecutiveErrors >= k.cfg.PermanentThreshold {
 		k.failSilent(fmt.Sprintf("suspected permanent fault: %d consecutive error releases of %s",
@@ -1066,8 +1028,7 @@ func (k *Kernel) shutdownTask(j *job, reason string) {
 		k.current = nil
 	}
 	t.alive = false
-	k.stats.TaskShutdowns++
-	k.trace(TraceTaskShutdown, t.spec.Name, 0, reason)
+	k.emit(obs.KindTaskShutdown, t.spec.Name, 0, reason)
 	k.emitOutcome(j, OutcomeTaskShutdown)
 	k.retireJob(j)
 	k.scheduleDispatch()
@@ -1081,10 +1042,22 @@ func (k *Kernel) deadlineCheck(j *job) {
 	k.omission(j, "deadline reached")
 }
 
-// emitOutcome counts the release outcome and invokes the outcome hook.
+// emitOutcome counts the release outcome in Stats and the registry and
+// invokes the outcome hook. It is the only place outcomes are counted,
+// so the three accountings cannot disagree.
 //
 //nlft:noalloc
 func (k *Kernel) emitOutcome(j *job, o Outcome) {
+	switch o {
+	case OutcomeOK:
+		k.stats.OK++
+	case OutcomeMasked:
+		k.stats.Masked++
+	case OutcomeOmission:
+		k.stats.Omissions++
+	case OutcomeTaskShutdown:
+		k.stats.TaskShutdowns++
+	}
 	if k.cfg.Obs != nil {
 		k.cfg.Obs.Counter("kernel.outcomes", j.task.spec.Name, o.String()).Inc()
 	}
@@ -1116,7 +1089,7 @@ func (k *Kernel) failSilent(reason string) {
 	// retained so a checkpoint restore (internal/fault's fork engine) can
 	// rebuild it without allocating.
 	k.ready = k.ready[:0]
-	k.trace(TraceNodeFailSilent, "", 0, reason)
+	k.emit(obs.KindFailSilent, "", 0, reason)
 	if k.OnFailSilent != nil {
 		k.OnFailSilent(k.sim.Now(), reason)
 	}

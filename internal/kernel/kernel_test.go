@@ -1,11 +1,13 @@
 package kernel
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/des"
+	"repro/internal/obs"
 )
 
 // Test memory layout: code at 0x0000/0x1000, data at 0x8000/0x8400,
@@ -145,15 +147,27 @@ func taskABase(t *testing.T, src string) TaskSpec {
 	}
 }
 
-// buildKernel wires a simulator, environment and kernel with a trace.
-func buildKernel(t *testing.T, cfg Config) (*des.Simulator, *testEnv, *Kernel, *Trace) {
+// buildKernel wires a simulator, environment and kernel with an
+// unlimited collector attached.
+func buildKernel(t *testing.T, cfg Config) (*des.Simulator, *testEnv, *Kernel, *obs.Collector) {
 	t.Helper()
 	sim := des.New()
 	env := newTestEnv()
-	trace := &Trace{}
-	cfg.Trace = trace
+	col := obs.NewCollector("")
+	cfg.Obs = col
 	k := New(sim, env, cfg)
-	return sim, env, k, trace
+	return sim, env, k, col
+}
+
+// eventsOf returns the collector's events of the given kinds, in order.
+func eventsOf(col *obs.Collector, kinds ...obs.Kind) []obs.Event {
+	var out []obs.Event
+	for _, e := range col.Events() {
+		if slices.Contains(kinds, e.Kind) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func TestSpecValidation(t *testing.T) {
@@ -221,7 +235,7 @@ func TestStartNeedsTasks(t *testing.T) {
 // TestFaultFreeTEM checks Figure 3 scenario (i): two copies, one
 // comparison, one commit, and exactly one output delivered per release.
 func TestFaultFreeTEM(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{UseMMU: true})
+	sim, env, k, col := buildKernel(t, Config{UseMMU: true})
 	env.inputs[0] = 37
 	if err := k.AddTask(taskABase(t, adderSrc)); err != nil {
 		t.Fatal(err)
@@ -245,14 +259,14 @@ func TestFaultFreeTEM(t *testing.T) {
 		}
 	}
 	// Each release: two copy-starts, two copy-ends, one match, one commit.
-	starts := trace.Filter(TraceCopyStart)
+	starts := eventsOf(col, obs.KindCopyStart)
 	if len(starts) != 8 {
 		t.Errorf("copy starts = %d, want 8", len(starts))
 	}
-	if n := len(trace.Filter(TraceCompareMatch)); n != 4 {
+	if n := len(eventsOf(col, obs.KindCompareMatch)); n != 4 {
 		t.Errorf("matches = %d, want 4", n)
 	}
-	if n := len(trace.Filter(TraceCompareMismatch, TraceErrorDetected, TraceOmission)); n != 0 {
+	if n := len(eventsOf(col, obs.KindCompareMismatch, obs.KindErrorDetected, obs.KindOmission)); n != 0 {
 		t.Errorf("unexpected error events: %d", n)
 	}
 }
@@ -261,7 +275,7 @@ func TestFaultFreeTEM(t *testing.T) {
 // volatile environment, both TEM copies observe the release-time latch,
 // so no comparison mismatch occurs.
 func TestInputLatching(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{})
+	sim, env, k, col := buildKernel(t, Config{})
 	env.volatileInputs = true
 	if err := k.AddTask(taskABase(t, adderSrc)); err != nil {
 		t.Fatal(err)
@@ -272,7 +286,7 @@ func TestInputLatching(t *testing.T) {
 	if err := sim.RunUntil(2*des.Millisecond + des.Millisecond/2); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(trace.Filter(TraceCompareMismatch)); n != 0 {
+	if n := len(eventsOf(col, obs.KindCompareMismatch)); n != 0 {
 		t.Errorf("mismatches with volatile inputs = %d (latching broken)", n)
 	}
 	// One environment read per release, not per copy.
@@ -289,7 +303,7 @@ func TestInputLatching(t *testing.T) {
 // a silent data corruption in the second copy makes the comparison
 // mismatch; the third copy restores a majority and the error is masked.
 func TestComparisonDetectsRegisterFault(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{})
+	sim, env, k, col := buildKernel(t, Config{})
 	spec := taskABase(t, burnSrc)
 	spec.InputPorts = nil
 	if err := k.AddTask(spec); err != nil {
@@ -313,10 +327,10 @@ func TestComparisonDetectsRegisterFault(t *testing.T) {
 	if st.Masked != 1 {
 		t.Fatalf("masked = %d, stats %+v", st.Masked, st)
 	}
-	if n := len(trace.Filter(TraceCompareMismatch)); n != 1 {
+	if n := len(eventsOf(col, obs.KindCompareMismatch)); n != 1 {
 		t.Errorf("mismatches = %d", n)
 	}
-	votes := trace.Filter(TraceVote)
+	votes := eventsOf(col, obs.KindVote)
 	if len(votes) != 1 || !strings.Contains(votes[0].Detail, "majority found") {
 		t.Errorf("votes = %v", votes)
 	}
@@ -334,7 +348,7 @@ func TestComparisonDetectsRegisterFault(t *testing.T) {
 // copy, restores the context from the TCB and immediately starts a
 // replacement copy. The release is masked and the result correct.
 func TestEDMDetectedFaultRestartsCopy(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{})
+	sim, env, k, col := buildKernel(t, Config{})
 	spec := taskABase(t, burnSrc)
 	spec.InputPorts = nil
 	if err := k.AddTask(spec); err != nil {
@@ -353,12 +367,12 @@ func TestEDMDetectedFaultRestartsCopy(t *testing.T) {
 	if st.Masked != 1 || st.Omissions != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	detected := trace.Filter(TraceErrorDetected)
+	detected := eventsOf(col, obs.KindErrorDetected)
 	if len(detected) != 1 || detected[0].Detail != "illegal-opcode" {
 		t.Errorf("detected = %v", detected)
 	}
 	// Three copy starts: the killed copy 1, its replacement, and copy 2.
-	if n := len(trace.Filter(TraceCopyStart)); n != 3 {
+	if n := len(eventsOf(col, obs.KindCopyStart)); n != 3 {
 		t.Errorf("copy starts = %d, want 3", n)
 	}
 	if len(env.writes) != 1 || env.writes[0].value != 500500 {
@@ -370,7 +384,7 @@ func TestEDMDetectedFaultRestartsCopy(t *testing.T) {
 // deadline leaves no room for another copy; the kernel enforces an
 // omission failure (§2.5).
 func TestOmissionWhenNoTimeToRecover(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{})
+	sim, env, k, col := buildKernel(t, Config{})
 	spec := taskABase(t, burnSrc)
 	spec.InputPorts = nil
 	// Deadline fits the two copies plus a little, but not a third.
@@ -395,7 +409,7 @@ func TestOmissionWhenNoTimeToRecover(t *testing.T) {
 	if len(env.writes) != 0 {
 		t.Errorf("an omission still delivered: %v", env.writes)
 	}
-	om := trace.Filter(TraceOmission)
+	om := eventsOf(col, obs.KindOmission)
 	if len(om) != 1 || !strings.Contains(om[0].Detail, "third copy") {
 		t.Errorf("omissions = %v", om)
 	}
@@ -405,7 +419,7 @@ func TestOmissionWhenNoTimeToRecover(t *testing.T) {
 // time monitor; with a deterministic fault re-execution also overruns,
 // and the release ends in an omission.
 func TestBudgetTimerCatchesRunaway(t *testing.T) {
-	sim, _, k, trace := buildKernel(t, Config{PermanentThreshold: 100})
+	sim, _, k, col := buildKernel(t, Config{PermanentThreshold: 100})
 	spec := taskABase(t, spinSrc)
 	spec.InputPorts = nil
 	spec.Budget = 50 * des.Microsecond
@@ -426,7 +440,7 @@ func TestBudgetTimerCatchesRunaway(t *testing.T) {
 	if st.ErrorsDetected["budget-timer"] == 0 {
 		t.Error("budget timer never fired")
 	}
-	if n := len(trace.Filter(TraceErrorDetected)); n < 2 {
+	if n := len(eventsOf(col, obs.KindErrorDetected)); n < 2 {
 		t.Errorf("expected repeated budget errors, got %d", n)
 	}
 }
@@ -434,7 +448,7 @@ func TestBudgetTimerCatchesRunaway(t *testing.T) {
 // TestNonCriticalShutdown: a detected error in a non-critical task shuts
 // only that task down (§2.2, strategy 2); the critical task continues.
 func TestNonCriticalShutdown(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{UseMMU: true})
+	sim, env, k, col := buildKernel(t, Config{UseMMU: true})
 	env.inputs[0] = 1
 	crit := taskABase(t, adderSrc)
 	if err := k.AddTask(crit); err != nil {
@@ -472,7 +486,7 @@ func TestNonCriticalShutdown(t *testing.T) {
 	if st.OK != 4 {
 		t.Errorf("critical OK = %d, want 4 (stats %+v)", st.OK, st)
 	}
-	if n := len(trace.Filter(TraceTaskShutdown)); n != 1 {
+	if n := len(eventsOf(col, obs.KindTaskShutdown)); n != 1 {
 		t.Errorf("shutdown events = %d", n)
 	}
 	if failed, _ := k.Failed(); failed {
@@ -483,7 +497,7 @@ func TestNonCriticalShutdown(t *testing.T) {
 // TestPreemption: a high-priority short task preempts a long low-priority
 // TEM copy; both deliver correct results.
 func TestPreemption(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{})
+	sim, env, k, col := buildKernel(t, Config{})
 	long := taskABase(t, burnSrc)
 	long.Name = "long"
 	long.InputPorts = nil
@@ -523,7 +537,7 @@ func TestPreemption(t *testing.T) {
 	if st.Omissions != 0 || st.Masked != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if n := len(trace.Filter(TracePreempt)); n == 0 {
+	if n := len(eventsOf(col, obs.KindPreempt)); n == 0 {
 		t.Error("no preemptions observed")
 	}
 	// The long task's result must be unaffected by interleaving.
@@ -567,7 +581,7 @@ func TestStatePersistsAcrossReleases(t *testing.T) {
 // region between releases is caught by the kernel's CRC check and the
 // committed image is restored.
 func TestStateCRCDetectsCorruption(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{})
+	sim, env, k, col := buildKernel(t, Config{})
 	spec := taskABase(t, counterSrc)
 	spec.InputPorts = nil
 	if err := k.AddTask(spec); err != nil {
@@ -583,7 +597,7 @@ func TestStateCRCDetectsCorruption(t *testing.T) {
 	if err := sim.RunUntil(2*des.Millisecond + des.Millisecond/2); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(trace.Filter(TraceStateCRCError)); n != 1 {
+	if n := len(eventsOf(col, obs.KindStateCRCError)); n != 1 {
 		t.Fatalf("crc errors = %d", n)
 	}
 	// The counter continued 1, 2, 3 — corruption did not propagate.
@@ -603,7 +617,7 @@ func TestStateCRCDetectsCorruption(t *testing.T) {
 // itself scrub the flip, so code is the region where ECC correction is
 // actually observable.)
 func TestECCAbsorbsMemoryFault(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{ECC: true})
+	sim, env, k, col := buildKernel(t, Config{ECC: true})
 	spec := taskABase(t, counterSrc)
 	spec.InputPorts = nil
 	if err := k.AddTask(spec); err != nil {
@@ -618,7 +632,7 @@ func TestECCAbsorbsMemoryFault(t *testing.T) {
 	if err := sim.RunUntil(2*des.Millisecond + des.Millisecond/2); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(trace.Filter(TraceStateCRCError, TraceCompareMismatch, TraceErrorDetected)); n != 0 {
+	if n := len(eventsOf(col, obs.KindStateCRCError, obs.KindCompareMismatch, obs.KindErrorDetected)); n != 0 {
 		t.Fatalf("error events with ECC = %d", n)
 	}
 	if k.Mem().CorrectedErrors != 1 {
@@ -655,7 +669,7 @@ func TestSignatureGoldenCheck(t *testing.T) {
 
 	// Now demand an impossible signature: every copy is rejected and the
 	// release ends in an omission.
-	sim2, env2, k2, trace2 := buildKernel(t, Config{PermanentThreshold: 100})
+	sim2, env2, k2, col2 := buildKernel(t, Config{PermanentThreshold: 100})
 	spec2 := taskABase(t, sigSrc)
 	spec2.InputPorts = nil
 	spec2.ExpectedSignature = golden ^ 0xFFFF
@@ -676,7 +690,7 @@ func TestSignatureGoldenCheck(t *testing.T) {
 	if k2.Stats().ErrorsDetected["signature"] == 0 {
 		t.Error("signature mechanism never fired")
 	}
-	if n := len(trace2.Filter(TraceOmission)); n != 1 {
+	if n := len(eventsOf(col2, obs.KindOmission)); n != 1 {
 		t.Errorf("omissions = %d", n)
 	}
 
@@ -702,7 +716,7 @@ func TestSignatureGoldenCheck(t *testing.T) {
 // TestPermanentSuspicionFailSilent: errors repeating across releases
 // drive the node fail-silent for off-line diagnosis (§2.5).
 func TestPermanentSuspicionFailSilent(t *testing.T) {
-	sim, _, k, trace := buildKernel(t, Config{PermanentThreshold: 3})
+	sim, _, k, col := buildKernel(t, Config{PermanentThreshold: 3})
 	spec := taskABase(t, spinSrc) // deterministic runaway: every release errs
 	spec.InputPorts = nil
 	spec.Budget = 50 * des.Microsecond
@@ -733,7 +747,7 @@ func TestPermanentSuspicionFailSilent(t *testing.T) {
 	if st.Omissions != 3 {
 		t.Errorf("omissions = %d, want 3 (threshold)", st.Omissions)
 	}
-	if n := len(trace.Filter(TraceNodeFailSilent)); n != 1 {
+	if n := len(eventsOf(col, obs.KindFailSilent)); n != 1 {
 		t.Errorf("fail-silent events = %d", n)
 	}
 }
@@ -848,7 +862,7 @@ func BenchmarkKernelSecondOfTEM(b *testing.B) {
 // is masked without disturbing the preempted low-priority task — the MMU
 // confinement and per-job contexts of §2.4 in action.
 func TestFaultIsolationBetweenTasks(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{UseMMU: true})
+	sim, env, k, col := buildKernel(t, Config{UseMMU: true})
 	low := taskABase(t, burnSrc)
 	low.Name = "low"
 	low.InputPorts = nil
@@ -913,11 +927,11 @@ func TestFaultIsolationBetweenTasks(t *testing.T) {
 	if len(highVals) != 2 || highVals[0] != 500500 || highVals[1] != 500500 {
 		t.Errorf("high outputs = %v", highVals)
 	}
-	if n := len(trace.Filter(TracePreempt)); n == 0 {
+	if n := len(eventsOf(col, obs.KindPreempt)); n == 0 {
 		t.Error("no preemption recorded")
 	}
 	// The fault was detected in the high task only.
-	for _, ev := range trace.Filter(TraceCompareMismatch, TraceErrorDetected) {
+	for _, ev := range eventsOf(col, obs.KindCompareMismatch, obs.KindErrorDetected) {
 		if ev.Task != "high" {
 			t.Errorf("error event leaked to %q", ev.Task)
 		}

@@ -7,21 +7,11 @@ import (
 	"repro/internal/obs"
 )
 
-// buildObsKernel wires a kernel with both the legacy trace and an obs
-// collector attached.
-func buildObsKernel(t *testing.T, cfg Config) (*des.Simulator, *testEnv, *Kernel, *Trace, *obs.Collector) {
-	t.Helper()
-	col := obs.NewCollector("")
-	cfg.Obs = col
-	sim, env, k, trace := buildKernel(t, cfg)
-	return sim, env, k, trace, col
-}
-
 // TestObsMirrorsKernelStats cross-checks the telemetry counters against
 // the kernel's own Stats over a fault-free run: the two accountings are
 // produced by different code paths and must agree exactly.
 func TestObsMirrorsKernelStats(t *testing.T) {
-	sim, _, k, trace, col := buildObsKernel(t, Config{})
+	sim, _, k, col := buildKernel(t, Config{})
 	if err := k.AddTask(taskABase(t, adderSrc)); err != nil {
 		t.Fatal(err)
 	}
@@ -57,32 +47,15 @@ func TestObsMirrorsKernelStats(t *testing.T) {
 		t.Errorf("copy_cycles min/max = %d/%d", h.Min(), h.Max())
 	}
 
-	// The obs stream carries every legacy trace record (same kinds, same
-	// instants) plus the obs-only dispatch events.
-	dispatches := 0
-	for _, e := range col.Events() {
-		if e.Kind == obs.KindDispatch {
-			dispatches++
-		}
-	}
-	if got := len(col.Events()) - dispatches; got != len(trace.Events) {
-		t.Errorf("obs stream has %d non-dispatch events, legacy trace %d",
-			got, len(trace.Events))
-	}
-	if dispatches == 0 {
+	if len(eventsOf(col, obs.KindDispatch)) == 0 {
 		t.Error("no dispatch events recorded")
 	}
 
 	// Release events carry the criticality as detail (the invariant
-	// checker keys on it); the legacy trace is unchanged (empty detail).
-	for _, e := range col.Events() {
-		if e.Kind == obs.KindRelease && e.Detail != "critical" {
+	// checker keys on it).
+	for _, e := range eventsOf(col, obs.KindRelease) {
+		if e.Detail != "critical" {
 			t.Errorf("release event detail = %q, want critical", e.Detail)
-		}
-	}
-	for _, ev := range trace.Events {
-		if ev.Kind == TraceRelease && ev.Detail != "" {
-			t.Errorf("legacy release detail changed: %q", ev.Detail)
 		}
 	}
 }
@@ -91,7 +64,7 @@ func TestObsMirrorsKernelStats(t *testing.T) {
 // releases so the data-integrity CRC fires, and checks the detection is
 // counted per mechanism in the registry and emitted as a typed event.
 func TestObsCountsDetectedErrors(t *testing.T) {
-	sim, _, k, _, col := buildObsKernel(t, Config{})
+	sim, _, k, col := buildKernel(t, Config{})
 	spec := taskABase(t, adderSrc)
 	if err := k.AddTask(spec); err != nil {
 		t.Fatal(err)
@@ -133,7 +106,8 @@ func TestObsCountsDetectedErrors(t *testing.T) {
 // TestObsNilCollectorIsFreeAndSafe: a kernel without a collector takes
 // every telemetry call site through the nil paths.
 func TestObsNilCollectorIsSafe(t *testing.T) {
-	sim, env, k, _ := buildKernel(t, Config{})
+	sim, env := des.New(), newTestEnv()
+	k := New(sim, env, Config{})
 	if err := k.AddTask(taskABase(t, adderSrc)); err != nil {
 		t.Fatal(err)
 	}
@@ -145,5 +119,47 @@ func TestObsNilCollectorIsSafe(t *testing.T) {
 	}
 	if len(env.writes) == 0 {
 		t.Error("no outputs committed without a collector")
+	}
+}
+
+// TestOutcomeCountsAgreeFailSilent: a fail-silent node turns a detected
+// error into an omission of the release, and the kernel's Stats, the
+// registry's kernel.outcomes series and the outcome hook must all count
+// it once.
+func TestOutcomeCountsAgreeFailSilent(t *testing.T) {
+	sim, _, k, col := buildKernel(t, Config{FailSilentOnError: true})
+	spec := taskABase(t, burnSrc)
+	spec.InputPorts = nil
+	if err := k.AddTask(spec); err != nil {
+		t.Fatal(err)
+	}
+	hook := map[Outcome]uint64{}
+	k.OnOutcome = func(i OutcomeInfo) { hook[i.Outcome]++ }
+	if err := k.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sim.Schedule(40*des.Microsecond, des.PrioInject, func() { k.Proc().FlipPC(13) })
+	if err := sim.RunUntil(des.Millisecond / 2); err != nil {
+		t.Fatal(err)
+	}
+	if failed, _ := k.Failed(); !failed {
+		t.Fatal("the PC flip did not silence the node; test setup broken")
+	}
+	st := k.Stats()
+	reg := col.Registry()
+	for _, c := range []struct {
+		o     Outcome
+		stats uint64
+	}{
+		{OutcomeOK, st.OK}, {OutcomeMasked, st.Masked},
+		{OutcomeOmission, st.Omissions}, {OutcomeTaskShutdown, st.TaskShutdowns},
+	} {
+		metric := reg.CounterValue(obs.Key{Name: "kernel.outcomes", Task: spec.Name, Mechanism: c.o.String()})
+		if c.stats != hook[c.o] || metric != hook[c.o] {
+			t.Errorf("%v: Stats %d, kernel.outcomes %d, hook %d", c.o, c.stats, metric, hook[c.o])
+		}
+	}
+	if hook[OutcomeOmission] != 1 {
+		t.Errorf("hook saw %d omissions, want 1", hook[OutcomeOmission])
 	}
 }

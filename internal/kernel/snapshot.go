@@ -97,9 +97,6 @@ type KernelState struct {
 	errorsDetected map[string]uint64
 
 	tasks []tcbSnap
-
-	traceEvents  []TraceEvent
-	traceDropped uint64
 }
 
 // CPUBusyUntil reports the end of the last CPU slice committed before
@@ -150,10 +147,11 @@ func (k *Kernel) deref(r jobRef) *job {
 }
 
 // Snapshot copies the kernel's complete mutable state — processor,
-// memory, MMU, scheduler queues, per-task and per-job TEM state, stats,
-// and the trace buffer if one is configured — into st. Static wiring
-// (specs, programs, bound callbacks, the observability hookup) is not
-// captured; it never changes after Start.
+// memory, MMU, scheduler queues, per-task and per-job TEM state and
+// stats — into st. Static wiring (specs, programs, bound callbacks, the
+// observability hookup) is not captured; it never changes after Start.
+// The collector, the kernel's event stream, snapshots itself
+// (obs.Collector.Snapshot).
 //
 //nlft:noalloc
 func (k *Kernel) Snapshot(into *KernelState) {
@@ -239,11 +237,6 @@ func (k *Kernel) Snapshot(into *KernelState) {
 			js.chainEvent = j.chainEvent
 			js.pendingMech = j.pendingMech
 		}
-	}
-
-	if k.cfg.Trace != nil {
-		into.traceEvents = append(into.traceEvents[:0], k.cfg.Trace.Events...)
-		into.traceDropped = k.cfg.Trace.Dropped
 	}
 }
 
@@ -334,9 +327,4 @@ func (k *Kernel) Restore(from *KernelState) {
 	}
 	k.current = k.deref(from.current)
 	k.procOwner = k.deref(from.procOwner)
-
-	if k.cfg.Trace != nil {
-		k.cfg.Trace.Events = append(k.cfg.Trace.Events[:0], from.traceEvents...)
-		k.cfg.Trace.Dropped = from.traceDropped
-	}
 }

@@ -8,31 +8,34 @@ package kernel
 // these tests pin the kernel-local invariants directly.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/des"
+	"repro/internal/obs"
 )
 
 // checkpointed captures one instant of a run: simulator + kernel state,
-// the forward digest, and the environment-visible prefix lengths.
+// the collector's telemetry, the forward digest, and the
+// environment-visible prefix length.
 type checkpointed struct {
 	at     des.Time
 	sim    des.SimState
 	kern   KernelState
 	digest uint64
+	col    *obs.CollectorState
 	writes int
-	events int
 }
 
 // buildPreemptive wires the TestPreemption workload: a long burn task
 // preempted every 100 µs by a short adder, so most instants catch a
 // started job with in-flight context — the deepest Snapshot/jobDigest
 // paths.
-func buildPreemptive(t *testing.T) (*des.Simulator, *testEnv, *Kernel, *Trace) {
+func buildPreemptive(t *testing.T) (*des.Simulator, *testEnv, *Kernel, *obs.Collector) {
 	t.Helper()
-	sim, env, k, trace := buildKernel(t, Config{UseMMU: true, ECC: true})
+	sim, env, k, col := buildKernel(t, Config{UseMMU: true, ECC: true})
 	long := taskABase(t, burnSrc)
 	long.Name = "long"
 	long.InputPorts = nil
@@ -65,16 +68,18 @@ func buildPreemptive(t *testing.T) (*des.Simulator, *testEnv, *Kernel, *Trace) {
 	if err := k.Start(); err != nil {
 		t.Fatal(err)
 	}
-	return sim, env, k, trace
+	return sim, env, k, col
 }
 
 // TestSnapshotRestoreReplay is the golden-replay contract: capture
 // checkpoints during a fault-free run, then restore each one and re-run
 // to the horizon. Every replay must reproduce the golden run exactly —
-// same environment writes, same trace suffix, same final forward digest.
+// same environment writes, same event stream, same final forward digest.
+// The collector sits outside the kernel's state boundary, so it is
+// rewound alongside the kernel, as the fork engine does.
 func TestSnapshotRestoreReplay(t *testing.T) {
 	const horizon = 2 * des.Millisecond
-	sim, env, k, trace := buildPreemptive(t)
+	sim, env, k, col := buildPreemptive(t)
 
 	// Checkpoint instants: before the first event, mid-preemption burst,
 	// between releases, and deep into the second burn release.
@@ -86,9 +91,10 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cp := &checkpointed{at: at, writes: len(env.writes), events: len(trace.Events)}
+		cp := &checkpointed{at: at, col: obs.NewCollectorState(), writes: len(env.writes)}
 		sim.Snapshot(&cp.sim)
 		k.Snapshot(&cp.kern)
+		col.Snapshot(cp.col)
 		cp.digest = k.ForwardDigest(des.Event{})
 		if cp.kern.Failed() {
 			t.Fatalf("checkpoint %v: failed at capture", at)
@@ -109,7 +115,8 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 	}
 	goldenDigest := k.ForwardDigest(des.Event{})
 	goldenWrites := append([]portWrite(nil), env.writes...)
-	goldenEvents := len(trace.Events)
+	goldenEvents := slices.Clone(col.Events())
+	goldenMetrics := col.Registry().Digest()
 	if len(goldenWrites) == 0 {
 		t.Fatal("golden run produced no writes")
 	}
@@ -117,6 +124,7 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 	for _, cp := range cps {
 		sim.Restore(&cp.sim)
 		k.Restore(&cp.kern)
+		col.Restore(cp.col)
 		if got := k.ForwardDigest(des.Event{}); got != cp.digest {
 			t.Errorf("checkpoint %v: digest after restore %#x, want %#x", cp.at, got, cp.digest)
 		}
@@ -137,8 +145,12 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 				t.Fatalf("checkpoint %v: write %d = %+v, want %+v", cp.at, i, w, goldenWrites[i])
 			}
 		}
-		if len(trace.Events) != goldenEvents {
-			t.Errorf("checkpoint %v: %d trace events, want %d", cp.at, len(trace.Events), goldenEvents)
+		if !slices.Equal(col.Events(), goldenEvents) {
+			t.Errorf("checkpoint %v: replayed event stream differs from the golden one (%d events, want %d)",
+				cp.at, len(col.Events()), len(goldenEvents))
+		}
+		if got := col.Registry().Digest(); got != goldenMetrics {
+			t.Errorf("checkpoint %v: replay metrics digest %#x, want %#x", cp.at, got, goldenMetrics)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/des"
+	"repro/internal/obs"
 )
 
 // sporadicSpec is an adder task released on demand.
@@ -89,7 +90,7 @@ func TestSporadicMinInterArrivalEnforced(t *testing.T) {
 }
 
 func TestSporadicTEMMasksFault(t *testing.T) {
-	sim, env, k, trace := buildKernel(t, Config{})
+	sim, env, k, col := buildKernel(t, Config{})
 	spec := sporadicSpec(t)
 	spec.Program = mustProg(t, burnSrc)
 	spec.InputPorts = nil
@@ -114,7 +115,7 @@ func TestSporadicTEMMasksFault(t *testing.T) {
 	if len(env.writes) != 1 || env.writes[0].value != 500500 {
 		t.Errorf("writes = %v", env.writes)
 	}
-	if n := len(trace.Filter(TraceVote)); n != 1 {
+	if n := len(eventsOf(col, obs.KindVote)); n != 1 {
 		t.Errorf("votes = %d", n)
 	}
 }
