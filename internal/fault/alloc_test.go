@@ -11,19 +11,21 @@ package fault
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestRunTrialZeroAlloc runs the benchmark's seed-1 sampled trials and
 // requires RunTrial — restore, inject, boundary lookups, composition
 // and classification — to allocate nothing on trials that fire no
-// mechanism and end on a table entry. With no collector the session
-// records, so a trial's first run can mark boundaries and its repeat
-// ends earlier; the two steady paths are gated separately: trials that
-// end golden at their first post-injection boundary (they mark
-// nothing, so every repeat takes the same path), and trials whose
-// repeat ends on an entry an earlier trial recorded. With a campaign's
-// metrics-only worker collector the session does not record, and
-// golden hits also compose the golden suffix's registry delta.
+// mechanism and end on a table entry. Every session records, so a
+// trial's first run can mark boundaries and its repeat ends earlier;
+// the two steady paths are gated separately: trials that end golden at
+// their first post-injection boundary (they mark nothing, so every
+// repeat takes the same path), and trials whose repeat ends on an entry
+// an earlier trial recorded. Both run with no collector and with a
+// campaign's metrics-only worker collector, where an entry also
+// composes its registry delta.
 func TestRunTrialZeroAlloc(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
 	specs := campaignSpecs(w, CampaignConfig{Trials: 2048, Seed: 1})
@@ -58,62 +60,74 @@ func TestRunTrialZeroAlloc(t *testing.T) {
 		}
 		return hot
 	}
-	t.Run("no-collector", func(t *testing.T) {
-		s, err := newForkSession(w, nil, 0, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first := run(t, s, func() bool { return endedGolden(s) && len(s.fw.marks) == 0 })
-		recorded := run(t, s, func() bool { return endedRecorded(s) })
-		t.Run("golden-at-first-boundary", func(t *testing.T) { gate(t, s, first, "first-boundary golden") })
-		t.Run("recorded", func(t *testing.T) { gate(t, s, recorded, "recorded-ending") })
-	})
-	t.Run("metrics", func(t *testing.T) {
-		s, err := newForkSession(w, newWorkerCollector(), 0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gate(t, s, run(t, s, func() bool { return endedGolden(s) }), "golden-ending")
-	})
+	for _, tc := range []struct {
+		name string
+		col  func() *obs.Collector
+	}{
+		{"no-collector", func() *obs.Collector { return nil }},
+		{"metrics", newWorkerCollector},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := newForkSession(w, tc.col(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := run(t, s, func() bool { return endedGolden(s) && len(s.fw.marks) == 0 })
+			recorded := run(t, s, func() bool { return endedRecorded(s) })
+			t.Run("golden-at-first-boundary", func(t *testing.T) { gate(t, s, first, "first-boundary golden") })
+			t.Run("recorded", func(t *testing.T) { gate(t, s, recorded, "recorded-ending") })
+		})
+	}
 }
 
 // TestRecordingZeroAllocAmortized runs the benchmark's seed-1 sampled
-// trials on one fresh recording session and requires the allocations
-// recording adds — entries, their tails and counter deltas, table
-// growth — to amortize below 0.05 per recorded entry: the arenas
-// allocate per chunk, not per entry. Each trial first runs with
-// recording switched off, which leaves the table as it was and so
-// takes exactly the path the recording run then takes, marks aside;
-// the gate charges recording the difference.
+// trials on one fresh session, with no collector and with a metrics-only
+// one, and requires the allocations recording adds — entries, their
+// tails, counter and registry deltas, the marks' collector states,
+// table growth — to amortize below 0.05 per recorded entry: the arenas
+// allocate per chunk, not per entry. Each trial first runs with marking
+// switched off through the table's limit, which leaves the table as it
+// was and so takes exactly the path the recording run then takes,
+// marks aside; the gate charges recording the difference.
 func TestRecordingZeroAllocAmortized(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
-	s, err := newForkSession(w, nil, 0, true)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		col  func() *obs.Collector
+	}{
+		{"no-collector", func() *obs.Collector { return nil }},
+		{"metrics", newWorkerCollector},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := newForkSession(w, tc.col(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ms runtime.MemStats
+			mallocs := func(spec TrialSpec, limit int) uint64 {
+				s.fw.table.limit = limit
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				if _, err := s.RunTrial(spec); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				return ms.Mallocs - before
+			}
+			var extra int64
+			for _, spec := range campaignSpecs(w, CampaignConfig{Trials: 2048, Seed: 1}) {
+				off := mallocs(spec, 0)
+				extra += int64(mallocs(spec, maxSuffixEntries)) - int64(off)
+			}
+			entries := s.RecordedEntries()
+			if entries < 1000 {
+				t.Fatalf("only %d recorded entries", entries)
+			}
+			if float64(extra) >= 0.05*float64(entries) {
+				t.Errorf("recording %d entries adds %d allocations (%.3f per entry), want < 0.05 per entry",
+					entries, extra, float64(extra)/float64(entries))
+			}
+			t.Logf("recording %d entries adds %d allocations", entries, extra)
+		})
 	}
-	var ms runtime.MemStats
-	mallocs := func(spec TrialSpec, record bool) uint64 {
-		s.fw.record = record
-		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
-		if _, err := s.RunTrial(spec); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&ms)
-		return ms.Mallocs - before
-	}
-	var extra int64
-	for _, spec := range campaignSpecs(w, CampaignConfig{Trials: 2048, Seed: 1}) {
-		off := mallocs(spec, false)
-		extra += int64(mallocs(spec, true)) - int64(off)
-	}
-	entries := s.RecordedEntries()
-	if entries < 1000 {
-		t.Fatalf("only %d recorded entries", entries)
-	}
-	if float64(extra) >= 0.05*float64(entries) {
-		t.Errorf("recording %d entries adds %d allocations (%.3f per entry), want < 0.05 per entry",
-			entries, extra, float64(extra)/float64(entries))
-	}
-	t.Logf("recording %d entries adds %d allocations", entries, extra)
 }

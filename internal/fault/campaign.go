@@ -56,9 +56,9 @@ type CampaignConfig struct {
 	// carries kernel counters/histograms plus campaign.* series (trials,
 	// outcomes, detected_by, kernel_hits) that let Table 1 coverage be
 	// recomputed from exported metrics alone. Telemetry keeps the
-	// convergence cutoff (see SnapshotInterval): a trial that stops on
-	// the golden state takes the golden suffix's metrics and events, so
-	// every trial's telemetry equals a from-scratch trial's.
+	// convergence cutoff (see SnapshotInterval): a trial that stops on a
+	// state the suffix table holds takes that suffix's metrics and
+	// events, so every trial's telemetry equals a from-scratch trial's.
 	Telemetry bool
 	// TelemetryEvents additionally retains each trial's structured event
 	// stream (up to EventsPerTrial records), merged in trial order into
@@ -83,8 +83,8 @@ type CampaignConfig struct {
 	// the convergence cutoff: a forked trial whose forward state digest
 	// at a checkpoint boundary after the injection is a state the
 	// slot's suffix table holds (golden, or recorded by an earlier trial
-	// when the campaign has no collector) is classified, and its
-	// telemetry completed, without simulating its suffix.
+	// of the slot) is classified, and its telemetry completed, without
+	// simulating its suffix.
 	SnapshotInterval des.Time
 }
 

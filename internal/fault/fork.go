@@ -110,105 +110,105 @@ func resolveForkInterval(w Workload, cfg *CampaignConfig) des.Time {
 	return interval
 }
 
-// InstanceState is one checkpoint of a trial instance: simulator,
-// kernel (with processor, memory and MMU), the recorder, and — when the
-// campaign collects telemetry — the collector. Recorder state is a full
-// copy, not a length: a forked trial overwrites the shared Writes
-// buffer past the checkpoint, so truncation alone could resurrect a
-// previous trial's tail.
+// InstanceState is one checkpoint of a trial instance's model state:
+// simulator, kernel (with processor, memory and MMU) and the recorder.
+// Recorder state is a full copy, not a length: a forked trial
+// overwrites the shared Writes buffer past the checkpoint, so
+// truncation alone could resurrect a previous trial's tail.
 type InstanceState struct {
 	sim  des.SimState
 	kern kernel.KernelState
-	col  *obs.CollectorState
 
 	writes         []Write
 	omissions      int
 	maskedReleases int
 
-	// at is the capture instant; writesLen the golden write count at it;
-	// fwdDigest the kernel forward digest at it (net of the phantom).
+	// at is the capture instant.
 	//nlft:snapshot-skip capture metadata read by fork selection, set by Capture not Snapshot
 	at des.Time
-	//nlft:snapshot-skip capture metadata: golden-prefix length that cuts the golden entry's write tail, not rewound
-	writesLen int
-	//nlft:snapshot-skip capture metadata: keys the golden suffix-table entry, not rewound
-	fwdDigest uint64
 }
 
-// Snapshot captures inst (and col, when non-nil) into st.
+// Snapshot captures inst's model state into st.
 //
 //nlft:noalloc
-func (inst *Instance) Snapshot(into *InstanceState, col *obs.Collector) {
+func (inst *Instance) Snapshot(into *InstanceState) {
 	inst.Sim.Snapshot(&into.sim)
 	inst.Kernel.Snapshot(&into.kern)
-	if col != nil {
-		if into.col == nil {
-			//nlft:allow noalloc cold first-capture path: the state is retained per checkpoint
-			into.col = obs.NewCollectorState()
-		}
-		col.Snapshot(into.col)
-	}
 	into.writes = append(into.writes[:0], inst.Rec.Writes...)
 	into.omissions = inst.Rec.Omissions
 	into.maskedReleases = inst.Rec.MaskedReleases
-	into.writesLen = len(into.writes)
 }
 
-// Restore rewinds inst (and col, when non-nil) to a state captured from
-// the same instance with Snapshot.
+// Restore rewinds inst to a state captured from the same instance with
+// Snapshot.
 //
 //nlft:noalloc
-func (inst *Instance) Restore(from *InstanceState, col *obs.Collector) {
+func (inst *Instance) Restore(from *InstanceState) {
 	inst.Sim.Restore(&from.sim)
 	inst.Kernel.Restore(&from.kern)
-	if col != nil && from.col != nil {
-		col.Restore(from.col)
-	}
 	inst.Rec.Writes = append(inst.Rec.Writes[:0], from.writes...)
 	inst.Rec.Omissions = from.omissions
 	inst.Rec.MaskedReleases = from.maskedReleases
 }
 
-// checkpointStore is one worker's golden-prefix checkpoint sequence.
+// checkpointStore is one worker's golden-prefix checkpoint sequence:
+// the model states and, with a collector, the capture run's recorder,
+// whose marks are the collector's states at the checkpoints.
 type checkpointStore struct {
 	states []*InstanceState
+	col    *obs.Suffixes
 	// phantom is the placeholder injection event scheduled before the
 	// capture run (see the prefix-equality argument above). Its handle
 	// revalidates at every restore; each trial cancels it and schedules
 	// the real injection.
 	phantom des.Event
-	// tel is the golden run's telemetry after each checkpoint (nil
-	// without a collector): recorded by the capture run, ended by
-	// newForkSession at the horizon, composed by finish on golden hits.
-	tel *obs.Suffixes
 }
 
-// captureCheckpoints runs inst fault-free, snapshotting at every
-// boundary k·interval < horizon. Checkpoint 0 is captured before any
-// event fires, so a fault at t=0 still restores a pre-injection state
-// (the injection priority band fires before the first releases). With
-// a collector the run also records the suffix telemetry intervals
-// between boundaries; the caller ends them at the horizon.
-func captureCheckpoints(inst *Instance, col *obs.Collector, interval, horizon des.Time) (*checkpointStore, error) {
-	cs := &checkpointStore{}
-	if col != nil {
-		cs.tel = obs.NewSuffixes(int((horizon + interval - 1) / interval))
+// restore rewinds the instance and collector to checkpoint k and
+// cancels the phantom: the state a trial forked from k starts in.
+//
+//nlft:noalloc
+func (fw *forkWorker) restore(k int) {
+	fw.inst.Restore(fw.cs.states[k])
+	fw.cs.col.Rewind(fw.col, k)
+	fw.inst.Sim.Cancel(fw.cs.phantom)
+}
+
+// capture runs the worker's instance fault-free to the horizon,
+// snapshotting and marking every boundary k·interval < horizon: the
+// capture run is the golden run, and its marks, keyed by the digest net
+// of the phantom, become the golden entries. Checkpoint 0 is captured
+// before any event fires, so a fault at t=0 still restores a
+// pre-injection state (the injection band fires before the releases).
+func (fw *forkWorker) capture(interval des.Time) error {
+	n := int((fw.horizon + interval - 1) / interval)
+	inst, cs, states := fw.inst, &checkpointStore{states: make([]*InstanceState, 0, n)}, make([]InstanceState, n)
+	fw.cs, fw.marks = cs, make([]mark, 0, n)
+	if fw.col != nil {
+		// Checkpoints rewind the collector from the capture's marks
+		// (obs.Suffixes.Rewind), which hold the events from mark 0 on.
+		if len(fw.col.Events()) != 0 || fw.col.Dropped() != 0 {
+			return fmt.Errorf("fault: workload emitted events while it was built; checkpoints need a quiet start")
+		}
+		fw.tel = obs.NewSuffixes(n)
 	}
 	cs.phantom = inst.Sim.Schedule(des.MaxTime, des.PrioInject, func() {})
-	for t := des.Time(0); t < horizon; t += interval {
+	for t := des.Time(0); t < fw.horizon; t += interval {
 		if t > 0 {
 			if err := inst.Sim.RunUntil(t); err != nil {
-				return nil, fmt.Errorf("fault: capture run: %w", err)
+				return fmt.Errorf("fault: capture run: %w", err)
 			}
 		}
-		cs.tel.Close(col)
-		st := &InstanceState{at: t}
-		inst.Snapshot(st, col)
-		st.fwdDigest = inst.Kernel.ForwardDigest(cs.phantom)
+		st := &states[len(cs.states)]
+		st.at = t
+		inst.Snapshot(st)
+		fw.mark(suffixKey{b: len(cs.states), digest: inst.Kernel.ForwardDigest(cs.phantom)})
 		cs.states = append(cs.states, st)
-		cs.tel.Open(col)
 	}
-	return cs, nil
+	if err := inst.Sim.RunUntil(fw.horizon); err != nil {
+		return fmt.Errorf("fault: golden run: %w", err)
+	}
+	return nil
 }
 
 // selectFor returns the index of the fork base for a fault at the given
@@ -261,29 +261,28 @@ func planForTrial(w Workload, cfg *CampaignConfig, trial int) trialPlan {
 // forkWorker is the one forked-trial core every engine runs, each
 // through a ForkSession (built by newForkSession, the only
 // constructor). It owns one instance, its checkpoint store and its
-// suffix table (suffix.go); the injection callback is a closure created
-// once that reads the current-trial fields, so the per-trial loop
-// schedules it without allocating. Every trial looks its state up at
-// each post-injection boundary, whatever the collector: a golden hit
-// composes the golden run's telemetry into the collector, so the
-// collector ends every trial holding what a from-scratch trial's would.
+// suffix table (suffix.go) with the recorder of its telemetry; the
+// injection callback is a closure created once that reads the
+// current-trial fields, so the per-trial loop schedules it without
+// allocating. Every trial looks its state up at each post-injection
+// boundary, whatever the collector: a hit composes the entry's
+// telemetry into the collector, so the collector ends every trial
+// holding what a from-scratch trial's would.
 type forkWorker struct {
-	inst    *Instance
-	col     *obs.Collector
-	cs      *checkpointStore
-	golden  []Write
-	horizon des.Time
-	table   *suffixTable
-	// record is fixed when the session is built: trials mark the
-	// boundaries they pass without a hit and memoize them (suffix.go).
-	record bool
+	inst         *Instance
+	col          *obs.Collector
+	cs           *checkpointStore
+	golden       []Write
+	goldenEvents []obs.Event
+	horizon      des.Time
+	table        *suffixTable
+	tel          *obs.Suffixes // nil without a collector
 
 	// Current-trial state read by the injection callback and finish.
 	plan             trialPlan
 	rec              TrialRecord
 	undetectedKernel bool
 	hit              *suffixEntry // the entry that ended the trial; nil before one
-	end              int          // the boundary the trial ended at (valid with hit)
 
 	injectFn  func()
 	collectFn func(string, uint64)
@@ -297,7 +296,6 @@ type forkWorker struct {
 	writes     []Write
 	omissions  int
 	masked     int
-	ecc        uint64
 	failed     bool
 	mechs      []mechCount
 	names      []string
@@ -332,22 +330,21 @@ func (fw *forkWorker) inject() {
 // and finish composes its suffix from the entry. The lookup is not an
 // event, so the trial's pending multiset is the model's own, compared
 // without correction, and a collector sees exactly the from-scratch
-// trial's events. A golden hit is taken
-// only when the golden event tail holds every event the collector would
-// still retain (obs.Suffixes.Fits: a capped golden stream may have
-// dropped them); otherwise the trial simulates on. A miss is marked
-// when the session records and the table has room, so the entry this
-// trial's own suffix makes can end later trials at this state.
+// trial's events. An entry is taken only when its event tail holds
+// every event the collector would still retain (obs.Suffix.Fits: a
+// capped recording may have dropped them); otherwise the trial
+// simulates on. A miss is marked while the table has room, so the entry
+// this trial's own suffix makes can end later trials at this state.
 //
 //nlft:noalloc
 func (fw *forkWorker) lookup(b int) bool {
 	key := suffixKey{b: b, digest: fw.inst.Kernel.ForwardDigest(des.Event{})}
 	e, ok := fw.table.m[key]
-	if ok && (!e.golden || fw.cs.tel.Fits(fw.col, fw.cs.states[b].col)) {
-		fw.hit, fw.end = e, b
+	if ok && e.tel.Fits(fw.col) {
+		fw.hit = e
 		return true
 	}
-	if !ok && fw.record && len(fw.table.m)+len(fw.marks) < maxSuffixEntries {
+	if !ok && len(fw.table.m)+len(fw.marks) < fw.table.limit {
 		fw.mark(key)
 	}
 	return false
@@ -357,10 +354,9 @@ func (fw *forkWorker) lookup(b int) bool {
 // base, swap the phantom for the real injection, run boundary by
 // boundary — RunUntil each post-injection boundary, then one lookup —
 // to the horizon or to a boundary whose state the table holds, and
-// compose. A recording session's trial then memoizes its marks.
+// compose. The trial then memoizes its marks.
 func (fw *forkWorker) run(plan trialPlan) (TrialRecord, error) {
-	fw.inst.Restore(fw.cs.states[plan.ckpt], fw.col)
-	fw.inst.Sim.Cancel(fw.cs.phantom)
+	fw.restore(plan.ckpt)
 
 	fw.plan = plan
 	fw.rec = TrialRecord{Fault: plan.fault}

@@ -134,9 +134,9 @@ func TestCampaignForkEquivalence(t *testing.T) {
 // equivalence cases on its own: after RunTrial the session's collector
 // must hold the from-scratch trial's registry (digest), event stream
 // and drop count. A merged campaign digest can hide one trial's wrong
-// histogram or gauge extreme behind another trial's; this cannot. The
-// cases must end some trials on golden entries, or the composition is
-// not exercised.
+// histogram or gauge extreme behind another trial's; this cannot. Every
+// case must end some trials on golden entries and some on entries
+// earlier trials recorded, or the composition is not exercised.
 func TestTrialTelemetryEquivalence(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
 	for _, tc := range forkEquivCases {
@@ -146,7 +146,7 @@ func TestTrialTelemetryEquivalence(t *testing.T) {
 			continue
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := newForkSession(w, campaignCollector(&cfg), cfg.SnapshotInterval, false)
+			s, err := newForkSession(w, campaignCollector(&cfg), cfg.SnapshotInterval)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,14 +157,17 @@ func TestTrialTelemetryEquivalence(t *testing.T) {
 			specs := append(campaignSpecs(w, cfg),
 				TrialSpec{Fault: Fault{At: 0, Target: TargetRegister, Reg: 4, Bit: 3}},
 				TrialSpec{Fault: Fault{At: 0, Target: TargetMemoryData, Addr: dataBase, Bit: 1}})
-			goldens := 0
+			goldens, recorded := 0, 0
 			for i, spec := range specs {
 				rec, err := s.RunTrial(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if endedGolden(s) {
+				switch {
+				case endedGolden(s):
 					goldens++
+				case endedRecorded(s):
+					recorded++
 				}
 				col := campaignCollector(&cfg)
 				want, _, err := ScratchTrial(w, spec, s.Golden(), col)
@@ -175,20 +178,20 @@ func TestTrialTelemetryEquivalence(t *testing.T) {
 					t.Fatalf("trial %d: record %+v, from-scratch %+v", i, rec, want)
 				}
 				if got, want := s.Col.Registry().Digest(), col.Registry().Digest(); got != want {
-					t.Errorf("trial %d (golden end %v): registry digest %#x, from-scratch %#x",
-						i, endedGolden(s), got, want)
+					t.Errorf("trial %d (golden end %v, recorded end %v): registry digest %#x, from-scratch %#x",
+						i, endedGolden(s), endedRecorded(s), got, want)
 				}
 				if got, want := s.Col.Events(), col.Events(); len(got) != len(want) ||
 					(len(got) > 0 && !reflect.DeepEqual(got, want)) {
-					t.Errorf("trial %d (golden end %v): %d events (digest %#x), from-scratch %d (digest %#x)",
-						i, endedGolden(s), len(got), obs.DigestEvents(got), len(want), obs.DigestEvents(want))
+					t.Errorf("trial %d (golden end %v, recorded end %v): %d events (digest %#x), from-scratch %d (digest %#x)",
+						i, endedGolden(s), endedRecorded(s), len(got), obs.DigestEvents(got), len(want), obs.DigestEvents(want))
 				}
 				if got, want := s.Col.Dropped(), col.Dropped(); got != want {
 					t.Errorf("trial %d: %d events dropped, from-scratch %d", i, got, want)
 				}
 			}
-			if goldens == 0 {
-				t.Error("no trial ended on a golden entry")
+			if goldens == 0 || recorded == 0 {
+				t.Errorf("%d trials ended on a golden entry and %d on a recorded one; want some of each", goldens, recorded)
 			}
 		})
 	}
@@ -202,24 +205,18 @@ func TestTrialTelemetryEquivalence(t *testing.T) {
 // argument, isolated from fault injection and checkpoint selection.
 func TestCheckpointRestoreDifferential(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
-	inst, err := w.New()
+	s, err := newForkSession(w, nil, des.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon := w.Horizon()
-	cs, err := captureCheckpoints(inst, nil, des.Millisecond, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst, cs, horizon := s.Inst, s.fw.cs, w.Horizon()
 	if len(cs.states) < 3 {
 		t.Fatalf("only %d checkpoints captured", len(cs.states))
 	}
-	// Finish the capture run: this instance's full trajectory is the
-	// reference every replay must match. The phantom stays queued (it
-	// sits at MaxTime), so ForwardDigest skips it on both sides.
-	if err := inst.Sim.RunUntil(horizon); err != nil {
-		t.Fatal(err)
-	}
+	// The session's capture run has finished at the horizon: this
+	// instance's full trajectory is the reference every replay must
+	// match. The phantom stays queued (it sits at MaxTime), so
+	// ForwardDigest skips it on both sides.
 	refWrites := append([]Write(nil), inst.Rec.Writes...)
 	refOmissions := inst.Rec.Omissions
 	refMasked := inst.Rec.MaskedReleases
@@ -227,12 +224,13 @@ func TestCheckpointRestoreDifferential(t *testing.T) {
 	refStats := inst.Kernel.Stats()
 
 	for k, st := range cs.states {
-		inst.Restore(st, nil)
+		inst.Restore(st)
 		if got := inst.Sim.Now(); got != st.at {
 			t.Fatalf("checkpoint %d: restored clock %v, want %v", k, got, st.at)
 		}
-		if got := inst.Kernel.ForwardDigest(cs.phantom); got != st.fwdDigest {
-			t.Fatalf("checkpoint %d: restored digest %#x, want captured %#x", k, got, st.fwdDigest)
+		got := inst.Kernel.ForwardDigest(cs.phantom)
+		if e := s.fw.table.m[suffixKey{b: k, digest: got}]; e == nil || !e.golden {
+			t.Fatalf("checkpoint %d: restored digest %#x keys no golden entry", k, got)
 		}
 		if err := inst.Sim.RunUntil(horizon); err != nil {
 			t.Fatalf("checkpoint %d: replay: %v", k, err)
@@ -259,14 +257,11 @@ func TestCheckpointRestoreDifferential(t *testing.T) {
 // CPU slices all ended by t.
 func TestCheckpointSelection(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
-	inst, err := w.New()
+	s, err := newForkSession(w, nil, des.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := captureCheckpoints(inst, nil, des.Millisecond, w.Horizon())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := s.fw.cs
 	if got := cs.selectFor(0); got != 0 {
 		t.Errorf("fault at 0: checkpoint %d, want 0", got)
 	}
@@ -339,30 +334,27 @@ func (n narrowWindow) InjectionWindow() (des.Time, des.Time) { return n.start, n
 // may allocate its retained buffers.)
 func TestForkZeroAlloc(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
-	inst, err := w.New()
+	s, err := newForkSession(w, nil, des.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := captureCheckpoints(inst, nil, des.Millisecond, w.Horizon())
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst, cs := s.Inst, s.fw.cs
 	// Warm: one restore of each checkpoint plus one re-capture.
 	for _, st := range cs.states {
-		inst.Restore(st, nil)
+		inst.Restore(st)
 	}
 	var rescratch InstanceState
-	inst.Snapshot(&rescratch, nil)
+	inst.Snapshot(&rescratch)
 	k := 0
 	if got := testing.AllocsPerRun(64, func() {
-		inst.Restore(cs.states[k], nil)
+		inst.Restore(cs.states[k])
 		_ = inst.Kernel.ForwardDigest(cs.phantom)
 		k = (k + 1) % len(cs.states)
 	}); got != 0 {
 		t.Errorf("restore+digest allocates %v per run, want 0", got)
 	}
 	if got := testing.AllocsPerRun(64, func() {
-		inst.Snapshot(&rescratch, nil)
+		inst.Snapshot(&rescratch)
 	}); got != 0 {
 		t.Errorf("warm snapshot allocates %v per run, want 0", got)
 	}
@@ -380,11 +372,15 @@ func TestInstanceSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tel := obs.NewSuffixes(2)
+	tel.Reset(col)
+	tel.Mark(col) // the run's start: rewinds need the whole stream
 	if err := inst.Sim.RunUntil(2 * des.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	var at2 InstanceState
-	inst.Snapshot(&at2, col)
+	inst.Snapshot(&at2)
+	tel.Mark(col)
 	digest2 := inst.Kernel.ForwardDigest(des.Event{})
 	events2 := len(col.Events())
 
@@ -395,8 +391,10 @@ func TestInstanceSnapshotRoundTrip(t *testing.T) {
 	}
 	inst.Kernel.Mem().FlipBit(0x8000, 3)
 	inst.Kernel.Proc().FlipRegister(4, 17)
+	tel.End(col)
 
-	inst.Restore(&at2, col)
+	inst.Restore(&at2)
+	tel.Rewind(col, 1)
 	if got := inst.Sim.Now(); got != 2*des.Millisecond {
 		t.Fatalf("restored clock %v", got)
 	}
@@ -407,7 +405,7 @@ func TestInstanceSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("restored collector holds %d events, want %d", got, events2)
 	}
 	var again InstanceState
-	inst.Snapshot(&again, col)
+	inst.Snapshot(&again)
 	if !reflect.DeepEqual(again.writes, at2.writes) {
 		t.Fatalf("re-captured writes %v, want %v", again.writes, at2.writes)
 	}

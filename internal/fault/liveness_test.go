@@ -14,8 +14,9 @@ import (
 // context is live (kernel.ForwardDigest drops a dead context).
 func contextLive(s *ForkSession, k int) bool {
 	s.Restore(k)
+	golden := s.Digest()
 	s.Inst.Kernel.Proc().FlipRegister(6, 7)
-	return s.Digest() != s.fw.cs.states[k].fwdDigest
+	return s.Digest() != golden
 }
 
 // inCopy reports whether a task copy holds the processor at boundary k

@@ -24,9 +24,7 @@ type ForkSession struct {
 	Inst *Instance
 	// Col is the instance's collector (nil without one); its registry and
 	// event buffer rewind with every Restore, and after every trial hold
-	// what a from-scratch trial's collector would — the registry only in
-	// a session that does not record (recorded entries compose events,
-	// not metrics).
+	// what a from-scratch trial's collector would.
 	Col *obs.Collector
 
 	// fw is the trial core bound to Inst; its checkpoint store, golden
@@ -34,13 +32,11 @@ type ForkSession struct {
 	fw *forkWorker
 }
 
-// NewForkSession builds a recording session at the given checkpoint
-// spacing (interval 0 means the campaign default). With withEvents the
-// instance carries a collector with no event cap, so every restore
-// rewinds a complete event stream — the exhaustive verifier checks TEM
-// invariants over full traces. Its registry is not meant to be read: a
-// trial ending on a recorded entry composes the entry's events but no
-// registry delta (see suffix.go).
+// NewForkSession builds a session at the given checkpoint spacing
+// (interval 0 means the campaign default). With withEvents the instance
+// carries a collector with no event cap, so every restore rewinds a
+// complete event stream — the exhaustive verifier checks TEM invariants
+// over full traces.
 func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSession, error) {
 	var col *obs.Collector
 	if withEvents {
@@ -50,53 +46,46 @@ func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSessio
 		col = obs.NewCollector("")
 		col.SetEventLimit(0) // unlimited: invariant checks need full traces
 	}
-	return newForkSession(w, col, interval, true)
+	return newForkSession(w, col, interval)
 }
 
 // newForkSession is the one constructor of every engine's fork state:
 // it builds an instance with col attached, captures the golden-prefix
 // checkpoints (interval 0 means the campaign default), and runs the
 // same instance on to the horizon. That capture run is the golden run:
-// its writes are the classification reference and seed the suffix
-// table's golden entries, its telemetry after each checkpoint is what a
-// golden hit composes, and it is validated here (checkGolden). The
-// phantom injection stays queued at MaxTime throughout, so it never
-// fires; a capture-then-finish run reproduces a plain golden run's
-// writes and events exactly (TestSessionGoldenMatchesGoldenRun). The
-// phantom does sit in the queue, so every des.pending_peak sample of
-// the capture run reads one above a trial's past its injection (whose
-// real injection has fired and whose phantom is cancelled): the golden
-// suffix maxima are taken net of it.
-//
-// record is decided here, once: a recording session's trials memoize
-// every boundary they pass without a hit, so a later trial of the
-// session stops at any state an earlier one reached. Recorded entries
-// carry no registry delta, so a session whose registry is read — a
-// telemetry campaign's — must not record.
-func newForkSession(w Workload, col *obs.Collector, interval des.Time, record bool) (*ForkSession, error) {
+// its writes are the classification reference, its marks become the
+// golden entries, and it is validated here (checkGolden). The phantom
+// injection stays queued at MaxTime throughout, so it never fires; a
+// capture-then-finish run reproduces a plain golden run's writes and
+// events exactly (TestSessionGoldenMatchesGoldenRun). It does sit in the
+// queue, so every des.pending_peak sample of the capture run reads one
+// above a trial's past its injection: the golden suffix maxima are taken
+// net of it. The golden writes and events are copied once, at their
+// exact size, and the golden tails and checkpoint rewinds share them.
+func newForkSession(w Workload, col *obs.Collector, interval des.Time) (*ForkSession, error) {
 	inst, err := newInstance(w, col)
 	if err != nil {
 		return nil, err
 	}
-	horizon := w.Horizon()
+	fw := &forkWorker{inst: inst, col: col, horizon: w.Horizon()}
+	fw.injectFn = func() { fw.inject() }
+	fw.collectFn = func(m string, n uint64) { fw.collectMech(m, n) }
 	cfg := CampaignConfig{SnapshotInterval: interval}
-	cs, err := captureCheckpoints(inst, col, resolveForkInterval(w, &cfg), horizon)
-	if err != nil {
+	if err := fw.capture(resolveForkInterval(w, &cfg)); err != nil {
 		return nil, err
 	}
-	if err := inst.Sim.RunUntil(horizon); err != nil {
-		return nil, fmt.Errorf("fault: golden run: %w", err)
-	}
-	cs.tel.End(col)
-	cs.tel.ShiftGauge(obs.PendingPeak, -1)
 	if err := checkGolden(inst); err != nil {
 		return nil, err
 	}
-	fw := &forkWorker{inst: inst, col: col, cs: cs, horizon: horizon, record: record,
-		golden: append([]Write(nil), inst.Rec.Writes...)}
-	fw.injectFn = func() { fw.inject() }
-	fw.collectFn = func(m string, n uint64) { fw.collectMech(m, n) }
-	fw.table = seedGolden(cs, fw.golden)
+	fw.golden = append([]Write(nil), inst.Rec.Writes...)
+	fw.table = &suffixTable{m: make(map[suffixKey]*suffixEntry, len(fw.cs.states)), limit: maxSuffixEntries}
+	fw.compose(&simulatedSuffix)
+	fw.goldenEvents = fw.tel.End(col)
+	fw.tel.ShiftGauge(obs.PendingPeak, -1)
+	fw.memoize(fw.golden[fw.marks[0].writesLen:], true)
+	fw.table.chunk()
+	fw.cs.col = fw.tel.Keep() // the checkpoints' collector states
+	fw.tel.Chunk()
 	return &ForkSession{Inst: inst, Col: col, fw: fw}, nil
 }
 
@@ -116,7 +105,7 @@ func (s *ForkSession) Golden() []Write { return s.fw.golden }
 
 // GoldenEvents is the fault-free event stream (nil without a collector
 // that keeps events).
-func (s *ForkSession) GoldenEvents() []obs.Event { return s.fw.cs.tel.Events() }
+func (s *ForkSession) GoldenEvents() []obs.Event { return s.fw.goldenEvents }
 
 // Horizon is the simulated duration of one trial.
 func (s *ForkSession) Horizon() des.Time { return s.fw.horizon }
@@ -128,8 +117,7 @@ func (s *ForkSession) Horizon() des.Time { return s.fw.horizon }
 //
 //nlft:noalloc
 func (s *ForkSession) Restore(k int) {
-	s.Inst.Restore(s.fw.cs.states[k], s.Col)
-	s.Inst.Sim.Cancel(s.fw.cs.phantom)
+	s.fw.restore(k)
 }
 
 // Digest is the instance's current forward digest with no event
@@ -166,12 +154,10 @@ func (s *ForkSession) plan(spec TrialSpec) trialPlan {
 // the state is in the suffix table or the horizon is reached, and
 // classify. This is the campaign engine's own trial core (fork.go), so
 // the record is bit-identical to what a campaign trial of the same plan
-// would produce. A golden hit composes the golden suffix's telemetry
-// into Col, so Col then holds exactly the from-scratch trial's registry
-// and event stream; a recorded entry composes its event tail only. A
-// session built by NewForkSession records: the trial memoizes the
-// boundaries it passed without a hit, so later trials reaching those
-// states end there.
+// would produce. A hit composes the entry's telemetry into Col, so Col
+// then holds exactly the from-scratch trial's registry and event
+// stream. The trial memoizes the boundaries it passed without a hit,
+// so later trials reaching those states end there.
 func (s *ForkSession) RunTrial(spec TrialSpec) (TrialRecord, error) {
 	return s.fw.run(s.plan(spec))
 }

@@ -47,7 +47,7 @@ func TestSessionGoldenMatchesGoldenRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s, err := newForkSession(w, sh.col(), 0, false)
+				s, err := newForkSession(w, sh.col(), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,5 +65,29 @@ func TestSessionGoldenMatchesGoldenRun(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// noisyBuild is the standard workload with an event emitted while each
+// instance is built, before the simulator runs.
+type noisyBuild struct{ *stdWorkload }
+
+func (n noisyBuild) NewObserved(col *obs.Collector) (*Instance, error) {
+	inst, err := n.stdWorkload.NewObserved(col)
+	col.Emit(obs.Event{Kind: obs.KindRelease, Task: "build"})
+	return inst, err
+}
+
+// TestSessionRejectsNoisyStart: checkpoints rewind the collector from
+// the capture run's marks, which hold the events from checkpoint 0 on,
+// so a workload that emits while it is built is refused rather than
+// restored without those events.
+func TestSessionRejectsNoisyStart(t *testing.T) {
+	w := noisyBuild{NewStdWorkload(StdWorkloadConfig{}).(*stdWorkload)}
+	if _, err := NewForkSession(w, 0, true); err == nil {
+		t.Fatal("a session over a workload that emits while built was accepted")
+	}
+	if _, err := NewForkSession(w, 0, false); err != nil {
+		t.Fatalf("without a collector the build-time event is moot: %v", err)
 	}
 }

@@ -95,11 +95,8 @@ func newRunner(w Workload, cfg CampaignConfig) (*ShardRunner, error) {
 }
 
 // newSlot builds one slot's fork session with the campaign's collector.
-// A slot without one records (its trials memoize the states they pass);
-// a telemetry slot, whose registry every trial merges, does not.
 func (r *ShardRunner) newSlot() (*ForkSession, error) {
-	col := campaignCollector(&r.cfg)
-	return newForkSession(r.w, col, r.cfg.SnapshotInterval, col == nil)
+	return newForkSession(r.w, campaignCollector(&r.cfg), r.cfg.SnapshotInterval)
 }
 
 // campaignCollector is the collector a campaign slot's trials run

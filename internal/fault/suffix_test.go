@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -38,15 +39,19 @@ type trialWork struct {
 	fired, cycles, goldens, recorded, restored uint64
 }
 
-// measureTrialWork runs specs on a fresh session with col that records
-// when record is set. Each trial is measured the way perfbench's layer
-// probe measures it: restore its fork base, read the counters, run it,
-// read them again.
-func measureTrialWork(t *testing.T, w Workload, col *obs.Collector, record bool, specs []TrialSpec) trialWork {
+// measureTrialWork runs specs on a fresh session with col. goldenOnly
+// switches marking off through the table's limit, so the table holds
+// the golden entries only. Each trial is measured the way perfbench's
+// layer probe measures it: restore its fork base, read the counters,
+// run it, read them again.
+func measureTrialWork(t *testing.T, w Workload, col *obs.Collector, goldenOnly bool, specs []TrialSpec) trialWork {
 	t.Helper()
-	s, err := newForkSession(w, col, 0, record)
+	s, err := newForkSession(w, col, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if goldenOnly {
+		s.fw.table.limit = 0
 	}
 	snap := &s.Inst.Kernel.Mem().Snap
 	pages0 := snap.PagesRestored
@@ -73,17 +78,17 @@ func measureTrialWork(t *testing.T, w Workload, col *obs.Collector, record bool,
 
 // TestTrialWorkCountersPinned pins the deterministic per-trial work of
 // the fork core on the benchmark's gate workload at seed 1 (see
-// trialWork), twice per config: on the config's own session, and on a
-// no-collector session that does not record — a table holding the
-// golden entries only. The sampled config carries no collector, so its
-// session records and trials also end on entries earlier trials
-// recorded; its golden-only row is the work before recording, and its
-// pages restored are what the full-scan restore copies. The telemetry
-// config's metrics collector does not record and must not change where
-// any trial stops, so its two rows are equal. A drift here means trials
-// stop at different boundaries, or restores copy different pages, even
-// when every outcome still agrees. The adaptive engine's row is in
-// internal/adapt.
+// trialWork), twice per config: on the config's own session, which
+// records, so trials also end on entries earlier trials recorded, and
+// on a no-collector session whose marking the table's limit switches
+// off — a table holding the golden entries only, the work before
+// recording; the sampled config's golden-only pages restored are what
+// the full-scan restore copies. The telemetry config's metrics
+// collector must not change where any trial stops, so its row is the
+// no-collector session's on its own 512 trials. A drift here means
+// trials stop at different boundaries, or restores copy different
+// pages, even when every outcome still agrees. The adaptive engine's
+// row is in internal/adapt.
 func TestTrialWorkCountersPinned(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
 	cases := []struct {
@@ -95,17 +100,16 @@ func TestTrialWorkCountersPinned(t *testing.T) {
 		{"sampled", CampaignConfig{Trials: 2048, Seed: 1, Parallelism: 1}, func() *obs.Collector { return nil },
 			trialWork{34, 12700, 2184244, 1559, 474, 1911}, trialWork{34, 17530, 3183049, 1939, 0, 1928}},
 		{"telemetry", CampaignConfig{Trials: 512, Seed: 1, Parallelism: 1, Telemetry: true}, newWorkerCollector,
-			trialWork{34, 4606, 833709, 483, 0, 481}, trialWork{34, 4606, 833709, 483, 0, 481}},
+			trialWork{34, 3496, 607749, 381, 124, 476}, trialWork{34, 4606, 833709, 483, 0, 481}},
 	}
 	const cols = "checkpoints, fired, cycles, golden ends, recorded ends, pages restored"
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			specs := campaignSpecs(w, tc.cfg)
-			col := tc.col()
-			if got := measureTrialWork(t, w, col, col == nil, specs); got != tc.want {
+			if got := measureTrialWork(t, w, tc.col(), false, specs); got != tc.want {
 				t.Errorf("%s = %v; want %v", cols, got, tc.want)
 			}
-			if got := measureTrialWork(t, w, nil, false, specs); got != tc.goldenOnly {
+			if got := measureTrialWork(t, w, nil, true, specs); got != tc.goldenOnly {
 				t.Errorf("golden-only no-collector session: %s = %v; want %v", cols, got, tc.goldenOnly)
 			}
 		})
@@ -191,7 +195,7 @@ func testRecordedComposition(t *testing.T, w Workload) {
 	var simulated int
 	for i, spec := range specs {
 		x := explore(1, spec)
-		goldenFirst[i] = x.Suffix == SuffixGolden && s.fw.end == firstBoundary(spec.Fault.At)
+		goldenFirst[i] = x.Suffix == SuffixGolden && s.Inst.Sim.Now() == s.CheckpointAt(firstBoundary(spec.Fault.At))
 		if x.Suffix == SuffixSimulated {
 			simulated++
 		}
@@ -207,8 +211,9 @@ func testRecordedComposition(t *testing.T, w Workload) {
 		if goldenFirst[i] {
 			want = SuffixGolden
 		}
-		if b := firstBoundary(spec.Fault.At); x.Suffix != want || s.fw.end != b {
-			t.Errorf("pass 2, %v: ended on suffix %d at boundary %d, want %d at %d", spec.Fault, x.Suffix, s.fw.end, want, b)
+		// A trial that stops at a boundary leaves the clock at its instant.
+		if at := s.CheckpointAt(firstBoundary(spec.Fault.At)); x.Suffix != want || s.Inst.Sim.Now() != at {
+			t.Errorf("pass 2, %v: ended on suffix %d at %v, want %d at %v", spec.Fault, x.Suffix, s.Inst.Sim.Now(), want, at)
 		}
 		if x.Suffix == SuffixRecorded {
 			recordedHits++
@@ -219,5 +224,54 @@ func testRecordedComposition(t *testing.T, w Workload) {
 	}
 	if recordedHits == 0 {
 		t.Error("pass 2 composed no placement from a recorded entry")
+	}
+}
+
+// TestCappedRecorderEntries runs capped event-stream campaigns' own
+// trials (one slot) on one session each and follows every entry a
+// recorder made while its collector was at the cap, so the entry's
+// event tail lacks events it dropped. A trial that ends on such an
+// entry must compose exactly the from-scratch trial's events and drop
+// count: a trial with more room than the recorder had at the mark must
+// not end there (obs.Suffix.Fits). At a cap of 4 every trial is at the
+// cap by its first post-injection boundary (the golden stream passes 4
+// events before the first boundary), so only the cap of 40 has trials
+// with more room than a recorder, and only it fails when the Fits check
+// is dropped; both must end some trials on capped recordings.
+func TestCappedRecorderEntries(t *testing.T) {
+	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
+	for _, limit := range []int{4, 40} {
+		t.Run(fmt.Sprintf("cap-%d", limit), func(t *testing.T) {
+			cfg := CampaignConfig{Trials: 1024, Seed: 1, TelemetryEvents: true, EventsPerTrial: limit, Parallelism: 1}
+			cfg.applyDefaults()
+			s, err := newForkSession(w, campaignCollector(&cfg), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			capped := make(map[*suffixEntry]bool)
+			var ended int
+			for i, spec := range campaignSpecs(w, cfg) {
+				if _, err := s.RunTrial(spec); err != nil {
+					t.Fatal(err)
+				}
+				if e := s.fw.hit; e != nil && capped[e] {
+					ended++
+					col := campaignCollector(&cfg)
+					if _, _, err := ScratchTrial(w, spec, s.Golden(), col); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(s.Col.Events(), col.Events()) || s.Col.Dropped() != col.Dropped() {
+						t.Errorf("trial %d ended on a capped recording: %d events (%d dropped), from-scratch %d (%d dropped)",
+							i, len(s.Col.Events()), s.Col.Dropped(), len(col.Events()), col.Dropped())
+					}
+				}
+				for _, mk := range s.fw.marks {
+					capped[s.fw.table.m[mk.key]] = s.Col.Dropped() > 0
+				}
+			}
+			if ended == 0 {
+				t.Error("no trial ended on an entry a capped recorder made")
+			}
+		})
 	}
 }

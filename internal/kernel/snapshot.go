@@ -150,8 +150,8 @@ func (k *Kernel) deref(r jobRef) *job {
 // memory, MMU, scheduler queues, per-task and per-job TEM state and
 // stats — into st. Static wiring (specs, programs, bound callbacks, the
 // observability hookup) is not captured; it never changes after Start.
-// The collector, the kernel's event stream, snapshots itself
-// (obs.Collector.Snapshot).
+// The collector, the kernel's event stream, is rewound by its recorder
+// (obs.Suffixes.Rewind).
 //
 //nlft:noalloc
 func (k *Kernel) Snapshot(into *KernelState) {

@@ -18,14 +18,13 @@ import (
 )
 
 // checkpointed captures one instant of a run: simulator + kernel state,
-// the collector's telemetry, the forward digest, and the
-// environment-visible prefix length.
+// the forward digest, and the environment-visible prefix length (the
+// collector's telemetry is the recorder's mark at the same instant).
 type checkpointed struct {
 	at     des.Time
 	sim    des.SimState
 	kern   KernelState
 	digest uint64
-	col    *obs.CollectorState
 	writes int
 }
 
@@ -85,16 +84,18 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 	// between releases, and deep into the second burn release.
 	instants := []des.Time{0, 45 * des.Microsecond, 640 * des.Microsecond, 1200 * des.Microsecond}
 	var cps []*checkpointed
+	tel := obs.NewSuffixes(len(instants))
+	tel.Reset(col)
 	for _, at := range instants {
 		if at > 0 {
 			if err := sim.RunUntil(at); err != nil {
 				t.Fatal(err)
 			}
 		}
-		cp := &checkpointed{at: at, col: obs.NewCollectorState(), writes: len(env.writes)}
+		cp := &checkpointed{at: at, writes: len(env.writes)}
 		sim.Snapshot(&cp.sim)
 		k.Snapshot(&cp.kern)
-		col.Snapshot(cp.col)
+		tel.Mark(col)
 		cp.digest = k.ForwardDigest(des.Event{})
 		if cp.kern.Failed() {
 			t.Fatalf("checkpoint %v: failed at capture", at)
@@ -113,6 +114,7 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 	if err := sim.RunUntil(horizon); err != nil {
 		t.Fatal(err)
 	}
+	tel.End(col)
 	goldenDigest := k.ForwardDigest(des.Event{})
 	goldenWrites := append([]portWrite(nil), env.writes...)
 	goldenEvents := slices.Clone(col.Events())
@@ -121,10 +123,10 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 		t.Fatal("golden run produced no writes")
 	}
 
-	for _, cp := range cps {
+	for i, cp := range cps {
 		sim.Restore(&cp.sim)
 		k.Restore(&cp.kern)
-		col.Restore(cp.col)
+		tel.Rewind(col, i)
 		if got := k.ForwardDigest(des.Event{}); got != cp.digest {
 			t.Errorf("checkpoint %v: digest after restore %#x, want %#x", cp.at, got, cp.digest)
 		}

@@ -186,7 +186,6 @@ func (s *stream) append(e Event) {
 // campaign-level aggregates. Collectors are not synchronized; each is
 // owned by one goroutine.
 type Collector struct {
-	//nlft:snapshot-skip configuration label fixed at construction
 	node string
 	reg  *Registry
 	s    *stream
@@ -194,13 +193,10 @@ type Collector struct {
 	// Per-(node,task) cache of the events.* counters, so the common case
 	// — a run of emissions for the same task — resolves each counter by
 	// two string equality checks and an array index instead of hashing a
-	// four-string key per event. Restore invalidates it (the counter
-	// pointers may be stale after the registry rewind).
-	//nlft:snapshot-skip derived lookup cache, invalidated on restore
+	// four-string key per event. Suffixes.Rewind invalidates it (the
+	// counter pointers may be stale after the registry rewind).
 	cacheNode string
-	//nlft:snapshot-skip derived lookup cache, invalidated on restore
 	cacheTask string
-	//nlft:snapshot-skip derived lookup cache, invalidated on restore
 	kindCache [kindCount]*Counter
 }
 
@@ -289,6 +285,9 @@ func (c *Collector) Events() []Event {
 	}
 	return c.s.events
 }
+
+// emitted is the number of events c has seen: retained plus dropped.
+func (c *Collector) emitted() uint64 { return uint64(len(c.s.events)) + c.s.dropped }
 
 // Dropped reports how many events the limit discarded.
 func (c *Collector) Dropped() uint64 {

@@ -1,53 +1,56 @@
 package obs
 
-// Suffix telemetry: what one recorded run's collector gained after each
-// of a sequence of boundaries, composed onto another run that reached
-// the same state there. The fork engine (internal/fault) records its
-// golden run this way, and a trial that reconverges to the golden state
-// at a boundary takes the golden run's remaining telemetry instead of
-// simulating it.
-//
-// Counters, histogram buckets, counts and sums add, so the suffix's
-// share of them is the horizon registry minus the boundary's snapshot.
-// Histogram minima and maxima and gauge maxima do not subtract: the
-// recording run tracks them per interval in its single pass — at each
-// boundary the real extremes are saved and reset, the interval tracks
-// its own, and the real values are restored before the next snapshot —
-// and End folds the intervals backwards into per-boundary suffix
-// extremes. Event streams append the recorded tail, subject to the
-// receiving collector's cap exactly as Emit would be.
+// Suffix telemetry: what a recorded run's collector gained after each
+// of its marks, cut into one Suffix per mark and composed onto another
+// run that reached the same state there. Counters, histogram buckets,
+// counts and sums add, so a suffix's share of them is the run's end
+// value minus the mark's, kept for the series that moved. Histogram
+// minima and maxima and gauge maxima do not subtract: the recorder
+// tracks them per interval in the run's single pass — at each mark the
+// real extremes are saved and reset, the interval tracks its own, and
+// the real values are restored before the next mark's snapshot — and
+// End folds the intervals backwards into per-mark suffix extremes.
 
 import (
 	"math"
 	"slices"
+
+	"repro/internal/arena"
 )
 
-// Suffixes is one run's telemetry after each of its boundaries. Record
-// it with Close, Snapshot, Open at every boundary and End at the run's
-// end; a nil *Suffixes records and composes nothing.
+// Suffixes records runs on one collector — the fork engine's
+// (internal/fault) capture run, whose suffixes are the golden ones and
+// whose marks its checkpoints rewind to, and every trial that marks a
+// boundary: Mark at each mark, End at the run's end, then Cut for each
+// mark; Reset starts the next run. A series keeps its track across
+// runs; a Suffix names series by track and holds its recorder. A nil
+// *Suffixes records and composes nothing.
 type Suffixes struct {
-	hists  []histTrack
-	gauges []gaugeTrack
-	open   bool
-	closed int // intervals closed so far
-	hint   int // expected interval count, the capacity of each track
-
-	// Set by End: the horizon state, and its counter series in key order
-	// with their values.
-	horizon  *CollectorState
-	counters []Key
-	values   []uint64
+	counters []track[Counter, struct{}]
+	hists    []track[Histogram, histExt]
+	gauges   []track[Gauge, Gauge]
+	linked   int      // tracks linked to the run's series
+	emits    []uint64 // events emitted, retained or not, at each mark
+	kept     []int    // events retained at each mark
+	emitted  uint64   // events emitted at the run's end
+	tail     []Event  // the events retained after the first mark (End)
+	open     bool
+	closed   int // intervals closed so far
+	hint     int // expected mark count, the capacity of each track
+	store    suffixStore
 }
 
-// histTrack is one histogram series' interval bookkeeping: the real
-// count and extremes when the open interval began, and the extremes of
-// each interval (per boundary after End).
-type histTrack struct {
-	key      Key
-	h        *Histogram
-	count    uint64
-	min, max uint64
-	ext      []histExt
+// track is one series over a run: the run's series (nil while the run
+// lacks it), the first mark the run held it at, its value at each mark,
+// and for histograms and gauges its real extremes while an interval is
+// open and each interval's extremes (per mark after End).
+type track[T, E any] struct {
+	key   Key
+	s     *T
+	since int
+	at    []T
+	real  E
+	ext   []E
 }
 
 // histExt is the sample extremes of an interval or suffix; n is its
@@ -65,248 +68,406 @@ func (a histExt) widen(b histExt) histExt {
 	return histExt{min: min(a.min, b.min), max: max(a.max, b.max), n: a.n + b.n}
 }
 
-// gaugeTrack is one gauge series' interval bookkeeping: its real value
-// when the open interval began, and the maximum each interval set (per
-// boundary after End).
-type gaugeTrack struct {
-	key  Key
-	g    *Gauge
-	real Gauge
-	ext  []Gauge
-}
+// NewSuffixes returns a recorder for runs of about marks marks; each
+// track preallocates that many slots, so a mark never allocates.
+func NewSuffixes(marks int) *Suffixes { return &Suffixes{hint: marks + 1} }
 
-// NewSuffixes returns an empty recorder for a run with about intervals
-// boundaries; each tracked series preallocates that many slots, so a
-// boundary never allocates.
-func NewSuffixes(intervals int) *Suffixes { return &Suffixes{hint: intervals + 1} }
-
-// track adds the histogram and gauge series c has gained since the last
-// call. A series created during the open interval holds only samples
-// from it, so it starts with empty earlier intervals and no real prior
-// value.
-func (x *Suffixes) track(c *Collector) {
-	r := c.reg
-	if len(r.hists) == len(x.hists) && len(r.gauges) == len(x.gauges) {
-		return
-	}
-	w := r.Wire()
-	for _, hw := range w.Hists {
-		k := hw.Key.Key()
-		if !slices.ContainsFunc(x.hists, func(t histTrack) bool { return t.key == k }) {
-			x.hists = append(x.hists, histTrack{key: k, h: r.hists[k],
-				ext: make([]histExt, x.closed, max(x.hint, x.closed+1))})
-		}
-	}
-	for _, gw := range w.Gauges {
-		k := gw.Key.Key()
-		if !slices.ContainsFunc(x.gauges, func(t gaugeTrack) bool { return t.key == k }) {
-			x.gauges = append(x.gauges, gaugeTrack{key: k, g: r.gauges[k],
-				ext: make([]Gauge, x.closed, max(x.hint, x.closed+1))})
-		}
-	}
-}
-
-// Open starts the interval after a boundary: it saves c's real
-// histogram and gauge extremes and resets them, so the interval tracks
-// its own. Call it after the boundary's Snapshot.
-func (x *Suffixes) Open(c *Collector) {
+// Reset starts a new run on c: every series is looked up again (a
+// restore may have deleted or recreated it), and no interval is open.
+func (x *Suffixes) Reset(c *Collector) {
 	if x == nil || c == nil {
 		return
 	}
-	x.track(c)
+	x.open, x.closed, x.linked, x.emits, x.kept = false, 0, 0, x.emits[:0], x.kept[:0]
+	unlink(x.counters)
+	unlink(x.hists)
+	unlink(x.gauges)
+	x.sync(c.reg)
+}
+
+// sync links every series r holds that the run has not linked yet,
+// adding tracks for series never seen before. A series linked while an
+// interval is open was created in it: it is held from the next mark on,
+// with empty earlier intervals and no real prior value.
+func (x *Suffixes) sync(r *Registry) {
+	since := x.closed
+	if x.open {
+		since++
+	}
+	for try := 0; try < 2 && len(r.counters)+len(r.hists)+len(r.gauges) != x.linked; try++ {
+		if try > 0 {
+			x.counters = adopt(x.counters, r.counters, x.hint)
+			x.hists = adopt(x.hists, r.hists, x.hint)
+			x.gauges = adopt(x.gauges, r.gauges, x.hint)
+		}
+		x.linked += link(x.counters, r.counters, since, len(x.emits), x.closed) +
+			link(x.hists, r.hists, since, len(x.emits), x.closed) +
+			link(x.gauges, r.gauges, since, len(x.emits), x.closed)
+	}
+}
+
+// unlink detaches every track from its series.
+func unlink[T, E any](ts []track[T, E]) {
+	for i := range ts {
+		ts[i].s = nil
+	}
+}
+
+// adopt adds a track for every series m holds that ts lacks.
+func adopt[T, E any](ts []track[T, E], m map[Key]*T, hint int) []track[T, E] {
+	//nlft:allow nodeterminism adoption order only numbers the tracks; every use finds a series by key
+	for k := range m {
+		if !slices.ContainsFunc(ts, func(t track[T, E]) bool { return t.key == k }) {
+			ts = append(ts, track[T, E]{key: k, at: make([]T, 0, hint), ext: make([]E, 0, hint)})
+		}
+	}
+	return ts
+}
+
+// link links the unlinked tracks whose series m holds, padding their
+// marks and closed intervals with zeros, and returns how many it linked.
+func link[T, E any](ts []track[T, E], m map[Key]*T, since, marks, closed int) int {
+	n := 0
+	for i := range ts {
+		if t := &ts[i]; t.s == nil {
+			if t.s = m[t.key]; t.s != nil {
+				var zero E
+				n, t.since, t.real = n+1, since, zero
+				t.at = append(t.at[:0], make([]T, marks)...)
+				t.ext = append(t.ext[:0], make([]E, closed)...)
+			}
+		}
+	}
+	return n
+}
+
+// Mark records c's registry at a mark: it ends the open interval, reads
+// every series with the real extremes in place, and opens the interval
+// after the mark.
+//
+//nlft:noalloc
+func (x *Suffixes) Mark(c *Collector) {
+	if x == nil || c == nil {
+		return
+	}
+	x.close(c)
+	x.emits = append(x.emits, c.emitted())
+	x.kept = append(x.kept, len(c.s.events))
+	read(x.counters)
+	read(x.hists)
+	read(x.gauges)
 	for i := range x.hists {
-		t := &x.hists[i]
-		t.count, t.min, t.max = t.h.count, t.h.min, t.h.max
-		t.h.min, t.h.max = math.MaxUint64, 0
+		if t := &x.hists[i]; t.s != nil {
+			t.real = histExt{min: t.s.min, max: t.s.max, n: t.s.count}
+			t.s.min, t.s.max = math.MaxUint64, 0
+		}
 	}
 	for i := range x.gauges {
-		t := &x.gauges[i]
-		t.real = *t.g
-		*t.g = Gauge{}
+		if t := &x.gauges[i]; t.s != nil {
+			t.real, *t.s = *t.s, Gauge{}
+		}
 	}
 	x.open = true
 }
 
-// Close ends the open interval at a boundary: it records the interval's
-// extremes and restores c's real ones. Call it before the boundary's
-// Snapshot; it does nothing before the first Open.
-func (x *Suffixes) Close(c *Collector) {
-	if x == nil || c == nil || !x.open {
+// read appends each linked series' value to its track.
+func read[T, E any](ts []track[T, E]) {
+	for i := range ts {
+		if t := &ts[i]; t.s != nil {
+			t.at = append(t.at, *t.s)
+		}
+	}
+}
+
+// close ends the open interval, if any: it records the interval's
+// extremes and restores c's real ones.
+func (x *Suffixes) close(c *Collector) {
+	if !x.open {
 		return
 	}
-	x.track(c)
+	x.sync(c.reg)
 	for i := range x.hists {
-		t := &x.hists[i]
-		e := histExt{n: t.h.count - t.count}
-		if e.n > 0 {
-			e.min, e.max = t.h.min, t.h.max
+		if t := &x.hists[i]; t.s != nil {
+			e := histExt{n: t.s.count - t.real.n}
+			if e.n > 0 {
+				e.min, e.max = t.s.min, t.s.max
+			}
+			t.ext = append(t.ext, e)
+			all := t.real.widen(e)
+			t.s.min, t.s.max = all.min, all.max
 		}
-		t.ext = append(t.ext, e)
-		all := histExt{min: t.min, max: t.max, n: t.count}.widen(e)
-		t.h.min, t.h.max = all.min, all.max
 	}
 	for i := range x.gauges {
-		t := &x.gauges[i]
-		t.ext = append(t.ext, *t.g)
-		if t.g.set {
-			t.real.SetMax(t.g.v)
+		if t := &x.gauges[i]; t.s != nil {
+			if t.ext = append(t.ext, *t.s); t.s.set {
+				t.real.SetMax(t.s.v)
+			}
+			*t.s = t.real
 		}
-		*t.g = t.real
 	}
 	x.open = false
 	x.closed++
 }
 
 // End closes the last interval at the run's end, folds the interval
-// extremes into suffix extremes (entry b covers everything after
-// boundary b), and keeps c's horizon state.
-func (x *Suffixes) End(c *Collector) {
+// extremes into suffix extremes — interval i then covers everything
+// after mark i — and copies the events c retained after the first mark
+// once. It returns the copy, which every mark's tail is a suffix of.
+func (x *Suffixes) End(c *Collector) []Event {
 	if x == nil || c == nil {
-		return
+		return nil
 	}
-	x.Close(c)
-	for i := range x.hists {
-		ext := x.hists[i].ext
-		for b := len(ext) - 2; b >= 0; b-- {
-			ext[b] = ext[b].widen(ext[b+1])
+	x.close(c)
+	x.emitted = c.emitted()
+	x.tail = x.store.events.CopyOf(c.s.events[x.kept[0]:])
+	for _, t := range x.hists {
+		for b := len(t.ext) - 2; t.s != nil && b >= 0; b-- {
+			t.ext[b] = t.ext[b].widen(t.ext[b+1])
 		}
 	}
-	for i := range x.gauges {
-		ext := x.gauges[i].ext
-		for b := len(ext) - 2; b >= 0; b-- {
-			if ext[b+1].set {
-				ext[b].SetMax(ext[b+1].v)
+	for _, t := range x.gauges {
+		for b := len(t.ext) - 2; t.s != nil && b >= 0; b-- {
+			if t.ext[b+1].set {
+				t.ext[b].SetMax(t.ext[b+1].v)
 			}
 		}
 	}
-	x.horizon = NewCollectorState()
-	c.Snapshot(x.horizon)
-	for _, cw := range c.reg.Wire().Counters {
-		x.counters = append(x.counters, cw.Key.Key())
-		x.values = append(x.values, cw.Value)
-	}
+	return x.tail
 }
 
-// ShiftGauge adds d to every suffix maximum recorded for the gauges
-// named name — for a quantity the recording run measured with a
-// constant offset the composing runs do not have.
+// ShiftGauge adds d to the run's suffix maxima of the gauges named name
+// — for a quantity the run measured with a constant offset the
+// composing runs do not have. Call it between End and Cut.
 func (x *Suffixes) ShiftGauge(name string, d float64) {
 	if x == nil {
 		return
 	}
-	for i := range x.gauges {
-		if x.gauges[i].key.Name != name {
-			continue
-		}
-		for b := range x.gauges[i].ext {
-			if e := &x.gauges[i].ext[b]; e.set {
+	for _, t := range x.gauges {
+		for b := range t.ext {
+			if e := &t.ext[b]; t.key.Name == name && t.s != nil && e.set {
 				e.v += d
 			}
 		}
 	}
 }
 
-// Events is the recorded run's event stream at its end (nil when it
-// kept none).
-func (x *Suffixes) Events() []Event {
-	if x == nil || x.horizon == nil {
+// Keep returns a recorder holding x's last run, for Rewind, and gives x
+// fresh per-mark storage for its next runs.
+func (x *Suffixes) Keep() *Suffixes {
+	if x == nil {
 		return nil
 	}
-	return x.horizon.events
+	k := &Suffixes{counters: slices.Clone(x.counters), hists: slices.Clone(x.hists),
+		gauges: slices.Clone(x.gauges), emits: x.emits, kept: x.kept, tail: x.tail}
+	renew(x.counters)
+	renew(x.hists)
+	renew(x.gauges)
+	x.emits, x.kept = make([]uint64, 0, x.hint), make([]int, 0, x.hint)
+	return k
 }
 
-// emitted is the number of events a stream state has seen: retained
-// plus dropped.
-func (st *CollectorState) emitted() uint64 { return uint64(len(st.events)) + st.dropped }
-
-// Fits reports whether the recorded event tail after a boundary whose
-// snapshot is at holds every event c would retain of it. The recorded
-// stream keeps the first events of the suffix; it falls short only when
-// the recording run's cap dropped some of them and c has more room
-// left than the recording had at the boundary.
-//
-//nlft:noalloc
-func (x *Suffixes) Fits(c *Collector, at *CollectorState) bool {
-	if x == nil || c == nil || c.s.disabled {
-		return true
+// renew gives every track fresh per-mark storage.
+func renew[T, E any](ts []track[T, E]) {
+	for i := range ts {
+		ts[i].at = make([]T, 0, cap(ts[i].at))
 	}
-	kept := uint64(len(x.horizon.events) - len(at.events))
-	need := x.horizon.emitted() - at.emitted()
-	if c.s.limit > 0 {
-		need = min(need, uint64(max(c.s.limit-len(c.s.events), 0)))
-	}
-	return need <= kept
 }
 
-// Compose adds to c the telemetry the recorded run gained after
-// boundary b, whose snapshot is at: counters, histogram buckets, counts
-// and sums by their horizon deltas, histogram and gauge extremes by the
-// suffix extremes, and the event tail (which Fits must accept) without
-// counting it again, since the deltas already hold its events.* counts.
-// A series the suffix did not touch is left alone, so c gains no series
-// its own run lacks; one the suffix created is created.
+// Rewind restores c to mark i of x's last run, a run whose first mark
+// preceded its first retained event (as a fork engine's capture run
+// does at t=0): every series the run held there takes its value then,
+// in the object the run held, so pointers components cached at build
+// time stay valid; every other series goes; and the event stream is cut
+// back to the mark.
 //
 //nlft:noalloc
-func (x *Suffixes) Compose(c *Collector, b int, at *CollectorState) {
+func (x *Suffixes) Rewind(c *Collector, i int) {
 	if x == nil || c == nil {
 		return
 	}
-	r, hz := c.reg, x.horizon
-	for i, k := range x.counters {
-		v := x.values[i]
-		if a, ok := at.counters[k]; !ok || a != v {
-			r.Counter(k).Add(v - a)
-		}
-	}
-	for i := range x.hists {
-		t := &x.hists[i]
-		a, ok := at.hists[t.key]
-		e := t.ext[b]
-		if ok && e.n == 0 {
-			continue
-		}
-		h := r.Histogram(t.key)
-		all := histExt{min: h.min, max: h.max, n: h.count}.widen(e)
-		h.min, h.max = all.min, all.max
-		v := hz.hists[t.key]
-		for j := range h.buckets {
-			h.buckets[j] += v.buckets[j] - a.buckets[j]
-		}
-		h.count += v.count - a.count
-		h.sum += v.sum - a.sum
-	}
-	for i := range x.gauges {
-		t := &x.gauges[i]
-		_, ok := at.gauges[t.key]
-		e := t.ext[b]
-		if ok && !e.set {
-			continue
-		}
-		g := r.Gauge(t.key)
-		if e.set {
-			g.SetMax(e.v)
-		}
-	}
-	c.AppendTail(hz.events[len(at.events):], hz.emitted()-at.emitted()-uint64(len(hz.events)-len(at.events)))
+	rewind(c.reg.counters, x.counters, i)
+	rewind(c.reg.hists, x.hists, i)
+	rewind(c.reg.gauges, x.gauges, i)
+	c.s.events = append(c.s.events[:0], x.tail[:x.kept[i]]...)
+	c.s.dropped = x.emits[i] - uint64(x.kept[i])
+	c.cacheNode, c.cacheTask, c.kindCache = "", "", [kindCount]*Counter{}
 }
 
-// AppendTail appends a recorded event tail to c's stream without
-// counting it in the registry, subject to the cap exactly as Emit
-// would be. unretained is the number of further tail events the
-// recording itself dropped; they count as dropped, as do the tail
-// events the cap drops.
-//
-//nlft:noalloc
-func (c *Collector) AppendTail(tail []Event, unretained uint64) {
-	if c == nil || c.s.disabled {
+// rewind restores m to mark i of the run ts tracked.
+func rewind[T, E any](m map[Key]*T, ts []track[T, E], i int) {
+	held := 0
+	for j := range ts {
+		if t := &ts[j]; t.s != nil && t.since <= i {
+			m[t.key], *t.s, held = t.s, t.at[i], held+1
+		} else {
+			delete(m, t.key)
+		}
+	}
+	if len(m) == held {
 		return
 	}
-	keep := len(tail)
-	if c.s.limit > 0 {
-		keep = min(keep, max(c.s.limit-len(c.s.events), 0))
+	//nlft:allow nodeterminism deleting the series the run never tracked; order cannot affect the survivors
+	for k := range m {
+		if !slices.ContainsFunc(ts, func(t track[T, E]) bool { return t.key == k }) {
+			delete(m, k)
+		}
 	}
-	c.s.events = append(c.s.events, tail[:keep]...)
-	c.s.dropped += uint64(len(tail)-keep) + unretained
+}
+
+// Suffix is the telemetry a recorded run gained after one of its marks:
+// the deltas of the series that moved, each naming its track in x, their
+// suffix extremes, and the event tail. A nil *Suffix gains nothing.
+type Suffix struct {
+	x        *Suffixes
+	counters []counterAdd
+	hists    []histAdd
+	gauges   []gaugeMax
+	events   []Event // the tail the recording retained
+	emitted  uint64  // the events the suffix emitted, retained or not
+}
+
+type counterAdd struct {
+	series int
+	n      uint64
+}
+
+// histAdd is a histogram's samples (ext.n is the count delta) with their
+// extremes, the sum delta, and the bucket deltas from bucket lo on.
+type histAdd struct {
+	series  int
+	ext     histExt
+	sum     uint64
+	lo      int
+	buckets []uint64
+}
+
+// gaugeMax is a gauge's suffix maximum (unset when the suffix set none).
+type gaugeMax struct {
+	series int
+	g      Gauge
+}
+
+// suffixStore holds a recorder's cut suffixes, deltas and event tails.
+type suffixStore struct {
+	suffixes arena.Arena[Suffix]
+	counters arena.Arena[counterAdd]
+	hists    arena.Arena[histAdd]
+	buckets  arena.Arena[uint64]
+	gauges   arena.Arena[gaugeMax]
+	events   arena.Arena[Event]
+}
+
+// Chunk switches the recorder from storage sized to each request, for
+// runs cut once, to chunks of 24–40 KiB, so a recorder that cuts
+// suffixes run after run allocates per chunk rather than per suffix.
+func (x *Suffixes) Chunk() {
+	if x != nil {
+		s := &x.store
+		s.suffixes.Chunk, s.counters.Chunk, s.hists.Chunk = 256, 2048, 512
+		s.buckets.Chunk, s.gauges.Chunk, s.events.Chunk = 4096, 1024, 512
+	}
+}
+
+// Cut returns the suffix after mark i of the run End closed, while its
+// collector is still in its end state: the delta of every series that
+// moved or was created after the mark, their suffix extremes, and the
+// events retained after the mark (nil without a recorder).
+//
+//nlft:noalloc
+func (x *Suffixes) Cut(i int) *Suffix {
+	if x == nil {
+		return nil
+	}
+	s := &x.store
+	out := Suffix{x: x, events: x.tail[x.kept[i]-x.kept[0]:], emitted: x.emitted - x.emits[i]}
+	off := s.counters.Reserve(len(x.counters))
+	for j := range x.counters {
+		if t := &x.counters[j]; t.s != nil && (t.since > i || t.at[i].n != t.s.n) {
+			s.counters.Add(counterAdd{series: j, n: t.s.n - t.at[i].n})
+		}
+	}
+	out.counters, off = s.counters.Since(off), s.hists.Reserve(len(x.hists))
+	for j := range x.hists {
+		t := &x.hists[j]
+		if t.s == nil || t.since <= i && t.ext[i].n == 0 {
+			continue
+		}
+		h, a := t.s, &t.at[i]
+		lo, hi := 0, len(h.buckets)
+		for ; lo < hi && h.buckets[lo] == a.buckets[lo]; lo++ {
+		}
+		for ; hi > lo && h.buckets[hi-1] == a.buckets[hi-1]; hi-- {
+		}
+		b := s.buckets.Reserve(hi - lo)
+		for k := lo; k < hi; k++ {
+			s.buckets.Add(h.buckets[k] - a.buckets[k])
+		}
+		s.hists.Add(histAdd{series: j, ext: t.ext[i], sum: h.sum - a.sum, lo: lo, buckets: s.buckets.Since(b)})
+	}
+	out.hists, off = s.hists.Since(off), s.gauges.Reserve(len(x.gauges))
+	for j := range x.gauges {
+		if t := &x.gauges[j]; t.s != nil && (t.since > i || t.ext[i].set) {
+			s.gauges.Add(gaugeMax{series: j, g: t.ext[i]})
+		}
+	}
+	out.gauges = s.gauges.Since(off)
+	return s.suffixes.Add(out)
+}
+
+// Fits reports whether s's event tail holds every event c would retain
+// of it (a nil s has none to hold). The recording keeps the first events
+// of the suffix; it falls short only when its cap dropped some of them
+// and c has more room left than the recording had at the mark.
+//
+//nlft:noalloc
+func (s *Suffix) Fits(c *Collector) bool {
+	if s == nil || c == nil || c.s.disabled {
+		return true
+	}
+	need := s.emitted
+	if c.s.limit > 0 {
+		need = min(need, uint64(max(c.s.limit-len(c.s.events), 0)))
+	}
+	return need <= uint64(len(s.events))
+}
+
+// Compose adds suffix s to c: counters, histogram buckets,
+// counts and sums by their deltas, extremes by the suffix's, and the
+// event tail (which s.Fits must accept) under c's cap exactly as Emit,
+// but uncounted, since the deltas hold its events.* counts. A series the
+// suffix did not touch is left alone; one it created is created.
+//
+//nlft:noalloc
+func (s *Suffix) Compose(c *Collector) {
+	if s == nil || c == nil {
+		return
+	}
+	r, x := c.reg, s.x
+	for _, d := range s.counters {
+		r.Counter(x.counters[d.series].key).Add(d.n)
+	}
+	for i := range s.hists {
+		d := &s.hists[i]
+		h := r.Histogram(x.hists[d.series].key)
+		all := histExt{min: h.min, max: h.max, n: h.count}.widen(d.ext)
+		h.min, h.max, h.count, h.sum = all.min, all.max, h.count+d.ext.n, h.sum+d.sum
+		for k, n := range d.buckets {
+			h.buckets[d.lo+k] += n
+		}
+	}
+	for _, d := range s.gauges {
+		if g := r.Gauge(x.gauges[d.series].key); d.g.set {
+			g.SetMax(d.g.v)
+		}
+	}
+	if !c.s.disabled {
+		keep := len(s.events)
+		if c.s.limit > 0 {
+			keep = min(keep, max(c.s.limit-len(c.s.events), 0))
+		}
+		c.s.events = append(c.s.events, s.events[:keep]...)
+		c.s.dropped += s.emitted - uint64(keep)
+	}
 }
 
 // KeepsEvents reports whether c retains events: false for a nil or

@@ -55,13 +55,15 @@ func suffixRun(intervals int) [][]step {
 }
 
 // TestSuffixesCompose records a run's suffix telemetry in one pass and
-// composes it at every boundary onto collectors holding different
-// prefixes — the run's own, an empty one, and one with other extremes
-// and events — for an unlimited, a capped and a metrics-only stream.
-// Wherever Fits accepts the recorded tail, the composed collector must
-// equal one that replayed the prefix and then the recorded suffix:
-// registry digest, events and drop count. Fits must refuse only tails
-// the recording's cap cut short.
+// composes it at every mark onto collectors holding different prefixes
+// — the run's own, an empty one, and one with other extremes and events
+// — for an unlimited, a capped and a metrics-only stream. Wherever Fits
+// accepts the recorded tail, the composed collector must equal one that
+// replayed the prefix and then the recorded suffix: registry digest,
+// events and drop count. Fits must refuse only tails the recording's cap
+// cut short. The recorder records the run twice, on fresh collectors
+// after Reset, so its second run finds every series already numbered
+// and the mid-run ones unlinked until they reappear.
 func TestSuffixesCompose(t *testing.T) {
 	const intervals = 8
 	run := suffixRun(intervals)
@@ -93,61 +95,64 @@ func TestSuffixesCompose(t *testing.T) {
 				c.SetEventLimit(limit)
 				return c
 			}
-			rec := newCol()
 			x := NewSuffixes(intervals)
-			states := make([]*CollectorState, intervals)
-			for b := range run {
-				x.Close(rec)
-				states[b] = NewCollectorState()
-				rec.Snapshot(states[b])
-				x.Open(rec)
-				for _, s := range run[b] {
-					s(rec)
-				}
-			}
-			x.End(rec)
-			refused := 0
-			for b := range run {
-				for _, p := range prefixes {
-					got, want := newCol(), newCol()
-					for _, s := range p.steps(b) {
-						s(got)
-						s(want)
+			for pass := 0; pass < 2; pass++ {
+				rec := newCol()
+				x.Reset(rec)
+				for b := range run {
+					x.Mark(rec)
+					for _, s := range run[b] {
+						s(rec)
 					}
-					for _, iv := range run[b:] {
-						for _, s := range iv {
+				}
+				x.End(rec)
+				suffixes := make([]*Suffix, intervals)
+				for b := range run {
+					suffixes[b] = x.Cut(b)
+				}
+				refused := 0
+				for b := range run {
+					for _, p := range prefixes {
+						got, want := newCol(), newCol()
+						for _, s := range p.steps(b) {
+							s(got)
 							s(want)
 						}
-					}
-					if !x.Fits(got, states[b]) {
-						refused++
-						if limit <= 0 {
-							t.Errorf("boundary %d, %s prefix: tail refused without a cap", b, p.name)
+						for _, iv := range run[b:] {
+							for _, s := range iv {
+								s(want)
+							}
 						}
-						continue
-					}
-					x.Compose(got, b, states[b])
-					if g, w := got.Registry().Digest(), want.Registry().Digest(); g != w {
-						t.Errorf("boundary %d, %s prefix: registry %v, replayed %v", b, p.name,
-							got.Registry().Snapshot(), want.Registry().Snapshot())
-					}
-					if !reflect.DeepEqual(got.Events(), want.Events()) || got.Dropped() != want.Dropped() {
-						t.Errorf("boundary %d, %s prefix: %d events (%d dropped), replayed %d (%d dropped)",
-							b, p.name, len(got.Events()), got.Dropped(), len(want.Events()), want.Dropped())
+						if !suffixes[b].Fits(got) {
+							refused++
+							if limit <= 0 {
+								t.Errorf("pass %d, mark %d, %s prefix: tail refused without a cap", pass, b, p.name)
+							}
+							continue
+						}
+						suffixes[b].Compose(got)
+						if g, w := got.Registry().Digest(), want.Registry().Digest(); g != w {
+							t.Errorf("pass %d, mark %d, %s prefix: registry %v, replayed %v", pass, b, p.name,
+								got.Registry().Snapshot(), want.Registry().Snapshot())
+						}
+						if !reflect.DeepEqual(got.Events(), want.Events()) || got.Dropped() != want.Dropped() {
+							t.Errorf("pass %d, mark %d, %s prefix: %d events (%d dropped), replayed %d (%d dropped)",
+								pass, b, p.name, len(got.Events()), got.Dropped(), len(want.Events()), want.Dropped())
+						}
 					}
 				}
-			}
-			if limit > 0 && refused == 0 {
-				t.Error("the cap never cut a tail short; the case exercises nothing")
-			}
-			plain := newCol()
-			for _, iv := range run {
-				for _, s := range iv {
-					s(plain)
+				if limit > 0 && refused == 0 {
+					t.Error("the cap never cut a tail short; the case exercises nothing")
 				}
-			}
-			if rec.Registry().Digest() != plain.Registry().Digest() {
-				t.Error("recording changed the run's own registry")
+				plain := newCol()
+				for _, iv := range run {
+					for _, s := range iv {
+						s(plain)
+					}
+				}
+				if rec.Registry().Digest() != plain.Registry().Digest() {
+					t.Error("recording changed the run's own registry")
+				}
 			}
 		})
 	}
@@ -158,23 +163,69 @@ func TestSuffixesCompose(t *testing.T) {
 func TestSuffixesShiftGauge(t *testing.T) {
 	c := NewCollector("")
 	x := NewSuffixes(2)
-	var states [2]*CollectorState
-	for b := range states {
-		x.Close(c)
-		states[b] = NewCollectorState()
-		c.Snapshot(states[b])
-		x.Open(c)
+	x.Reset(c)
+	for b := 0; b < 2; b++ {
+		x.Mark(c)
 		c.Gauge("peak", "").SetMax(float64(10 - b))
 		c.Gauge("other", "").SetMax(float64(10 - b))
 	}
 	x.End(c)
 	x.ShiftGauge("peak", -1)
+	s := x.Cut(1)
 	got := NewCollector("")
-	x.Compose(got, 1, states[1])
+	s.Compose(got)
 	if v := got.Gauge("peak", "").Value(); v != 8 {
 		t.Errorf("shifted gauge composed to %v, want 8", v)
 	}
 	if v := got.Gauge("other", "").Value(); v != 9 {
 		t.Errorf("unshifted gauge composed to %v, want 9", v)
+	}
+}
+
+// TestSuffixesRewind checks the checkpoint path: after a recorded run
+// (marked at its start and at every boundary), rewinding the run's own
+// collector to any mark — from its end, then from another mark — leaves
+// exactly what a plain replay of the run up to that boundary holds:
+// registry digest, events and drop count, for an unlimited, a capped
+// and a metrics-only stream. Series the recorder never saw go too.
+func TestSuffixesRewind(t *testing.T) {
+	const intervals = 6
+	run := suffixRun(intervals)
+	for _, limit := range []int{0, 5, -1} {
+		newCol := func() *Collector {
+			c := NewCollector("n")
+			c.SetEventLimit(limit)
+			return c
+		}
+		c := newCol()
+		x := NewSuffixes(intervals)
+		x.Reset(c)
+		for _, iv := range run {
+			x.Mark(c)
+			for _, s := range iv {
+				s(c)
+			}
+		}
+		x.End(c)
+		for _, b := range []int{intervals - 1, 0, 3, 3, 1} {
+			c.Counter("stray", "", "").Inc()
+			c.Histogram("stray", "").Observe(9)
+			x.Rewind(c, b)
+			want := newCol()
+			for _, iv := range run[:b] {
+				for _, s := range iv {
+					s(want)
+				}
+			}
+			if c.Registry().Digest() != want.Registry().Digest() {
+				t.Errorf("limit %d, mark %d: registry %v, replayed %v", limit, b,
+					c.Registry().Snapshot(), want.Registry().Snapshot())
+			}
+			if got := c.Events(); len(got) != len(want.Events()) || len(got) > 0 && !reflect.DeepEqual(got, want.Events()) ||
+				c.Dropped() != want.Dropped() {
+				t.Errorf("limit %d, mark %d: %d events (%d dropped), replayed %d (%d dropped)",
+					limit, b, len(c.Events()), c.Dropped(), len(want.Events()), want.Dropped())
+			}
+		}
 	}
 }

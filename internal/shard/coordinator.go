@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -114,8 +115,8 @@ type Coordinator struct {
 
 	mu        sync.Mutex
 	campaigns map[string]*campaign
-	order     []string // submission order, for fair lease assignment
-	leases    map[string]*leaseState
+	order     []string               // unfinished campaigns in submission order, for fair lease assignment
+	leases    map[string]*leaseState // every lease issued, so late reports are recognized
 	nextCamp  int
 	nextLease int
 }
@@ -179,17 +180,23 @@ func (c *Coordinator) Submit(spec CampaignSpec) (string, error) {
 }
 
 // sweepExpired (mu held) returns every expired lease's span to its
-// campaign's pending queue.
+// campaign's pending queue. Only live leases can expire, and they are
+// the active ones of unfinished campaigns, so the sweep visits those
+// alone, not every lease ever issued.
 func (c *Coordinator) sweepExpired(now time.Time) {
-	//nlft:allow nodeterminism expiry marking is per-lease and idempotent; map order cannot affect which leases expire
-	for _, ls := range c.leases {
-		if ls.expired || !now.After(ls.expires) {
-			continue
-		}
-		ls.expired = true
-		delete(ls.camp.active, ls.id)
-		if !ls.camp.done[ls.span] {
-			ls.camp.pending = append(ls.camp.pending, ls.span)
+	for _, id := range c.order {
+		camp := c.campaigns[id]
+		//nlft:allow nodeterminism expiry marking is per-lease and idempotent; map order cannot affect which leases expire
+		for leaseID, spanIdx := range camp.active {
+			ls := c.leases[leaseID]
+			if !now.After(ls.expires) {
+				continue
+			}
+			ls.expired = true
+			delete(camp.active, leaseID)
+			if !camp.done[spanIdx] {
+				camp.pending = append(camp.pending, spanIdx)
+			}
 		}
 	}
 }
@@ -283,6 +290,11 @@ func (c *Coordinator) Complete(leaseID string, body io.Reader) error {
 	}
 	camp.fold(sr)
 	camp.done[ls.span] = true
+	if camp.completed == camp.spec.Trials {
+		// The last span landed: nothing of the campaign is left to lease
+		// or to sweep.
+		c.order = slices.DeleteFunc(c.order, func(id string) bool { return id == camp.id })
+	}
 	// Retire every lease on this span — the original and any re-lease
 	// racing it — and drop queued re-leases of it.
 	//nlft:allow nodeterminism all active leases on this span are deleted; map order cannot affect the survivors

@@ -267,6 +267,58 @@ func TestWorkerLossRelease(t *testing.T) {
 	requireSameResult(t, c, id, want, "after late duplicate")
 }
 
+// TestDrainedCampaignsLeaveNothingToSweep: once a campaign's last span
+// lands it leaves the lease scan, and the expiry sweep visits no lease
+// of it, however far the clock moves — yet every lease the coordinator
+// issued is still recognized, so a late heartbeat or duplicate
+// completion is answered as before.
+func TestDrainedCampaignsLeaveNothingToSweep(t *testing.T) {
+	clock := newFakeClock()
+	c := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute, Now: clock.Now})
+	lb := Loopback{C: c}
+	spec := CampaignSpec{Trials: 12, Seed: 5, LeaseSize: 4}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		spec.Seed++
+		id, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	first, err := lb.Lease("w")
+	if err != nil || first == nil {
+		t.Fatalf("lease: %v, %v", first, err)
+	}
+	clock.Advance(2 * time.Minute) // the first lease expires unreported
+	drain(t, &Worker{Transport: lb, Name: "w", Parallelism: 1})
+	clock.Advance(time.Hour)
+	c.mu.Lock()
+	live := 0
+	for _, camp := range c.campaigns {
+		live += len(camp.active) + len(camp.pending)
+	}
+	order, issued := len(c.order), len(c.leases)
+	c.mu.Unlock()
+	if order != 0 || live != 0 {
+		t.Errorf("after draining: %d campaigns left to scan, %d live or pending leases", order, live)
+	}
+	if want := 3*3 + 1; issued != want {
+		t.Errorf("%d leases recorded, want %d (every lease issued)", issued, want)
+	}
+	for _, id := range ids {
+		if p, err := c.Progress(id); err != nil || !p.Done || p.Leased != 0 {
+			t.Errorf("campaign %s: progress %+v, %v", id, p, err)
+		}
+	}
+	if err := c.Heartbeat(first.ID); err != nil {
+		t.Errorf("late heartbeat on a completed span: %v", err)
+	}
+	if l, err := lb.Lease("w"); err != nil || l != nil {
+		t.Errorf("lease after draining: %+v, %v", l, err)
+	}
+}
+
 // TestExpiredLeaseFirstCompletionWins: a lease expires (the worker was
 // only slow, not dead) and its completion arrives before any re-lease
 // runs — it must be applied, and the re-leased range must then be
