@@ -24,6 +24,12 @@
 // remainder of a run — so it ends there, its suffix composed from the
 // entry. See DESIGN.md ("The suffix table").
 //
+// The sessions keep events only (no metrics registry), and the TEM
+// check of a placement resumes at its fork base: the restored prefix of
+// its event stream is the golden run's, which foldGolden checks once
+// while saving the checker's state at every checkpoint, so a placement
+// reads only the events after its prefix (obs.Checker).
+//
 // This package keeps only what is the verifier's own: the placement
 // space, the guarantee checks over each composed event stream, the
 // coverage certificate and the EngineStats accounting of how each
@@ -178,14 +184,13 @@ func VerifyFaults(w fault.Workload, cfg Config, faults []fault.Fault) (*Result, 
 	return run(w, &cfg, faults, nil)
 }
 
-// fullTrace builds an uncapped collector for an observable workload.
+// fullTrace builds an uncapped events-only collector for an observable
+// workload: the verifier's checks read events, never metrics.
 func fullTrace(w fault.Workload) (*obs.Collector, error) {
 	if _, ok := w.(fault.ObservableWorkload); !ok {
 		return nil, fmt.Errorf("exhaust: workload is not observable; invariant checking needs event streams")
 	}
-	col := obs.NewCollector("")
-	col.SetEventLimit(0)
-	return col, nil
+	return obs.NewEventCollector(""), nil
 }
 
 // run explores every placement of faults on the range executor, one
@@ -224,6 +229,9 @@ func run(w fault.Workload, cfg *Config, faults []fault.Fault, space *Space) (*Re
 // placements on it; it is the placement range's fault.RangeSlot.
 type worker struct {
 	s        *fault.ForkSession
+	bases    []obs.Checker // the TEM checker after each checkpoint's golden prefix
+	check    obs.Checker
+	tem      []obs.Violation
 	faults   []fault.Fault
 	recs     []fault.TrialRecord
 	viols    [][]Violation
@@ -242,13 +250,29 @@ func newWorker(w fault.Workload, cfg *Config, faults []fault.Fault,
 	if err != nil {
 		return nil, err
 	}
-	if vs := obs.CheckInvariants(s.GoldenEvents()); len(vs) > 0 {
+	bases, vs := foldGolden(s)
+	if len(vs) > 0 {
 		return nil, fmt.Errorf("exhaust: golden run violates TEM invariants: %v", vs[0])
 	}
 	if vs := obs.CheckNoCriticalOmission(s.GoldenEvents()); len(vs) > 0 {
 		return nil, fmt.Errorf("exhaust: golden run omitted a critical release: %v", vs[0])
 	}
-	return &worker{s: s, faults: faults, recs: recs, viols: viols, progress: progress}, nil
+	return &worker{s: s, bases: bases, faults: faults, recs: recs, viols: viols, progress: progress}, nil
+}
+
+// foldGolden checks s's golden event stream once and returns its TEM
+// violations with the checker's state after every checkpoint's golden
+// prefix, which each placement forked from the checkpoint resumes.
+func foldGolden(s *fault.ForkSession) ([]obs.Checker, []obs.Violation) {
+	golden := s.GoldenEvents()
+	bases := make([]obs.Checker, s.Checkpoints())
+	var c obs.Checker
+	var vs []obs.Violation
+	for k := range bases {
+		vs = c.Check(golden[:s.GoldenPrefix(k)], vs)
+		bases[k].Resume(&c)
+	}
+	return bases, c.Check(golden, vs)
 }
 
 // Base selects placement i's fork base.
@@ -262,8 +286,12 @@ func (wk *worker) Run(i int) error {
 	if err != nil {
 		return fmt.Errorf("exhaust: placement %d: %w", i, err)
 	}
+	tem, err := wk.checkTEM(i, &x)
+	if err != nil {
+		return err
+	}
 	wk.recs[i] = x.Record
-	wk.viols[i] = checkPlacement(i, f, x.Events, x.Record.Outcome, x.Omissions)
+	wk.viols[i] = checkPlacement(i, f, tem, x.Record.Outcome, x.Omissions)
 	wk.stats.Placements++
 	switch x.Suffix {
 	case fault.SuffixGolden:
@@ -277,6 +305,21 @@ func (wk *worker) Run(i int) error {
 		wk.progress()
 	}
 	return nil
+}
+
+// checkTEM returns the TEM invariant violations past the golden prefix
+// of placement i's explored event stream x, indexed within the whole
+// stream, and valid until the next call. The check resumes at the fork
+// base: the restored prefix is golden, so it reads only the events
+// after it.
+func (wk *worker) checkTEM(i int, x *fault.Explored) ([]obs.Violation, error) {
+	base := &wk.bases[wk.Base(i)]
+	if base.Checked() != x.Prefix {
+		return nil, fmt.Errorf("exhaust: placement %d: fork base restored %d events, its checker read %d", i, x.Prefix, base.Checked())
+	}
+	wk.check.Resume(base)
+	wk.tem = wk.check.Check(x.Events, wk.tem[:0])
+	return wk.tem, nil
 }
 
 // newResult assembles an exploration's outcome data from its
@@ -305,14 +348,15 @@ func runScratchPlacement(w fault.Workload, f fault.Fault, golden []fault.Write, 
 	if err != nil {
 		return fault.TrialRecord{}, nil, err
 	}
-	return rec, checkPlacement(idx, f, col.Events(), rec.Outcome, inst.Rec.Omissions), nil
+	return rec, checkPlacement(idx, f, obs.CheckInvariants(col.Events()), rec.Outcome, inst.Rec.Omissions), nil
 }
 
-// checkPlacement evaluates the verifier's two guarantees over one
-// placement's complete event stream and counters.
-func checkPlacement(idx int, f fault.Fault, events []obs.Event, outcome fault.Outcome, omissions int) []Violation {
+// checkPlacement evaluates the verifier's two guarantees for one
+// placement: tem is its complete event stream's TEM invariant
+// violations, outcome and omissions its classification and counter.
+func checkPlacement(idx int, f fault.Fault, tem []obs.Violation, outcome fault.Outcome, omissions int) []Violation {
 	var out []Violation
-	for _, v := range obs.CheckInvariants(events) {
+	for _, v := range tem {
 		out = append(out, Violation{Placement: idx, Fault: f,
 			Kind: ViolationTEMInvariant, Detail: v.String()})
 	}

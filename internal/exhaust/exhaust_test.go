@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden certificate fixture")
@@ -110,11 +111,15 @@ func TestSpaceWindowClipping(t *testing.T) {
 	}
 }
 
+// gateCertificate is the gate space's certificate digest; CI checks
+// that exhaustcheck prints it too.
+const gateCertificate = "fnv1a:c9310924e5a8dda3"
+
 // TestVerifyGate is the acceptance check the CI gate script re-runs
 // from the command line: every placement of the gate configuration's
-// full space holds the TEM invariants and misses no deadline, and the
-// per-class totals match a planned sampling campaign over the same
-// placement list exactly.
+// full space holds the TEM invariants and misses no deadline, the
+// certificate is the pinned one, and the per-class totals match a
+// planned sampling campaign over the same placement list exactly.
 func TestVerifyGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-space enumeration in -short mode")
@@ -143,6 +148,9 @@ func TestVerifyGate(t *testing.T) {
 	if res.Counts[fault.Masked] == 0 {
 		t.Fatal("no masked placements; TEM never exercised")
 	}
+	if res.Cert.Digest != gateCertificate {
+		t.Errorf("certificate digest %s, want %s", res.Cert.Digest, gateCertificate)
+	}
 
 	camp, err := fault.Run(w, fault.CampaignConfig{Plan: res.Space.Faults()})
 	if err != nil {
@@ -168,6 +176,18 @@ func TestEngineStatsPinned(t *testing.T) {
 		DedupHits: 17918, Memos: 3976, Workers: 1, Checkpoints: 14}
 	if res.Stats != want {
 		t.Errorf("engine stats %+v, want %+v", res.Stats, want)
+	}
+}
+
+// BenchmarkVerify is one single-worker verification of the gate space,
+// the exhaustive verifier's per-placement cost with its allocations.
+func BenchmarkVerify(b *testing.B) {
+	w := gateWorkload()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Verify(w, Config{Parallelism: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -297,6 +317,67 @@ func TestBoundaryPlacements(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Violations, want.Violations) {
 		t.Errorf("violations diverged: fork %v, scratch %v", got.Violations, want.Violations)
+	}
+}
+
+// TestResumedCheckDifferential pins the resumed TEM check on streams
+// that do break an invariant: the AlwaysTriple ablation runs a
+// speculative third copy in every release, golden run included. For
+// placements across the whole horizon, the violations a worker's check
+// reports are exactly the from-scratch trial's whole-stream violations
+// at or past the placement's golden prefix, at the same indexes.
+func TestResumedCheckDifferential(t *testing.T) {
+	w := fault.NewStdWorkload(fault.StdWorkloadConfig{ECC: true, Periods: 3, Compute: 16, AlwaysTriple: true})
+	s, err := fault.NewForkSession(w, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases, vs := foldGolden(s)
+	if len(vs) == 0 {
+		t.Fatal("the AlwaysTriple golden run breaks no invariant; the case exercises nothing")
+	}
+	golden, err := fault.GoldenWrites(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codeBase, _ := w.CodeRange()
+	var faults []fault.Fault
+	for at := des.Time(0); at < s.Horizon(); at += 70 * des.Microsecond {
+		faults = append(faults,
+			fault.Fault{At: at, Target: fault.TargetALU, Mask: 1 << 9},
+			fault.Fault{At: at, Target: fault.TargetRegister, Reg: 6, Bit: 3},
+			fault.Fault{At: at, Target: fault.TargetMemoryCode, Addr: codeBase + 8, Bit: 5})
+	}
+	wk := &worker{s: s, bases: bases, faults: faults}
+	resumed := 0
+	for i, f := range faults {
+		x, err := s.Explore(fault.TrialSpec{Fault: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := wk.checkTEM(i, &x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := obs.NewEventCollector("")
+		if _, _, err := fault.ScratchTrial(w, fault.TrialSpec{Fault: f}, golden, col); err != nil {
+			t.Fatal(err)
+		}
+		var want []obs.Violation
+		for _, v := range obs.CheckInvariants(col.Events()) {
+			if v.Index >= x.Prefix {
+				want = append(want, v)
+			}
+		}
+		if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+			t.Errorf("%v (golden prefix %d): resumed %v, from-scratch %v", f, x.Prefix, got, want)
+		}
+		if x.Prefix > 0 && len(want) > 0 {
+			resumed++
+		}
+	}
+	if resumed == 0 {
+		t.Error("no placement past a non-empty golden prefix broke an invariant; the case exercises nothing")
 	}
 }
 

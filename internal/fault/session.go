@@ -34,17 +34,17 @@ type ForkSession struct {
 
 // NewForkSession builds a session at the given checkpoint spacing
 // (interval 0 means the campaign default). With withEvents the instance
-// carries a collector with no event cap, so every restore rewinds a
-// complete event stream — the exhaustive verifier checks TEM invariants
-// over full traces.
+// carries an events-only collector (obs.NewEventCollector): no event
+// cap, so every restore rewinds a complete event stream — the
+// exhaustive verifier checks TEM invariants over full traces — and no
+// registry, so recording, composing and restoring handle events only.
 func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSession, error) {
 	var col *obs.Collector
 	if withEvents {
 		if _, ok := w.(ObservableWorkload); !ok {
 			return nil, fmt.Errorf("fault: workload is not observable; cannot collect event streams")
 		}
-		col = obs.NewCollector("")
-		col.SetEventLimit(0) // unlimited: invariant checks need full traces
+		col = obs.NewEventCollector("")
 	}
 	return newForkSession(w, col, interval)
 }
@@ -106,6 +106,11 @@ func (s *ForkSession) Golden() []Write { return s.fw.golden }
 // GoldenEvents is the fault-free event stream (nil without a collector
 // that keeps events).
 func (s *ForkSession) GoldenEvents() []obs.Event { return s.fw.goldenEvents }
+
+// GoldenPrefix is the number of events a restore to checkpoint k leaves
+// in the collector (0 without one that keeps events): every trial forked
+// from k starts with the golden stream's first GoldenPrefix(k) events.
+func (s *ForkSession) GoldenPrefix(k int) int { return s.fw.cs.col.Kept(k) }
 
 // Horizon is the simulated duration of one trial.
 func (s *ForkSession) Horizon() des.Time { return s.fw.horizon }
@@ -185,6 +190,9 @@ type Explored struct {
 	Record TrialRecord
 	// Events is the composed full-horizon event stream.
 	Events []obs.Event
+	// Prefix is the number of leading events of Events the fork base
+	// restored: GoldenPrefix of the base, events of the golden stream.
+	Prefix int
 	// Omissions is the composed omission count.
 	Omissions int
 	// Suffix says how the trial ended.
@@ -197,11 +205,12 @@ type Explored struct {
 // session that explores is built with events (NewForkSession's
 // withEvents) — the exhaustive verifier's.
 func (s *ForkSession) Explore(spec TrialSpec) (Explored, error) {
-	rec, err := s.fw.run(s.plan(spec))
+	plan := s.plan(spec)
+	rec, err := s.fw.run(plan)
 	if err != nil {
 		return Explored{}, err
 	}
-	x := Explored{Record: rec, Events: s.Col.Events(), Omissions: s.fw.omissions}
+	x := Explored{Record: rec, Events: s.Col.Events(), Prefix: s.GoldenPrefix(plan.ckpt), Omissions: s.fw.omissions}
 	switch {
 	case s.fw.hit == nil:
 		x.Suffix = SuffixSimulated

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/des"
 	"repro/internal/obs"
 )
 
@@ -30,6 +31,7 @@ func TestSessionGoldenMatchesGoldenRun(t *testing.T) {
 			col.SetEventLimit(0)
 			return col
 		}},
+		{"events-only", func() *obs.Collector { return obs.NewEventCollector("") }},
 	}
 	workloads := []struct {
 		name string
@@ -89,5 +91,71 @@ func TestSessionRejectsNoisyStart(t *testing.T) {
 	}
 	if _, err := NewForkSession(w, 0, false); err != nil {
 		t.Fatalf("without a collector the build-time event is moot: %v", err)
+	}
+}
+
+// TestEventsOnlySession guards what NewForkSession's withEvents builds:
+// an events-only collector. Over the same trials, the session's records,
+// composed events, golden prefixes, suffix sources, drops and recorded
+// entries equal those of a session with a full unlimited collector, and
+// its collector never gains a registry, after trials ending on golden,
+// recorded and simulated suffixes alike.
+func TestEventsOnlySession(t *testing.T) {
+	w := NewStdWorkload(StdWorkloadConfig{ECC: true, Periods: 3, Compute: 16})
+	s, err := NewForkSession(w, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := obs.NewCollector("")
+	full.SetEventLimit(0)
+	ref, err := newForkSession(w, full, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codeBase, _ := w.CodeRange()
+	last := s.CheckpointAt(s.Checkpoints() - 1)
+	var specs []TrialSpec
+	for at := des.Time(0); at < last; at += 70 * des.Microsecond {
+		specs = append(specs,
+			TrialSpec{Fault: Fault{At: at, Target: TargetALU, Mask: 1 << 9}},
+			TrialSpec{Fault: Fault{At: at, Target: TargetMemoryCode, Addr: codeBase + 8, Bit: 5}},
+			TrialSpec{Fault: Fault{At: at, Target: TargetRegister, Reg: 6, Bit: 3}})
+	}
+	// Past the last checkpoint no boundary is left to stop at.
+	specs = append(specs, TrialSpec{Fault: Fault{At: last + 10*des.Microsecond, Target: TargetRegister, Reg: 6, Bit: 3}})
+	ends := map[Suffix]int{}
+	for pass := 0; pass < 2; pass++ {
+		for _, spec := range specs {
+			x, err := s.Explore(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y, err := ref.Explore(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(x.Record, y.Record) || x.Suffix != y.Suffix || x.Prefix != y.Prefix || x.Omissions != y.Omissions {
+				t.Errorf("pass %d, %v: events-only %+v, full %+v", pass, spec.Fault, x, y)
+			}
+			if !reflect.DeepEqual(x.Events, y.Events) || s.Col.Dropped() != ref.Col.Dropped() {
+				t.Errorf("pass %d, %v: %d events (%d dropped), full collector %d (%d dropped)", pass, spec.Fault,
+					len(x.Events), s.Col.Dropped(), len(y.Events), ref.Col.Dropped())
+			}
+			if s.Col.Registry() != nil {
+				t.Fatalf("pass %d, %v: the events-only session's collector gained a registry", pass, spec.Fault)
+			}
+			ends[x.Suffix]++
+		}
+	}
+	for _, k := range []Suffix{SuffixSimulated, SuffixGolden, SuffixRecorded} {
+		if ends[k] == 0 {
+			t.Errorf("no trial ended on suffix source %d (%v); the case exercises less than it claims", k, ends)
+		}
+	}
+	if s.RecordedEntries() != ref.RecordedEntries() {
+		t.Errorf("%d recorded entries, full collector %d", s.RecordedEntries(), ref.RecordedEntries())
+	}
+	if len(full.Registry().Snapshot()) == 0 {
+		t.Error("the full collector's registry is empty; the comparison shows nothing")
 	}
 }

@@ -51,75 +51,146 @@ type releaseState struct {
 	omitted      bool
 }
 
-// CheckInvariants verifies the TEM state-machine invariants over one
-// node's event stream (campaign consumers split the merged stream per
-// trial first; see SplitByTrial). It assumes at most one in-flight
-// release per task at a time, which holds for every workload in this
-// repository (deadline ≤ period). The stream may interleave any number
-// of tasks and nodes. Violations are returned in stream order; an empty
-// slice means the stream is consistent.
+// taskRelease is one (node, task)'s current release.
+type taskRelease struct {
+	node, task string
+	releaseState
+}
+
+// taskStates holds every (node, task)'s release state in first-seen
+// order. A stream interleaves a handful of tasks and runs of one task's
+// events, so a lookup checks the last task found, then scans: no
+// hashing and no map.
+type taskStates struct {
+	rs   []taskRelease
+	last int
+}
+
+// get returns e's (node, task) release state, adding a zero one for a
+// task not seen before.
 //
-// Note: the third-copy rule assumes TEM's on-demand third copy; streams
-// produced with the AlwaysTriple ablation intentionally violate it.
-func CheckInvariants(events []Event) []Violation {
-	var out []Violation
-	state := map[[2]string]*releaseState{}
-	get := func(e Event) *releaseState {
-		k := [2]string{e.Node, e.Task}
-		st := state[k]
-		if st == nil {
-			st = &releaseState{}
-			state[k] = st
+//nlft:noalloc
+func (t *taskStates) get(e *Event) *releaseState {
+	if t.last < len(t.rs) {
+		if r := &t.rs[t.last]; r.task == e.Task && r.node == e.Node {
+			return &r.releaseState
 		}
-		return st
 	}
-	for i, e := range events {
-		st := get(e)
-		switch e.Kind {
+	return t.find(e)
+}
+
+// find is get past the last task found.
+//
+//nlft:noalloc
+func (t *taskStates) find(e *Event) *releaseState {
+	for i := range t.rs {
+		if r := &t.rs[i]; r.task == e.Task && r.node == e.Node {
+			t.last = i
+			return &r.releaseState
+		}
+	}
+	t.rs = append(t.rs, taskRelease{node: e.Node, task: e.Task})
+	t.last = len(t.rs) - 1
+	return &t.rs[t.last].releaseState
+}
+
+// Checker checks the TEM state-machine invariants as a left fold over
+// one node's event stream: Check reads only the events past the ones it
+// has read, and Resume continues from another checker's state. Because
+// the state after a prefix depends on the prefix alone, a stream that
+// shares a checked prefix with another — a forked trial with the golden
+// run it was forked from — is checked from the state after that prefix,
+// with the same violations at the same indexes as a check from the
+// start. The zero Checker is at the start of a stream.
+type Checker struct {
+	n     int // events read: the index of the next one in the stream
+	tasks taskStates
+}
+
+// Checked is the number of events c has read.
+func (c *Checker) Checked() int { return c.n }
+
+// Resume sets c to from's state, reusing c's storage; resuming from a
+// zero Checker starts a new stream.
+//
+//nlft:noalloc
+func (c *Checker) Resume(from *Checker) {
+	c.n = from.n
+	c.tasks.rs = append(c.tasks.rs[:0], from.tasks.rs...)
+	c.tasks.last = from.tasks.last
+}
+
+// Check reads events[c.Checked():] — the stream's first c.Checked()
+// events are the ones c has read — and appends each violation to out in
+// stream order, indexed within the whole stream. It assumes at most one
+// in-flight release per task at a time, which holds for every workload
+// in this repository (deadline ≤ period). The stream may interleave any
+// number of tasks and nodes.
+//
+//nlft:noalloc
+func (c *Checker) Check(events []Event, out []Violation) []Violation {
+	for i := c.n; i < len(events); i++ {
+		switch e := &events[i]; e.Kind {
 		case KindRelease:
-			*st = releaseState{critical: e.Detail == "critical"}
+			*c.tasks.get(e) = releaseState{critical: e.Detail == "critical"}
 		case KindErrorDetected, KindCompareMismatch, KindStateCRCError:
-			st.sawDetected = true
+			c.tasks.get(e).sawDetected = true
 		case KindCompareMatch:
-			st.sawAgreement = true
+			c.tasks.get(e).sawAgreement = true
 		case KindVote:
-			if strings.Contains(e.Detail, "majority found") {
+			if st := c.tasks.get(e); strings.Contains(e.Detail, "majority found") {
 				st.sawAgreement = true
 			} else {
 				st.sawDetected = true
 			}
 		case KindCopyStart:
-			if e.Copy >= 3 && !st.sawDetected {
+			if e.Copy >= 3 && !c.tasks.get(e).sawDetected {
 				out = append(out, Violation{
-					Rule: RuleThirdCopyNeedsError, Index: i, Event: e,
+					Rule: RuleThirdCopyNeedsError, Index: i, Event: *e,
 					Msg: "third copy scheduled without a detected error or comparison mismatch",
 				})
 			}
 		case KindCommit:
+			st := c.tasks.get(e)
 			if st.critical && !st.sawAgreement {
 				out = append(out, Violation{
-					Rule: RuleCommitNeedsAgreement, Index: i, Event: e,
+					Rule: RuleCommitNeedsAgreement, Index: i, Event: *e,
 					Msg: "critical-task commit without a comparison match or majority vote",
 				})
 			}
 			if st.omitted {
 				out = append(out, Violation{
-					Rule: RuleOmissionExcludesCommit, Index: i, Event: e,
+					Rule: RuleOmissionExcludesCommit, Index: i, Event: *e,
 					Msg: "commit follows an omission for the same release",
 				})
 			}
 			st.committed = true
 		case KindOmission:
+			st := c.tasks.get(e)
 			if st.committed {
 				out = append(out, Violation{
-					Rule: RuleOmissionExcludesCommit, Index: i, Event: e,
+					Rule: RuleOmissionExcludesCommit, Index: i, Event: *e,
 					Msg: "omission follows a commit for the same release",
 				})
 			}
 			st.omitted = true
 		}
 	}
+	c.n = max(c.n, len(events))
 	return out
+}
+
+// CheckInvariants verifies the TEM state-machine invariants over one
+// node's whole event stream (campaign consumers split the merged stream
+// per trial first; see SplitByTrial) with a fresh Checker. Violations
+// are returned in stream order; an empty slice means the stream is
+// consistent.
+//
+// Note: the third-copy rule assumes TEM's on-demand third copy; streams
+// produced with the AlwaysTriple ablation intentionally violate it.
+func CheckInvariants(events []Event) []Violation {
+	var c Checker
+	return c.Check(events, nil)
 }
 
 // CheckNoCriticalOmission flags every omission of a critical task. It is
@@ -127,16 +198,15 @@ func CheckInvariants(events []Event) []Violation {
 // critical task must never miss a deadline or omit a result.
 func CheckNoCriticalOmission(events []Event) []Violation {
 	var out []Violation
-	critical := map[[2]string]bool{}
-	for i, e := range events {
-		k := [2]string{e.Node, e.Task}
-		switch e.Kind {
+	var tasks taskStates
+	for i := range events {
+		switch e := &events[i]; e.Kind {
 		case KindRelease:
-			critical[k] = e.Detail == "critical"
+			tasks.get(e).critical = e.Detail == "critical"
 		case KindOmission:
-			if critical[k] {
+			if tasks.get(e).critical {
 				out = append(out, Violation{
-					Rule: RuleNoCriticalOmission, Index: i, Event: e,
+					Rule: RuleNoCriticalOmission, Index: i, Event: *e,
 					Msg: "critical task omitted a result in a fault-free run",
 				})
 			}

@@ -39,32 +39,46 @@ func (k Key) String() string {
 
 // Counter is a monotonically increasing count. It is not synchronized:
 // each collector is owned by one goroutine (one trial, one simulation),
-// and cross-goroutine aggregation happens by merging registries.
+// and cross-goroutine aggregation happens by merging registries. A nil
+// *Counter — an events-only collector's — counts nothing.
 type Counter struct{ n uint64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.n++ }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.n++
+	}
+}
 
 // Add adds d.
-func (c *Counter) Add(d uint64) { c.n += d }
+func (c *Counter) Add(d uint64) {
+	if c != nil {
+		c.n += d
+	}
+}
 
 // Value reports the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
 // Gauge is a last/extreme-value metric. Merging registries keeps the
-// maximum, which makes the merge order-independent (peak semantics).
+// maximum, which makes the merge order-independent (peak semantics). A
+// nil *Gauge records nothing.
 type Gauge struct {
 	v   float64
 	set bool
 }
 
 // Set records v.
-func (g *Gauge) Set(v float64) { g.v, g.set = v, true }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.v, g.set = v, true
+	}
+}
 
 // SetMax records v only if it exceeds the current value.
 func (g *Gauge) SetMax(v float64) {
-	if !g.set || v > g.v {
-		g.Set(v)
+	if g != nil && (!g.set || v > g.v) {
+		g.v, g.set = v, true
 	}
 }
 
@@ -76,7 +90,8 @@ func (g *Gauge) Value() float64 { return g.v }
 const histBuckets = 65
 
 // Histogram accumulates a distribution of uint64 samples (cycle counts,
-// queue depths) into power-of-two buckets.
+// queue depths) into power-of-two buckets. A nil *Histogram records
+// nothing.
 type Histogram struct {
 	buckets  [histBuckets]uint64
 	count    uint64
@@ -86,6 +101,9 @@ type Histogram struct {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v uint64) {
+	if h == nil {
+		return
+	}
 	h.buckets[bits.Len64(v)]++
 	if h.count == 0 || v < h.min {
 		h.min = v

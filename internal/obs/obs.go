@@ -187,7 +187,7 @@ func (s *stream) append(e Event) {
 // owned by one goroutine.
 type Collector struct {
 	node string
-	reg  *Registry
+	reg  *Registry // nil for an events-only collector
 	s    *stream
 
 	// Per-(node,task) cache of the events.* counters, so the common case
@@ -206,6 +206,14 @@ func NewCollector(node string) *Collector {
 	return &Collector{node: node, reg: NewRegistry(), s: &stream{}}
 }
 
+// NewEventCollector returns a collector with an uncapped event stream
+// and no registry, for consumers that read only events: Emit appends
+// and counts nothing, series lookups return nil (whose methods do
+// nothing), and Registry returns nil.
+func NewEventCollector(node string) *Collector {
+	return &Collector{node: node, s: &stream{}}
+}
+
 // Labeled returns a view of c that stamps events and metric keys with a
 // different node label while sharing c's registry and event buffer. The
 // brake-by-wire system uses one labeled view per kernel node. Labeled on
@@ -221,7 +229,8 @@ func (c *Collector) Labeled(node string) *Collector {
 // NodeLabel reports the label stamped on emitted events.
 func (c *Collector) NodeLabel() string { return c.node }
 
-// Registry exposes the metrics registry.
+// Registry exposes the metrics registry (nil for an events-only
+// collector).
 func (c *Collector) Registry() *Registry { return c.reg }
 
 // SetEventLimit bounds the retained events: n > 0 caps the buffer
@@ -248,8 +257,8 @@ func (c *Collector) SetEventLimit(n int) {
 }
 
 // Emit records one event: it is appended to the stream (subject to the
-// limit) and counted in the registry under the kind's events.* series,
-// keyed by node, task and — for detection events — mechanism.
+// limit) and, with a registry, counted under the kind's events.*
+// series, keyed by node, task and — for detection events — mechanism.
 func (c *Collector) Emit(e Event) {
 	if c == nil {
 		return
@@ -257,7 +266,7 @@ func (c *Collector) Emit(e Event) {
 	if e.Node == "" {
 		e.Node = c.node
 	}
-	if e.Kind > 0 && e.Kind < kindCount {
+	if c.reg != nil && e.Kind > 0 && e.Kind < kindCount {
 		if e.Kind == KindErrorDetected {
 			// Detection counters are additionally keyed by mechanism
 			// (carried in Detail), so they bypass the kind cache.
@@ -298,18 +307,29 @@ func (c *Collector) Dropped() uint64 {
 }
 
 // Counter resolves a counter in the collector's registry with the
-// collector's node label.
+// collector's node label (nil without a registry).
 func (c *Collector) Counter(name, task, mechanism string) *Counter {
+	if c.reg == nil {
+		return nil
+	}
 	return c.reg.Counter(Key{Name: name, Node: c.node, Task: task, Mechanism: mechanism})
 }
 
-// Gauge resolves a gauge with the collector's node label.
+// Gauge resolves a gauge with the collector's node label (nil without a
+// registry).
 func (c *Collector) Gauge(name, task string) *Gauge {
+	if c.reg == nil {
+		return nil
+	}
 	return c.reg.Gauge(Key{Name: name, Node: c.node, Task: task})
 }
 
-// Histogram resolves a histogram with the collector's node label.
+// Histogram resolves a histogram with the collector's node label (nil
+// without a registry).
 func (c *Collector) Histogram(name, task string) *Histogram {
+	if c.reg == nil {
+		return nil
+	}
 	return c.reg.Histogram(Key{Name: name, Node: c.node, Task: task})
 }
 
@@ -344,9 +364,10 @@ const PendingPeak = "des.pending_peak"
 // band, and the des.pending_peak gauge tracks the deepest event queue
 // observed. The counters are resolved once here, so the per-event hook
 // is an array index, a pointer increment and a gauge compare — no map
-// lookup or hashing on the simulation's hot path.
+// lookup or hashing on the simulation's hot path. A collector without a
+// registry has nothing to count, so the simulator gets no hook.
 func AttachSimulator(c *Collector, sim *des.Simulator) {
-	if c == nil || sim == nil {
+	if c == nil || c.reg == nil || sim == nil {
 		return
 	}
 	var bands [len(bandNames)]*Counter

@@ -258,6 +258,44 @@ func TestCollectorEmitAndLimits(t *testing.T) {
 	}
 }
 
+// TestEventCollector pins the events-only collector: Emit keeps every
+// event, stamped with the node label, and counts nothing; there is no
+// registry, series lookups return nil series that ignore updates, and
+// AttachSimulator leaves the simulator alone — an earlier hook stays.
+func TestEventCollector(t *testing.T) {
+	c := NewEventCollector("n1")
+	c.Emit(Event{Kind: KindRelease, Task: "T", Detail: "critical"})
+	c.Emit(Event{Kind: KindErrorDetected, Task: "T", Detail: "trap"})
+	c.Emit(Event{Kind: KindCommit, Task: "T"})
+	if got := c.Events(); len(got) != 3 || got[0].Node != "n1" || c.Dropped() != 0 || !c.KeepsEvents() {
+		t.Fatalf("events-only collector kept %v (%d dropped)", got, c.Dropped())
+	}
+	if c.Registry() != nil {
+		t.Fatal("events-only collector has a registry")
+	}
+	ctr, g, h := c.Counter("x", "", ""), c.Gauge("g", ""), c.Histogram("h", "")
+	if ctr != nil || g != nil || h != nil {
+		t.Fatal("events-only collector resolved a series")
+	}
+	ctr.Inc()
+	ctr.Add(2)
+	g.Set(1)
+	g.SetMax(2)
+	h.Observe(3)
+
+	full := NewCollector("sim")
+	sim := des.New()
+	AttachSimulator(full, sim)
+	AttachSimulator(c, sim)
+	sim.Schedule(0, des.PrioKernel, func() {})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := full.Registry().CounterValue(Key{Name: "des.events_fired", Node: "sim", Mechanism: "kernel"}); got != 1 {
+		t.Errorf("events_fired{kernel} = %d after attaching an events-only collector, want 1", got)
+	}
+}
+
 func TestLabeledViewsShareState(t *testing.T) {
 	c := NewCollector("root")
 	a := c.Labeled("a")

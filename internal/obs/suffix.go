@@ -88,8 +88,12 @@ func (x *Suffixes) Reset(c *Collector) {
 // sync links every series r holds that the run has not linked yet,
 // adding tracks for series never seen before. A series linked while an
 // interval is open was created in it: it is held from the next mark on,
-// with empty earlier intervals and no real prior value.
+// with empty earlier intervals and no real prior value. An events-only
+// collector (nil r) has no series to track.
 func (x *Suffixes) sync(r *Registry) {
+	if r == nil {
+		return
+	}
 	since := x.closed
 	if x.open {
 		since++
@@ -278,16 +282,18 @@ func renew[T, E any](ts []track[T, E]) {
 // does at t=0): every series the run held there takes its value then,
 // in the object the run held, so pointers components cached at build
 // time stay valid; every other series goes; and the event stream is cut
-// back to the mark.
+// back to the mark. An events-only collector rewinds only its events.
 //
 //nlft:noalloc
 func (x *Suffixes) Rewind(c *Collector, i int) {
 	if x == nil || c == nil {
 		return
 	}
-	rewind(c.reg.counters, x.counters, i)
-	rewind(c.reg.hists, x.hists, i)
-	rewind(c.reg.gauges, x.gauges, i)
+	if r := c.reg; r != nil {
+		rewind(r.counters, x.counters, i)
+		rewind(r.hists, x.hists, i)
+		rewind(r.gauges, x.gauges, i)
+	}
 	c.s.events = append(c.s.events[:0], x.tail[:x.kept[i]]...)
 	c.s.dropped = x.emits[i] - uint64(x.kept[i])
 	c.cacheNode, c.cacheTask, c.kindCache = "", "", [kindCount]*Counter{}
@@ -312,6 +318,15 @@ func rewind[T, E any](m map[Key]*T, ts []track[T, E], i int) {
 			delete(m, k)
 		}
 	}
+}
+
+// Kept is the number of events the run Rewind restores had retained at
+// mark i (0 for a nil recorder): the events a rewind to i leaves.
+func (x *Suffixes) Kept(i int) int {
+	if x == nil {
+		return 0
+	}
+	return x.kept[i]
 }
 
 // Suffix is the telemetry a recorded run gained after one of its marks:
@@ -435,7 +450,8 @@ func (s *Suffix) Fits(c *Collector) bool {
 // counts and sums by their deltas, extremes by the suffix's, and the
 // event tail (which s.Fits must accept) under c's cap exactly as Emit,
 // but uncounted, since the deltas hold its events.* counts. A series the
-// suffix did not touch is left alone; one it created is created.
+// suffix did not touch is left alone; one it created is created. A
+// suffix recorded on an events-only collector holds no deltas.
 //
 //nlft:noalloc
 func (s *Suffix) Compose(c *Collector) {

@@ -54,13 +54,43 @@ func suffixRun(intervals int) [][]step {
 	return run
 }
 
+// suffixCollectors are the collector shapes the recorder is tested on:
+// an unlimited, a capped and a metrics-only stream, named by their event
+// limit, and an events-only collector, which has no registry.
+var suffixCollectors = []struct {
+	name   string
+	capped bool
+	new    func() *Collector
+}{
+	{"limit=0", false, func() *Collector { return NewCollector("n") }},
+	{"limit=5", true, func() *Collector {
+		c := NewCollector("n")
+		c.SetEventLimit(5)
+		return c
+	}},
+	{"limit=-1", false, func() *Collector {
+		c := NewCollector("n")
+		c.SetEventLimit(-1)
+		return c
+	}},
+	{"events-only", false, func() *Collector { return NewEventCollector("n") }},
+}
+
+// registryOf renders c's registry for comparison (nil without one).
+func registryOf(c *Collector) []MetricPoint {
+	if c.Registry() == nil {
+		return nil
+	}
+	return c.Registry().Snapshot()
+}
+
 // TestSuffixesCompose records a run's suffix telemetry in one pass and
 // composes it at every mark onto collectors holding different prefixes
 // — the run's own, an empty one, and one with other extremes and events
-// — for an unlimited, a capped and a metrics-only stream. Wherever Fits
-// accepts the recorded tail, the composed collector must equal one that
-// replayed the prefix and then the recorded suffix: registry digest,
-// events and drop count. Fits must refuse only tails the recording's cap
+// — for every shape in suffixCollectors. Wherever Fits accepts the
+// recorded tail, the composed collector must equal one that replayed
+// the prefix and then the recorded suffix: registry, events and drop
+// count. Fits must refuse only tails the recording's cap
 // cut short. The recorder records the run twice, on fresh collectors
 // after Reset, so its second run finds every series already numbered
 // and the mid-run ones unlinked until they reappear.
@@ -88,13 +118,9 @@ func TestSuffixesCompose(t *testing.T) {
 			}
 		}},
 	}
-	for _, limit := range []int{0, 5, -1} {
-		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
-			newCol := func() *Collector {
-				c := NewCollector("n")
-				c.SetEventLimit(limit)
-				return c
-			}
+	for _, shape := range suffixCollectors {
+		t.Run(shape.name, func(t *testing.T) {
+			newCol := shape.new
 			x := NewSuffixes(intervals)
 			for pass := 0; pass < 2; pass++ {
 				rec := newCol()
@@ -125,15 +151,14 @@ func TestSuffixesCompose(t *testing.T) {
 						}
 						if !suffixes[b].Fits(got) {
 							refused++
-							if limit <= 0 {
+							if !shape.capped {
 								t.Errorf("pass %d, mark %d, %s prefix: tail refused without a cap", pass, b, p.name)
 							}
 							continue
 						}
 						suffixes[b].Compose(got)
-						if g, w := got.Registry().Digest(), want.Registry().Digest(); g != w {
-							t.Errorf("pass %d, mark %d, %s prefix: registry %v, replayed %v", pass, b, p.name,
-								got.Registry().Snapshot(), want.Registry().Snapshot())
+						if g, w := registryOf(got), registryOf(want); !reflect.DeepEqual(g, w) {
+							t.Errorf("pass %d, mark %d, %s prefix: registry %v, replayed %v", pass, b, p.name, g, w)
 						}
 						if !reflect.DeepEqual(got.Events(), want.Events()) || got.Dropped() != want.Dropped() {
 							t.Errorf("pass %d, mark %d, %s prefix: %d events (%d dropped), replayed %d (%d dropped)",
@@ -141,7 +166,7 @@ func TestSuffixesCompose(t *testing.T) {
 						}
 					}
 				}
-				if limit > 0 && refused == 0 {
+				if shape.capped && refused == 0 {
 					t.Error("the cap never cut a tail short; the case exercises nothing")
 				}
 				plain := newCol()
@@ -150,7 +175,7 @@ func TestSuffixesCompose(t *testing.T) {
 						s(plain)
 					}
 				}
-				if rec.Registry().Digest() != plain.Registry().Digest() {
+				if !reflect.DeepEqual(registryOf(rec), registryOf(plain)) {
 					t.Error("recording changed the run's own registry")
 				}
 			}
@@ -186,17 +211,13 @@ func TestSuffixesShiftGauge(t *testing.T) {
 // (marked at its start and at every boundary), rewinding the run's own
 // collector to any mark — from its end, then from another mark — leaves
 // exactly what a plain replay of the run up to that boundary holds:
-// registry digest, events and drop count, for an unlimited, a capped
-// and a metrics-only stream. Series the recorder never saw go too.
+// registry, events and drop count, for every shape in
+// suffixCollectors. Series the recorder never saw go too.
 func TestSuffixesRewind(t *testing.T) {
 	const intervals = 6
 	run := suffixRun(intervals)
-	for _, limit := range []int{0, 5, -1} {
-		newCol := func() *Collector {
-			c := NewCollector("n")
-			c.SetEventLimit(limit)
-			return c
-		}
+	for _, shape := range suffixCollectors {
+		newCol := shape.new
 		c := newCol()
 		x := NewSuffixes(intervals)
 		x.Reset(c)
@@ -217,14 +238,13 @@ func TestSuffixesRewind(t *testing.T) {
 					s(want)
 				}
 			}
-			if c.Registry().Digest() != want.Registry().Digest() {
-				t.Errorf("limit %d, mark %d: registry %v, replayed %v", limit, b,
-					c.Registry().Snapshot(), want.Registry().Snapshot())
+			if g, w := registryOf(c), registryOf(want); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s, mark %d: registry %v, replayed %v", shape.name, b, g, w)
 			}
 			if got := c.Events(); len(got) != len(want.Events()) || len(got) > 0 && !reflect.DeepEqual(got, want.Events()) ||
 				c.Dropped() != want.Dropped() {
-				t.Errorf("limit %d, mark %d: %d events (%d dropped), replayed %d (%d dropped)",
-					limit, b, len(c.Events()), c.Dropped(), len(want.Events()), want.Dropped())
+				t.Errorf("%s, mark %d: %d events (%d dropped), replayed %d (%d dropped)",
+					shape.name, b, len(c.Events()), c.Dropped(), len(want.Events()), want.Dropped())
 			}
 		}
 	}
