@@ -43,16 +43,18 @@
 // and exports the merged JSONL (trial 0 is the fault-free golden run).
 //
 // Every engine runs trials on the checkpoint/fork trial core: each
-// worker snapshots the fault-free prefix at checkpoint boundaries and
-// every trial restores the latest checkpoint before its injection
-// instant instead of re-simulating from t=0 (bit-identical to a
-// from-scratch trial; the test suite pins that against a from-scratch
-// oracle). -snapshot-interval overrides the checkpoint spacing (default
-// 250µs, or the workload's hint when finer) and -snapshot-stats reports
-// the checkpoint store's delta-page traffic. Campaigns without telemetry
-// also stop a trial early once its state digest reconverges with the
-// golden run's; -metrics-out and -trace-out need every suffix simulated,
-// so they run without that cutoff.
+// worker snapshots the fault-free prefix on a time grid and at every
+// instant the kernel dispatches a task copy, and every trial restores
+// the latest checkpoint before its injection instant instead of
+// re-simulating from t=0 (bit-identical to a from-scratch trial; the
+// test suite pins that against a from-scratch oracle).
+// -snapshot-interval overrides the grid spacing (default 250µs, or the
+// workload's hint when finer) and -snapshot-stats reports the checkpoint
+// store's delta-page traffic. A trial also stops early once its state
+// digest at a checkpoint matches one the worker's suffix table holds
+// (the golden run's or an earlier trial's); with -metrics-out or
+// -trace-out the entry's telemetry is composed in, so the files equal
+// those of fully simulated trials.
 package main
 
 import (

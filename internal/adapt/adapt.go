@@ -16,9 +16,10 @@
 // The same treatment covers the kernel-activity time windows: a
 // coin-free fault landing while the simulated kernel occupies the
 // processor fail-silences deterministically, decided by the injection
-// instant alone (fault.ActivityWindows). One extra golden run fixes
-// that time set exactly; its mass enters every estimate as a second
-// exact stratum, and the sampled strata draw only from its complement.
+// instant alone (fault.ActivityWindows). The first fork session's
+// capture run fixes that time set exactly; its mass enters every
+// estimate as a second exact stratum, and the sampled strata draw only
+// from its complement.
 // Without this, the activity windows are the dominant variance source
 // for P(FailSilent): rare, scattered, and periodic — precisely the
 // structure importance splitting pays most to rediscover empirically.

@@ -44,7 +44,8 @@ type engine struct {
 	kactFrac float64
 
 	// One fork session per executor slot (each owns a live instance and
-	// checkpoint store), built on the slot's first round.
+	// checkpoint store): slot 0's built with the engine, the others on
+	// the slot's first round.
 	sessions []*fault.ForkSession
 	// trial runs one planned trial on a slot's session:
 	// (*fault.ForkSession).RunTrial, which tests wrap to measure it.
@@ -73,15 +74,16 @@ func newEngine(w fault.Workload, cfg Config) (*engine, error) {
 	if cfg.CIOutcome < 1 || int(cfg.CIOutcome) > fault.NumOutcomes {
 		return nil, fmt.Errorf("adapt: invalid CI outcome %d", int(cfg.CIOutcome))
 	}
-	// One extra golden run fixes the exact kernel-activity time set: a
-	// coin-free fault at an activity instant fail-silences
-	// deterministically (fault.ActivityWindows), so that mass enters
-	// every estimate analytically and sampling covers only the
-	// activity-free population.
-	kact, err := fault.ActivityWindows(w)
+	// The first slot's session is built here: its capture run fixes the
+	// exact kernel-activity time set. A coin-free fault at an activity
+	// instant fail-silences deterministically (fault.ActivityWindows),
+	// so that mass enters every estimate analytically and sampling
+	// covers only the activity-free population.
+	s0, err := fault.NewForkSession(w, cfg.SnapshotInterval, false)
 	if err != nil {
 		return nil, err
 	}
+	kact := s0.ActivityWindows()
 	strata, err := initialStrata(&cfg, kact)
 	if err != nil {
 		return nil, err
@@ -95,6 +97,7 @@ func newEngine(w fault.Workload, cfg Config) (*engine, error) {
 			float64(cfg.Window[1]-cfg.Window[0]),
 	}
 	e.sessions = make([]*fault.ForkSession, cfg.Parallelism)
+	e.sessions[0] = s0
 	e.trial = (*fault.ForkSession).RunTrial
 	return e, nil
 }

@@ -60,7 +60,7 @@ func TestTrialWorkCountersPinned(t *testing.T) {
 	if res.Rounds != 4 || res.Trials != got.trials {
 		t.Fatalf("%d rounds, %d trials (%d measured); the benchmark config runs 2,048 in 4", res.Rounds, res.Trials, got.trials)
 	}
-	want := work{2048, 34, 13083, 2252138, 1658, 389, 1104}
+	want := work{2048, 52, 7982, 1097713, 1658, 389, 1105}
 	if got != want {
 		t.Errorf("trials, checkpoints, fired, cycles, golden ends, recorded ends, pages restored = %v; want %v", got, want)
 	}

@@ -240,9 +240,9 @@ func TestLatentFlipSurvivesRestore(t *testing.T) {
 }
 
 // TestDeltaSnapshotPageTraffic pins the dirty-page mechanics: the first
-// capture copies every page, later captures copy only dirtied pages and
-// share the rest structurally, and restores copy back only what
-// diverged.
+// capture stores every non-zero page and maps the all-zero ones to the
+// shared zero page, later captures copy only dirtied pages and share the
+// rest structurally, and restores copy back only what diverged.
 func TestDeltaSnapshotPageTraffic(t *testing.T) {
 	const words = 4 * pageWords // exactly 4 pages
 	m := NewMemory(words, false)
@@ -251,15 +251,18 @@ func TestDeltaSnapshotPageTraffic(t *testing.T) {
 
 	var s1 MemoryState
 	m.Snapshot(&s1)
-	if got := m.Snap.PagesCopied; got != 4 {
-		t.Fatalf("first capture copied %d pages, want all 4", got)
+	if got := m.Snap.PagesCopied; got != 2 {
+		t.Fatalf("first capture copied %d pages, want the 2 non-zero ones", got)
+	}
+	if s1.pages[1] != zeroPage || s1.pages[3] != zeroPage {
+		t.Fatalf("all-zero pages 1 and 3 hold ids %d and %d, want the zero page", s1.pages[1], s1.pages[3])
 	}
 
 	// A clean re-capture copies nothing and shares every buffer.
 	var s2 MemoryState
 	m.Snapshot(&s2)
-	if got := m.Snap.PagesCopied; got != 4 {
-		t.Fatalf("clean capture copied %d pages total, want still 4", got)
+	if got := m.Snap.PagesCopied; got != 2 {
+		t.Fatalf("clean capture copied %d pages total, want still 2", got)
 	}
 	for p := range s1.pages {
 		if s1.pages[p] != s2.pages[p] {
@@ -271,8 +274,8 @@ func TestDeltaSnapshotPageTraffic(t *testing.T) {
 	m.Poke(4, 0x33) // page 0
 	var s3 MemoryState
 	m.Snapshot(&s3)
-	if got := m.Snap.PagesCopied; got != 5 {
-		t.Fatalf("dirty capture copied %d pages total, want 5", got)
+	if got := m.Snap.PagesCopied; got != 3 {
+		t.Fatalf("dirty capture copied %d pages total, want 3", got)
 	}
 	if s3.pages[0] == s2.pages[0] {
 		t.Error("dirtied page 0 still shared")
@@ -299,6 +302,54 @@ func TestDeltaSnapshotPageTraffic(t *testing.T) {
 	m.Restore(&s1)
 	if got := m.Snap.PagesRestored; got != 1 {
 		t.Errorf("idempotent restore copied pages: total %d, want 1", got)
+	}
+}
+
+// TestPageStoreFirstCapture pins what a fresh 256 KiB memory's first
+// capture stores: its non-zero pages, each once, plus the one shared
+// zero page that all 1,021 untouched pages map to. A later capture of a
+// page zeroed again maps it back to the zero page without storing it.
+func TestPageStoreFirstCapture(t *testing.T) {
+	const words = 64 * 1024 // 256 KiB, 1,024 pages
+	m := NewMemory(words, false)
+	m.Poke(0, 1)
+	m.Poke(4, 2) // page 0 again
+	m.Poke(uint32(17*PageBytes+8), 3)
+	m.Poke(uint32(words*4-4), 4) // the last page
+	var st MemoryState
+	m.Snapshot(&st)
+	if got := m.store.n; got != 3+1 {
+		t.Fatalf("first capture stored %d pages, want 3 non-zero + 1 zero", got)
+	}
+	if got := m.Snap.PagesCopied; got != 3 {
+		t.Errorf("first capture copied %d pages, want 3", got)
+	}
+	if got := len(m.store.chunks); got != 1 {
+		t.Errorf("page store holds %d chunks, want 1", got)
+	}
+	zero := 0
+	for _, id := range st.pages {
+		if id == zeroPage {
+			zero++
+		}
+	}
+	if zero != 1024-3 {
+		t.Errorf("%d pages share the zero page, want %d", zero, 1024-3)
+	}
+
+	m.Poke(uint32(17*PageBytes+8), 0)
+	var st2 MemoryState
+	m.Snapshot(&st2)
+	if st2.pages[17] != zeroPage || m.store.n != 4 {
+		t.Errorf("re-zeroed page 17 holds id %d with %d pages stored, want the zero page and 4", st2.pages[17], m.store.n)
+	}
+	m.Restore(&st)
+	if got := m.Peek(uint32(17*PageBytes + 8)); got != 3 {
+		t.Errorf("restored word = %d, want 3", got)
+	}
+	m.Restore(&st2)
+	if got := m.Peek(uint32(17*PageBytes + 8)); got != 0 {
+		t.Errorf("restored zero-page word = %d, want 0", got)
 	}
 }
 

@@ -41,10 +41,16 @@ type Memory struct {
 	// page's bit, and Snapshot/Restore copy only flagged pages before
 	// clearing the map (see snapshot.go for the invariant).
 	dirty []uint64
-	// shadow tracks, per page, the checkpoint buffer known to equal RAM
-	// content as of the last Snapshot/Restore unless the page has been
-	// dirtied since.
-	shadow []*memPage
+	// shadow tracks, per page, the id of the stored page known to equal
+	// RAM content as of the last Snapshot/Restore unless the page has
+	// been dirtied since. A fresh memory's shadow names the zero page.
+	shadow []uint32
+	// store holds the immutable page buffers that shadow and every
+	// checkpoint's id array index (see snapshot.go). It only grows:
+	// states index into it, so it is rewound by restoring ids, not
+	// itself.
+	//nlft:snapshot-skip append-only page store that checkpoint ids index; Snapshot appends and Restore reads it, it is never rewound
+	store pageStore
 	// synced is the state whose page array m.shadow equals exactly: the
 	// target of the last Snapshot or Restore (nil before the first).
 	// Restore from it visits only dirty pages (see snapshot.go).
@@ -78,7 +84,7 @@ func NewMemory(sizeWords int, ecc bool) *Memory {
 		ecc:          ecc,
 		pendingFlips: make(map[uint32]uint32),
 		dirty:        make([]uint64, (nPages+63)/64),
-		shadow:       make([]*memPage, nPages),
+		shadow:       make([]uint32, nPages),
 	}
 }
 

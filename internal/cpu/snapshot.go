@@ -67,12 +67,65 @@ const (
 	PageBytes = pageWords * 4
 )
 
-// memPage is one immutable checkpoint page buffer. Buffers are shared
-// structurally between checkpoints: a page not dirtied between two
-// captures appears in both checkpoints as the same pointer, and only
-// Snapshot ever writes one — into a buffer it has just allocated.
+// memPage is one checkpoint page buffer.
 type memPage struct {
 	words [pageWords]uint32
+}
+
+// Page-store geometry: pages are stored in chunks of storeChunk pages
+// that never move once allocated.
+const (
+	storeChunkShift = 6
+	storeChunk      = 1 << storeChunkShift
+)
+
+// pageStore is one memory's append-only checkpoint page store. A page
+// id names an immutable buffer: only Snapshot writes a page, into a slot
+// it has just appended, and ids are never reused. Chunks hold no
+// pointers, so the store costs the collector one pointer per chunk, and
+// a checkpoint is an array of ids rather than of buffer pointers. Id 0
+// is the shared all-zero page: every captured page that holds only
+// zeros maps to it instead of being copied.
+type pageStore struct {
+	chunks []*[storeChunk]memPage
+	n      uint32 // pages stored, the zero page included
+}
+
+// page returns the buffer with the given id.
+//
+//nlft:noalloc
+func (s *pageStore) page(id uint32) *memPage {
+	return &s.chunks[id>>storeChunkShift][id&(storeChunk-1)]
+}
+
+// add stores a copy of src (at most one page of words; a short last
+// page leaves the rest zero) and returns its id.
+//
+//nlft:noalloc
+func (s *pageStore) add(src []uint32) uint32 {
+	id := s.n
+	if int(id>>storeChunkShift) == len(s.chunks) {
+		//nlft:allow noalloc cold capture path: a fresh pointer-free chunk, retained by the checkpoint store
+		s.chunks = append(s.chunks, new([storeChunk]memPage))
+	}
+	s.n++
+	copy(s.page(id).words[:], src)
+	return id
+}
+
+// zeroPage is the id of the shared all-zero page.
+const zeroPage = 0
+
+// allZero reports whether every word of a page is zero.
+//
+//nlft:noalloc
+func allZero(words []uint32) bool {
+	for _, w := range words {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // SnapStats counts snapshot/restore page traffic (see Memory.Snap).
@@ -80,18 +133,20 @@ type SnapStats struct {
 	// Snapshots and Restores count calls.
 	Snapshots uint64
 	Restores  uint64
-	// PagesCopied counts pages copied into fresh checkpoint buffers at
-	// capture (the delta actually stored); PagesRestored counts pages
-	// copied back into RAM at restore.
+	// PagesCopied counts pages copied into the page store at capture
+	// (the delta actually stored; an all-zero page maps to the shared
+	// zero page and is not counted); PagesRestored counts pages copied
+	// back into RAM at restore.
 	PagesCopied   uint64
 	PagesRestored uint64
 }
 
 // MemoryState is preallocated scratch for Memory.Snapshot/Restore.
-// RAM content is held as per-page buffer pointers with structural
-// sharing across checkpoints of the same Memory (see Snapshot).
+// RAM content is held as one page id per page into the memory's page
+// store, with structural sharing across checkpoints of the same Memory
+// (see Snapshot).
 type MemoryState struct {
-	pages           []*memPage
+	pages           []uint32
 	wordSum         uint64
 	flips           []flipEntry
 	correctedErrors uint64
@@ -102,34 +157,35 @@ type MemoryState struct {
 // bus are configuration, not state, and are not captured.
 //
 // RAM capture is a delta: only pages dirtied since the previous
-// Snapshot/Restore synchronization point are copied into fresh
-// immutable buffers; clean pages share the buffer already installed in
-// m.shadow. The invariant maintained with Restore is that
-// (m.shadow[p] != nil && page p not dirty) implies RAM page p equals
-// m.shadow[p]'s contents — every word write sets the dirty bit, so a
-// shared buffer can never go stale. The capture therefore visits only
-// the set bits of the dirty bitmap (before the first synchronization
-// every page counts as dirty) and copies the pointer array.
+// Snapshot/Restore synchronization point are copied into the page
+// store; clean pages share the id already installed in m.shadow. The
+// invariant maintained with Restore is that (page p not dirty) implies
+// RAM page p equals the stored page m.shadow[p] — every word write sets
+// the dirty bit, so a shared page can never go stale. A fresh memory
+// is all zero and its shadow names the zero page, so the invariant
+// holds from construction and even the first capture visits only the
+// pages written since. The capture therefore visits only the set bits
+// of the dirty bitmap and copies the id array.
 //
 //nlft:noalloc
 func (m *Memory) Snapshot(into *MemoryState) {
 	if len(into.pages) != len(m.shadow) {
 		//nlft:allow noalloc cold first-capture sizing; the slice is retained for the state's lifetime
-		into.pages = make([]*memPage, len(m.shadow))
+		into.pages = make([]uint32, len(m.shadow))
 	}
 	m.Snap.Snapshots++
-	if m.synced == nil {
-		for p := range m.shadow {
-			m.markDirty(uint32(p) << pageShift)
-		}
+	if m.store.n == 0 {
+		m.store.add(nil) // the shared zero page, id 0
 	}
 	for i, w := range m.dirty {
 		for ; w != 0; w &= w - 1 {
 			p := i<<6 | bits.TrailingZeros64(w)
-			//nlft:allow noalloc cold capture path: a fresh immutable buffer per dirtied page, retained by the checkpoint store
-			pg := &memPage{}
-			copy(pg.words[:], m.words[p<<pageShift:])
-			m.shadow[p] = pg
+			words := m.words[p<<pageShift : min((p+1)<<pageShift, len(m.words))]
+			if allZero(words) {
+				m.shadow[p] = zeroPage
+				continue
+			}
+			m.shadow[p] = m.store.add(words)
 			m.Snap.PagesCopied++
 		}
 	}
@@ -151,30 +207,29 @@ func (m *Memory) Snapshot(into *MemoryState) {
 //
 // RAM restore is the delta mirror of Snapshot: page p is copied back
 // only when it was dirtied since the last synchronization point or when
-// the checkpoint holds a different buffer than m.shadow[p] — otherwise
+// the checkpoint holds a different page id than m.shadow[p] — otherwise
 // RAM provably already equals the target contents. wordSum is restored
 // from the checkpoint directly (it was exact at capture), so no page
 // scan or recompute is needed.
 //
 // Synced-state invariant: every Snapshot(into) and Restore(from) leaves
-// m.shadow equal to that state's page array, and m.synced names that
-// state. Restoring m.synced again finds every buffer already installed,
-// so only the set bits of the dirty bitmap are visited; restoring any
-// other state first scans the page array, installing each differing
-// buffer and flagging its page. Either way exactly the pages the full
-// scan would copy are copied, so PagesRestored does not depend on the
-// path. The fork engine runs trials in fork-base order, so only a
-// change of base pays the scan. States are compared by identity, which
-// is sound because only this memory's own Snapshot writes a state's
-// page array.
+// m.shadow equal to that state's id array, and m.synced names that
+// state. Restoring m.synced again finds every id already installed, so
+// only the set bits of the dirty bitmap are visited; restoring any
+// other state first scans the id array, installing each differing id
+// and flagging its page. Either way exactly the pages the full scan
+// would copy are copied, so PagesRestored does not depend on the path.
+// The fork engine runs trials in fork-base order, so only a change of
+// base pays the scan. States are compared by identity, which is sound
+// because only this memory's own Snapshot writes a state's id array.
 //
 //nlft:noalloc
 func (m *Memory) Restore(from *MemoryState) {
 	m.Snap.Restores++
 	if m.synced != from {
-		for p, pg := range from.pages {
-			if m.shadow[p] != pg {
-				m.shadow[p] = pg
+		for p, id := range from.pages {
+			if m.shadow[p] != id {
+				m.shadow[p] = id
 				m.markDirty(uint32(p) << pageShift)
 			}
 		}
@@ -183,7 +238,7 @@ func (m *Memory) Restore(from *MemoryState) {
 	for i, w := range m.dirty {
 		for ; w != 0; w &= w - 1 {
 			p := i<<6 | bits.TrailingZeros64(w)
-			copy(m.words[p<<pageShift:], m.shadow[p].words[:])
+			copy(m.words[p<<pageShift:], m.store.page(m.shadow[p]).words[:])
 			m.Snap.PagesRestored++
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // memory must hold exactly the target state — every RAM word, the
 // maintained wordSum and the pending ECC flips — and PagesRestored
 // must have grown by exactly the pages the full scan copies (a page
-// whose shadow differs from the target's buffer, or that is dirty),
+// whose shadow differs from the target's page id, or that is dirty),
 // whichever path ran.
 func TestRestoreFastPathDifferential(t *testing.T) {
 	const (

@@ -173,7 +173,7 @@ func TestEngineStatsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := EngineStats{Placements: 29440, Simulated: 0, ConvergedGolden: 11522,
-		DedupHits: 17918, Memos: 3976, Workers: 1, Checkpoints: 14}
+		DedupHits: 17918, Memos: 4108, Workers: 1, Checkpoints: 22}
 	if res.Stats != want {
 		t.Errorf("engine stats %+v, want %+v", res.Stats, want)
 	}

@@ -46,18 +46,7 @@ func ActivityWindows(w Workload) ([]Interval, error) {
 		return nil, err
 	}
 	var wins []Interval
-	inst.Kernel.OnContextSwitch = func(start, end des.Time) {
-		iv := Interval{Start: start + 1, End: end}
-		if n := len(wins); n > 0 && iv.Start <= wins[n-1].End {
-			// Switch instants and kernelBusyUntil are both monotone, so
-			// overlapping windows only ever extend the last one.
-			if iv.End > wins[n-1].End {
-				wins[n-1].End = iv.End
-			}
-			return
-		}
-		wins = append(wins, iv)
-	}
+	inst.Kernel.OnContextSwitch = func(start, end des.Time) { wins = mergeWindow(wins, start, end) }
 	if err := inst.Sim.RunUntil(w.Horizon()); err != nil {
 		return nil, err
 	}
@@ -65,6 +54,23 @@ func ActivityWindows(w Workload) ([]Interval, error) {
 		return nil, fmt.Errorf("fault: golden run failed silent: %s", reason)
 	}
 	return wins, nil
+}
+
+// mergeWindow adds the window of a context switch at start that keeps
+// the kernel busy until end to the sorted, disjoint windows seen so far:
+// the injection-visible window [start+1, end), merged into the last one
+// when they touch. Switch instants and kernelBusyUntil are both
+// monotone, so an overlapping window only ever extends the last one.
+// ActivityWindows and the fork capture both merge with it.
+func mergeWindow(wins []Interval, start, end des.Time) []Interval {
+	iv := Interval{Start: start + 1, End: end}
+	if n := len(wins); n > 0 && iv.Start <= wins[n-1].End {
+		if iv.End > wins[n-1].End {
+			wins[n-1].End = iv.End
+		}
+		return wins
+	}
+	return append(wins, iv)
 }
 
 // OverlapWidth is the total width of the intersection of the sorted,

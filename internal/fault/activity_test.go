@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/des"
@@ -19,7 +20,8 @@ func inWindows(wins []Interval, at des.Time) bool {
 // against live injections: a coin-free trial's record reports
 // Kernel=true exactly when the injection instant observed
 // ActivityKernel, so window membership must predict that flag — and
-// the forced fail-silent outcome — at every boundary edge.
+// the forced fail-silent outcome — at every boundary edge. A fork
+// session's own windows must be the same set.
 func TestActivityWindowsExact(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{Periods: 2, Compute: 8})
 	wins, err := ActivityWindows(w)
@@ -41,6 +43,11 @@ func TestActivityWindowsExact(t *testing.T) {
 	s, err := NewForkSession(w, 0, false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The session's capture run merges the same switches by the same
+	// rule, so its windows are the extracted set.
+	if got := s.ActivityWindows(); !reflect.DeepEqual(got, wins) {
+		t.Fatalf("session windows %v, ActivityWindows %v", got, wins)
 	}
 	start, end := w.InjectionWindow()
 	probes := []des.Time{}

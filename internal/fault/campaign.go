@@ -178,7 +178,8 @@ type SnapshotStats struct {
 	// Snapshots and Restores count calls summed over workers.
 	Snapshots uint64
 	Restores  uint64
-	// PagesCopied counts pages captured into checkpoint buffers;
+	// PagesCopied counts pages captured into the page store (all-zero
+	// pages share the store's zero page and are not counted);
 	// PagesRestored counts pages copied back into RAM.
 	PagesCopied   uint64
 	PagesRestored uint64
@@ -190,7 +191,7 @@ func (s *SnapshotStats) FullBytes() uint64 { return s.Snapshots * s.RAMBytes }
 // DeltaBytes is what the captures actually copied.
 func (s *SnapshotStats) DeltaBytes() uint64 { return s.PagesCopied * s.PageBytes }
 
-// MeanPagesPerSnapshot is the mean dirty-page count per capture.
+// MeanPagesPerSnapshot is the mean stored-page count per capture.
 func (s *SnapshotStats) MeanPagesPerSnapshot() float64 {
 	if s.Snapshots == 0 {
 		return 0

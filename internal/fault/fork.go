@@ -3,9 +3,10 @@ package fault
 // The checkpoint/fork campaign engine. Every trial of a campaign
 // simulates the same fault-free prefix up to its injection instant;
 // only the suffix after the fault differs. The engine captures the
-// golden prefix once per worker — full-machine snapshots at checkpoint
-// boundaries — and each trial restores the latest sound checkpoint
-// before its fault instead of re-simulating from t=0.
+// golden prefix once per worker — full-machine snapshots on a time grid
+// and at every instant the kernel dispatches a copy (see capture) —
+// and each trial restores the latest sound checkpoint before its fault
+// instead of re-simulating from t=0.
 //
 // Soundness of the fork (why a forked trial is bit-identical to one
 // simulated from scratch):
@@ -37,7 +38,10 @@ package fault
 //     been cut at t ends at or before t, and one that ran past t bumps
 //     cpuBusyUntil past t and disqualifies the checkpoint). The restored
 //     prefix is thus bit-identical to the prefix a from-scratch trial
-//     would simulate.
+//     would simulate. A checkpoint at a dispatch instant needs no case
+//     of its own: the slice the kernel co-simulated there is its last
+//     committed one, so cpuBusyUntil(k) is that slice's end, and a
+//     fault inside the slice forks from an earlier checkpoint.
 //
 //  3. Suffix equality. After the restore the trial cancels the phantom
 //     and schedules the real injection at (t, PrioInject); the replayed
@@ -60,33 +64,41 @@ import (
 )
 
 // SnapshotHinter is implemented by workloads that know a natural
-// checkpoint spacing — typically their period, so checkpoint boundaries
-// coincide with release instants. Since delta snapshots made captures
-// near-free, the hint only matters when it is finer than the 250 µs
-// default (boundary alignment is then preserved); a coarser hint no
-// longer wins, because dense checkpoints are what make fork restores
-// and convergence cutoffs cheap.
+// checkpoint spacing — typically their period, so grid boundaries
+// coincide with release instants. The hint sets only the grid: the
+// capture adds a checkpoint at every dispatch instant whatever the
+// spacing, so the instants that follow each release's copies are
+// covered without it. Since delta snapshots made captures near-free,
+// the hint only matters when it is finer than the 250 µs default
+// (boundary alignment is then preserved); a coarser hint does not win,
+// because dense checkpoints are what make fork restores and
+// convergence cutoffs cheap.
 type SnapshotHinter interface {
 	// SnapshotInterval returns the preferred checkpoint spacing.
 	SnapshotInterval() des.Time
 }
 
-// maxCheckpoints bounds the per-worker checkpoint count so a
-// pathologically small SnapshotInterval cannot exhaust memory; the
-// interval is clamped up to horizon/maxCheckpoints. With delta
-// snapshots a checkpoint costs only its dirtied pages, so the clamp is
-// loose — it exists to stop degenerate configurations, not to ration
-// full-image copies as the pre-delta engine had to.
+// maxCheckpoints bounds the per-worker checkpoint count, grid and
+// dispatch checkpoints together, so a pathologically small
+// SnapshotInterval or a workload that dispatches very often cannot
+// exhaust memory: the interval is clamped up so the grid alone fits,
+// and dispatch checkpoints are taken only in the room the grid leaves.
+// With delta snapshots a checkpoint costs only its dirtied pages and
+// its page-id array, so the clamp is loose — it exists to stop
+// degenerate configurations, not to ration full-image copies as the
+// pre-delta engine had to.
 const maxCheckpoints = 4096
 
-// defaultForkInterval is the checkpoint spacing used when neither the
+// defaultForkInterval is the grid spacing used when neither the
 // campaign config nor a finer workload hint supplies one. 250 µs is the
 // dense regime the fork benchmarks identified as the throughput
 // optimum for the standard workload; delta snapshots make its capture
-// cost negligible.
+// cost negligible. The dispatch checkpoints come on top of the grid:
+// on the gate workload they sit 4 µs and 19.9 µs after each release,
+// where no grid this coarse reaches.
 const defaultForkInterval = 250 * des.Microsecond
 
-// resolveForkInterval picks the checkpoint spacing for a campaign:
+// resolveForkInterval picks the grid spacing for a campaign:
 // explicit config wins; otherwise the 250 µs default, tightened to the
 // workload's hint when that is finer; pathologically small results are
 // clamped so the store stays bounded.
@@ -101,7 +113,7 @@ func resolveForkInterval(w Workload, cfg *CampaignConfig) des.Time {
 			}
 		}
 	}
-	if min := horizon / maxCheckpoints; interval < min {
+	if min := (horizon + maxCheckpoints - 1) / maxCheckpoints; interval < min {
 		interval = min
 	}
 	if interval <= 0 {
@@ -157,6 +169,9 @@ func (inst *Instance) Restore(from *InstanceState) {
 type checkpointStore struct {
 	states []*InstanceState
 	col    *obs.Suffixes
+	// windows is the capture run's merged kernel-activity windows
+	// (mergeWindow), whose ends are the dispatch checkpoints.
+	windows []Interval
 	// phantom is the placeholder injection event scheduled before the
 	// capture run (see the prefix-equality argument above). Its handle
 	// revalidates at every restore; each trial cancels it and schedules
@@ -175,35 +190,78 @@ func (fw *forkWorker) restore(k int) {
 }
 
 // capture runs the worker's instance fault-free to the horizon,
-// snapshotting and marking every boundary k·interval < horizon: the
-// capture run is the golden run, and its marks, keyed by the digest net
-// of the phantom, become the golden entries. Checkpoint 0 is captured
-// before any event fires, so a fault at t=0 still restores a
-// pre-injection state (the injection band fires before the releases).
+// snapshotting and marking every checkpoint: the capture run is the
+// golden run, and its marks, keyed by the digest net of the phantom,
+// become the golden entries. Checkpoint 0 is captured before any event
+// fires, so a fault at t=0 still restores a pre-injection state (the
+// injection band fires before the releases).
+//
+// The checkpoints are the grid k·interval < horizon plus the dispatch
+// instants: the end of every merged kernel-activity window, where the
+// kernel dispatches a copy and co-simulates its CPU slice in the same
+// event. A checkpoint there, taken once that instant's events have
+// fired, already holds the copy's computed state, so a trial faulting
+// after the slice restores past it, and a trial the next copy absorbs
+// gets a lookup right after it. The capture learns the instants from the
+// passive OnContextSwitch hook (the windows ActivityWindows extracts,
+// merged by the same rule) and steps event by event up to each one, so
+// it adds no event to the queue. A window end is final once the
+// capture has passed it: a later switch starts later and cannot merge
+// back. Dispatch checkpoints count toward maxCheckpoints; past the room
+// the grid leaves them, only grid checkpoints are taken.
 func (fw *forkWorker) capture(interval des.Time) error {
-	n := int((fw.horizon + interval - 1) / interval)
-	inst, cs, states := fw.inst, &checkpointStore{states: make([]*InstanceState, 0, n)}, make([]InstanceState, n)
-	fw.cs, fw.marks = cs, make([]mark, 0, n)
+	grid := int((fw.horizon + interval - 1) / interval)
+	room := maxCheckpoints - grid
+	inst, cs := fw.inst, &checkpointStore{states: make([]*InstanceState, 0, 2*grid)}
+	fw.cs, fw.marks = cs, make([]mark, 0, 2*grid)
 	if fw.col != nil {
 		// Checkpoints rewind the collector from the capture's marks
 		// (obs.Suffixes.Rewind), which hold the events from mark 0 on.
 		if len(fw.col.Events()) != 0 || fw.col.Dropped() != 0 {
 			return fmt.Errorf("fault: workload emitted events while it was built; checkpoints need a quiet start")
 		}
-		fw.tel = obs.NewSuffixes(n)
+		fw.tel = obs.NewSuffixes(2 * grid)
 	}
 	cs.phantom = inst.Sim.Schedule(des.MaxTime, des.PrioInject, func() {})
-	for t := des.Time(0); t < fw.horizon; t += interval {
-		if t > 0 {
-			if err := inst.Sim.RunUntil(t); err != nil {
-				return fmt.Errorf("fault: capture run: %w", err)
-			}
-		}
-		st := &states[len(cs.states)]
-		st.at = t
+	inst.Kernel.OnContextSwitch = func(start, end des.Time) {
+		cs.windows = mergeWindow(cs.windows, start, end)
+	}
+	defer func() { inst.Kernel.OnContextSwitch = nil }()
+
+	checkpoint := func(at des.Time) {
+		st := &InstanceState{at: at}
 		inst.Snapshot(st)
 		fw.mark(suffixKey{b: len(cs.states), digest: inst.Kernel.ForwardDigest(cs.phantom)})
 		cs.states = append(cs.states, st)
+	}
+	checkpoint(0)
+	next := 0 // the first window whose end is not yet passed
+	for g := interval; ; {
+		at, dispatch := g, next < len(cs.windows) && cs.windows[next].End <= g
+		if dispatch {
+			at = cs.windows[next].End
+		}
+		if at >= fw.horizon {
+			break
+		}
+		if inst.Sim.NextEventAt() <= at {
+			inst.Sim.Step()
+			continue
+		}
+		if err := inst.Sim.RunUntil(at); err != nil {
+			return fmt.Errorf("fault: capture run: %w", err)
+		}
+		switch {
+		case at == g:
+			checkpoint(at)
+			g += interval
+		case room > 0:
+			checkpoint(at)
+			room--
+		}
+		if dispatch {
+			next++
+		}
 	}
 	if err := inst.Sim.RunUntil(fw.horizon); err != nil {
 		return fmt.Errorf("fault: golden run: %w", err)

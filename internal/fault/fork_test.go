@@ -294,6 +294,98 @@ func TestCheckpointSelection(t *testing.T) {
 	}
 }
 
+// TestDispatchCheckpointDifferential pins the dispatch checkpoints
+// against the from-scratch oracle. Every merged kernel-activity window
+// of the gate session ends at a checkpoint; for each such checkpoint p
+// and every target, faults at p+1, cpuBusyUntil(p)-1, cpuBusyUntil(p)
+// and cpuBusyUntil(p)+1 — inside the slice the kernel co-simulated at
+// p, at its end and just past it, where the fork base becomes p — must
+// classify as ScratchTrial classifies them.
+func TestDispatchCheckpointDifferential(t *testing.T) {
+	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
+	golden, err := GoldenWrites(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewForkSession(w, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wins := s.ActivityWindows()
+	var dispatch []int
+	for k := 1; k < s.Checkpoints(); k++ {
+		at := s.CheckpointAt(k)
+		for _, iv := range wins {
+			if iv.End == at {
+				dispatch = append(dispatch, k)
+				break
+			}
+		}
+	}
+	if len(dispatch) < 2*8 {
+		t.Fatalf("%d of %d checkpoints are dispatch instants; the gate workload dispatches two copies a period for 8 periods",
+			len(dispatch), s.Checkpoints())
+	}
+	start, end := w.InjectionWindow()
+	forked := 0
+	for _, k := range dispatch {
+		at, busy := s.CheckpointAt(k), s.fw.cs.states[k].kern.CPUBusyUntil()
+		if busy <= at {
+			t.Fatalf("checkpoint %d at %v: no slice co-simulated (cpuBusyUntil %v)", k, at, busy)
+		}
+		for _, ft := range []des.Time{at + 1, busy - 1, busy, busy + 1} {
+			if ft < start || ft >= end {
+				continue
+			}
+			if s.Select(ft) == k {
+				forked++
+			}
+			for ti, target := range AllTargets() {
+				f := DrawFaultAt(w, target, ft, des.NewRandIndexed2(3, uint64(ti), uint64(ft)))
+				spec := TrialSpec{Fault: f}
+				got, err := s.RunTrial(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := ScratchTrial(w, spec, golden, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("checkpoint %d, fault %+v:\nfork    %+v\nscratch %+v", k, f, got, want)
+				}
+			}
+		}
+	}
+	if forked == 0 {
+		t.Fatal("no probe forked from a dispatch checkpoint")
+	}
+	t.Logf("%d dispatch checkpoints of %d; %d probe instants forked from one", len(dispatch), s.Checkpoints(), forked)
+}
+
+// TestCheckpointBound pins the maxCheckpoints clamp with the dispatch
+// checkpoints counted in it: a workload with many short periods
+// dispatches far more often than the store may hold, and a
+// one-nanosecond grid fills it alone.
+func TestCheckpointBound(t *testing.T) {
+	w := NewStdWorkload(StdWorkloadConfig{Periods: 2100, Period: 40 * des.Microsecond, Compute: 4})
+	for _, interval := range []des.Time{0, 1} {
+		s, err := NewForkSession(w, interval, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("interval %v: %d checkpoints, %d windows", interval, s.Checkpoints(), len(s.ActivityWindows()))
+		if n := s.Checkpoints(); n > maxCheckpoints {
+			t.Errorf("interval %v: %d checkpoints, above the %d bound", interval, n, maxCheckpoints)
+		}
+		if interval == 0 {
+			if n, wins := s.Checkpoints(), len(s.ActivityWindows()); n != maxCheckpoints || wins < maxCheckpoints {
+				t.Errorf("%d checkpoints for %d windows: the dispatch instants should fill the bound", n, wins)
+			}
+		}
+	}
+}
+
 // TestInjectionWindowHalfOpen pins the half-open injection-window
 // contract: drawFault yields instants in [start, end) — start is
 // drawable, end never is.

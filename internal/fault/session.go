@@ -100,6 +100,13 @@ func (s *ForkSession) CheckpointAt(k int) des.Time { return s.fw.cs.states[k].at
 // end at or before it (the cpuBusyUntil guard — see fork.go).
 func (s *ForkSession) Select(at des.Time) int { return s.fw.cs.selectFor(at) }
 
+// ActivityWindows is the capture run's merged kernel-activity windows:
+// exactly what the package-level ActivityWindows returns for the
+// session's workload, read off the run the session already made. Their
+// ends are the session's dispatch checkpoints. The slice is the
+// session's own; callers must not modify it.
+func (s *ForkSession) ActivityWindows() []Interval { return s.fw.cs.windows }
+
 // Golden is the fault-free output sequence.
 func (s *ForkSession) Golden() []Write { return s.fw.golden }
 

@@ -159,3 +159,24 @@ func TestEventsOnlySession(t *testing.T) {
 		t.Error("the full collector's registry is empty; the comparison shows nothing")
 	}
 }
+
+// BenchmarkNewForkSession builds one gate-workload session — the
+// capture run with its checkpoints, which is also the golden run — with
+// no collector and with the events-only collector.
+func BenchmarkNewForkSession(b *testing.B) {
+	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
+	for _, events := range []bool{false, true} {
+		name := "no-collector"
+		if events {
+			name = "events"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewForkSession(w, 0, events); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -98,9 +98,9 @@ func TestTrialWorkCountersPinned(t *testing.T) {
 		want, goldenOnly trialWork
 	}{
 		{"sampled", CampaignConfig{Trials: 2048, Seed: 1, Parallelism: 1}, func() *obs.Collector { return nil },
-			trialWork{34, 12700, 2184244, 1559, 474, 1911}, trialWork{34, 17530, 3183049, 1939, 0, 1928}},
+			trialWork{52, 7792, 1060024, 1559, 474, 1938}, trialWork{52, 12512, 2041339, 1939, 0, 1951}},
 		{"telemetry", CampaignConfig{Trials: 512, Seed: 1, Parallelism: 1, Telemetry: true}, newWorkerCollector,
-			trialWork{34, 3496, 607749, 381, 124, 476}, trialWork{34, 4606, 833709, 483, 0, 481}},
+			trialWork{52, 2326, 343529, 381, 124, 485}, trialWork{52, 3436, 569489, 483, 0, 488}},
 	}
 	const cols = "checkpoints, fired, cycles, golden ends, recorded ends, pages restored"
 	for _, tc := range cases {

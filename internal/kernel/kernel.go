@@ -845,7 +845,7 @@ func (k *Kernel) copyComplete(j *job) {
 	}
 	if k.cfg.Obs.KeepsEvents() {
 		//nlft:allow noalloc trace detail built only when the collector keeps events; the zero-alloc gates run detached or metrics-only
-		k.emit(obs.KindCopyEnd, t.spec.Name, j.copyIndex, fmt.Sprintf("crc=%08x", res.crc()))
+		k.emit(obs.KindCopyEnd, t.spec.Name, j.copyIndex, crcDetail(res.crc(t.crcBuf[:])))
 	} else {
 		// A metrics-only collector keeps no events and keys copy-end
 		// counters by task, so the detail is never read.

@@ -195,26 +195,44 @@ func (r *copyResult) equal(other *copyResult) bool {
 	return true
 }
 
-// crc returns a checksum over the result for traces.
-func (r *copyResult) crc() uint32 {
-	h := crc32.NewIEEE()
-	var buf [4]byte
-	put := func(v uint32) {
-		buf[0] = byte(v)
-		buf[1] = byte(v >> 8)
-		buf[2] = byte(v >> 16)
-		buf[3] = byte(v >> 24)
-		h.Write(buf[:])
-	}
+// crc returns a checksum over the result for traces, encoding each word
+// through buf (at least 4 bytes). The incremental crc32.Update form gives
+// the NewIEEE digest's checksum; buf is the TCB's scratch (see crcBuf)
+// because a stack buffer passed to crc32.Update escapes.
+//
+//nlft:noalloc
+func (r *copyResult) crc(buf []byte) uint32 {
+	var crc uint32
 	for _, w := range r.writes {
-		put(w.port)
-		put(w.value)
+		crc = crcWord(crc, buf, w.port)
+		crc = crcWord(crc, buf, w.value)
 	}
 	for _, w := range r.dataImage {
-		put(w)
+		crc = crcWord(crc, buf, w)
 	}
-	put(r.signature)
-	return h.Sum32()
+	return crcWord(crc, buf, r.signature)
+}
+
+// crcWord folds one little-endian word into crc, encoding it through buf.
+//
+//nlft:noalloc
+func crcWord(crc uint32, buf []byte, v uint32) uint32 {
+	buf[0] = byte(v)
+	buf[1] = byte(v >> 8)
+	buf[2] = byte(v >> 16)
+	buf[3] = byte(v >> 24)
+	return crc32.Update(crc, crc32.IEEETable, buf[:4])
+}
+
+// crcDetail is a copy-end event's detail, "crc=" and the checksum as
+// eight lower-case hex digits; the string is its only allocation.
+func crcDetail(crc uint32) string {
+	const digits = "0123456789abcdef"
+	b := [12]byte{'c', 'r', 'c', '='}
+	for i := 0; i < 8; i++ {
+		b[4+i] = digits[crc>>(28-4*i)&0xf]
+	}
+	return string(b[:])
 }
 
 // tcb is the task control block.
@@ -262,9 +280,10 @@ type tcb struct {
 	// consecutiveErrors counts releases in a row that saw detected
 	// errors; crossing the kernel's threshold suggests a permanent fault.
 	consecutiveErrors int
-	// crcBuf is dataCRC's word-encoding scratch. It lives in the TCB
-	// (already heap-resident) because a stack buffer passed to
-	// crc32.Update escapes and would cost one allocation per call.
+	// crcBuf is the word-encoding scratch of dataCRC and of the task's
+	// copy-result crc. It lives in the TCB (already heap-resident)
+	// because a stack buffer passed to crc32.Update escapes and would
+	// cost one allocation per call.
 	crcBuf [4]byte
 }
 
@@ -273,14 +292,8 @@ type tcb struct {
 // allocating one per call (this runs at every release and commit).
 func (t *tcb) dataCRC(mem *cpu.Memory) uint32 {
 	var crc uint32
-	buf := t.crcBuf[:]
 	for i := uint32(0); i < t.spec.DataWords; i++ {
-		v := mem.Peek(t.spec.DataStart + i*4)
-		buf[0] = byte(v)
-		buf[1] = byte(v >> 8)
-		buf[2] = byte(v >> 16)
-		buf[3] = byte(v >> 24)
-		crc = crc32.Update(crc, crc32.IEEETable, buf)
+		crc = crcWord(crc, t.crcBuf[:], mem.Peek(t.spec.DataStart+i*4))
 	}
 	return crc
 }
