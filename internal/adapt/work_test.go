@@ -11,15 +11,17 @@ import (
 // workload at seed 1 to a 0.002-wide CI on one slot — in the columns
 // internal/fault pins for the sampled and telemetry configs: the
 // trial and checkpoint counts, the events fired and the kernel+task
-// cycles summed over every trial's simulated span, how many trials end
-// on a golden and on a recorded suffix-table entry, and the pages every
-// restore copied back into RAM. The slot's session records, so later
+// cycles summed over every trial's simulated span, the task cycles the
+// CPU interpreted rather than replayed from the slot's slice memo, how
+// many trials end on a golden and on a recorded suffix-table entry, and
+// the pages every restore copied back into RAM. The slot's session records, so later
 // trials end on states earlier rounds reached. Each trial is measured
 // the way perfbench's layer probe measures it: restore its fork base,
 // read the counters, run it (Explore, which is RunTrial reporting where
 // the suffix came from), read them again. A drift here means trials
-// stop at different boundaries, or restores copy different pages, even
-// when every estimate still agrees.
+// stop at different boundaries, restores copy different pages, or a
+// different share of slices replays, even when every estimate still
+// agrees.
 func TestTrialWorkCountersPinned(t *testing.T) {
 	w := fault.NewStdWorkload(fault.StdWorkloadConfig{ECC: true})
 	e, err := newEngine(w, Config{Seed: 1, CIWidth: 0.002, Parallelism: 1})
@@ -27,15 +29,15 @@ func TestTrialWorkCountersPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	type work struct {
-		trials, checkpoints                        int
-		fired, cycles, goldens, recorded, restored uint64
+		trials, checkpoints                                     int
+		fired, cycles, interpreted, goldens, recorded, restored uint64
 	}
 	var got work
 	e.trial = func(s *fault.ForkSession, spec fault.TrialSpec) (fault.TrialRecord, error) {
 		got.checkpoints = s.Checkpoints()
 		pages0 := s.Inst.Kernel.Mem().Snap.PagesRestored
 		s.Restore(s.Select(spec.Fault.At))
-		f0, st0 := s.Inst.Sim.Fired(), s.Inst.Kernel.Stats()
+		f0, st0, sl0 := s.Inst.Sim.Fired(), s.Inst.Kernel.Stats(), s.SliceStats()
 		x, err := s.Explore(spec)
 		if err != nil {
 			return fault.TrialRecord{}, err
@@ -44,6 +46,7 @@ func TestTrialWorkCountersPinned(t *testing.T) {
 		got.trials++
 		got.fired += s.Inst.Sim.Fired() - f0
 		got.cycles += st.KernelCycles + st.TaskCycles - st0.KernelCycles - st0.TaskCycles
+		got.interpreted += s.SliceStats().InterpretedCycles - sl0.InterpretedCycles
 		got.restored += s.Inst.Kernel.Mem().Snap.PagesRestored - pages0
 		switch x.Suffix {
 		case fault.SuffixGolden:
@@ -60,8 +63,8 @@ func TestTrialWorkCountersPinned(t *testing.T) {
 	if res.Rounds != 4 || res.Trials != got.trials {
 		t.Fatalf("%d rounds, %d trials (%d measured); the benchmark config runs 2,048 in 4", res.Rounds, res.Trials, got.trials)
 	}
-	want := work{2048, 52, 7982, 1097713, 1658, 389, 1105}
+	want := work{2048, 52, 7982, 1097713, 348118, 1658, 389, 1105}
 	if got != want {
-		t.Errorf("trials, checkpoints, fired, cycles, golden ends, recorded ends, pages restored = %v; want %v", got, want)
+		t.Errorf("trials, checkpoints, fired, cycles, interpreted task cycles, golden ends, recorded ends, pages restored = %v; want %v", got, want)
 	}
 }

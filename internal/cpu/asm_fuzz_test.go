@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -120,6 +121,100 @@ func FuzzDispatchDifferential(f *testing.F) {
 			if exca != nil {
 				return // both trapped identically
 			}
+		}
+	})
+}
+
+// FuzzSliceReplay runs one slice of arbitrary program words from an
+// arbitrary register file on three identical machines: plainly
+// interpreted on the first, interpreted and recorded by a memo on the
+// second, and replayed from that memo on the third. The recording run
+// must equal the plain one, and the replay must leave the third
+// machine exactly as the recording left the second: every register,
+// PC, flag, signature, pending ALU mask, cycle and retire count, MMU
+// violation, RAM word, the word sum and the dirty pages, the port
+// writes in order, the event and the exception.
+func FuzzSliceReplay(f *testing.F) {
+	// A store to RAM, an input load, a port store and an event.
+	f.Add(programBytes(`
+	movi r1, 5
+	st r1, [r0+64]
+	li r2, 0xFFFF0000
+	ld r3, [r2+4]
+	add r3, r3, r1
+	st r3, [r2+16]
+	sys 2
+`), uint64(1), uint16(50), uint32(0), false)
+	// A loop through the ALU with a pending mask, cut by the bound, with
+	// the MMU on.
+	f.Add(programBytes(`
+	movi r5, 40
+loop:
+	add r6, r6, r5
+	push r6
+	addi r5, r5, -1
+	cmpi r5, 0
+	bgt loop
+	sys 2
+`), uint64(2), uint16(90), uint32(1<<7), true)
+	// A store the MMU refuses, and a wild jump.
+	f.Add(programBytes(`
+	movi r1, 8
+	st r1, [r1+0]
+	jr r4
+`), uint64(3), uint16(30), uint32(0), true)
+	f.Add([]byte{0xEE, 0x00, 0x00, 0x00}, uint64(4), uint16(4), uint32(0), false)
+	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, bound uint16, alu uint32, mmu bool) {
+		maxCycles := uint64(bound%512) + 1
+		ref, refBus := replayMachine(raw, seed, alu, mmu)
+		a, aBus := replayMachine(raw, seed, alu, mmu)
+		b, bBus := replayMachine(raw, seed, alu, mmu)
+		memo := &SliceMemo{Limit: 1}
+		if SliceKey(a, maxCycles, 9) != SliceKey(b, maxCycles, 9) {
+			t.Fatal("identical machines key differently")
+		}
+		evRef, excRef, usedRef := ref.RunCycles(maxCycles)
+		evA, excA, usedA := memo.RunCycles(a, maxCycles, 9)
+		evB, excB, usedB := memo.RunCycles(b, maxCycles, 9)
+		if got := memo.Stats; got.InterpretedSlices != 1 || got.ReplayedSlices != 1 || memo.Len() != 1 {
+			t.Fatalf("memo stats %+v with %d entries; want one slice recorded and one replayed", got, memo.Len())
+		}
+		same := func(what string, x, y *CPU, xBus, yBus *replayBus, evx, evy Event, excx, excy *Exception, usedx, usedy uint64) {
+			t.Helper()
+			if evx != evy || usedx != usedy {
+				t.Fatalf("%s: event %+v after %d cycles, %+v after %d", what, evx, usedx, evy, usedy)
+			}
+			if (excx == nil) != (excy == nil) || (excx != nil && *excx != *excy) {
+				t.Fatalf("%s: exception %v, %v", what, excx, excy)
+			}
+			var sx, sy CPUState
+			x.SnapshotState(&sx)
+			y.SnapshotState(&sy)
+			if sx != sy {
+				t.Fatalf("%s: CPU state %+v, %+v", what, sx, sy)
+			}
+			if x.MMU.Violations != y.MMU.Violations {
+				t.Fatalf("%s: %d MMU violations, %d", what, x.MMU.Violations, y.MMU.Violations)
+			}
+			if !slices.Equal(x.Mem.words, y.Mem.words) || x.Mem.wordSum != y.Mem.wordSum ||
+				!slices.Equal(x.Mem.dirty, y.Mem.dirty) || x.Mem.CorrectedErrors != y.Mem.CorrectedErrors {
+				t.Fatalf("%s: memory differs (word sums %#x, %#x; dirty %b, %b)",
+					what, x.Mem.wordSum, y.Mem.wordSum, x.Mem.dirty, y.Mem.dirty)
+			}
+			if !slices.Equal(xBus.out, yBus.out) {
+				t.Fatalf("%s: port writes %v, %v", what, xBus.out, yBus.out)
+			}
+		}
+		same("recorded vs plain", a, ref, aBus, refBus, evA, evRef, excA, excRef, usedA, usedRef)
+		same("replayed vs recorded", b, a, bBus, aBus, evB, evA, excB, excA, usedB, usedA)
+		// The replay installed the same RAM, so the next checkpoint of
+		// either machine holds the same words.
+		var ma, mb MemoryState
+		a.Mem.Snapshot(&ma)
+		b.Mem.Snapshot(&mb)
+		if ma.wordSum != mb.wordSum || a.Mem.Snap.PagesCopied != b.Mem.Snap.PagesCopied {
+			t.Fatalf("next snapshots differ: word sums %#x, %#x; %d, %d pages copied",
+				ma.wordSum, mb.wordSum, a.Mem.Snap.PagesCopied, b.Mem.Snap.PagesCopied)
 		}
 	})
 }

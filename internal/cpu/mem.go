@@ -56,6 +56,10 @@ type Memory struct {
 	// Restore from it visits only dirty pages (see snapshot.go).
 	//nlft:snapshot-skip synchronization metadata naming the last Snapshot/Restore target, not machine state
 	synced *MemoryState
+	// log, while a slice memo records a slice, receives every store the
+	// slice makes, RAM and I/O alike, in order (nil otherwise).
+	//nlft:snapshot-skip recording hook set and cleared within one slice; never live at a Snapshot or Restore
+	log *[]memWrite
 	// Snap counts snapshot/restore page traffic (measurements only;
 	// excluded from digests like the other counters).
 	Snap SnapStats
@@ -193,6 +197,9 @@ func (m *Memory) Store(addr, value uint32) *Exception {
 		if err := m.io.StorePort((addr-IOBase)/4, value); err != nil {
 			return &Exception{Kind: ExcBusError, Addr: addr} //nlft:allow noalloc exception built on the trap path; a fault-free warm run never traps
 		}
+		if m.log != nil {
+			*m.log = append(*m.log, memWrite{addr: addr, value: value})
+		}
 		return nil
 	}
 	if !m.inRAM(addr) {
@@ -205,6 +212,9 @@ func (m *Memory) Store(addr, value uint32) *Exception {
 	m.wordSum += wordSig(idx, value) - wordSig(idx, m.words[idx])
 	m.words[idx] = value
 	m.markDirty(idx)
+	if m.log != nil {
+		*m.log = append(*m.log, memWrite{addr: addr, value: value})
+	}
 	return nil
 }
 

@@ -10,8 +10,10 @@ package fault
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/obs"
 )
 
@@ -128,6 +130,76 @@ func TestRecordingZeroAllocAmortized(t *testing.T) {
 					entries, extra, float64(extra)/float64(entries))
 			}
 			t.Logf("recording %d entries adds %d allocations", entries, extra)
+		})
+	}
+}
+
+// TestSliceRecordingZeroAllocAmortized runs the benchmark's seed-1
+// sampled trials on one fresh session, with no collector and with a
+// metrics-only one, and requires the allocations the slice memo's
+// recording adds — entries, their store logs, index growth — to
+// amortize below 0.05 per recorded slice: entries and logs are carved
+// from arena chunks. Each trial first runs twice with the memo closed
+// to new entries, which leaves it as it was (the first of these runs
+// grows whatever reused buffers the trial's path needs), then with it
+// open; suffix-table marking stays off throughout, so the table cannot
+// end the last run earlier. The runs differ only where the open memo replays a slice it
+// recorded earlier in the same run, which the closed one interprets; an
+// interpreted slice allocates only when it traps (its exception), so
+// the gate charges recording the difference on the trials where no
+// slice trapped, and counts the slices those trials recorded.
+func TestSliceRecordingZeroAllocAmortized(t *testing.T) {
+	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
+	traps := map[string]bool{}
+	for k := cpu.ExcIllegalOpcode; k <= cpu.ExcHalt; k++ {
+		traps[k.String()] = true
+	}
+	for _, tc := range []struct {
+		name string
+		col  func() *obs.Collector
+	}{
+		{"no-collector", func() *obs.Collector { return nil }},
+		{"metrics", newWorkerCollector},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := newForkSession(w, tc.col(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.fw.table.limit = 0
+			memo := &s.fw.slices
+			var ms runtime.MemStats
+			mallocs := func(spec TrialSpec, limit int) (uint64, bool) {
+				memo.Limit = limit
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				rec, err := s.RunTrial(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				return ms.Mallocs - before, slices.ContainsFunc(rec.Mechanisms, func(m string) bool { return traps[m] })
+			}
+			var extra int64
+			recorded := 0
+			for _, spec := range campaignSpecs(w, CampaignConfig{Trials: 2048, Seed: 1}) {
+				n := memo.Len()
+				mallocs(spec, n) // warms the buffers this trial's path grows
+				off, trapped := mallocs(spec, n)
+				on, _ := mallocs(spec, maxSliceEntries)
+				if !trapped {
+					extra += int64(on) - int64(off)
+					recorded += memo.Len() - n
+				}
+			}
+			if recorded < 200 {
+				t.Fatalf("only %d recorded slices on trials without a trap", recorded)
+			}
+			if float64(extra) >= 0.05*float64(recorded) {
+				t.Errorf("recording %d slices adds %d allocations (%.3f per slice), want < 0.05 per slice",
+					recorded, extra, float64(extra)/float64(recorded))
+			}
+			t.Logf("recording %d slices adds %d allocations; the memo holds %d", recorded, extra, memo.Len())
 		})
 	}
 }

@@ -58,6 +58,7 @@ package fault
 import (
 	"fmt"
 
+	"repro/internal/cpu"
 	"repro/internal/des"
 	"repro/internal/kernel"
 	"repro/internal/obs"
@@ -333,8 +334,12 @@ type forkWorker struct {
 	golden       []Write
 	goldenEvents []obs.Event
 	horizon      des.Time
-	table        *suffixTable
+	table        suffixTable
 	tel          *obs.Suffixes // nil without a collector
+	// slices is the session's memo of CPU slices (cpu.SliceMemo): the
+	// kernel replays a slice whose complete input an earlier one of the
+	// session's runs interpreted, the capture run's included.
+	slices cpu.SliceMemo
 
 	// Current-trial state read by the injection callback and finish.
 	plan             trialPlan

@@ -14,6 +14,7 @@ package fault
 import (
 	"fmt"
 
+	"repro/internal/cpu"
 	"repro/internal/des"
 	"repro/internal/obs"
 )
@@ -68,6 +69,8 @@ func newForkSession(w Workload, col *obs.Collector, interval des.Time) (*ForkSes
 		return nil, err
 	}
 	fw := &forkWorker{inst: inst, col: col, horizon: w.Horizon()}
+	fw.slices.Limit = maxSliceEntries
+	inst.Kernel.SetSliceMemo(&fw.slices)
 	fw.injectFn = func() { fw.inject() }
 	fw.collectFn = func(m string, n uint64) { fw.collectMech(m, n) }
 	cfg := CampaignConfig{SnapshotInterval: interval}
@@ -78,7 +81,7 @@ func newForkSession(w Workload, col *obs.Collector, interval des.Time) (*ForkSes
 		return nil, err
 	}
 	fw.golden = append([]Write(nil), inst.Rec.Writes...)
-	fw.table = &suffixTable{m: make(map[suffixKey]*suffixEntry, len(fw.cs.states)), limit: maxSuffixEntries}
+	fw.table = suffixTable{m: make(map[suffixKey]*suffixEntry, len(fw.cs.states)), limit: maxSuffixEntries}
 	fw.compose(&simulatedSuffix)
 	fw.goldenEvents = fw.tel.End(col)
 	fw.tel.ShiftGauge(obs.PendingPeak, -1)
@@ -118,6 +121,12 @@ func (s *ForkSession) GoldenEvents() []obs.Event { return s.fw.goldenEvents }
 // in the collector (0 without one that keeps events): every trial forked
 // from k starts with the golden stream's first GoldenPrefix(k) events.
 func (s *ForkSession) GoldenPrefix(k int) int { return s.fw.cs.col.Kept(k) }
+
+// SliceStats counts the CPU slices the session's kernel interpreted and
+// replayed from its slice memo, and the task cycles they covered, since
+// the session was built (its capture run included). Kernel.Stats keeps
+// counting simulated cycles either way.
+func (s *ForkSession) SliceStats() cpu.SliceStats { return s.fw.slices.Stats }
 
 // Horizon is the simulated duration of one trial.
 func (s *ForkSession) Horizon() des.Time { return s.fw.horizon }

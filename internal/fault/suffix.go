@@ -35,6 +35,13 @@ import (
 // growing it without bound. A full table still serves lookups.
 const maxSuffixEntries = 1 << 16
 
+// maxSliceEntries bounds a session's memo of CPU slices (cpu.SliceMemo)
+// the same way. Slices are keyed by their complete input, which
+// repeats across TEM copies and trials; the seed-1 gate workload's
+// sampled trials record about 300 after 2,048 trials and 1,400 after
+// 20,000. A full memo still serves hits.
+const maxSliceEntries = 1 << 14
+
 // suffixTable is one worker's table and the arenas its entries live in
 // (the recorder keeps their telemetry the same way): sized to each
 // request for the capture run's entries, then carved from chunks, so
@@ -176,7 +183,7 @@ func (fw *forkWorker) finish() TrialRecord {
 	}
 	rec.Outcome = classify(fw.failed, fw.writes, fw.omissions, fw.masked, ecc,
 		fw.golden, fw.undetectedKernel)
-	if t := fw.table; len(fw.marks) > 0 {
+	if t := &fw.table; len(fw.marks) > 0 {
 		fw.tel.End(fw.col)
 		fw.memoize(t.writes.CopyOf(fw.writes[fw.marks[0].writesLen:]), false)
 	}
@@ -210,7 +217,7 @@ func (fw *forkWorker) compose(e *suffixEntry) {
 //
 //nlft:noalloc
 func (fw *forkWorker) memoize(writes []Write, golden bool) {
-	t, first, mechs := fw.table, fw.marks[0], 0
+	t, first, mechs := &fw.table, fw.marks[0], 0
 	// Reserving every entry of the run up front keeps the adds below
 	// inside one chunk, which never moves under the pointers the map
 	// keeps.

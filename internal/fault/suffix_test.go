@@ -31,12 +31,13 @@ func endedRecorded(s *ForkSession) bool { return s.fw.hit != nil && !s.fw.hit.go
 
 // trialWork is the deterministic work of a list of forked trials: the
 // checkpoint count, the events fired and the kernel+task cycles summed
-// over every trial's simulated span, how many trials end on a golden
-// and on a recorded suffix-table entry, and the pages every restore
-// copied back into RAM.
+// over every trial's simulated span, the task cycles the CPU
+// interpreted rather than replayed from the session's slice memo, how
+// many trials end on a golden and on a recorded suffix-table entry, and
+// the pages every restore copied back into RAM.
 type trialWork struct {
-	checkpoints                                int
-	fired, cycles, goldens, recorded, restored uint64
+	checkpoints                                             int
+	fired, cycles, interpreted, goldens, recorded, restored uint64
 }
 
 // measureTrialWork runs specs on a fresh session with col. goldenOnly
@@ -58,13 +59,14 @@ func measureTrialWork(t *testing.T, w Workload, col *obs.Collector, goldenOnly b
 	got := trialWork{checkpoints: s.Checkpoints()}
 	for i, spec := range specs {
 		s.Restore(s.Select(spec.Fault.At))
-		f0, st0 := s.Inst.Sim.Fired(), s.Inst.Kernel.Stats()
+		f0, st0, sl0 := s.Inst.Sim.Fired(), s.Inst.Kernel.Stats(), s.SliceStats()
 		if _, err := s.RunTrial(spec); err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
 		st := s.Inst.Kernel.Stats()
 		got.fired += s.Inst.Sim.Fired() - f0
 		got.cycles += st.KernelCycles + st.TaskCycles - st0.KernelCycles - st0.TaskCycles
+		got.interpreted += s.SliceStats().InterpretedCycles - sl0.InterpretedCycles
 		switch {
 		case endedGolden(s):
 			got.goldens++
@@ -87,8 +89,8 @@ func measureTrialWork(t *testing.T, w Workload, col *obs.Collector, goldenOnly b
 // collector must not change where any trial stops, so its row is the
 // no-collector session's on its own 512 trials. A drift here means
 // trials stop at different boundaries, or restores copy different
-// pages, even when every outcome still agrees. The adaptive engine's
-// row is in internal/adapt.
+// pages, or a different share of slices replays, even when every
+// outcome still agrees. The adaptive engine's row is in internal/adapt.
 func TestTrialWorkCountersPinned(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
 	cases := []struct {
@@ -98,11 +100,11 @@ func TestTrialWorkCountersPinned(t *testing.T) {
 		want, goldenOnly trialWork
 	}{
 		{"sampled", CampaignConfig{Trials: 2048, Seed: 1, Parallelism: 1}, func() *obs.Collector { return nil },
-			trialWork{52, 7792, 1060024, 1559, 474, 1938}, trialWork{52, 12512, 2041339, 1939, 0, 1951}},
+			trialWork{52, 7792, 1060024, 354919, 1559, 474, 1938}, trialWork{52, 12512, 2041339, 362059, 1939, 0, 1951}},
 		{"telemetry", CampaignConfig{Trials: 512, Seed: 1, Parallelism: 1, Telemetry: true}, newWorkerCollector,
-			trialWork{52, 2326, 343529, 381, 124, 485}, trialWork{52, 3436, 569489, 483, 0, 488}},
+			trialWork{52, 2326, 343529, 96384, 381, 124, 485}, trialWork{52, 3436, 569489, 96384, 483, 0, 488}},
 	}
-	const cols = "checkpoints, fired, cycles, golden ends, recorded ends, pages restored"
+	const cols = "checkpoints, fired, cycles, interpreted task cycles, golden ends, recorded ends, pages restored"
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			specs := campaignSpecs(w, tc.cfg)

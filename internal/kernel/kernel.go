@@ -199,6 +199,10 @@ type Kernel struct {
 	// closure per event.
 	//nlft:snapshot-skip bound method-value closure, identical across the kernel's lifetime
 	dispatchFn func()
+	// slices, when set, runs every CPU slice (SetSliceMemo); nil
+	// interprets them all.
+	//nlft:snapshot-skip memo of slice effects keyed by complete input; valid for any state, so a restore keeps it
+	slices *cpu.SliceMemo
 }
 
 // New builds a kernel on the given simulator and environment.
@@ -230,6 +234,28 @@ func New(sim *des.Simulator, env Env, cfg Config) *Kernel {
 		k.obsKernelCycles = cfg.Obs.Counter("kernel.kernel_cycles", "", "")
 	}
 	return k
+}
+
+// SetSliceMemo runs every later CPU slice through m: a slice whose
+// complete input m has recorded replays the recorded effect, any other
+// is interpreted (and recorded while m has room). The effect of a slice
+// is a function of its input, so a memo may serve any instance built
+// from the same configuration and tasks, across restores. Nil restores
+// plain interpretation.
+func (k *Kernel) SetSliceMemo(m *cpu.SliceMemo) { k.slices = m }
+
+// sliceSalt identifies what a slice of j can observe beyond the
+// processor and RAM: the task (its priority is unique within the
+// kernel, and fixes its MMU regions and ports) and the inputs latched
+// at release, which its input-port loads return.
+//
+//nlft:noalloc
+func sliceSalt(j *job) uint64 {
+	h := (14695981039346656037 ^ uint64(uint32(j.task.spec.Priority))) * 1099511628211
+	for _, v := range j.inputLatch {
+		h = (h ^ uint64(v)) * 1099511628211
+	}
+	return h
 }
 
 // Mem exposes RAM for program loading and fault injection.
@@ -707,7 +733,7 @@ func (k *Kernel) runSlice(j *job) {
 		sliceCycles = budgetLeft
 	}
 
-	ev, exc, used := k.proc.RunCycles(sliceCycles)
+	ev, exc, used := k.slices.RunCycles(k.proc, sliceCycles, sliceSalt(j))
 	j.cyclesUsed += used
 	k.stats.TaskCycles += used
 	if k.obsTaskCycles != nil {
