@@ -314,10 +314,13 @@ type MMU struct {
 // NewMMU returns an MMU with no regions, disabled.
 func NewMMU() *MMU { return &MMU{} }
 
-// SetRegions installs the accessible regions and enables checking.
+// SetRegions installs the accessible regions and enables checking. The
+// kernel calls it on every slice, so it refills the MMU's own backing
+// array rather than keeping the caller's slice.
+//
+//nlft:noalloc
 func (u *MMU) SetRegions(regions []Region) {
-	u.regions = make([]Region, len(regions))
-	copy(u.regions, regions)
+	u.regions = append(u.regions[:0], regions...)
 	u.enabled = true
 }
 

@@ -269,8 +269,8 @@ func (u *MMU) Snapshot(into *MMUState) {
 }
 
 // Restore rewinds the MMU to a state captured with Snapshot. The region
-// slice is refilled in place; SetRegions replaces it wholesale on the
-// next dispatch either way.
+// slice is refilled in place; SetRegions refills it on the next
+// dispatch either way.
 //
 //nlft:noalloc
 func (u *MMU) Restore(from *MMUState) {

@@ -27,10 +27,9 @@ import (
 // repeat takes the same path), and trials whose repeat ends on an entry
 // an earlier trial recorded. Both run with no collector and with a
 // campaign's metrics-only worker collector, where an entry also
-// composes its registry delta.
+// composes its registry delta, and on the workload's UseMMU variant,
+// whose kernel installs the task's MMU regions before every slice.
 func TestRunTrialZeroAlloc(t *testing.T) {
-	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
-	specs := campaignSpecs(w, CampaignConfig{Trials: 2048, Seed: 1})
 	gate := func(t *testing.T, s *ForkSession, hot []TrialSpec, what string) {
 		t.Helper()
 		if len(hot) < 200 {
@@ -48,7 +47,7 @@ func TestRunTrialZeroAlloc(t *testing.T) {
 	}
 	// run runs every spec once and keeps those with no mechanism that
 	// ended as keep says.
-	run := func(t *testing.T, s *ForkSession, keep func() bool) []TrialSpec {
+	run := func(t *testing.T, s *ForkSession, specs []TrialSpec, keep func() bool) []TrialSpec {
 		t.Helper()
 		var hot []TrialSpec
 		for _, spec := range specs {
@@ -64,20 +63,55 @@ func TestRunTrialZeroAlloc(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
+		cfg  StdWorkloadConfig
 		col  func() *obs.Collector
 	}{
-		{"no-collector", func() *obs.Collector { return nil }},
-		{"metrics", newWorkerCollector},
+		{"no-collector", StdWorkloadConfig{ECC: true}, func() *obs.Collector { return nil }},
+		{"metrics", StdWorkloadConfig{ECC: true}, newWorkerCollector},
+		{"mmu", StdWorkloadConfig{ECC: true, UseMMU: true}, func() *obs.Collector { return nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			w := NewStdWorkload(tc.cfg)
+			specs := campaignSpecs(w, CampaignConfig{Trials: 2048, Seed: 1})
 			s, err := newForkSession(w, tc.col(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			first := run(t, s, func() bool { return endedGolden(s) && len(s.fw.marks) == 0 })
-			recorded := run(t, s, func() bool { return endedRecorded(s) })
+			first := run(t, s, specs, func() bool { return endedGolden(s) && len(s.fw.marks) == 0 })
+			recorded := run(t, s, specs, func() bool { return endedRecorded(s) })
 			t.Run("golden-at-first-boundary", func(t *testing.T) { gate(t, s, first, "first-boundary golden") })
 			t.Run("recorded", func(t *testing.T) { gate(t, s, recorded, "recorded-ending") })
+		})
+	}
+}
+
+// TestFaultFreeRunZeroAlloc gates a session's fault-free run from
+// checkpoint 0 to the horizon, restore included, on the gate workload
+// and its UseMMU variant: once one run has warmed the pools, a run
+// allocates nothing, whether its slices replay or are interpreted.
+func TestFaultFreeRunZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  StdWorkloadConfig
+	}{
+		{"gate", StdWorkloadConfig{ECC: true}},
+		{"mmu", StdWorkloadConfig{ECC: true, UseMMU: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := newForkSession(NewStdWorkload(tc.cfg), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() {
+				s.Restore(0)
+				if err := s.Inst.Sim.RunUntil(s.Horizon()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			if got := testing.AllocsPerRun(10, run); got != 0 {
+				t.Errorf("a fault-free run allocates %v times, want 0", got)
+			}
 		})
 	}
 }
@@ -85,12 +119,14 @@ func TestRunTrialZeroAlloc(t *testing.T) {
 // TestRecordingZeroAllocAmortized runs the benchmark's seed-1 sampled
 // trials on one fresh session, with no collector and with a metrics-only
 // one, and requires the allocations recording adds — entries, their
-// tails, counter and registry deltas, the marks' collector states,
-// table growth — to amortize below 0.05 per recorded entry: the arenas
-// allocate per chunk, not per entry. Each trial first runs with marking
+// tails, registry deltas, the marks' collector states, table growth —
+// to amortize below 0.05 per recorded entry: the arenas allocate per
+// chunk, not per entry. Each trial first runs twice with marking
 // switched off through the table's limit, which leaves the table as it
 // was and so takes exactly the path the recording run then takes,
-// marks aside; the gate charges recording the difference.
+// marks aside (the first of these runs grows whatever reused buffers
+// the trial's path needs); the gate charges recording the difference
+// between the second and the recording run.
 func TestRecordingZeroAllocAmortized(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
 	for _, tc := range []struct {
@@ -118,6 +154,7 @@ func TestRecordingZeroAllocAmortized(t *testing.T) {
 			}
 			var extra int64
 			for _, spec := range campaignSpecs(w, CampaignConfig{Trials: 2048, Seed: 1}) {
+				mallocs(spec, 0) // warms the buffers this trial's path grows
 				off := mallocs(spec, 0)
 				extra += int64(mallocs(spec, maxSuffixEntries)) - int64(off)
 			}

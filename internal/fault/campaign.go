@@ -481,36 +481,23 @@ func runTrial(w Workload, plan trialPlan, golden []Write, col *obs.Collector) (T
 	if err := inst.Sim.RunUntil(w.Horizon()); err != nil {
 		return TrialRecord{}, nil, err
 	}
-	rec.Mechanisms = detectedBy(inst)
+	st := inst.Kernel.Stats()
+	mechs := kernel.Grown(&noDetections, &st.ErrorsDetected)
+	rec.Mechanisms = mechs.Names()
 	failed, _ := inst.Kernel.Failed()
 	rec.Outcome = classify(failed, inst.Rec.Writes, inst.Rec.Omissions,
-		inst.Rec.MaskedReleases, inst.Kernel.Mem().CorrectedErrors, golden, undetectedKernel)
+		inst.Rec.MaskedReleases, mechs.Has(kernel.MechECC), golden, undetectedKernel)
 	return rec, inst, nil
 }
 
-// detectedBy lists the detection mechanisms that fired on inst — every
-// kernel EDM with a non-zero count, plus "ecc" when the memory
-// corrected an error — sorted, or nil when none fired.
-func detectedBy(inst *Instance) []string {
-	var out []string
-	//nlft:allow nodeterminism collection order is erased by the sort.Strings below
-	for m, n := range inst.Kernel.Stats().ErrorsDetected {
-		if n > 0 {
-			out = append(out, m)
-		}
-	}
-	if inst.Kernel.Mem().CorrectedErrors > 0 {
-		out = append(out, "ecc")
-	}
-	sort.Strings(out)
-	return out
-}
+// noDetections is a run's detection counters before it starts.
+var noDetections [kernel.NumMechanisms]uint64
 
 // classify maps one finished trial's observables onto the paper's
 // outcome classes: read off the live instance by the from-scratch
 // oracle, composed from a suffix-table entry by the fork core.
 func classify(failed bool, writes []Write, omissions, maskedReleases int,
-	eccCorrected uint64, golden []Write, undetectedKernel bool) Outcome {
+	eccCorrected bool, golden []Write, undetectedKernel bool) Outcome {
 	if undetectedKernel {
 		// A non-covered error in the kernel: §3.2.1 pessimistically
 		// treats these as (potential) system failures.
@@ -519,7 +506,7 @@ func classify(failed bool, writes []Write, omissions, maskedReleases int,
 	if failed {
 		return FailSilent
 	}
-	detections := maskedReleases > 0 || eccCorrected > 0
+	detections := maskedReleases > 0 || eccCorrected
 	switch {
 	case equalWrites(writes, golden):
 		if detections {

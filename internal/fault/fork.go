@@ -347,21 +347,18 @@ type forkWorker struct {
 	undetectedKernel bool
 	hit              *suffixEntry // the entry that ended the trial; nil before one
 
-	injectFn  func()
-	collectFn func(string, uint64)
+	injectFn func()
 
-	// Reused buffers (suffix.go): the trial's marks, the arena of
-	// detection counters they and finish collect, and the trial's
-	// composed full-horizon observables.
-	marks      []mark
-	arena      []mechCount
-	collectOff int
-	writes     []Write
-	omissions  int
-	masked     int
-	failed     bool
-	mechs      []mechCount
-	names      []string
+	// Reused buffers (suffix.go): the trial's marks and its composed
+	// full-horizon observables, among them the live detection counts
+	// and the set of mechanisms the entry that ended it fired.
+	marks     []mark
+	writes    []Write
+	omissions int
+	masked    int
+	failed    bool
+	detected  [kernel.NumMechanisms]uint64
+	tail      kernel.MechanismSet
 }
 
 // inject applies the current trial's fault — the same decision tree as
@@ -426,7 +423,6 @@ func (fw *forkWorker) run(plan trialPlan) (TrialRecord, error) {
 	fw.undetectedKernel = false
 	fw.hit = nil
 	fw.marks = fw.marks[:0]
-	fw.arena = fw.arena[:0]
 	fw.inst.Sim.Schedule(plan.fault.At, des.PrioInject, fw.injectFn)
 
 	for b := plan.ckpt + 1; b < len(fw.cs.states); b++ {

@@ -72,7 +72,6 @@ func newForkSession(w Workload, col *obs.Collector, interval des.Time) (*ForkSes
 	fw.slices.Limit = maxSliceEntries
 	inst.Kernel.SetSliceMemo(&fw.slices)
 	fw.injectFn = func() { fw.inject() }
-	fw.collectFn = func(m string, n uint64) { fw.collectMech(m, n) }
 	cfg := CampaignConfig{SnapshotInterval: interval}
 	if err := fw.capture(resolveForkInterval(w, &cfg)); err != nil {
 		return nil, err

@@ -5,25 +5,30 @@ package fault
 // recorded future. A forked trial whose state at a post-injection
 // boundary is in the table stops there, and finish completes it by one
 // composition rule: the live prefix's writes with the entry's tail
-// appended, its omission, masked-release and detection counters (ECC
-// corrections among them) with the entry's deltas added, its failed
+// appended, its omission and masked-release counters with the entry's
+// deltas added, the detection mechanisms (ECC's corrections among them)
+// it fired united with the set the entry's suffix fired, its failed
 // latch or'ed with the entry's, and the entry's telemetry (obs.Suffix)
 // composed into the collector.
 //
 // There is one kind of entry. Every run marks the boundaries it passes
 // without a hit, and memoize turns each mark into an entry holding the
-// composed tails from the mark on and the deltas since it. The capture
-// run marks every checkpoint, so its entries are the golden ones; golden
-// is only a label the work counters count. Deltas, not absolutes: the
-// digest excludes pure measurements, so two trials meeting at one state
-// share a future, not a past; failure latches and the digest folds the
-// latch, so the final failed state transfers as it is. An entry built
-// from a trial that itself ended on an entry stores the concatenated
-// tail, so lookups never walk chains. DESIGN.md ("The suffix table")
-// gives the soundness argument.
+// composed tails from the mark on, the deltas since it and the
+// mechanisms whose count grew since it. The capture run marks every
+// checkpoint, so its entries are the golden ones; golden is only a label
+// the work counters count. Deltas, not absolutes: the digest excludes
+// pure measurements, so two trials meeting at one state share a future,
+// not a past. For the same reason a mark keeps the detection counts, not
+// the set fired so far: the mechanisms a suffix fires are those whose
+// count grows in it, whatever fired before. Failure latches and the
+// digest folds the latch, so the final failed state transfers as it is.
+// An entry built from a trial that itself ended on an entry stores the
+// concatenated tail and the united set, so lookups never walk chains.
+// DESIGN.md ("The suffix table") gives the soundness argument.
 
 import (
 	"repro/internal/arena"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 )
 
@@ -51,11 +56,10 @@ type suffixTable struct {
 	limit   int // marking stops when the table and the trial's marks reach it
 	entries arena.Arena[suffixEntry]
 	writes  arena.Arena[Write]
-	mechs   arena.Arena[mechCount]
 }
 
-// chunk switches the table's arenas to chunks of 24–40 KiB.
-func (t *suffixTable) chunk() { t.entries.Chunk, t.writes.Chunk, t.mechs.Chunk = 256, 4096, 1024 }
+// chunk switches the table's arenas to chunks of 14–32 KiB.
+func (t *suffixTable) chunk() { t.entries.Chunk, t.writes.Chunk = 256, 4096 }
 
 // suffixKey identifies a reached state: a checkpoint boundary index and
 // the forward digest there. Distinct states can collide in principle
@@ -66,22 +70,16 @@ type suffixKey struct {
 	digest uint64
 }
 
-// mechCount is one detection mechanism's counter, kept in name-sorted
-// lists so deltas merge deterministically.
-type mechCount struct {
-	name string
-	n    uint64
-}
-
 // suffixEntry is one reached state's recorded future: the suffix's
-// writes verbatim, its counter deltas, its telemetry, and the final
-// failed state. golden marks the capture run's entries.
+// writes verbatim, its counter deltas, the mechanisms that fired in it,
+// its telemetry, and the final failed state. golden marks the capture
+// run's entries.
 type suffixEntry struct {
 	writes     []Write
 	tel        *obs.Suffix // nil without a collector
 	dOmissions int
 	dMasked    int
-	mechs      []mechCount // detection-counter deltas (ECC's too), sorted by name
+	mechs      kernel.MechanismSet // ECC's corrections among them
 	failed     bool
 	golden     bool
 }
@@ -91,15 +89,14 @@ type suffixEntry struct {
 var simulatedSuffix suffixEntry
 
 // mark is a boundary a run passed without a hit, with the run's write
-// count and counters there; its detection counters end at mechs in the
-// worker arena, starting where the previous mark's ended, and the
+// count and counters there, its detection counters among them; the
 // recorder holds its telemetry.
 type mark struct {
 	key       suffixKey
 	writesLen int
 	omissions int
 	masked    int
-	mechs     int
+	detected  [kernel.NumMechanisms]uint64
 }
 
 // mark records the live instance at a boundary the run passed without
@@ -112,50 +109,13 @@ func (fw *forkWorker) mark(key suffixKey) {
 		fw.tel.Reset(fw.col)
 	}
 	fw.tel.Mark(fw.col)
-	fw.collectCounters()
 	fw.marks = append(fw.marks, mark{
 		key:       key,
 		writesLen: len(fw.inst.Rec.Writes),
 		omissions: fw.inst.Rec.Omissions,
 		masked:    fw.inst.Rec.MaskedReleases,
-		mechs:     len(fw.arena),
+		detected:  fw.inst.Kernel.Stats().ErrorsDetected,
 	})
-}
-
-// collectCounters appends the live detection counters — every kernel
-// EDM's, and the memory's corrections as "ecc" — to the arena as one
-// name-sorted segment and returns where the segment starts.
-//
-//nlft:noalloc
-func (fw *forkWorker) collectCounters() int {
-	fw.collectOff = len(fw.arena)
-	fw.inst.Kernel.EachDetected(fw.collectFn)
-	fw.collectMech("ecc", fw.inst.Kernel.Mem().CorrectedErrors)
-	return fw.collectOff
-}
-
-// collectMech adds one counter to the arena segment that starts at
-// collectOff, keeping the segment name-sorted (insertion into a segment
-// that is at most a handful of mechanisms long).
-//
-//nlft:noalloc
-func (fw *forkWorker) collectMech(name string, n uint64) {
-	if n == 0 {
-		return
-	}
-	for j := fw.collectOff; j < len(fw.arena); j++ {
-		if fw.arena[j].name == name {
-			fw.arena[j].n += n
-			return
-		}
-	}
-	fw.arena = append(fw.arena, mechCount{name: name, n: n})
-	for j := len(fw.arena) - 1; j > fw.collectOff; j-- {
-		if fw.arena[j-1].name <= fw.arena[j].name {
-			break
-		}
-		fw.arena[j-1], fw.arena[j] = fw.arena[j], fw.arena[j-1]
-	}
 }
 
 // finish composes the stopped trial's full-horizon observables — the
@@ -171,17 +131,9 @@ func (fw *forkWorker) finish() TrialRecord {
 		e = &simulatedSuffix
 	}
 	fw.compose(e)
-	rec, ecc := fw.rec, uint64(0)
-	fw.names = fw.names[:0]
-	for _, mc := range fw.mechs {
-		if fw.names = append(fw.names, mc.name); mc.name == "ecc" {
-			ecc = mc.n
-		}
-	}
-	if len(fw.names) > 0 {
-		rec.Mechanisms = append([]string(nil), fw.names...)
-	}
-	rec.Outcome = classify(fw.failed, fw.writes, fw.omissions, fw.masked, ecc,
+	rec, mechs := fw.rec, kernel.Grown(&noDetections, &fw.detected)|fw.tail
+	rec.Mechanisms = mechs.Names()
+	rec.Outcome = classify(fw.failed, fw.writes, fw.omissions, fw.masked, mechs.Has(kernel.MechECC),
 		fw.golden, fw.undetectedKernel)
 	if t := &fw.table; len(fw.marks) > 0 {
 		fw.tel.End(fw.col)
@@ -192,7 +144,10 @@ func (fw *forkWorker) finish() TrialRecord {
 
 // compose completes the run's full-horizon observables: the live prefix
 // with entry e's tails appended, deltas added and failed state or'ed,
-// and e's telemetry composed into the collector.
+// and e's telemetry composed into the collector. The mechanisms that
+// fired over the horizon are those whose live count is non-zero and
+// e's: detection counters only grow, so a set of mechanisms is all a
+// record and an entry need (DESIGN.md, "The suffix table").
 func (fw *forkWorker) compose(e *suffixEntry) {
 	inst := fw.inst
 	e.tel.Compose(fw.col)
@@ -201,63 +156,37 @@ func (fw *forkWorker) compose(e *suffixEntry) {
 	fw.omissions = inst.Rec.Omissions + e.dOmissions
 	fw.masked = inst.Rec.MaskedReleases + e.dMasked
 	fw.writes = append(append(fw.writes[:0], inst.Rec.Writes...), e.writes...)
-	off := fw.collectCounters()
-	for _, d := range e.mechs {
-		fw.collectMech(d.name, d.n)
-	}
-	fw.mechs = append(fw.mechs[:0], fw.arena[off:]...)
-	fw.arena = fw.arena[:off]
+	fw.detected = inst.Kernel.Stats().ErrorsDetected
+	fw.tail = e.mechs
 }
 
 // memoize turns the composed run's marks into entries: each holds the
 // write tail from its mark on, cut from writes (the composed tail from
-// the first mark on), the counter deltas since it, and the telemetry the
-// recorder cuts for it. A mark's key missed the table when it was made,
-// and the table does not change during a run, so no entry is replaced.
+// the first mark on), the counter deltas since it, the mechanisms whose
+// count grew since it and the tail's, and the telemetry the recorder
+// cuts for it. A mark keeps counts, not the set fired so far: the run
+// may fire a mechanism both before the mark and after it, and a trial
+// that meets this state without having fired it must still report it. A
+// mark's key missed the table when it was made, and the table does not
+// change during a run, so no entry is replaced.
 //
 //nlft:noalloc
 func (fw *forkWorker) memoize(writes []Write, golden bool) {
-	t, first, mechs := &fw.table, fw.marks[0], 0
+	t, first := &fw.table, fw.marks[0]
 	// Reserving every entry of the run up front keeps the adds below
 	// inside one chunk, which never moves under the pointers the map
 	// keeps.
 	t.entries.Reserve(len(fw.marks))
-	for i, mk := range fw.marks {
+	for i := range fw.marks {
+		mk := &fw.marks[i]
 		t.m[mk.key] = t.entries.Add(suffixEntry{
 			writes:     writes[mk.writesLen-first.writesLen:],
 			tel:        fw.tel.Cut(i),
 			dOmissions: fw.omissions - mk.omissions,
 			dMasked:    fw.masked - mk.masked,
-			mechs:      fw.subCounts(fw.arena[mechs:mk.mechs]),
+			mechs:      kernel.Grown(&mk.detected, &fw.detected) | fw.tail,
 			failed:     fw.failed,
 			golden:     golden,
 		})
-		mechs = mk.mechs
 	}
-}
-
-// subCounts returns the trial's composed counters minus at (both
-// name-sorted; counters are monotone over a run, so every boundary
-// entry appears at the end with an equal or larger count), keeping
-// positive deltas only, carved from the table's arena.
-//
-//nlft:noalloc
-func (fw *forkWorker) subCounts(at []mechCount) []mechCount {
-	a := &fw.table.mechs
-	off := a.Reserve(len(fw.mechs))
-	j := 0
-	for _, e := range fw.mechs {
-		for j < len(at) && at[j].name < e.name {
-			j++
-		}
-		n := e.n
-		if j < len(at) && at[j].name == e.name {
-			n -= at[j].n
-			j++
-		}
-		if n > 0 {
-			a.Add(mechCount{name: e.name, n: n})
-		}
-	}
-	return a.Since(off)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 )
 
@@ -275,5 +276,52 @@ func TestCappedRecorderEntries(t *testing.T) {
 				t.Error("no trial ended on an entry a capped recorder made")
 			}
 		})
+	}
+}
+
+// TestSuffixDeltaKeepsRecurringMechanism scans seed-1 campaign trials
+// on one session and follows every entry whose recorder fired a
+// mechanism both before and after its mark. A trial that ends on such an
+// entry without having fired that mechanism itself must still report
+// it, because its count grows in the suffix: an entry holds the
+// mechanisms whose count grew after its mark, which a set difference of
+// the two runs' mark sets would lose. The workload is the gate one
+// without ECC and with a deadline too tight for a third copy, where a
+// code flip fires illegal-opcode in every release: injected between two
+// releases it fires before the next boundary and after it, injected
+// mid-copy the first release sees a comparison mismatch instead, and
+// the two trials meet at that boundary (trials 16,535 and 36,933). Every
+// such trial's record must equal the from-scratch trial's.
+func TestSuffixDeltaKeepsRecurringMechanism(t *testing.T) {
+	w := NewStdWorkload(StdWorkloadConfig{Deadline: 35 * des.Microsecond})
+	s, err := newForkSession(w, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recurring := make(map[*suffixEntry]kernel.MechanismSet)
+	var ended int
+	for i, spec := range campaignSpecs(w, CampaignConfig{Trials: 40000, Seed: 1}) {
+		rec, err := s.RunTrial(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := s.fw.hit; e != nil && recurring[e]&^kernel.Grown(&noDetections, &s.fw.detected) != 0 {
+			ended++
+			want, _, err := ScratchTrial(w, spec, s.Golden(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rec, want) {
+				t.Errorf("trial %d: record %+v, from-scratch %+v", i, rec, want)
+			}
+		}
+		for k := range s.fw.marks {
+			mk := &s.fw.marks[k]
+			after := kernel.Grown(&mk.detected, &s.fw.detected) | s.fw.tail
+			recurring[s.fw.table.m[mk.key]] = after & kernel.Grown(&noDetections, &mk.detected)
+		}
+	}
+	if ended == 0 {
+		t.Fatal("no trial ended on an entry whose recorder fired, before and after its mark, a mechanism the trial had not")
 	}
 }

@@ -25,6 +25,9 @@ type nullEnv struct{}
 func (nullEnv) ReadInput(port uint32) uint32   { return 0 }
 func (nullEnv) WriteOutput(port, value uint32) {}
 
+// statsSink keeps the gated Stats result live, as a caller's would be.
+var statsSink Stats
+
 func TestWarmHyperperiodZeroAlloc(t *testing.T) {
 	sim := des.New()
 	k := New(sim, nullEnv{}, Config{})
@@ -72,6 +75,10 @@ func TestWarmHyperperiodZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm TEM hyperperiod: %v allocs per run, want 0", allocs)
+	}
+	// The fork core reads the counters at every boundary it marks.
+	if allocs := testing.AllocsPerRun(10, func() { statsSink = k.Stats() }); allocs != 0 {
+		t.Errorf("Stats: %v allocs per call, want 0", allocs)
 	}
 
 	// The run must have been doing real work, not idling.

@@ -140,7 +140,7 @@ func TestUndeclaredInputPortIsBusError(t *testing.T) {
 	if err := sim.RunUntil(des.Millisecond / 2); err != nil {
 		t.Fatal(err)
 	}
-	if k.Stats().ErrorsDetected["bus-error"] == 0 {
+	if k.Stats().ErrorsDetected[MechBusError] == 0 {
 		t.Errorf("mechanisms = %v", k.Stats().ErrorsDetected)
 	}
 }

@@ -16,11 +16,11 @@ import (
 //
 //   - Pure measurements never read back by the model: kernel Stats,
 //     cpu.CPU Cycles/Retired, cpu.Memory CorrectedErrors, MMU
-//     Violations, tcb releaseCount/maxCopyCycles, job detectedBy. They
-//     record the path taken, not state that steers future behaviour,
-//     and the campaign accounts for them separately (the golden suffix
-//     contributes zero detections, omissions and writes deltas beyond
-//     the spliced ones — it is fault-free by construction).
+//     Violations, tcb releaseCount/maxCopyCycles. They record the path
+//     taken, not state that steers future behaviour, and the campaign
+//     accounts for them separately (the golden suffix contributes zero
+//     detections, omissions and writes deltas beyond the spliced ones —
+//     it is fault-free by construction).
 //   - failReason: implied by the failed bit, which is folded.
 //   - job pendingMech: only ever read by an error-handler continuation,
 //     and every site that arms that continuation writes pendingMech

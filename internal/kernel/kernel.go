@@ -115,8 +115,9 @@ type Stats struct {
 	Masked        uint64
 	Omissions     uint64
 	TaskShutdowns uint64
-	// ErrorsDetected counts detected errors by mechanism name.
-	ErrorsDetected map[string]uint64
+	// ErrorsDetected counts detected errors by mechanism. Its MechECC
+	// entry is the memory's corrected errors (cpu.Memory.CorrectedErrors).
+	ErrorsDetected [NumMechanisms]uint64
 	// KernelCycles and TaskCycles split processor time.
 	KernelCycles uint64
 	TaskCycles   uint64
@@ -129,7 +130,6 @@ type OutcomeInfo struct {
 	SettledAt      des.Time
 	Outcome        Outcome
 	ErrorsDetected int
-	DetectedBy     []string
 }
 
 // Kernel is a simulated fault-tolerant real-time kernel bound to one
@@ -228,7 +228,6 @@ func New(sim *des.Simulator, env Env, cfg Config) *Kernel {
 	}
 	mem.AttachIO(k)
 	k.dispatchFn = k.dispatch
-	k.stats.ErrorsDetected = make(map[string]uint64)
 	if cfg.Obs != nil {
 		k.obsTaskCycles = cfg.Obs.Counter("kernel.task_cycles", "", "")
 		k.obsKernelCycles = cfg.Obs.Counter("kernel.kernel_cycles", "", "")
@@ -265,28 +264,12 @@ func (k *Kernel) Mem() *cpu.Memory { return k.mem }
 func (k *Kernel) Proc() *cpu.CPU { return k.proc }
 
 // Stats returns a copy of the counters.
-func (k *Kernel) Stats() Stats {
-	s := k.stats
-	s.ErrorsDetected = make(map[string]uint64, len(k.stats.ErrorsDetected))
-	//nlft:allow nodeterminism key-for-key map copy; iteration order cannot affect the copy
-	for m, n := range k.stats.ErrorsDetected {
-		s.ErrorsDetected[m] = n
-	}
-	return s
-}
-
-// EachDetected calls fn for every (mechanism, count) pair of the
-// detected-error counters without copying the map (Stats allocates a
-// fresh map per call, which the fork core's per-trial composition and
-// boundary marks cannot afford). Iteration order is unspecified;
-// callers needing determinism must canonicalize what they collect.
 //
 //nlft:noalloc
-func (k *Kernel) EachDetected(fn func(mechanism string, n uint64)) {
-	//nlft:allow nodeterminism iteration order is surfaced to the caller, which must canonicalize (the fork core insertion-sorts by name)
-	for m, n := range k.stats.ErrorsDetected {
-		fn(m, n)
-	}
+func (k *Kernel) Stats() Stats {
+	s := k.stats
+	s.ErrorsDetected[MechECC] = k.mem.CorrectedErrors
+	return s
 }
 
 // Failed reports whether the node went fail-silent, with the reason.
@@ -458,10 +441,10 @@ func (k *Kernel) emit(kind obs.Kind, task string, copyIdx int, detail string) {
 
 // countDetected attributes one detected error to a mechanism in both
 // Stats.ErrorsDetected and the telemetry registry.
-func (k *Kernel) countDetected(task, mechanism string) {
-	k.stats.ErrorsDetected[mechanism]++
+func (k *Kernel) countDetected(task string, m Mechanism) {
+	k.stats.ErrorsDetected[m]++
 	if k.cfg.Obs != nil {
-		k.cfg.Obs.Counter("kernel.errors_detected", task, mechanism).Inc()
+		k.cfg.Obs.Counter("kernel.errors_detected", task, m.String()).Inc()
 	}
 }
 
@@ -491,7 +474,7 @@ func (k *Kernel) release(t *tcb) {
 		if t.dataCRC(k.mem) != t.stateCRC {
 			crcError = true
 			k.emit(obs.KindStateCRCError, t.spec.Name, 0, "restoring committed state")
-			k.countDetected(t.spec.Name, "state-crc")
+			k.countDetected(t.spec.Name, MechStateCRC)
 			if len(t.stateImage) == int(t.spec.DataWords) {
 				for i, w := range t.stateImage {
 					k.mem.Poke(t.spec.DataStart+uint32(i)*4, w)
@@ -505,7 +488,6 @@ func (k *Kernel) release(t *tcb) {
 	j.deadline = now + t.spec.Deadline
 	if crcError {
 		j.errorsDetected++
-		j.detectedBy = append(j.detectedBy, "state-crc")
 	}
 	for _, p := range t.spec.InputPorts {
 		j.inputLatch = append(j.inputLatch, k.env.ReadInput(p))
@@ -560,10 +542,8 @@ func (k *Kernel) acquireJob(t *tcb) *job {
 	j.outputs = j.outputs[:0]
 	j.dataSnapshot = j.dataSnapshot[:0]
 	j.errorsDetected = 0
-	j.detectedBy = j.detectedBy[:0]
 	j.deadlineEvent = des.Event{}
 	j.chainEvent = des.Event{}
-	j.pendingMech = ""
 	return j
 }
 
@@ -709,7 +689,7 @@ func (k *Kernel) runSlice(j *job) {
 
 	budget := k.budgetCycles(j.task)
 	if j.cyclesUsed >= budget {
-		k.handleDetectedError(j, "budget-timer")
+		k.handleDetectedError(j, MechBudgetTimer)
 		return
 	}
 	budgetLeft := budget - j.cyclesUsed
@@ -746,7 +726,7 @@ func (k *Kernel) runSlice(j *job) {
 	case exc != nil:
 		// A hardware EDM trapped (scenario iii/iv of Figure 3). HALT in a
 		// task is equally unexpected and treated as a detected error.
-		j.pendingMech = exc.Kind.String()
+		j.pendingMech = excMechanism(exc.Kind)
 		j.chainEvent = k.sim.Schedule(end, des.PrioKernel, j.errorFn)
 	case ev.Sys == cpu.SysEnd:
 		k.captureResult(j)
@@ -757,7 +737,7 @@ func (k *Kernel) runSlice(j *job) {
 		j.chainEvent = k.sim.Schedule(end, des.PrioDispatch, j.resumeFn)
 	case j.cyclesUsed >= budget:
 		// Execution-time monitor fired (Table 1).
-		j.pendingMech = "budget-timer"
+		j.pendingMech = MechBudgetTimer
 		j.chainEvent = k.sim.Schedule(end, des.PrioKernel, j.errorFn)
 	default:
 		// Slice exhausted by an upcoming event; save context and let the
@@ -811,13 +791,13 @@ func (k *Kernel) timeForAnotherCopy(j *job) bool {
 // by hardware EDMs, the budget timer, or kernel checks: terminate the
 // affected copy, restore the task context from the TCB, and start a new
 // copy immediately if the deadline permits (Figure 3, scenarios iii/iv).
-func (k *Kernel) handleDetectedError(j *job, mechanism string) {
+func (k *Kernel) handleDetectedError(j *job, m Mechanism) {
 	if k.failed || j.state == jobDone {
 		return
 	}
-	k.countDetected(j.task.spec.Name, mechanism)
+	mechanism := m.String()
+	k.countDetected(j.task.spec.Name, m)
 	j.errorsDetected++
-	j.detectedBy = append(j.detectedBy, mechanism)
 	k.emit(obs.KindErrorDetected, j.task.spec.Name, j.copyIndex, mechanism)
 
 	if k.cfg.FailSilentOnError {
@@ -885,7 +865,7 @@ func (k *Kernel) copyComplete(j *job) {
 
 	// Control-flow signature check against the golden value (§2.7).
 	if t.spec.ExpectedSignature != 0 && res.signature != t.spec.ExpectedSignature {
-		k.handleDetectedError(j, "signature")
+		k.handleDetectedError(j, MechSignature)
 		return
 	}
 
@@ -917,9 +897,8 @@ func (k *Kernel) copyComplete(j *job) {
 		}
 		// Scenario ii: comparison detected an error; run a third copy if
 		// the deadline allows, then vote.
-		k.countDetected(t.spec.Name, "comparison")
+		k.countDetected(t.spec.Name, MechComparison)
 		j.errorsDetected++
-		j.detectedBy = append(j.detectedBy, "comparison")
 		k.emit(obs.KindCompareMismatch, t.spec.Name, 0, "")
 		if !k.timeForAnotherCopy(j) {
 			k.omission(j, "no time for third copy")
@@ -934,9 +913,8 @@ func (k *Kernel) copyComplete(j *job) {
 		firstTwoAgree := k.resultsEqual(&j.results[0], &j.results[1])
 		if !(firstTwoAgree &&
 			k.resultsEqual(&j.results[1], &j.results[2])) && j.errorsDetected == 0 {
-			k.countDetected(t.spec.Name, "vote")
+			k.countDetected(t.spec.Name, MechVote)
 			j.errorsDetected++
-			j.detectedBy = append(j.detectedBy, "vote")
 		}
 		var winner *copyResult
 		switch {
@@ -1096,8 +1074,6 @@ func (k *Kernel) emitOutcome(j *job, o Outcome) {
 		SettledAt:      k.sim.Now(),
 		Outcome:        o,
 		ErrorsDetected: j.errorsDetected,
-		//nlft:allow noalloc hook payload clones the slice for the consumer; the zero-alloc gate runs with no hook
-		DetectedBy: append([]string(nil), j.detectedBy...),
 	})
 }
 

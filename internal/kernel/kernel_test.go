@@ -338,7 +338,7 @@ func TestComparisonDetectsRegisterFault(t *testing.T) {
 	if len(env.writes) != 1 || env.writes[0].value != 500500 {
 		t.Errorf("writes = %v", env.writes)
 	}
-	if st.ErrorsDetected["comparison"] != 1 {
+	if st.ErrorsDetected[MechComparison] != 1 {
 		t.Errorf("mechanisms = %v", st.ErrorsDetected)
 	}
 }
@@ -437,7 +437,7 @@ func TestBudgetTimerCatchesRunaway(t *testing.T) {
 	if st.Omissions != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.ErrorsDetected["budget-timer"] == 0 {
+	if st.ErrorsDetected[MechBudgetTimer] == 0 {
 		t.Error("budget timer never fired")
 	}
 	if n := len(eventsOf(col, obs.KindErrorDetected)); n < 2 {
@@ -479,7 +479,7 @@ func TestNonCriticalShutdown(t *testing.T) {
 	if st.TaskShutdowns != 1 {
 		t.Fatalf("shutdowns = %d", st.TaskShutdowns)
 	}
-	if st.ErrorsDetected["mmu-violation"] != 1 {
+	if st.ErrorsDetected[MechMMUViolation] != 1 {
 		t.Errorf("mechanisms = %v", st.ErrorsDetected)
 	}
 	// The critical task delivered all four releases regardless.
@@ -687,7 +687,7 @@ func TestSignatureGoldenCheck(t *testing.T) {
 	if len(env2.writes) != 0 {
 		t.Errorf("bad-signature run delivered %v", env2.writes)
 	}
-	if k2.Stats().ErrorsDetected["signature"] == 0 {
+	if k2.Stats().ErrorsDetected[MechSignature] == 0 {
 		t.Error("signature mechanism never fired")
 	}
 	if n := len(eventsOf(col2, obs.KindOmission)); n != 1 {

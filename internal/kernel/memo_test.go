@@ -157,7 +157,7 @@ func TestSliceReplayLockstep(t *testing.T) {
 		if next < len(faults) {
 			t.Fatalf("%s: %d of %d faults injected", name, next, len(faults))
 		}
-		if det := kR.Stats().ErrorsDetected; det["comparison"] == 0 || det["mmu-violation"] == 0 ||
+		if det := kR.Stats().ErrorsDetected; det[MechComparison] == 0 || det[MechMMUViolation] == 0 ||
 			len(eventsOf(colR, obs.KindVote)) == 0 {
 			t.Errorf("%s: detections %v; the faults should be compared, voted on and trapped", name, det)
 		}

@@ -80,13 +80,13 @@ func TestObsCountsDetectedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := k.Stats()
-	if st.ErrorsDetected["state-crc"] == 0 {
+	if st.ErrorsDetected[MechStateCRC] == 0 {
 		t.Fatal("state CRC did not fire; test setup broken")
 	}
 	reg := col.Registry()
-	if got := reg.CounterValue(obs.Key{Name: "kernel.errors_detected", Task: "taskA", Mechanism: "state-crc"}); got != st.ErrorsDetected["state-crc"] {
+	if got := reg.CounterValue(obs.Key{Name: "kernel.errors_detected", Task: "taskA", Mechanism: "state-crc"}); got != st.ErrorsDetected[MechStateCRC] {
 		t.Errorf("kernel.errors_detected{state-crc} = %d, want %d",
-			got, st.ErrorsDetected["state-crc"])
+			got, st.ErrorsDetected[MechStateCRC])
 	}
 	crcEvents := 0
 	for _, e := range col.Events() {

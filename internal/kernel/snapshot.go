@@ -51,10 +51,9 @@ type jobSnap struct {
 	outputs        []portWrite
 	dataSnapshot   []uint32
 	errorsDetected int
-	detectedBy     []string
 	deadlineEvent  des.Event //nlft:allow eventhandle checkpoint copy of the job's own handle: restored wholesale with the event pool, whose generation rewind revalidates exactly this handle
 	chainEvent     des.Event //nlft:allow eventhandle checkpoint copy of the job's own handle: restored wholesale with the event pool, whose generation rewind revalidates exactly this handle
-	pendingMech    string
+	pendingMech    Mechanism
 }
 
 // tcbSnap captures one task control block's mutable state. freeJobs
@@ -93,8 +92,7 @@ type KernelState struct {
 	procOwner jobRef
 	ready     []jobRef
 
-	stats          Stats // ErrorsDetected nil here; map content lives below
-	errorsDetected map[string]uint64
+	stats Stats
 
 	tasks []tcbSnap
 }
@@ -173,16 +171,6 @@ func (k *Kernel) Snapshot(into *KernelState) {
 	}
 
 	into.stats = k.stats
-	into.stats.ErrorsDetected = nil
-	if into.errorsDetected == nil {
-		//nlft:allow noalloc cold first-capture path: the map is retained and cleared+refilled thereafter
-		into.errorsDetected = make(map[string]uint64, len(k.stats.ErrorsDetected))
-	}
-	clear(into.errorsDetected)
-	//nlft:allow nodeterminism key-for-key map copy; iteration order cannot affect the copy
-	for m, n := range k.stats.ErrorsDetected {
-		into.errorsDetected[m] = n
-	}
 
 	// Grow the per-task scratch with zero-value appends so existing
 	// entries keep their nested slice backings (a wholesale copy or a
@@ -232,7 +220,6 @@ func (k *Kernel) Snapshot(into *KernelState) {
 			js.outputs = append(js.outputs[:0], j.outputs...)
 			js.dataSnapshot = append(js.dataSnapshot[:0], j.dataSnapshot...)
 			js.errorsDetected = j.errorsDetected
-			js.detectedBy = append(js.detectedBy[:0], j.detectedBy...)
 			js.deadlineEvent = j.deadlineEvent
 			js.chainEvent = j.chainEvent
 			js.pendingMech = j.pendingMech
@@ -259,14 +246,7 @@ func (k *Kernel) Restore(from *KernelState) {
 	k.failReason = from.failReason
 	k.dispatchPending = from.dispatchPending
 
-	errs := k.stats.ErrorsDetected
 	k.stats = from.stats
-	k.stats.ErrorsDetected = errs
-	clear(errs)
-	//nlft:allow nodeterminism key-for-key map refill; iteration order cannot affect the resulting map
-	for m, n := range from.errorsDetected {
-		errs[m] = n
-	}
 
 	for ti, t := range k.order {
 		ts := &from.tasks[ti]
@@ -302,7 +282,6 @@ func (k *Kernel) Restore(from *KernelState) {
 			j.outputs = append(j.outputs[:0], js.outputs...)
 			j.dataSnapshot = append(j.dataSnapshot[:0], js.dataSnapshot...)
 			j.errorsDetected = js.errorsDetected
-			j.detectedBy = append(j.detectedBy[:0], js.detectedBy...)
 			j.deadlineEvent = js.deadlineEvent
 			j.chainEvent = js.chainEvent
 			j.pendingMech = js.pendingMech

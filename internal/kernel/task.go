@@ -340,8 +340,6 @@ type job struct {
 	dataSnapshot []uint32
 	// errorsDetected counts detected errors during this release.
 	errorsDetected int
-	// detectedBy records which mechanisms fired (for traces/campaigns).
-	detectedBy []string
 	// deadlineEvent is the pending deadline-check event.
 	deadlineEvent des.Event
 	// chainEvent is the job's most recent continuation event (dispatch,
@@ -358,7 +356,7 @@ type job struct {
 	resumeFn   func()
 	completeFn func()
 	errorFn    func()
-	// pendingMech carries the detection mechanism name from the slice
-	// that armed errorFn to the handler it fires.
-	pendingMech string
+	// pendingMech carries the detection mechanism from the slice that
+	// armed errorFn to the handler it fires.
+	pendingMech Mechanism
 }
