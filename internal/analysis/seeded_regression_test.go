@@ -101,13 +101,13 @@ func TestSnapshotCoverSeededRegression(t *testing.T) {
 func TestMergeCommuteSeededRegression(t *testing.T) {
 	dir := moduleDir(t, "internal", "obs")
 	path, patched := patchFile(t, dir, "metrics.go",
-		"r.Counter(k).Add(c.n)", "r.Counter(k).n = c.n")
+		"dst.n += other.counters.at[id].n", "dst.n = other.counters.at[id].n")
 
 	diags := checkReal(t, "repro/internal/obs", dir,
 		map[string][]byte{path: patched}, []*Analyzer{MergeCommute})
 	var got bool
 	for _, d := range diags {
-		if d.Analyzer == MergeCommute.Name && strings.Contains(d.Message, "plain overwrite of r.Counter(k).n") {
+		if d.Analyzer == MergeCommute.Name && strings.Contains(d.Message, "plain overwrite of dst.n") {
 			got = true
 		}
 	}

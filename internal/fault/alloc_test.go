@@ -25,9 +25,11 @@ import (
 // the two steady paths are gated separately: trials that end golden at
 // their first post-injection boundary (they mark nothing, so every
 // repeat takes the same path), and trials whose repeat ends on an entry
-// an earlier trial recorded. Both run with no collector and with a
+// an earlier trial recorded. Both run with no collector, with a
 // campaign's metrics-only worker collector, where an entry also
-// composes its registry delta, and on the workload's UseMMU variant,
+// composes its registry delta, with the exhaustive verifier's
+// events-only collector, where it composes its event tail into a
+// stream each restore rewinds, and on the workload's UseMMU variant,
 // whose kernel installs the task's MMU regions before every slice.
 func TestRunTrialZeroAlloc(t *testing.T) {
 	gate := func(t *testing.T, s *ForkSession, hot []TrialSpec, what string) {
@@ -68,6 +70,7 @@ func TestRunTrialZeroAlloc(t *testing.T) {
 	}{
 		{"no-collector", StdWorkloadConfig{ECC: true}, func() *obs.Collector { return nil }},
 		{"metrics", StdWorkloadConfig{ECC: true}, newWorkerCollector},
+		{"events-only", StdWorkloadConfig{ECC: true}, func() *obs.Collector { return obs.NewEventCollector("") }},
 		{"mmu", StdWorkloadConfig{ECC: true, UseMMU: true}, func() *obs.Collector { return nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,6 +85,55 @@ func TestRunTrialZeroAlloc(t *testing.T) {
 			t.Run("golden-at-first-boundary", func(t *testing.T) { gate(t, s, first, "first-boundary golden") })
 			t.Run("recorded", func(t *testing.T) { gate(t, s, recorded, "recorded-ending") })
 		})
+	}
+}
+
+// TestTelemetrySlotZeroAlloc gates a telemetry campaign slot's
+// per-trial step, campaignSlot.Run: the forked trial on the slot's
+// metrics-only collector, the merge of its registry into the slot's
+// accumulator and the trial's campaign.* counters, on the benchmark's
+// seed-1 trials. Two passes over the trials (Base, which plans a trial,
+// then Run) fill the suffix table and every buffer a trial's path
+// grows; the gate then reruns the planned trials that fire no
+// mechanism and end on a table entry without marking, and requires
+// them to allocate nothing.
+func TestTelemetrySlotZeroAlloc(t *testing.T) {
+	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
+	const trials = 2048
+	r, err := NewShardRunner(w, CampaignConfig{Trials: trials, Seed: 1, Parallelism: 1, Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := r.slots[0].fw
+	s := &campaignSlot{r: r, fw: fw, acc: fw.col.Registry().Sibling(),
+		plans: make([]trialPlan, trials), records: make([]TrialRecord, trials)}
+	var hot []int
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < trials; i++ {
+			s.Base(i)
+			if err := s.Run(i); err != nil {
+				t.Fatal(err)
+			}
+			if pass == 1 && s.records[i].Mechanisms == nil && fw.hit != nil && len(fw.marks) == 0 {
+				hot = append(hot, i)
+			}
+		}
+	}
+	if len(hot) < 200 {
+		t.Fatalf("only %d trials end on an entry without marking or a mechanism", len(hot))
+	}
+	k := 0
+	if got := testing.AllocsPerRun(len(hot), func() {
+		if err := s.Run(hot[k%len(hot)]); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	}); got != 0 {
+		t.Errorf("a telemetry slot's trial step allocates %v times, want 0", got)
+	}
+	t.Logf("%d of %d trials gated", len(hot), trials)
+	if n := s.acc.CounterValue(obs.Key{Name: "campaign.trials"}); n < 2*trials {
+		t.Errorf("the accumulator counted %d trials, want at least %d", n, 2*trials)
 	}
 }
 

@@ -280,20 +280,20 @@ func newWorkerCollector() *obs.Collector {
 }
 
 // recordTrialMetrics adds the campaign-level accounting for one settled
-// trial to its collector: these campaign.* series mirror the Result
+// trial to its registry: these campaign.* series mirror the Result
 // tallies so Table 1 coverage is recomputable from exported metrics
 // (guarded by TestCampaignMetricsCrossCheck).
-func recordTrialMetrics(col *obs.Collector, rec *TrialRecord) {
-	if col == nil {
+func recordTrialMetrics(reg *obs.Registry, rec *TrialRecord) {
+	if reg == nil {
 		return
 	}
-	col.Counter("campaign.trials", "", "").Inc()
-	col.Counter("campaign.outcomes", "", rec.Outcome.String()).Inc()
+	reg.Counter(obs.Key{Name: "campaign.trials"}).Inc()
+	reg.Counter(obs.Key{Name: "campaign.outcomes", Mechanism: rec.Outcome.String()}).Inc()
 	if rec.Kernel {
-		col.Counter("campaign.kernel_hits", "", "").Inc()
+		reg.Counter(obs.Key{Name: "campaign.kernel_hits"}).Inc()
 	}
 	for _, m := range rec.Mechanisms {
-		col.Counter("campaign.detected_by", "", m).Inc()
+		reg.Counter(obs.Key{Name: "campaign.detected_by", Mechanism: m}).Inc()
 	}
 }
 

@@ -58,7 +58,7 @@ func scratchCampaign(t *testing.T, w Workload, cfg CampaignConfig) *Result {
 		}
 		records[i] = rec
 		if col != nil {
-			recordTrialMetrics(col, &rec)
+			recordTrialMetrics(col.Registry(), &rec)
 			metrics.Merge(col.Registry())
 			for _, e := range col.Events() {
 				e.Trial = i + 1

@@ -148,7 +148,7 @@ func (r *ShardRunner) run(lo, hi int, progress func()) ([]TrialRecord, [][]obs.E
 	if r.cfg.TelemetryEvents {
 		shared.events = make([][]obs.Event, n)
 	}
-	accs := make([]*obs.Collector, len(r.slots))
+	accs := make([]*obs.Registry, len(r.slots))
 	err := ExecRange(lo, hi, len(r.slots), func(k int) (RangeSlot, error) {
 		if r.slots[k] == nil {
 			sess, err := r.newSlot()
@@ -160,7 +160,7 @@ func (r *ShardRunner) run(lo, hi int, progress func()) ([]TrialRecord, [][]obs.E
 		s := shared
 		s.fw = r.slots[k].fw
 		if r.cfg.Telemetry {
-			s.acc = newWorkerCollector()
+			s.acc = s.fw.col.Registry().Sibling()
 			accs[k] = s.acc
 		}
 		return &s, nil
@@ -172,9 +172,7 @@ func (r *ShardRunner) run(lo, hi int, progress func()) ([]TrialRecord, [][]obs.E
 	if r.cfg.Telemetry {
 		reg = obs.NewRegistry()
 		for _, acc := range accs {
-			if acc != nil {
-				reg.Merge(acc.Registry())
-			}
+			reg.Merge(acc)
 		}
 	}
 	return shared.records, shared.events, reg, nil
@@ -183,10 +181,13 @@ func (r *ShardRunner) run(lo, hi int, progress func()) ([]TrialRecord, [][]obs.E
 // campaignSlot is one slot's view of a ShardRunner range: the slot's
 // fork worker and telemetry accumulator, plus the range's outputs
 // addressed by index offset (each index is written by one slot only).
+// The accumulator is a sibling of the slot's instance registry, so the
+// per-trial merge adds series by id; the range's slot accumulators then
+// merge by key into one registry.
 type campaignSlot struct {
 	r        *ShardRunner
 	fw       *forkWorker
-	acc      *obs.Collector
+	acc      *obs.Registry
 	lo       int
 	plans    []trialPlan
 	records  []TrialRecord
@@ -212,7 +213,7 @@ func (s *campaignSlot) Run(i int) error {
 		// Every restore rewinds the slot's instance collector, so it now
 		// holds exactly this trial's full registry (checkpoint prefix +
 		// simulated suffix); accumulate it before the next restore.
-		s.acc.Registry().Merge(s.fw.col.Registry())
+		s.acc.Merge(s.fw.col.Registry())
 	}
 	if s.events != nil {
 		s.events[i-s.lo] = append([]obs.Event(nil), s.fw.col.Events()...)

@@ -18,6 +18,21 @@ type Key struct {
 	Mechanism string
 }
 
+// less orders keys canonically: (Name, Node, Task, Mechanism) is a
+// total order because it uniquely identifies a series.
+func (k Key) less(o Key) bool {
+	if k.Name != o.Name {
+		return k.Name < o.Name
+	}
+	if k.Node != o.Node {
+		return k.Node < o.Node
+	}
+	if k.Task != o.Task {
+		return k.Task < o.Task
+	}
+	return k.Mechanism < o.Mechanism
+}
+
 // String renders the key in a prometheus-like form.
 func (k Key) String() string {
 	s := k.Name
@@ -166,60 +181,118 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return h.max
 }
 
-// Registry holds metric series keyed by Key. The zero value is not
-// usable; construct with NewRegistry. A registry is single-goroutine;
-// parallel producers each own one and merge afterwards.
+// Registry holds metric series keyed by Key. Every series has a dense
+// id in its kind's id space, assigned the first time its key is seen,
+// and its value lives in id-indexed storage that never moves, so the
+// pointers components cache at build time stay valid for the registry's
+// life. The key index is consulted only to create a series and by the
+// by-key APIs; merges between registries of one id space (Sibling),
+// suffix composition and rewinds index by id. A series the registry
+// holds is present; a rewind (Suffixes.Rewind) makes series absent
+// without deleting them, and the next lookup makes one present again
+// at its zero value, exactly as a fresh series. Only present series are
+// merged, exported, snapshotted and digested. The zero value is not
+// usable; construct with NewRegistry. A registry is single-goroutine,
+// and so are its siblings, which share its id space; parallel producers
+// each own one and merge afterwards.
 type Registry struct {
-	counters map[Key]*Counter
-	gauges   map[Key]*Gauge
-	hists    map[Key]*Histogram
+	ids      *idSpace
+	counters series[Counter]
+	gauges   series[Gauge]
+	hists    series[Histogram]
 }
 
-// NewRegistry returns an empty registry. The counter map is pre-sized
-// for the ~40 series a single kernel trial produces, so per-trial
-// collectors do not pay incremental map growth.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[Key]*Counter, 48),
-		gauges:   make(map[Key]*Gauge, 4),
-		hists:    make(map[Key]*Histogram, 4),
-	}
+// idSpace numbers the series of one or more registries: a key index per
+// kind, since one key may name a counter, a gauge and a histogram.
+type idSpace struct {
+	counters, gauges, hists keyIndex
 }
+
+// keyIndex numbers keys densely in first-seen order: keys[id] is the
+// key of series id.
+type keyIndex struct {
+	ids  map[Key]int
+	keys []Key
+}
+
+// of returns k's id, numbering it if it is new.
+func (x *keyIndex) of(k Key) int {
+	id, ok := x.ids[k]
+	if !ok {
+		id = len(x.keys)
+		x.ids[k] = id
+		//nlft:allow mergecommute ids number keys in first-seen order; every export, digest and merge result is independent of them
+		x.keys = append(x.keys, k)
+	}
+	return id
+}
+
+// from returns this index's id for series id of index src: the same id
+// when src is this index, else the id of its key.
+func (x *keyIndex) from(src *keyIndex, id int) int {
+	if src == x {
+		return id
+	}
+	return x.of(src.keys[id])
+}
+
+// series is one kind's storage: each series' value by id, allocated the
+// first time the registry holds it and never moved, and whether the
+// registry holds it now.
+type series[T any] struct {
+	at   []*T
+	held []bool
+	n    int // series held
+}
+
+// get returns series id, making it present: a series the registry does
+// not hold — new to it, or made absent by a rewind — starts at zero.
+func (s *series[T]) get(id int) *T {
+	if id >= len(s.at) {
+		s.at = append(s.at, make([]*T, id+1-len(s.at))...)
+		s.held = append(s.held, make([]bool, id+1-len(s.held))...)
+	}
+	if !s.held[id] {
+		if s.at[id] == nil {
+			s.at[id] = new(T)
+		}
+		var zero T
+		*s.at[id], s.held[id] = zero, true
+		s.n++
+	}
+	return s.at[id]
+}
+
+// NewRegistry returns an empty registry with an id space of its own.
+// The counter index is pre-sized for the ~40 series a single kernel
+// trial produces.
+func NewRegistry() *Registry {
+	return &Registry{ids: &idSpace{
+		counters: keyIndex{ids: make(map[Key]int, 48)},
+		gauges:   keyIndex{ids: make(map[Key]int, 4)},
+		hists:    keyIndex{ids: make(map[Key]int, 4)},
+	}}
+}
+
+// Sibling returns an empty registry in r's id space: merging either
+// into the other indexes series by id and hashes no key. It shares r's
+// goroutine. A fork campaign's slot accumulates each trial's instance
+// registry into a sibling of it.
+func (r *Registry) Sibling() *Registry { return &Registry{ids: r.ids} }
 
 // Counter returns the counter for k, creating it at zero if absent.
-func (r *Registry) Counter(k Key) *Counter {
-	c := r.counters[k]
-	if c == nil {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
-}
+func (r *Registry) Counter(k Key) *Counter { return r.counters.get(r.ids.counters.of(k)) }
 
 // Gauge returns the gauge for k, creating it if absent.
-func (r *Registry) Gauge(k Key) *Gauge {
-	g := r.gauges[k]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
-}
+func (r *Registry) Gauge(k Key) *Gauge { return r.gauges.get(r.ids.gauges.of(k)) }
 
 // Histogram returns the histogram for k, creating it if absent.
-func (r *Registry) Histogram(k Key) *Histogram {
-	h := r.hists[k]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[k] = h
-	}
-	return h
-}
+func (r *Registry) Histogram(k Key) *Histogram { return r.hists.get(r.ids.hists.of(k)) }
 
 // CounterValue reports the counter's value without creating the series.
 func (r *Registry) CounterValue(k Key) uint64 {
-	if c := r.counters[k]; c != nil {
-		return c.n
+	if id, ok := r.ids.counters.ids[k]; ok && id < len(r.counters.held) && r.counters.held[id] {
+		return r.counters.at[id].n
 	}
 	return 0
 }
@@ -227,10 +300,9 @@ func (r *Registry) CounterValue(k Key) uint64 {
 // CounterTotal sums every counter named name across all label values.
 func (r *Registry) CounterTotal(name string) uint64 {
 	var total uint64
-	//nlft:allow nodeterminism commutative sum; iteration order cannot affect the total
-	for k, c := range r.counters {
-		if k.Name == name {
-			total += c.n
+	for id, held := range r.counters.held {
+		if held && r.ids.counters.keys[id].Name == name {
+			total += r.counters.at[id].n
 		}
 	}
 	return total
@@ -241,10 +313,9 @@ func (r *Registry) CounterTotal(name string) uint64 {
 // it to recompute Table 1 coverage from exported metrics.
 func (r *Registry) MechanismCounts(name string) map[string]uint64 {
 	out := make(map[string]uint64)
-	//nlft:allow nodeterminism commutative per-key sums into a map; iteration order cannot affect the result
-	for k, c := range r.counters {
-		if k.Name == name {
-			out[k.Mechanism] += c.n
+	for id, held := range r.counters.held {
+		if k := r.ids.counters.keys[id]; held && k.Name == name {
+			out[k.Mechanism] += r.counters.at[id].n
 		}
 	}
 	return out
@@ -252,26 +323,30 @@ func (r *Registry) MechanismCounts(name string) map[string]uint64 {
 
 // Merge folds other into r: counters and histograms add, gauges keep the
 // maximum. All operations are commutative and associative, so any merge
-// order yields the same registry.
+// order yields the same registry. Each series other holds is found in r
+// by id when the two share an id space and by key otherwise.
 //
 //nlft:merge
 func (r *Registry) Merge(other *Registry) {
 	if other == nil {
 		return
 	}
-	//nlft:allow nodeterminism counter merge adds, which commutes; iteration order cannot affect the result
-	for k, c := range other.counters {
-		r.Counter(k).Add(c.n)
-	}
-	//nlft:allow nodeterminism gauge merge keeps the maximum, which commutes; iteration order cannot affect the result
-	for k, g := range other.gauges {
-		if g.set {
-			r.Gauge(k).SetMax(g.v)
+	for id, held := range other.counters.held {
+		if held {
+			dst := r.counters.get(r.ids.counters.from(&other.ids.counters, id))
+			dst.n += other.counters.at[id].n
 		}
 	}
-	//nlft:allow nodeterminism histogram merge adds buckets and widens extremes, which commutes
-	for k, h := range other.hists {
-		dst := r.Histogram(k)
+	for id, held := range other.gauges.held {
+		if g := other.gauges.at[id]; held && g.set {
+			r.gauges.get(r.ids.gauges.from(&other.ids.gauges, id)).SetMax(g.v)
+		}
+	}
+	for id, held := range other.hists.held {
+		if !held {
+			continue
+		}
+		dst, h := r.hists.get(r.ids.hists.from(&other.ids.hists, id)), other.hists.at[id]
 		if h.count == 0 {
 			continue
 		}
@@ -303,41 +378,34 @@ type MetricPoint struct {
 }
 
 // Snapshot flattens the registry into rows sorted by (Name, Node, Task,
-// Mechanism, Type) — a canonical order independent of map iteration, so
-// exports and digests are deterministic.
+// Mechanism, Type) — a canonical order independent of the order series
+// were created or merged in, so exports and digests are deterministic.
 func (r *Registry) Snapshot() []MetricPoint {
-	points := make([]MetricPoint, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	//nlft:allow nodeterminism collection order is erased by the canonical sort below
-	for k, c := range r.counters {
-		points = append(points, MetricPoint{Key: k, Type: "counter", Value: float64(c.n)})
+	points := make([]MetricPoint, 0, r.counters.n+r.gauges.n+r.hists.n)
+	for id, held := range r.counters.held {
+		if held {
+			points = append(points, MetricPoint{Key: r.ids.counters.keys[id], Type: "counter", Value: float64(r.counters.at[id].n)})
+		}
 	}
-	//nlft:allow nodeterminism collection order is erased by the canonical sort below
-	for k, g := range r.gauges {
-		points = append(points, MetricPoint{Key: k, Type: "gauge", Value: g.v})
+	for id, held := range r.gauges.held {
+		if held {
+			points = append(points, MetricPoint{Key: r.ids.gauges.keys[id], Type: "gauge", Value: r.gauges.at[id].v})
+		}
 	}
-	//nlft:allow nodeterminism collection order is erased by the canonical sort below
-	for k, h := range r.hists {
-		points = append(points, MetricPoint{
-			Key: k, Type: "histogram",
-			Value: h.Mean(), Count: h.count, Sum: float64(h.sum),
-			Min: float64(h.min), Max: float64(h.max),
-			P50: float64(h.Quantile(0.5)), P99: float64(h.Quantile(0.99)),
-		})
+	for id, held := range r.hists.held {
+		if h := r.hists.at[id]; held {
+			points = append(points, MetricPoint{
+				Key: r.ids.hists.keys[id], Type: "histogram",
+				Value: h.Mean(), Count: h.count, Sum: float64(h.sum),
+				Min: float64(h.min), Max: float64(h.max),
+				P50: float64(h.Quantile(0.5)), P99: float64(h.Quantile(0.99)),
+			})
+		}
 	}
-	//nlft:allow nodeterminism the comparator is a total order: (Name, Node, Task, Mechanism, Type) uniquely identifies a series
-	sort.Slice(points, func(i, j int) bool {
+	sort.SliceStable(points, func(i, j int) bool {
 		a, b := &points[i], &points[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Task != b.Task {
-			return a.Task < b.Task
-		}
-		if a.Mechanism != b.Mechanism {
-			return a.Mechanism < b.Mechanism
+		if a.Key != b.Key {
+			return a.Key.less(b.Key)
 		}
 		return a.Type < b.Type
 	})

@@ -15,8 +15,10 @@
 // assert against this surface instead of scraping stdout.
 //
 // Hot-path discipline: Emit performs no allocation beyond the amortized
-// growth of the preallocated event buffer, and metric lookups use
-// comparable struct keys, so telemetry stays off the campaign's
+// growth of the preallocated event buffer, metric lookups use
+// comparable struct keys, and the per-trial bookkeeping of a fork
+// campaign (rewind, suffix composition, accumulation) indexes series by
+// id without hashing a key, so telemetry stays off the campaign's
 // critical path (perfbench's telemetry workload runs campaigns with
 // telemetry on).
 package obs
@@ -190,14 +192,16 @@ type Collector struct {
 	reg  *Registry // nil for an events-only collector
 	s    *stream
 
-	// Per-(node,task) cache of the events.* counters, so the common case
-	// — a run of emissions for the same task — resolves each counter by
-	// two string equality checks and an array index instead of hashing a
-	// four-string key per event. Suffixes.Rewind invalidates it (the
-	// counter pointers may be stale after the registry rewind).
+	// Per-(node,task) cache of the events.* counter ids (id+1; 0 is
+	// unresolved), so the common case — a run of emissions for the same
+	// task — resolves each counter by two string equality checks and an
+	// array index instead of hashing a four-string key per event. Ids
+	// are permanent in the registry's id space and every view indexes
+	// its registry through them, so the cache stays valid across
+	// rewinds, for labeled views too.
 	cacheNode string
 	cacheTask string
-	kindCache [kindCount]*Counter
+	kindIDs   [kindCount]int
 }
 
 // NewCollector returns a collector whose emitted events are labeled with
@@ -274,14 +278,14 @@ func (c *Collector) Emit(e Event) {
 		} else {
 			if e.Node != c.cacheNode || e.Task != c.cacheTask {
 				c.cacheNode, c.cacheTask = e.Node, e.Task
-				c.kindCache = [kindCount]*Counter{}
+				c.kindIDs = [kindCount]int{}
 			}
-			ctr := c.kindCache[e.Kind]
-			if ctr == nil {
-				ctr = c.reg.Counter(Key{Name: kindMetricNames[e.Kind], Node: e.Node, Task: e.Task})
-				c.kindCache[e.Kind] = ctr
+			id := c.kindIDs[e.Kind] - 1
+			if id < 0 {
+				id = c.reg.ids.counters.of(Key{Name: kindMetricNames[e.Kind], Node: e.Node, Task: e.Task})
+				c.kindIDs[e.Kind] = id + 1
 			}
-			ctr.Inc()
+			c.reg.counters.get(id).Inc()
 		}
 	}
 	c.s.append(e)

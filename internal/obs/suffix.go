@@ -22,10 +22,13 @@ import (
 // (internal/fault) capture run, whose suffixes are the golden ones and
 // whose marks its checkpoints rewind to, and every trial that marks a
 // boundary: Mark at each mark, End at the run's end, then Cut for each
-// mark; Reset starts the next run. A series keeps its track across
-// runs; a Suffix names series by track and holds its recorder. A nil
-// *Suffixes records and composes nothing.
+// mark; Reset starts the next run. A recorder is bound to one registry,
+// the one its last Reset found, and its tracks are that registry's
+// series ids: a series keeps its track across runs, and a Suffix names
+// series by id in the registry's id space. A nil *Suffixes records and
+// composes nothing.
 type Suffixes struct {
+	reg      *Registry // nil for an events-only collector
 	counters []track[Counter, struct{}]
 	hists    []track[Histogram, histExt]
 	gauges   []track[Gauge, Gauge]
@@ -45,7 +48,6 @@ type Suffixes struct {
 // and for histograms and gauges its real extremes while an interval is
 // open and each interval's extremes (per mark after End).
 type track[T, E any] struct {
-	key   Key
 	s     *T
 	since int
 	at    []T
@@ -72,42 +74,44 @@ func (a histExt) widen(b histExt) histExt {
 // track preallocates that many slots, so a mark never allocates.
 func NewSuffixes(marks int) *Suffixes { return &Suffixes{hint: marks + 1} }
 
-// Reset starts a new run on c: every series is looked up again (a
-// restore may have deleted or recreated it), and no interval is open.
+// Reset starts a new run on c: every series is linked again (a rewind
+// may have made it absent), and no interval is open. A collector on
+// another registry than the last run's rebinds the recorder, which then
+// forgets its tracks.
 func (x *Suffixes) Reset(c *Collector) {
 	if x == nil || c == nil {
 		return
+	}
+	if c.reg != x.reg {
+		x.reg, x.counters, x.hists, x.gauges = c.reg, nil, nil, nil
 	}
 	x.open, x.closed, x.linked, x.emits, x.kept = false, 0, 0, x.emits[:0], x.kept[:0]
 	unlink(x.counters)
 	unlink(x.hists)
 	unlink(x.gauges)
-	x.sync(c.reg)
+	x.sync()
 }
 
-// sync links every series r holds that the run has not linked yet,
-// adding tracks for series never seen before. A series linked while an
-// interval is open was created in it: it is held from the next mark on,
-// with empty earlier intervals and no real prior value. An events-only
-// collector (nil r) has no series to track.
-func (x *Suffixes) sync(r *Registry) {
-	if r == nil {
+// sync links every series the registry holds that the run has not
+// linked yet, adding tracks up to the registry's series count. A series
+// linked while an interval is open was created in it: it is held from
+// the next mark on, with empty earlier intervals and no real prior
+// value. An events-only collector has no series to track.
+func (x *Suffixes) sync() {
+	r := x.reg
+	if r == nil || r.counters.n+r.hists.n+r.gauges.n == x.linked {
 		return
 	}
 	since := x.closed
 	if x.open {
 		since++
 	}
-	for try := 0; try < 2 && len(r.counters)+len(r.hists)+len(r.gauges) != x.linked; try++ {
-		if try > 0 {
-			x.counters = adopt(x.counters, r.counters, x.hint)
-			x.hists = adopt(x.hists, r.hists, x.hint)
-			x.gauges = adopt(x.gauges, r.gauges, x.hint)
-		}
-		x.linked += link(x.counters, r.counters, since, len(x.emits), x.closed) +
-			link(x.hists, r.hists, since, len(x.emits), x.closed) +
-			link(x.gauges, r.gauges, since, len(x.emits), x.closed)
-	}
+	x.counters = extend(x.counters, len(r.counters.at), x.hint)
+	x.hists = extend(x.hists, len(r.hists.at), x.hint)
+	x.gauges = extend(x.gauges, len(r.gauges.at), x.hint)
+	x.linked += link(x.counters, &r.counters, since, len(x.emits), x.closed) +
+		link(x.hists, &r.hists, since, len(x.emits), x.closed) +
+		link(x.gauges, &r.gauges, since, len(x.emits), x.closed)
 }
 
 // unlink detaches every track from its series.
@@ -117,29 +121,24 @@ func unlink[T, E any](ts []track[T, E]) {
 	}
 }
 
-// adopt adds a track for every series m holds that ts lacks.
-func adopt[T, E any](ts []track[T, E], m map[Key]*T, hint int) []track[T, E] {
-	//nlft:allow nodeterminism adoption order only numbers the tracks; every use finds a series by key
-	for k := range m {
-		if !slices.ContainsFunc(ts, func(t track[T, E]) bool { return t.key == k }) {
-			ts = append(ts, track[T, E]{key: k, at: make([]T, 0, hint), ext: make([]E, 0, hint)})
-		}
+// extend adds a track for every series id below n.
+func extend[T, E any](ts []track[T, E], n, hint int) []track[T, E] {
+	for len(ts) < n {
+		ts = append(ts, track[T, E]{at: make([]T, 0, hint), ext: make([]E, 0, hint)})
 	}
 	return ts
 }
 
-// link links the unlinked tracks whose series m holds, padding their
+// link links the unlinked tracks whose series s holds, padding their
 // marks and closed intervals with zeros, and returns how many it linked.
-func link[T, E any](ts []track[T, E], m map[Key]*T, since, marks, closed int) int {
+func link[T, E any](ts []track[T, E], s *series[T], since, marks, closed int) int {
 	n := 0
-	for i := range ts {
-		if t := &ts[i]; t.s == nil {
-			if t.s = m[t.key]; t.s != nil {
-				var zero E
-				n, t.since, t.real = n+1, since, zero
-				t.at = append(t.at[:0], make([]T, marks)...)
-				t.ext = append(t.ext[:0], make([]E, closed)...)
-			}
+	for id := range ts {
+		if t := &ts[id]; t.s == nil && s.held[id] {
+			var zero E
+			n, t.s, t.since, t.real = n+1, s.at[id], since, zero
+			t.at = append(t.at[:0], make([]T, marks)...)
+			t.ext = append(t.ext[:0], make([]E, closed)...)
 		}
 	}
 	return n
@@ -154,7 +153,7 @@ func (x *Suffixes) Mark(c *Collector) {
 	if x == nil || c == nil {
 		return
 	}
-	x.close(c)
+	x.close()
 	x.emits = append(x.emits, c.emitted())
 	x.kept = append(x.kept, len(c.s.events))
 	read(x.counters)
@@ -184,12 +183,12 @@ func read[T, E any](ts []track[T, E]) {
 }
 
 // close ends the open interval, if any: it records the interval's
-// extremes and restores c's real ones.
-func (x *Suffixes) close(c *Collector) {
+// extremes and restores the real ones.
+func (x *Suffixes) close() {
 	if !x.open {
 		return
 	}
-	x.sync(c.reg)
+	x.sync()
 	for i := range x.hists {
 		if t := &x.hists[i]; t.s != nil {
 			e := histExt{n: t.s.count - t.real.n}
@@ -221,7 +220,7 @@ func (x *Suffixes) End(c *Collector) []Event {
 	if x == nil || c == nil {
 		return nil
 	}
-	x.close(c)
+	x.close()
 	x.emitted = c.emitted()
 	x.tail = x.store.events.CopyOf(c.s.events[x.kept[0]:])
 	for _, t := range x.hists {
@@ -246,9 +245,9 @@ func (x *Suffixes) ShiftGauge(name string, d float64) {
 	if x == nil {
 		return
 	}
-	for _, t := range x.gauges {
+	for id, t := range x.gauges {
 		for b := range t.ext {
-			if e := &t.ext[b]; t.key.Name == name && t.s != nil && e.set {
+			if e := &t.ext[b]; t.s != nil && e.set && x.reg.ids.gauges.keys[id].Name == name {
 				e.v += d
 			}
 		}
@@ -261,7 +260,7 @@ func (x *Suffixes) Keep() *Suffixes {
 	if x == nil {
 		return nil
 	}
-	k := &Suffixes{counters: slices.Clone(x.counters), hists: slices.Clone(x.hists),
+	k := &Suffixes{reg: x.reg, counters: slices.Clone(x.counters), hists: slices.Clone(x.hists),
 		gauges: slices.Clone(x.gauges), emits: x.emits, kept: x.kept, tail: x.tail}
 	renew(x.counters)
 	renew(x.hists)
@@ -279,10 +278,11 @@ func renew[T, E any](ts []track[T, E]) {
 
 // Rewind restores c to mark i of x's last run, a run whose first mark
 // preceded its first retained event (as a fork engine's capture run
-// does at t=0): every series the run held there takes its value then,
-// in the object the run held, so pointers components cached at build
-// time stay valid; every other series goes; and the event stream is cut
-// back to the mark. An events-only collector rewinds only its events.
+// does at t=0), on the registry x is bound to: every series the run
+// held there takes its value then, in place, so pointers components
+// cached at build time stay valid; every other series becomes absent;
+// and the event stream is cut back to the mark. An events-only
+// collector rewinds only its events.
 //
 //nlft:noalloc
 func (x *Suffixes) Rewind(c *Collector, i int) {
@@ -290,32 +290,22 @@ func (x *Suffixes) Rewind(c *Collector, i int) {
 		return
 	}
 	if r := c.reg; r != nil {
-		rewind(r.counters, x.counters, i)
-		rewind(r.hists, x.hists, i)
-		rewind(r.gauges, x.gauges, i)
+		rewind(&r.counters, x.counters, i)
+		rewind(&r.hists, x.hists, i)
+		rewind(&r.gauges, x.gauges, i)
 	}
 	c.s.events = append(c.s.events[:0], x.tail[:x.kept[i]]...)
 	c.s.dropped = x.emits[i] - uint64(x.kept[i])
-	c.cacheNode, c.cacheTask, c.kindCache = "", "", [kindCount]*Counter{}
 }
 
-// rewind restores m to mark i of the run ts tracked.
-func rewind[T, E any](m map[Key]*T, ts []track[T, E], i int) {
-	held := 0
-	for j := range ts {
-		if t := &ts[j]; t.s != nil && t.since <= i {
-			m[t.key], *t.s, held = t.s, t.at[i], held+1
-		} else {
-			delete(m, t.key)
-		}
-	}
-	if len(m) == held {
-		return
-	}
-	//nlft:allow nodeterminism deleting the series the run never tracked; order cannot affect the survivors
-	for k := range m {
-		if !slices.ContainsFunc(ts, func(t track[T, E]) bool { return t.key == k }) {
-			delete(m, k)
+// rewind restores s to mark i of the run ts tracked.
+func rewind[T, E any](s *series[T], ts []track[T, E], i int) {
+	clear(s.held)
+	s.n = 0
+	for id := range ts {
+		if t := &ts[id]; t.s != nil && t.since <= i {
+			*t.s, s.held[id] = t.at[i], true
+			s.n++
 		}
 	}
 }
@@ -330,10 +320,11 @@ func (x *Suffixes) Kept(i int) int {
 }
 
 // Suffix is the telemetry a recorded run gained after one of its marks:
-// the deltas of the series that moved, each naming its track in x, their
-// suffix extremes, and the event tail. A nil *Suffix gains nothing.
+// the deltas of the series that moved, each naming its series by id in
+// ids, the recorded registry's id space, their suffix extremes, and the
+// event tail. A nil *Suffix gains nothing.
 type Suffix struct {
-	x        *Suffixes
+	ids      *idSpace // nil for a recording on an events-only collector
 	counters []counterAdd
 	hists    []histAdd
 	gauges   []gaugeMax
@@ -394,7 +385,10 @@ func (x *Suffixes) Cut(i int) *Suffix {
 		return nil
 	}
 	s := &x.store
-	out := Suffix{x: x, events: x.tail[x.kept[i]-x.kept[0]:], emitted: x.emitted - x.emits[i]}
+	out := Suffix{events: x.tail[x.kept[i]-x.kept[0]:], emitted: x.emitted - x.emits[i]}
+	if x.reg != nil {
+		out.ids = x.reg.ids
+	}
 	off := s.counters.Reserve(len(x.counters))
 	for j := range x.counters {
 		if t := &x.counters[j]; t.s != nil && (t.since > i || t.at[i].n != t.s.n) {
@@ -450,30 +444,33 @@ func (s *Suffix) Fits(c *Collector) bool {
 // counts and sums by their deltas, extremes by the suffix's, and the
 // event tail (which s.Fits must accept) under c's cap exactly as Emit,
 // but uncounted, since the deltas hold its events.* counts. A series the
-// suffix did not touch is left alone; one it created is created. A
-// suffix recorded on an events-only collector holds no deltas.
+// suffix did not touch is left alone; one it created is created. Each
+// series is found by id when c's registry is in the recording's id
+// space, and by key otherwise. A suffix recorded on an events-only
+// collector holds no deltas.
 //
 //nlft:noalloc
 func (s *Suffix) Compose(c *Collector) {
 	if s == nil || c == nil {
 		return
 	}
-	r, x := c.reg, s.x
-	for _, d := range s.counters {
-		r.Counter(x.counters[d.series].key).Add(d.n)
-	}
-	for i := range s.hists {
-		d := &s.hists[i]
-		h := r.Histogram(x.hists[d.series].key)
-		all := histExt{min: h.min, max: h.max, n: h.count}.widen(d.ext)
-		h.min, h.max, h.count, h.sum = all.min, all.max, h.count+d.ext.n, h.sum+d.sum
-		for k, n := range d.buckets {
-			h.buckets[d.lo+k] += n
+	if r := c.reg; r != nil && s.ids != nil {
+		for _, d := range s.counters {
+			r.counters.get(r.ids.counters.from(&s.ids.counters, d.series)).Add(d.n)
 		}
-	}
-	for _, d := range s.gauges {
-		if g := r.Gauge(x.gauges[d.series].key); d.g.set {
-			g.SetMax(d.g.v)
+		for i := range s.hists {
+			d := &s.hists[i]
+			h := r.hists.get(r.ids.hists.from(&s.ids.hists, d.series))
+			all := histExt{min: h.min, max: h.max, n: h.count}.widen(d.ext)
+			h.min, h.max, h.count, h.sum = all.min, all.max, h.count+d.ext.n, h.sum+d.sum
+			for k, n := range d.buckets {
+				h.buckets[d.lo+k] += n
+			}
+		}
+		for _, d := range s.gauges {
+			if g := r.gauges.get(r.ids.gauges.from(&s.ids.gauges, d.series)); d.g.set {
+				g.SetMax(d.g.v)
+			}
 		}
 	}
 	if !c.s.disabled {

@@ -87,13 +87,16 @@ func registryOf(c *Collector) []MetricPoint {
 // TestSuffixesCompose records a run's suffix telemetry in one pass and
 // composes it at every mark onto collectors holding different prefixes
 // — the run's own, an empty one, and one with other extremes and events
-// — for every shape in suffixCollectors. Wherever Fits accepts the
-// recorded tail, the composed collector must equal one that replayed
-// the prefix and then the recorded suffix: registry, events and drop
-// count. Fits must refuse only tails the recording's cap
-// cut short. The recorder records the run twice, on fresh collectors
-// after Reset, so its second run finds every series already numbered
-// and the mid-run ones unlinked until they reappear.
+// — for every shape in suffixCollectors, each with a registry of its own
+// (composed by key) and with a sibling of the recorded registry
+// (composed by id). Wherever Fits accepts the recorded tail, the
+// composed collector must equal one that replayed the prefix and then
+// the recorded suffix: registry, events and drop count. Fits must refuse
+// only tails the recording's cap cut short. The recorder records the
+// run twice on one collector, rewound to the first run's start in
+// between as a fork engine's checkpoint rewinds it, so its second run
+// finds every series already numbered and the mid-run ones absent until
+// they reappear.
 func TestSuffixesCompose(t *testing.T) {
 	const intervals = 8
 	run := suffixRun(intervals)
@@ -122,8 +125,24 @@ func TestSuffixesCompose(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			newCol := shape.new
 			x := NewSuffixes(intervals)
+			rec := newCol()
+			targets := []struct {
+				name string
+				new  func() *Collector
+			}{
+				{"own registry", newCol},
+				{"sibling registry", func() *Collector {
+					c := newCol()
+					if c.reg != nil {
+						c.reg = rec.reg.Sibling()
+					}
+					return c
+				}},
+			}
 			for pass := 0; pass < 2; pass++ {
-				rec := newCol()
+				if pass > 0 {
+					x.Keep().Rewind(rec, 0)
+				}
 				x.Reset(rec)
 				for b := range run {
 					x.Mark(rec)
@@ -139,30 +158,32 @@ func TestSuffixesCompose(t *testing.T) {
 				refused := 0
 				for b := range run {
 					for _, p := range prefixes {
-						got, want := newCol(), newCol()
-						for _, s := range p.steps(b) {
-							s(got)
-							s(want)
-						}
-						for _, iv := range run[b:] {
-							for _, s := range iv {
+						for _, target := range targets {
+							got, want := target.new(), newCol()
+							for _, s := range p.steps(b) {
+								s(got)
 								s(want)
 							}
-						}
-						if !suffixes[b].Fits(got) {
-							refused++
-							if !shape.capped {
-								t.Errorf("pass %d, mark %d, %s prefix: tail refused without a cap", pass, b, p.name)
+							for _, iv := range run[b:] {
+								for _, s := range iv {
+									s(want)
+								}
 							}
-							continue
-						}
-						suffixes[b].Compose(got)
-						if g, w := registryOf(got), registryOf(want); !reflect.DeepEqual(g, w) {
-							t.Errorf("pass %d, mark %d, %s prefix: registry %v, replayed %v", pass, b, p.name, g, w)
-						}
-						if !reflect.DeepEqual(got.Events(), want.Events()) || got.Dropped() != want.Dropped() {
-							t.Errorf("pass %d, mark %d, %s prefix: %d events (%d dropped), replayed %d (%d dropped)",
-								pass, b, p.name, len(got.Events()), got.Dropped(), len(want.Events()), want.Dropped())
+							if !suffixes[b].Fits(got) {
+								refused++
+								if !shape.capped {
+									t.Errorf("pass %d, mark %d, %s prefix, %s: tail refused without a cap", pass, b, p.name, target.name)
+								}
+								continue
+							}
+							suffixes[b].Compose(got)
+							if g, w := registryOf(got), registryOf(want); !reflect.DeepEqual(g, w) {
+								t.Errorf("pass %d, mark %d, %s prefix, %s: registry %v, replayed %v", pass, b, p.name, target.name, g, w)
+							}
+							if !reflect.DeepEqual(got.Events(), want.Events()) || got.Dropped() != want.Dropped() {
+								t.Errorf("pass %d, mark %d, %s prefix, %s: %d events (%d dropped), replayed %d (%d dropped)",
+									pass, b, p.name, target.name, len(got.Events()), got.Dropped(), len(want.Events()), want.Dropped())
+							}
 						}
 					}
 				}
@@ -247,5 +268,27 @@ func TestSuffixesRewind(t *testing.T) {
 					shape.name, b, len(c.Events()), c.Dropped(), len(want.Events()), want.Dropped())
 			}
 		}
+	}
+}
+
+// TestRewindKeepsLabeledViewCounting: a labeled view caches its events.*
+// counters like the collector it labels, and a rewind of that collector
+// must leave the view counting into the registry. The view emits once
+// after the run's only mark, the collector rewinds to the mark, and the
+// same emission again must count as on a fresh collector.
+func TestRewindKeepsLabeledViewCounting(t *testing.T) {
+	c := NewCollector("")
+	v := c.Labeled("n")
+	x := NewSuffixes(1)
+	x.Reset(c)
+	x.Mark(c)
+	v.Emit(Event{Kind: KindRelease, Task: "a"})
+	x.End(c)
+	x.Keep().Rewind(c, 0)
+	v.Emit(Event{Kind: KindRelease, Task: "a"})
+	fresh := NewCollector("")
+	fresh.Labeled("n").Emit(Event{Kind: KindRelease, Task: "a"})
+	if got, want := c.Registry().Snapshot(), fresh.Registry().Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the rewind the view counted %v, a fresh collector %v", got, want)
 	}
 }

@@ -7,7 +7,8 @@ package obs
 // bit-for-bit if the wire form is lossless — histograms must carry
 // their full bucket vectors, not the summarized MetricPoint rows the
 // exporters flatten to — and canonical, so the same registry always
-// encodes to the same bytes regardless of map iteration order.
+// encodes to the same bytes regardless of the order its series were
+// created or merged in.
 //
 // Round-trip contract (guarded by TestRegistryWireRoundTrip): for any
 // registry r, r.Wire().Registry() holds exactly r's series with exactly
@@ -31,21 +32,6 @@ func keyWire(k Key) KeyWire {
 // Key converts the wire form back to a registry key.
 func (k KeyWire) Key() Key {
 	return Key{Name: k.Name, Node: k.Node, Task: k.Task, Mechanism: k.Mechanism}
-}
-
-// less orders keys canonically: (Name, Node, Task, Mechanism) is a
-// total order because it uniquely identifies a series.
-func (k KeyWire) less(o KeyWire) bool {
-	if k.Name != o.Name {
-		return k.Name < o.Name
-	}
-	if k.Node != o.Node {
-		return k.Node < o.Node
-	}
-	if k.Task != o.Task {
-		return k.Task < o.Task
-	}
-	return k.Mechanism < o.Mechanism
 }
 
 // CounterWire is one counter series on the wire.
@@ -89,17 +75,22 @@ func (r *Registry) Wire() *RegistryWire {
 		return nil
 	}
 	w := &RegistryWire{}
-	//nlft:allow nodeterminism collection order is erased by the canonical sort below
-	for k, c := range r.counters {
-		w.Counters = append(w.Counters, CounterWire{Key: keyWire(k), Value: c.n})
+	for id, held := range r.counters.held {
+		if held {
+			w.Counters = append(w.Counters, CounterWire{Key: keyWire(r.ids.counters.keys[id]), Value: r.counters.at[id].n})
+		}
 	}
-	//nlft:allow nodeterminism collection order is erased by the canonical sort below
-	for k, g := range r.gauges {
-		w.Gauges = append(w.Gauges, GaugeWire{Key: keyWire(k), Value: g.v, Set: g.set})
+	for id, held := range r.gauges.held {
+		if g := r.gauges.at[id]; held {
+			w.Gauges = append(w.Gauges, GaugeWire{Key: keyWire(r.ids.gauges.keys[id]), Value: g.v, Set: g.set})
+		}
 	}
-	//nlft:allow nodeterminism collection order is erased by the canonical sort below
-	for k, h := range r.hists {
-		hw := HistogramWire{Key: keyWire(k), Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
+	for id, held := range r.hists.held {
+		if !held {
+			continue
+		}
+		h := r.hists.at[id]
+		hw := HistogramWire{Key: keyWire(r.ids.hists.keys[id]), Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
 		top := len(h.buckets)
 		for top > 0 && h.buckets[top-1] == 0 {
 			top--
@@ -109,12 +100,9 @@ func (r *Registry) Wire() *RegistryWire {
 		}
 		w.Hists = append(w.Hists, hw)
 	}
-	//nlft:allow nodeterminism the comparator is a total order: a key uniquely identifies a series
-	sort.Slice(w.Counters, func(i, j int) bool { return w.Counters[i].Key.less(w.Counters[j].Key) })
-	//nlft:allow nodeterminism the comparator is a total order: a key uniquely identifies a series
-	sort.Slice(w.Gauges, func(i, j int) bool { return w.Gauges[i].Key.less(w.Gauges[j].Key) })
-	//nlft:allow nodeterminism the comparator is a total order: a key uniquely identifies a series
-	sort.Slice(w.Hists, func(i, j int) bool { return w.Hists[i].Key.less(w.Hists[j].Key) })
+	sort.SliceStable(w.Counters, func(i, j int) bool { return w.Counters[i].Key.Key().less(w.Counters[j].Key.Key()) })
+	sort.SliceStable(w.Gauges, func(i, j int) bool { return w.Gauges[i].Key.Key().less(w.Gauges[j].Key.Key()) })
+	sort.SliceStable(w.Hists, func(i, j int) bool { return w.Hists[i].Key.Key().less(w.Hists[j].Key.Key()) })
 	return w
 }
 

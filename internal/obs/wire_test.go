@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -35,31 +36,8 @@ func TestRegistryWireRoundTrip(t *testing.T) {
 	}
 	// Digest hashes summarized rows; also compare the full internal
 	// state so bucket vectors (which the digest cannot see) round-trip.
-	if len(got.counters) != len(r.counters) || len(got.gauges) != len(r.gauges) || len(got.hists) != len(r.hists) {
-		t.Fatalf("series counts: got %d/%d/%d, want %d/%d/%d",
-			len(got.counters), len(got.gauges), len(got.hists),
-			len(r.counters), len(r.gauges), len(r.hists))
-	}
-	for k, c := range r.counters {
-		if got.CounterValue(k) != c.n {
-			t.Errorf("counter %v = %d, want %d", k, got.CounterValue(k), c.n)
-		}
-	}
-	for k, g := range r.gauges {
-		gg := got.gauges[k]
-		if gg == nil || gg.v != g.v || gg.set != g.set {
-			t.Errorf("gauge %v: got %+v, want %+v", k, gg, g)
-		}
-	}
-	for k, h := range r.hists {
-		hh := got.hists[k]
-		if hh == nil {
-			t.Errorf("histogram %v lost on the wire", k)
-			continue
-		}
-		if *hh != *h {
-			t.Errorf("histogram %v: got %+v, want %+v", k, *hh, *h)
-		}
+	if g, w := stateOf(got), stateOf(r); !reflect.DeepEqual(g, w) {
+		t.Fatalf("round trip holds %+v, want %+v", g, w)
 	}
 }
 
