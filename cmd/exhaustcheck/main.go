@@ -5,7 +5,8 @@
 // no deadline is missed, and that each placement classifies exactly as
 // a sampling campaign would classify it. Where faultcampaign estimates
 // the dependability parameters from random samples, exhaustcheck
-// discharges the underlying safety obligation by enumeration.
+// discharges the underlying safety obligation by enumeration and prints
+// the parameters' exact values over the enumerated space.
 //
 // Usage:
 //
@@ -19,9 +20,10 @@
 // canonical, digest-stamped JSON artifact that is bit-identical for any
 // -parallel value (the test suite also pins it against a from-scratch
 // oracle that simulates every placement from t=0). Every run then
-// replays the entire placement list through the sampling campaign
-// engine as a planned campaign and verifies the per-placement outcomes
-// and per-class totals match exactly.
+// replays the entire placement list through the campaign runner
+// (fault.ShardRunner.RunSpecs, one coin-free spec per placement),
+// verifies the per-placement outcomes and per-class totals match
+// exactly, and prints the exact C_D, P_T, P_OM and P_FS of the space.
 //
 // Exit status is 1 if any placement violates a guarantee or the
 // cross-check diverges.
@@ -37,6 +39,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/exhaust"
 	"repro/internal/fault"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -144,27 +147,50 @@ func run(quantum time.Duration, targetsFlag string, ecc bool, periods, compute, 
 	}
 
 	start = time.Now()
-	camp, err := fault.Run(w, fault.CampaignConfig{
-		Plan:             sp.Faults(),
-		Parallelism:      parallel,
-		SnapshotInterval: des.Time(snapshotInterval),
-	})
+	camp, err := crossCheckCampaign(w, sp, parallel, des.Time(snapshotInterval))
 	if err != nil {
 		return fmt.Errorf("cross-check campaign: %w", err)
 	}
 	if diffs := res.CrossCheck(camp); len(diffs) > 0 {
 		ok = false
-		fmt.Printf("\nFAIL: cross-check against planned sampling campaign diverged:\n")
+		fmt.Printf("\nFAIL: cross-check against the campaign runner diverged:\n")
 		for _, d := range diffs {
 			fmt.Printf("  %s\n", d)
 		}
 	} else {
-		fmt.Printf("cross-check: planned sampling campaign over all %d placements matches exactly (%v)\n",
+		fmt.Printf("cross-check: the campaign runner over all %d placements matches exactly (%v)\n",
 			len(res.Records), time.Since(start).Round(time.Millisecond))
+		fmt.Printf("exact parameters: C_D=%s P_T=%s P_OM=%s P_FS=%s\n",
+			exact(camp.CD), exact(camp.PT), exact(camp.POM), exact(camp.PFS))
 	}
 
 	if !ok {
 		return fmt.Errorf("verification failed")
 	}
 	return nil
+}
+
+// crossCheckCampaign runs every placement of sp as a coin-free spec on
+// a campaign runner and assembles the records as a campaign result.
+func crossCheckCampaign(w fault.Workload, sp *exhaust.Space, parallel int, interval des.Time) (*fault.Result, error) {
+	runner, err := fault.NewShardRunner(w, fault.CampaignConfig{
+		Trials: sp.Len(), Parallelism: parallel, SnapshotInterval: interval})
+	if err != nil {
+		return nil, err
+	}
+	specs := make([]fault.TrialSpec, sp.Len())
+	for i := range specs {
+		specs[i].Fault = sp.Fault(i)
+	}
+	records, err := runner.RunSpecs(specs)
+	if err != nil {
+		return nil, err
+	}
+	return fault.FinalizeSharded(runner.Config(), runner.Golden(), records, nil)
+}
+
+// exact renders a proportion over the whole space: its value and its
+// counts (a sampling interval means nothing here).
+func exact(p stats.Proportion) string {
+	return fmt.Sprintf("%.4f (%d/%d)", p.P, p.Hits, p.Trials)
 }

@@ -84,10 +84,6 @@ type cliConfig struct {
 	MetricsOut string `json:"metrics_out,omitempty"`
 	TraceOut   string `json:"trace_out,omitempty"`
 
-	// Exhaustive enumeration.
-	Exhaustive bool     `json:"exhaustive,omitempty"`
-	Quantum    duration `json:"quantum,omitempty"`
-
 	// Adaptive stratified sampling.
 	Adaptive  bool    `json:"adaptive,omitempty"`
 	Strata    int     `json:"strata,omitempty"`
@@ -109,7 +105,6 @@ func defaultConfig() *cliConfig {
 		Seed:      1,
 		ECC:       true,
 		Compute:   64,
-		Quantum:   duration(50 * time.Microsecond),
 		Poll:      duration(shard.DefaultPoll),
 		LeaseTTL:  duration(shard.DefaultLeaseTTL),
 		CIOutcome: "fail-silent",
@@ -142,9 +137,6 @@ func (c *cliConfig) register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Progress, "progress", c.Progress, "report live trial progress on stderr")
 	fs.StringVar(&c.MetricsOut, "metrics-out", c.MetricsOut, "export the merged metrics registry (JSON, or CSV if the name ends in .csv)")
 	fs.StringVar(&c.TraceOut, "trace-out", c.TraceOut, "export the merged per-trial event stream as JSONL (trial 0 = golden run)")
-
-	fs.BoolVar(&c.Exhaustive, "exhaustive", c.Exhaustive, "replace random sampling with the full enumeration of every (quantum × target × locus × bit) placement in one hyperperiod")
-	fs.Var(&c.Quantum, "quantum", "placement spacing for -exhaustive")
 
 	fs.BoolVar(&c.Adaptive, "adaptive", c.Adaptive, "use the adaptive stratified sampling engine: Neyman allocation over (target × time) strata with importance splitting (see -max-trials, -ci-width)")
 	fs.IntVar(&c.Strata, "strata", c.Strata, "base time buckets per target for -adaptive (0 = default 4); splitting refines below this grid")
@@ -283,11 +275,8 @@ func (c *cliConfig) Validate(set map[string]bool) error {
 			return fmt.Errorf("-%s requires -serve, -worker or -submit", name)
 		}
 	}
-	if c.Adaptive && c.Exhaustive {
-		return fmt.Errorf("-adaptive and -exhaustive are mutually exclusive")
-	}
 	if c.Adaptive {
-		for _, name := range []string{"trials", "quantum", "digest", "derive",
+		for _, name := range []string{"trials", "digest", "derive",
 			"metrics-out", "trace-out", "snapshot-stats"} {
 			if set[name] {
 				return fmt.Errorf("-%s conflicts with -adaptive", name)
@@ -300,16 +289,7 @@ func (c *cliConfig) Validate(set map[string]bool) error {
 			}
 		}
 	}
-	if c.Exhaustive {
-		for _, name := range []string{"trials", "seed"} {
-			if set[name] {
-				return fmt.Errorf("-%s conflicts with -exhaustive (the plan is enumerated, not sampled)", name)
-			}
-		}
-	} else if set["quantum"] {
-		return fmt.Errorf("-quantum requires -exhaustive")
-	}
-	if c.Trials < 1 && !c.Exhaustive && !c.Adaptive {
+	if c.Trials < 1 && !c.Adaptive {
 		return fmt.Errorf("-trials must be >= 1 (got %d)", c.Trials)
 	}
 	return nil

@@ -49,11 +49,14 @@ func TestConfigRoundTrip(t *testing.T) {
 }
 
 // TestConfigRejectsUnknownField: stale config files — including ones
-// dumped before the convergence-cutoff switch was retired — fail loudly.
+// dumped before the convergence-cutoff switch or the exhaustive mode
+// was retired — fail loudly.
 func TestConfigRejectsUnknownField(t *testing.T) {
 	for _, body := range []string{
 		`{"trials": 5, "warp": 9}`,
 		`{"trials": 5, "converge_cutoff": true}`,
+		`{"trials": 5, "exhaustive": true}`,
+		`{"trials": 5, "quantum": "50µs"}`,
 	} {
 		path := filepath.Join(t.TempDir(), "cfg.json")
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
@@ -61,6 +64,17 @@ func TestConfigRejectsUnknownField(t *testing.T) {
 		}
 		if _, _, err := parseFlags([]string{"-config", path}); err == nil {
 			t.Errorf("%s: unknown config field accepted", body)
+		}
+	}
+}
+
+// TestRetiredFlagsUnknown: the exhaustive mode's flags are gone
+// (cmd/exhaustcheck enumerates the placement space), so passing one is
+// a parse error, not a silent no-op.
+func TestRetiredFlagsUnknown(t *testing.T) {
+	for _, args := range [][]string{{"-exhaustive"}, {"-quantum", "50us"}} {
+		if _, _, err := parseFlags(args); err == nil {
+			t.Errorf("%v: retired flag accepted", args)
 		}
 	}
 }
@@ -74,7 +88,6 @@ func TestValidateConflicts(t *testing.T) {
 	}{
 		{[]string{"-trials", "500", "-parallel", "4"}, ""},
 		{[]string{"-adaptive", "-ci-width", "0.02", "-compute", "16", "-max-trials", "4096"}, ""},
-		{[]string{"-exhaustive", "-quantum", "25us"}, ""},
 		{[]string{"-serve", ":8080", "-lease-ttl", "10s"}, ""},
 		{[]string{"-worker", "http://c", "-parallel", "2", "-poll", "100ms"}, ""},
 		{[]string{"-submit", "http://c", "-trials", "600", "-lease-size", "64", "-digest"}, ""},
@@ -86,14 +99,10 @@ func TestValidateConflicts(t *testing.T) {
 		{[]string{"-submit", "http://c", "-metrics-out", "m.json"}, "not valid in -submit mode"},
 		{[]string{"-submit", "http://c", "-trials", "0"}, "trials"},
 		{[]string{"-submit", "http://c", "-targets", "warp-core"}, "unknown target"},
-		{[]string{"-adaptive", "-exhaustive"}, "mutually exclusive"},
 		{[]string{"-adaptive", "-trials", "5"}, "conflicts with -adaptive"},
 		{[]string{"-adaptive", "-digest"}, "conflicts with -adaptive"},
 		{[]string{"-adaptive", "-metrics-out", "m.json"}, "conflicts with -adaptive"},
 		{[]string{"-ci-width", "0.1"}, "requires -adaptive"},
-		{[]string{"-exhaustive", "-trials", "5"}, "conflicts with -exhaustive"},
-		{[]string{"-exhaustive", "-seed", "3"}, "conflicts with -exhaustive"},
-		{[]string{"-quantum", "10us"}, "requires -exhaustive"},
 		{[]string{"-lease-size", "64"}, "requires -serve, -worker or -submit"},
 		{[]string{"-trials", "0"}, "-trials must be >= 1"},
 	}

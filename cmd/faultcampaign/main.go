@@ -24,8 +24,10 @@
 //
 // All flags live in one validated configuration: -dump-config prints it
 // as JSON, -config loads that JSON back (explicit flags still win), and
-// contradictory combinations (say -worker with -adaptive, or -quantum
-// without -exhaustive) are errors rather than silent no-ops.
+// contradictory combinations (say -worker with -adaptive, or -ci-width
+// without -adaptive) are errors rather than silent no-ops. Exhaustive
+// enumeration of the placement space, with the parameters' exact
+// values, is cmd/exhaustcheck.
 //
 // -adaptive replaces uniform sampling with the adaptive stratified
 // engine (internal/adapt): the fault space is stratified by (target ×
@@ -65,7 +67,6 @@ import (
 	"sort"
 
 	nlft "repro"
-	"repro/internal/exhaust"
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
@@ -195,21 +196,6 @@ func run(cfg *cliConfig) error {
 		Telemetry:        cfg.MetricsOut != "",
 		TelemetryEvents:  cfg.TraceOut != "",
 		SnapshotInterval: nlft.Time(cfg.SnapshotInterval),
-	}
-	if cfg.Exhaustive {
-		// Exhaustive mode: the campaign runs the full enumerated plan
-		// instead of sampling, so the reported per-class fractions are
-		// exact population values (the confidence intervals collapse to
-		// sampling noise of zero in the limit; they are still printed).
-		space, err := exhaust.NewSpace(w, &exhaust.Config{
-			Quantum: nlft.Time(cfg.Quantum), Targets: targets,
-		})
-		if err != nil {
-			return err
-		}
-		ccfg.Plan = space.Faults()
-		fmt.Printf("exhaustive mode: %d placements = %d quanta × %d (target,locus,bit) over [%v, %v) @ %v\n",
-			space.Len(), space.Quanta, space.PerQuantum, space.Start, space.End, space.Quantum)
 	}
 	if cfg.Progress {
 		lastPct := -1

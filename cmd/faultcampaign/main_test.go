@@ -44,15 +44,6 @@ func TestRunLocal(t *testing.T) {
 	}
 }
 
-// TestRunExhaustive drives the enumerated plan on a deliberately tiny
-// space (one quantum, one target).
-func TestRunExhaustive(t *testing.T) {
-	cfg := parse(t, "-exhaustive", "-quantum", "1ms", "-targets", "pc", "-digest")
-	if err := run(cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRunAdaptive drives the adaptive engine with a small trial cap.
 func TestRunAdaptive(t *testing.T) {
 	cfg := parse(t, "-adaptive", "-max-trials", "256", "-compute", "16", "-progress")

@@ -16,8 +16,8 @@
 // The same treatment covers the kernel-activity time windows: a
 // coin-free fault landing while the simulated kernel occupies the
 // processor fail-silences deterministically, decided by the injection
-// instant alone (fault.ActivityWindows). The first fork session's
-// capture run fixes that time set exactly; its mass enters every
+// instant alone (fault.ActivityWindows). The campaign runner's golden
+// run fixes that time set exactly; its mass enters every
 // estimate as a second exact stratum, and the sampled strata draw only
 // from its complement.
 // Without this, the activity windows are the dominant variance source
@@ -35,8 +35,8 @@
 //     canonical stratum-slice order; workers write each trial's
 //     outcome at its precomputed flat index, so completion order
 //     cannot leak into any decision.
-//   - Every trial runs on the campaign engine's trial core
-//     (fault.ForkSession.RunTrial), whose soundness argument
+//   - Every round is one fault.ShardRunner.RunSpecs call on the
+//     campaign engine's slots and trial core, whose soundness argument
 //     (internal/fault/fork.go) makes a forked trial's record
 //     bit-identical to a from-scratch trial's.
 package adapt

@@ -22,14 +22,6 @@ var (
 		fault.FailSilent}
 )
 
-// plannedTrial is one precomputed trial of a round: the stratum it
-// belongs to and its fully drawn spec. Planning happens on the driver
-// goroutine before the round runs, so workers only execute.
-type plannedTrial struct {
-	si   int
-	spec fault.TrialSpec
-}
-
 // engine is one campaign's driver state.
 type engine struct {
 	w      fault.Workload
@@ -43,13 +35,10 @@ type engine struct {
 	// activity set is a pure time set, identical for every target).
 	kactFrac float64
 
-	// One fork session per executor slot (each owns a live instance and
-	// checkpoint store): slot 0's built with the engine, the others on
-	// the slot's first round.
-	sessions []*fault.ForkSession
-	// trial runs one planned trial on a slot's session:
-	// (*fault.ForkSession).RunTrial, which tests wrap to measure it.
-	trial func(*fault.ForkSession, fault.TrialSpec) (fault.TrialRecord, error)
+	// runRound runs one round's specs and returns their records in spec
+	// order: the campaign runner's RunSpecs, which tests replace to
+	// measure the trials.
+	runRound func([]fault.TrialSpec) ([]fault.TrialRecord, error)
 }
 
 // Run executes an adaptive campaign on the workload.
@@ -74,16 +63,17 @@ func newEngine(w fault.Workload, cfg Config) (*engine, error) {
 	if cfg.CIOutcome < 1 || int(cfg.CIOutcome) > fault.NumOutcomes {
 		return nil, fmt.Errorf("adapt: invalid CI outcome %d", int(cfg.CIOutcome))
 	}
-	// The first slot's session is built here: its capture run fixes the
-	// exact kernel-activity time set. A coin-free fault at an activity
-	// instant fail-silences deterministically (fault.ActivityWindows),
-	// so that mass enters every estimate analytically and sampling
-	// covers only the activity-free population.
-	s0, err := fault.NewForkSession(w, cfg.SnapshotInterval, false)
+	// The runner's golden run fixes the exact kernel-activity time set.
+	// A coin-free fault at an activity instant fail-silences
+	// deterministically (fault.ActivityWindows), so that mass enters
+	// every estimate analytically and sampling covers only the
+	// activity-free population.
+	runner, err := fault.NewShardRunner(w, fault.CampaignConfig{
+		Parallelism: cfg.Parallelism, SnapshotInterval: cfg.SnapshotInterval})
 	if err != nil {
 		return nil, err
 	}
-	kact := s0.ActivityWindows()
+	kact := runner.ActivityWindows()
 	strata, err := initialStrata(&cfg, kact)
 	if err != nil {
 		return nil, err
@@ -95,10 +85,8 @@ func newEngine(w fault.Workload, cfg Config) (*engine, error) {
 		strata: strata,
 		kactFrac: float64(fault.OverlapWidth(kact, cfg.Window[0], cfg.Window[1])) /
 			float64(cfg.Window[1]-cfg.Window[0]),
+		runRound: runner.RunSpecs,
 	}
-	e.sessions = make([]*fault.ForkSession, cfg.Parallelism)
-	e.sessions[0] = s0
-	e.trial = (*fault.ForkSession).RunTrial
 	return e, nil
 }
 
@@ -112,18 +100,18 @@ func (e *engine) run() (*Result, error) {
 		if e.total+size > cfg.MaxTrials {
 			size = cfg.MaxTrials - e.total
 		}
-		plan := e.planRound(e.allocate(size))
-		outcomes, err := e.runRound(plan)
+		sis, specs := e.planRound(e.allocate(size))
+		records, err := e.runRound(specs)
 		if err != nil {
 			return nil, err
 		}
-		for i, pt := range plan {
-			e.strata[pt.si].commit(pt.spec.Fault.At, outcomes[i])
+		for i, rec := range records {
+			e.strata[sis[i]].commit(specs[i].Fault.At, rec.Outcome)
 		}
-		e.total += len(plan)
+		e.total += len(specs)
 		est := e.estimateEvent([]fault.Outcome{cfg.CIOutcome})
 		if cfg.OnRound != nil {
-			cfg.OnRound(RoundInfo{Round: e.rounds, Allocated: len(plan),
+			cfg.OnRound(RoundInfo{Round: e.rounds, Allocated: len(specs),
 				Trials: e.total, Strata: len(e.strata), Estimate: est})
 		}
 		switch {
@@ -208,60 +196,24 @@ func (e *engine) allocate(size int) []int {
 
 // planRound draws every trial of the round up front: stratum si's j-th
 // new trial uses the substream (Seed, key(si), drawn(si)+j), and its
-// flat position in the plan is fixed by the canonical stratum order —
-// nothing about execution can change what any trial is.
-func (e *engine) planRound(alloc []int) []plannedTrial {
-	var plan []plannedTrial
+// flat position in the round is fixed by the canonical stratum order —
+// nothing about execution can change what any trial is. It returns
+// each trial's stratum index and spec; the runner writes each record at
+// the trial's flat index, so neither the worker count nor completion
+// order can influence what is committed.
+func (e *engine) planRound(alloc []int) ([]int, []fault.TrialSpec) {
+	var sis []int
+	var specs []fault.TrialSpec
 	for si, s := range e.strata {
 		for j := 0; j < alloc[si]; j++ {
 			rng := des.NewRandIndexed2(e.cfg.Seed, s.key(), uint64(s.drawn+j))
 			at := s.instant(des.Time(rng.Intn(int(s.freeW))))
-			f := fault.DrawFaultAt(e.w, s.target, at, rng)
-			plan = append(plan, plannedTrial{si: si, spec: fault.TrialSpec{Fault: f}})
+			sis = append(sis, si)
+			specs = append(specs, fault.TrialSpec{Fault: fault.DrawFaultAt(e.w, s.target, at, rng)})
 		}
 		s.drawn += alloc[si]
 	}
-	return plan
-}
-
-// runRound executes the planned trials on the range executor, one fork
-// session per slot, and writes each outcome at the trial's flat index;
-// neither the worker count nor completion order can influence what is
-// committed.
-func (e *engine) runRound(plan []plannedTrial) ([]fault.Outcome, error) {
-	outcomes := make([]fault.Outcome, len(plan))
-	err := fault.ExecRange(0, len(plan), len(e.sessions), func(k int) (fault.RangeSlot, error) {
-		if e.sessions[k] == nil {
-			s, err := fault.NewForkSession(e.w, e.cfg.SnapshotInterval, false)
-			if err != nil {
-				return nil, err
-			}
-			e.sessions[k] = s
-		}
-		return &roundSlot{e: e, s: e.sessions[k], plan: plan, outcomes: outcomes}, nil
-	})
-	return outcomes, err
-}
-
-// roundSlot is one executor slot of a round.
-type roundSlot struct {
-	e        *engine
-	s        *fault.ForkSession
-	plan     []plannedTrial
-	outcomes []fault.Outcome
-}
-
-// Base selects trial i's fork base.
-func (r *roundSlot) Base(i int) int { return r.s.Select(r.plan[i].spec.Fault.At) }
-
-// Run executes trial i on the session's trial core.
-func (r *roundSlot) Run(i int) error {
-	rec, err := r.e.trial(r.s, r.plan[i].spec)
-	if err != nil {
-		return fmt.Errorf("adapt: trial %d: %w", i, err)
-	}
-	r.outcomes[i] = rec.Outcome
-	return nil
+	return sis, specs
 }
 
 // refine splits the strata that dominate the Neyman scores: a stratum

@@ -10,7 +10,8 @@ import (
 // fault-injection campaign package and the command-line drivers).
 // Parallel campaigns are bit-identical across worker counts only
 // because every trial derives its stream as a pure function of
-// (seed, trial index) via des.NewRandIndexed; constructing a stream any
+// (seed, trial index) via des.NewRandIndexed (or Rand.SeedIndexed, which
+// reseeds a stream value in place); constructing a stream any
 // other way — des.NewRand, Rand.Split (draw-order dependent), or
 // math/rand sources — reintroduces schedule-dependent state.
 var RNGStream = &Analyzer{

@@ -13,6 +13,12 @@ func perTrial(seed uint64, trial int) *des.Rand {
 	return des.NewRandIndexed(seed, uint64(trial))
 }
 
+// reseeded is the same seam in place: the stream a slot reuses is
+// reseeded from (seed, index) for every trial.
+func reseeded(r *des.Rand, seed uint64, trial int) {
+	r.SeedIndexed(seed, uint64(trial))
+}
+
 // perStratumTrial is the adaptive campaign's sanctioned seam: a pure
 // function of (seed, stratum key, within-stratum index).
 func perStratumTrial(seed, key uint64, idx int) *des.Rand {

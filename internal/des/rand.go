@@ -10,7 +10,8 @@ import (
 // stream so that adding draws in one component never perturbs another —
 // a requirement for reproducible fault-injection campaigns.
 //
-// The zero value is not usable; construct streams with NewRand.
+// The zero value is not usable; construct streams with NewRand, or seed
+// one in place with SeedIndexed.
 type Rand struct {
 	s [4]uint64
 }
@@ -19,15 +20,17 @@ type Rand struct {
 // seeds still yield decorrelated streams.
 func NewRand(seed uint64) *Rand {
 	r := &Rand{}
+	r.seed(seed)
+	return r
+}
+
+// seed sets r's state from seed via SplitMix64.
+func (r *Rand) seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		r.s[i] = mix64(sm)
 	}
-	return r
 }
 
 // Split derives an independent child stream. The child is a pure function
@@ -51,7 +54,19 @@ func mix64(z uint64) uint64 {
 // Both arguments are avalanche-mixed before combination, so families with
 // nearby seeds and streams with nearby indices stay decorrelated.
 func NewRandIndexed(seed, idx uint64) *Rand {
-	return NewRand(mix64(seed+0x9e3779b97f4a7c15) ^ mix64(idx+0x6a09e667f3bcc909))
+	r := &Rand{}
+	r.SeedIndexed(seed, idx)
+	return r
+}
+
+// SeedIndexed reseeds r in place as the idx-th stream of seed's family:
+// r then draws exactly what NewRandIndexed(seed, idx) would. A consumer
+// that derives one stream per trial keeps a single Rand value and
+// reseeds it, so no trial allocates a stream.
+//
+//nlft:noalloc
+func (r *Rand) SeedIndexed(seed, idx uint64) {
+	r.seed(mix64(seed+0x9e3779b97f4a7c15) ^ mix64(idx+0x6a09e667f3bcc909))
 }
 
 // NewRandIndexed2 returns the (stream, idx)-th member of the

@@ -144,8 +144,9 @@ func (c *Certificate) WriteFile(path string) error {
 }
 
 // CrossCheck compares this run's per-class totals against a sampling
-// campaign result over the same placement list (a planned fault.Run
-// with Plan set to the space's faults) and returns the mismatches —
+// campaign result over the same placement list (the campaign runner's
+// records for one coin-free fault.TrialSpec per placement, assembled by
+// fault.FinalizeSharded) and returns the mismatches —
 // the acceptance bridge between the prover and the estimator: on a
 // fully enumerated plan the sampler IS the ground truth the exhaustive
 // engine must reproduce exactly.

@@ -118,8 +118,8 @@ const gateCertificate = "fnv1a:c9310924e5a8dda3"
 // TestVerifyGate is the acceptance check the CI gate script re-runs
 // from the command line: every placement of the gate configuration's
 // full space holds the TEM invariants and misses no deadline, the
-// certificate is the pinned one, and the per-class totals match a
-// planned sampling campaign over the same placement list exactly.
+// certificate is the pinned one, and the per-class totals match the
+// campaign runner's over the same placement list exactly.
 func TestVerifyGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-space enumeration in -short mode")
@@ -152,7 +152,19 @@ func TestVerifyGate(t *testing.T) {
 		t.Errorf("certificate digest %s, want %s", res.Cert.Digest, gateCertificate)
 	}
 
-	camp, err := fault.Run(w, fault.CampaignConfig{Plan: res.Space.Faults()})
+	runner, err := fault.NewShardRunner(w, fault.CampaignConfig{Trials: res.Space.Len()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]fault.TrialSpec, res.Space.Len())
+	for i := range specs {
+		specs[i].Fault = res.Space.Fault(i)
+	}
+	records, err := runner.RunSpecs(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := fault.FinalizeSharded(runner.Config(), runner.Golden(), records, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

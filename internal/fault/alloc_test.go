@@ -88,52 +88,66 @@ func TestRunTrialZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTelemetrySlotZeroAlloc gates a telemetry campaign slot's
-// per-trial step, campaignSlot.Run: the forked trial on the slot's
-// metrics-only collector, the merge of its registry into the slot's
-// accumulator and the trial's campaign.* counters, on the benchmark's
-// seed-1 trials. Two passes over the trials (Base, which plans a trial,
-// then Run) fill the suffix table and every buffer a trial's path
-// grows; the gate then reruns the planned trials that fire no
+// TestTelemetrySlotZeroAlloc gates a campaign slot's whole per-trial
+// step, campaignSlot.Base and Run: drawing the trial on the slot's
+// stream and selecting its fork base, the forked trial and, on a
+// telemetry slot's metrics-only collector, the merge of its registry
+// into the slot's accumulator and the trial's campaign.* counters —
+// with no collector and with one, on the benchmark's seed-1 trials.
+// Two passes over the trials fill the suffix table and every buffer a
+// trial's path grows; the gate then reruns the trials that fire no
 // mechanism and end on a table entry without marking, and requires
 // them to allocate nothing.
 func TestTelemetrySlotZeroAlloc(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
 	const trials = 2048
-	r, err := NewShardRunner(w, CampaignConfig{Trials: trials, Seed: 1, Parallelism: 1, Telemetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw := r.slots[0].fw
-	s := &campaignSlot{r: r, fw: fw, acc: fw.col.Registry().Sibling(),
-		plans: make([]trialPlan, trials), records: make([]TrialRecord, trials)}
-	var hot []int
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < trials; i++ {
-			s.Base(i)
-			if err := s.Run(i); err != nil {
+	for _, tc := range []struct {
+		name      string
+		telemetry bool
+	}{{"no-collector", false}, {"metrics", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewShardRunner(w, CampaignConfig{Trials: trials, Seed: 1, Parallelism: 1, Telemetry: tc.telemetry})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if pass == 1 && s.records[i].Mechanisms == nil && fw.hit != nil && len(fw.marks) == 0 {
-				hot = append(hot, i)
+			fw := r.slots[0].fw
+			s := &campaignSlot{r: r, fw: fw, plans: make([]trialPlan, trials), records: make([]TrialRecord, trials)}
+			if tc.telemetry {
+				s.acc = fw.col.Registry().Sibling()
 			}
-		}
-	}
-	if len(hot) < 200 {
-		t.Fatalf("only %d trials end on an entry without marking or a mechanism", len(hot))
-	}
-	k := 0
-	if got := testing.AllocsPerRun(len(hot), func() {
-		if err := s.Run(hot[k%len(hot)]); err != nil {
-			t.Fatal(err)
-		}
-		k++
-	}); got != 0 {
-		t.Errorf("a telemetry slot's trial step allocates %v times, want 0", got)
-	}
-	t.Logf("%d of %d trials gated", len(hot), trials)
-	if n := s.acc.CounterValue(obs.Key{Name: "campaign.trials"}); n < 2*trials {
-		t.Errorf("the accumulator counted %d trials, want at least %d", n, 2*trials)
+			step := func(i int) {
+				s.Base(i)
+				if err := s.Run(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var hot []int
+			for pass := 0; pass < 2; pass++ {
+				for i := 0; i < trials; i++ {
+					step(i)
+					if pass == 1 && s.records[i].Mechanisms == nil && fw.hit != nil && len(fw.marks) == 0 {
+						hot = append(hot, i)
+					}
+				}
+			}
+			if len(hot) < 200 {
+				t.Fatalf("only %d trials end on an entry without marking or a mechanism", len(hot))
+			}
+			k := 0
+			if got := testing.AllocsPerRun(len(hot), func() {
+				step(hot[k%len(hot)])
+				k++
+			}); got != 0 {
+				t.Errorf("a slot's trial step allocates %v times, want 0", got)
+			}
+			t.Logf("%d of %d trials gated", len(hot), trials)
+			if !tc.telemetry {
+				return
+			}
+			if n := s.acc.CounterValue(obs.Key{Name: "campaign.trials"}); n < 2*trials {
+				t.Errorf("the accumulator counted %d trials, want at least %d", n, 2*trials)
+			}
+		})
 	}
 }
 

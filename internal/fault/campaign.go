@@ -20,15 +20,6 @@ type CampaignConfig struct {
 	Trials int
 	// Seed drives all random choices; campaigns are fully reproducible.
 	Seed uint64
-	// Plan, when non-nil, replaces random fault drawing with an
-	// enumerated placement list: trial i injects exactly Plan[i], no
-	// kernel-hit coin is tossed (a planned fault lands in kernel
-	// execution only when the kernel is actually executing at its
-	// instant — the deterministic part of the kernel model), and Trials
-	// is forced to len(Plan). The exhaustive verifier (internal/exhaust)
-	// uses planned campaigns to cross-check its enumeration against the
-	// sampling engine's classification of the very same placements.
-	Plan []Fault
 	// Targets restricts the fault locations. Default AllTargets().
 	Targets []Target
 	// KernelShare is the probability that a fault strikes during kernel
@@ -89,9 +80,6 @@ type CampaignConfig struct {
 }
 
 func (c *CampaignConfig) applyDefaults() {
-	if c.Plan != nil {
-		c.Trials = len(c.Plan)
-	}
 	if c.Trials == 0 {
 		c.Trials = 1000
 	}
@@ -310,7 +298,7 @@ func Run(w Workload, cfg CampaignConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	records, events, metrics, err := r.run(0, cfg.Trials, ProgressCounter(cfg.OnProgress, cfg.Trials))
+	records, events, metrics, err := r.run(0, cfg.Trials, nil, ProgressCounter(cfg.OnProgress, cfg.Trials))
 	if err != nil {
 		return nil, err
 	}
@@ -445,31 +433,32 @@ func apply(inst *Instance, f Fault) {
 	}
 }
 
-// runTrial is the from-scratch reference trial: a fresh instance, the
-// injection scheduled at t=0 and simulated through, no checkpoints and
-// no cutoff. No engine runs it; it is the oracle the differential tests
-// (and ScratchTrial) compare the fork core against. The trial's random
-// decisions (or its enumerated placement) arrive precomputed in plan —
-// see planForTrial. The finished instance is returned with the record.
-func runTrial(w Workload, plan trialPlan, golden []Write, col *obs.Collector) (TrialRecord, *Instance, error) {
+// ScratchTrial runs spec as the from-scratch reference trial: a fresh
+// instance built with col, the injection scheduled at t=0 and simulated
+// through with no checkpoints and no cutoff, classified against golden.
+// It is a test oracle, not an engine — the differential tests pin every
+// engine's records to it. The trial's fault and kernel coins arrive
+// precomputed in spec (a sampled campaign's come from drawTrial). The
+// finished instance is returned for counters the record omits.
+func ScratchTrial(w Workload, spec TrialSpec, golden []Write, col *obs.Collector) (TrialRecord, *Instance, error) {
 	inst, err := newInstance(w, col)
 	if err != nil {
 		return TrialRecord{}, nil, err
 	}
-	f := plan.fault
+	f := spec.Fault
 	rec := TrialRecord{Fault: f}
 	// Whether this fault lands in kernel execution was decided up front:
 	// the simulated kernel's logic runs outside the simulated CPU, so its
 	// share of exposure is modelled explicitly (see CampaignConfig).
 	undetectedKernel := false
 	inst.Sim.Schedule(f.At, des.PrioInject, func() {
-		if plan.kernelHit || inst.Kernel.Activity() == kernel.ActivityKernel {
+		if spec.KernelHit || inst.Kernel.Activity() == kernel.ActivityKernel {
 			rec.Kernel = true
 			// A modelled kernel hit is detected with probability
 			// KernelDetect; a fault that lands while the kernel itself is
 			// executing (and was not already modelled as a kernel hit) is
 			// always caught by the kernel EDMs.
-			if plan.kernelDetected || (inst.Kernel.Activity() == kernel.ActivityKernel && !plan.kernelHit) {
+			if spec.KernelDetected || (inst.Kernel.Activity() == kernel.ActivityKernel && !spec.KernelHit) {
 				inst.Kernel.ForceFailSilent("kernel EDM: assertion after fault")
 			} else {
 				undetectedKernel = true

@@ -287,34 +287,25 @@ func (cs *checkpointStore) selectFor(at des.Time) int {
 	return best
 }
 
-// trialPlan precomputes one trial's random decisions. The draws replay
-// runTrial's exact order on the trial's (Seed, index) stream — fault
-// first, then the kernel-hit coin, then (only on a hit) the
-// kernel-detect coin — so planned trials consume the stream identically
-// to from-scratch trials and every derived value is bit-equal.
+// trialPlan is one trial's spec with its fork base selected.
 type trialPlan struct {
-	fault          Fault
-	kernelHit      bool
-	kernelDetected bool
+	TrialSpec
 	// ckpt is the fork base, filled in per worker (every worker's
 	// deterministic capture yields the same checkpoint geometry).
 	ckpt int
 }
 
-// planForTrial precomputes one trial's decisions: the enumerated
-// placement when cfg.Plan is set (planned campaigns toss no coins — the
-// kernel-hit model's deterministic part, the activity check at the
-// injection instant, still applies), otherwise runTrial's exact draw
-// order on the trial's (Seed, index) stream.
-func planForTrial(w Workload, cfg *CampaignConfig, trial int) trialPlan {
-	if cfg.Plan != nil {
-		return trialPlan{fault: cfg.Plan[trial]}
-	}
-	rng := des.NewRandIndexed(cfg.Seed, uint64(trial))
+// drawTrial draws trial i of a sampled campaign on its (Seed, i)
+// stream, reseeding rng in place: the fault first, then the kernel-hit
+// coin, then (only on a hit) the kernel-detect coin. The draws are a
+// pure function of (Seed, i), so any slot drawing any trial in any
+// order draws what a serial campaign does.
+func drawTrial(w Workload, cfg *CampaignConfig, i int, rng *des.Rand) TrialSpec {
+	rng.SeedIndexed(cfg.Seed, uint64(i))
 	f := drawFault(w, *cfg, rng)
 	kh := rng.Bool(cfg.KernelShare)
 	kd := kh && rng.Bool(cfg.KernelDetect)
-	return trialPlan{fault: f, kernelHit: kh, kernelDetected: kd}
+	return TrialSpec{Fault: f, KernelHit: kh, KernelDetected: kd}
 }
 
 // forkWorker is the one forked-trial core every engine runs, each
@@ -362,21 +353,21 @@ type forkWorker struct {
 }
 
 // inject applies the current trial's fault — the same decision tree as
-// the from-scratch runTrial. A modelled kernel hit is detected with
+// the from-scratch ScratchTrial. A modelled kernel hit is detected with
 // probability KernelDetect; a fault landing while the kernel itself
 // executes (and not already modelled as a kernel hit) is always caught
 // by the kernel EDMs.
 func (fw *forkWorker) inject() {
-	if fw.plan.kernelHit || fw.inst.Kernel.Activity() == kernel.ActivityKernel {
+	if fw.plan.KernelHit || fw.inst.Kernel.Activity() == kernel.ActivityKernel {
 		fw.rec.Kernel = true
-		if fw.plan.kernelDetected || (fw.inst.Kernel.Activity() == kernel.ActivityKernel && !fw.plan.kernelHit) {
+		if fw.plan.KernelDetected || (fw.inst.Kernel.Activity() == kernel.ActivityKernel && !fw.plan.KernelHit) {
 			fw.inst.Kernel.ForceFailSilent("kernel EDM: assertion after fault")
 		} else {
 			fw.undetectedKernel = true
 		}
 		return
 	}
-	apply(fw.inst, fw.plan.fault)
+	apply(fw.inst, fw.plan.Fault)
 }
 
 // lookup runs at checkpoint boundary b after the injection, once the
@@ -419,15 +410,15 @@ func (fw *forkWorker) run(plan trialPlan) (TrialRecord, error) {
 	fw.restore(plan.ckpt)
 
 	fw.plan = plan
-	fw.rec = TrialRecord{Fault: plan.fault}
+	fw.rec = TrialRecord{Fault: plan.Fault}
 	fw.undetectedKernel = false
 	fw.hit = nil
 	fw.marks = fw.marks[:0]
-	fw.inst.Sim.Schedule(plan.fault.At, des.PrioInject, fw.injectFn)
+	fw.inst.Sim.Schedule(plan.Fault.At, des.PrioInject, fw.injectFn)
 
 	for b := plan.ckpt + 1; b < len(fw.cs.states); b++ {
 		at := fw.cs.states[b].at
-		if at <= plan.fault.At {
+		if at <= plan.Fault.At {
 			continue
 		}
 		if err := fw.inst.Sim.RunUntil(at); err != nil {

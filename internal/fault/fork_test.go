@@ -30,7 +30,7 @@ var forkEquivCases = []struct {
 }
 
 // scratchCampaign is the from-scratch reference campaign: every trial
-// of cfg runs through the oracle runTrial, in index order, on a fresh
+// of cfg runs through the oracle ScratchTrial, in index order, on a fresh
 // instance with a fresh collector when telemetry is on, and the result
 // is assembled by FinalizeSharded as fault.Run assembles its own.
 func scratchCampaign(t *testing.T, w Workload, cfg CampaignConfig) *Result {
@@ -50,9 +50,10 @@ func scratchCampaign(t *testing.T, w Workload, cfg CampaignConfig) *Result {
 		metrics = obs.NewRegistry()
 	}
 	var events []obs.Event
+	specs := campaignSpecs(w, cfg)
 	for i := range records {
 		col := campaignCollector(&cfg)
-		rec, _, err := runTrial(w, planForTrial(w, &cfg, i), golden, col)
+		rec, _, err := ScratchTrial(w, specs[i], golden, col)
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}

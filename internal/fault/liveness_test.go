@@ -28,8 +28,8 @@ func inCopy(s *ForkSession, k int) bool {
 
 // TestDeadContextCutoffDifferential: with boundaries every ~2 µs, many
 // land inside task copies (live context) and many in idle time (dead
-// context). A register/PC/SP-only planned campaign aimed just before
-// both kinds of boundary runs with the convergence cutoff on, and every
+// context). A register/PC/SP-only spec list aimed just before both
+// kinds of boundary runs on a one-slot runner at that spacing, and every
 // record must equal the from-scratch oracle's (ScratchTrial, no
 // cutoff) — the dead-context rule may only end a trial early, never
 // change its outcome. Every in-copy boundary must
@@ -63,22 +63,26 @@ func TestDeadContextCutoffDifferential(t *testing.T) {
 	}
 
 	targets := []Target{TargetRegister, TargetPC, TargetSP}
-	var plan []Fault
+	var specs []TrialSpec
 	add := func(ks []int, n int) {
 		for i := 0; i < n; i++ {
 			k := ks[i*len(ks)/n]
 			f := Fault{At: s.CheckpointAt(k) - 500*des.Nanosecond,
-				Target: targets[len(plan)%len(targets)], Bit: uint(len(plan) * 7 % 32)}
+				Target: targets[len(specs)%len(targets)], Bit: uint(len(specs) * 7 % 32)}
 			if f.Target == TargetRegister {
-				f.Reg = 1 + len(plan)%13
+				f.Reg = 1 + len(specs)%13
 			}
-			plan = append(plan, f)
+			specs = append(specs, TrialSpec{Fault: f})
 		}
 	}
 	add(busy, min(48, len(busy)))
 	add(idle, 48)
 
-	got, err := Run(w, CampaignConfig{Plan: plan, SnapshotInterval: interval, Parallelism: 1})
+	r, err := NewShardRunner(w, CampaignConfig{SnapshotInterval: interval, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.RunSpecs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,17 +90,17 @@ func TestDeadContextCutoffDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, f := range plan {
-		want, _, err := ScratchTrial(w, TrialSpec{Fault: f}, golden, nil)
+	for i, spec := range specs {
+		want, _, err := ScratchTrial(w, spec, golden, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Trials[i], want) {
-			t.Fatalf("trial %d (%v): cutoff %+v, scratch %+v", i, f, got.Trials[i], want)
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("trial %d (%v): cutoff %+v, scratch %+v", i, spec.Fault, got[i], want)
 		}
 	}
 	t.Logf("%d in-copy (live) / %d idle boundaries; %d planned trials agree",
-		len(busy), len(idle), len(plan))
+		len(busy), len(idle), len(specs))
 }
 
 // TestIdleFlipConvergesWithoutTaskCycles: a register flip at an idle

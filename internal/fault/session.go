@@ -1,8 +1,9 @@
 package fault
 
-// ForkSession is every engine's per-slot fork state: fault.Run and
-// ShardRunner hold one per slot, the adaptive engine (internal/adapt)
-// and the exhaustive verifier (internal/exhaust) one per worker. A
+// ForkSession is every engine's per-slot fork state: ShardRunner holds
+// one per slot for fault.Run, shard leases and RunSpecs lists (the
+// adaptive engine's rounds, the exhaustive cross-check), and the
+// exhaustive verifier (internal/exhaust) one per worker. A
 // session is one live instance, a golden-prefix checkpoint store
 // captured with the campaign's exact phantom-injection queue geometry,
 // the finished golden run's writes and suffix telemetry, the suffix
@@ -160,12 +161,7 @@ type TrialSpec struct {
 
 // plan is spec's trial plan with its fork base selected.
 func (s *ForkSession) plan(spec TrialSpec) trialPlan {
-	return trialPlan{
-		fault:          spec.Fault,
-		kernelHit:      spec.KernelHit,
-		kernelDetected: spec.KernelDetected,
-		ckpt:           s.fw.cs.selectFor(spec.Fault.At),
-	}
+	return trialPlan{TrialSpec: spec, ckpt: s.fw.cs.selectFor(spec.Fault.At)}
 }
 
 // RunTrial executes one forked trial of spec on the session's
@@ -246,13 +242,3 @@ func (s *ForkSession) RecordedEntries() int { return len(s.fw.table.m) - len(s.f
 // reference for ScratchTrial, and the reference a session's golden run
 // is pinned against.
 func GoldenWrites(w Workload) ([]Write, error) { return goldenRun(w, nil) }
-
-// ScratchTrial runs spec as the from-scratch reference trial (runTrial):
-// a fresh instance built with col, simulated from t=0 with no fork
-// machinery, classified against golden. It is a test oracle, not an
-// engine — the differential tests pin every engine's records to it.
-// The finished instance is returned for counters the record omits.
-func ScratchTrial(w Workload, spec TrialSpec, golden []Write, col *obs.Collector) (TrialRecord, *Instance, error) {
-	return runTrial(w, trialPlan{fault: spec.Fault, kernelHit: spec.KernelHit,
-		kernelDetected: spec.KernelDetected}, golden, col)
-}

@@ -9,8 +9,8 @@ package fault
 // serial campaign.
 //
 // Why a shard is bit-identical to the same index range of a serial
-// run: every trial's plan is a pure function of (Seed, trial index)
-// (planForTrial), every trial executes on the same fork core
+// run: every trial's spec is a pure function of (Seed, trial index)
+// (drawTrial), every trial executes on the same fork core
 // (forkWorker.run), records land at their trial index, the
 // outcome tallies are computed from the records (FinalizeSharded), and
 // the telemetry registry is a commutative sum of per-trial
@@ -23,6 +23,7 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/cpu"
+	"repro/internal/des"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -40,13 +41,16 @@ type ShardResult struct {
 	Metrics *obs.RegistryWire
 }
 
-// ShardRunner executes arbitrary trial-index ranges of one campaign
-// configuration. Build one per campaign and feed it every lease: slot
-// 0's fork session — whose capture run is the campaign's golden run —
-// is built at construction and every other slot's on its first range,
-// so subsequent leases start injecting immediately. Not safe for
-// concurrent Run calls (each lease already fans out over
-// cfg.Parallelism slots internally).
+// ShardRunner is the one holder of per-slot fork sessions for planned
+// and sampled trials alike. It executes arbitrary trial-index ranges of
+// one campaign configuration (Run) and caller-given trial lists
+// (RunSpecs: the adaptive engine's rounds, the exhaustive
+// cross-check). Build one per campaign and feed it every lease or
+// round: slot 0's fork session — whose capture run is the campaign's
+// golden run — is built at construction and every other slot's on its
+// first call, so later calls start injecting immediately. Not safe for
+// concurrent calls (each already fans out over cfg.Parallelism slots
+// internally).
 type ShardRunner struct {
 	w   Workload
 	cfg CampaignConfig
@@ -57,15 +61,10 @@ type ShardRunner struct {
 }
 
 // NewShardRunner validates the configuration and builds slot 0's fork
-// session, whose capture run is the golden run. Sharded campaigns draw
-// every trial from its (Seed, index) stream, so planned campaigns
-// (cfg.Plan) are rejected; per-trial event streams
+// session, whose capture run is the golden run. Per-trial event streams
 // (cfg.TelemetryEvents) are trial-ordered rather than additive, so they
-// are a serial-only feature and rejected too.
+// are a serial-only feature and rejected.
 func NewShardRunner(w Workload, cfg CampaignConfig) (*ShardRunner, error) {
-	if cfg.Plan != nil {
-		return nil, fmt.Errorf("fault: planned campaigns cannot be sharded")
-	}
 	if cfg.TelemetryEvents {
 		return nil, fmt.Errorf("fault: per-trial event streams cannot be sharded; use Telemetry (metrics only)")
 	}
@@ -118,6 +117,10 @@ func (r *ShardRunner) Config() CampaignConfig { return r.cfg }
 // Golden is the fault-free output sequence.
 func (r *ShardRunner) Golden() []Write { return r.slots[0].Golden() }
 
+// ActivityWindows is the golden run's merged kernel-activity windows
+// (ForkSession.ActivityWindows of slot 0).
+func (r *ShardRunner) ActivityWindows() []Interval { return r.slots[0].ActivityWindows() }
+
 // Run executes trials [lo, hi) and returns their records and additive
 // telemetry delta. Any partition of [0, Trials) into Run calls — in any
 // order, including overlapping re-runs of the same range discarded by
@@ -126,7 +129,7 @@ func (r *ShardRunner) Run(lo, hi int) (*ShardResult, error) {
 	if lo < 0 || hi > r.cfg.Trials || lo >= hi {
 		return nil, fmt.Errorf("fault: shard range [%d, %d) outside campaign [0, %d)", lo, hi, r.cfg.Trials)
 	}
-	records, _, reg, err := r.run(lo, hi, nil)
+	records, _, reg, err := r.run(lo, hi, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -137,13 +140,27 @@ func (r *ShardRunner) Run(lo, hi int) (*ShardResult, error) {
 	return out, nil
 }
 
+// RunSpecs executes a caller-given trial list and returns the records
+// in list order: specs[i] is injected exactly as given, kernel coins
+// included (both false for a coin-free population; the kernel-activity
+// check at the injection instant applies either way), on the same slots
+// and fork core as Run. The configuration's Trials and Seed play no
+// part, and no telemetry is returned. Sessions persist across calls, so
+// each slot's suffix table and slice memo carry over from one list to
+// the next; the records do not depend on them.
+func (r *ShardRunner) RunSpecs(specs []TrialSpec) ([]TrialRecord, error) {
+	records, _, _, err := r.run(0, len(specs), specs, nil)
+	return records, err
+}
+
 // run executes trials [lo, hi) on the range executor and returns their
 // records in index order, their event streams (TelemetryEvents only)
-// and the merged telemetry registry (Telemetry only). progress, when
-// non-nil, is called after every trial.
-func (r *ShardRunner) run(lo, hi int, progress func()) ([]TrialRecord, [][]obs.Event, *obs.Registry, error) {
+// and the merged telemetry registry (Telemetry only). Trial i is
+// specs[i] when specs is non-nil and drawn from its (Seed, i) stream
+// otherwise. progress, when non-nil, is called after every trial.
+func (r *ShardRunner) run(lo, hi int, specs []TrialSpec, progress func()) ([]TrialRecord, [][]obs.Event, *obs.Registry, error) {
 	n := hi - lo
-	shared := campaignSlot{r: r, lo: lo, progress: progress,
+	shared := campaignSlot{r: r, lo: lo, specs: specs, progress: progress,
 		plans: make([]trialPlan, n), records: make([]TrialRecord, n)}
 	if r.cfg.TelemetryEvents {
 		shared.events = make([][]obs.Event, n)
@@ -179,16 +196,19 @@ func (r *ShardRunner) run(lo, hi int, progress func()) ([]TrialRecord, [][]obs.E
 }
 
 // campaignSlot is one slot's view of a ShardRunner range: the slot's
-// fork worker and telemetry accumulator, plus the range's outputs
-// addressed by index offset (each index is written by one slot only).
-// The accumulator is a sibling of the slot's instance registry, so the
-// per-trial merge adds series by id; the range's slot accumulators then
-// merge by key into one registry.
+// fork worker, telemetry accumulator and trial stream, plus the range's
+// outputs addressed by index offset (each index is written by one slot
+// only). The accumulator is a sibling of the slot's instance registry,
+// so the per-trial merge adds series by id; the range's slot
+// accumulators then merge by key into one registry.
 type campaignSlot struct {
-	r        *ShardRunner
-	fw       *forkWorker
-	acc      *obs.Registry
-	lo       int
+	r     *ShardRunner
+	fw    *forkWorker
+	acc   *obs.Registry
+	lo    int
+	specs []TrialSpec // nil: trials are drawn
+	// rng is reseeded for every drawn trial, so drawing allocates nothing.
+	rng      des.Rand
 	plans    []trialPlan
 	records  []TrialRecord
 	events   [][]obs.Event
@@ -197,9 +217,13 @@ type campaignSlot struct {
 
 // Base plans trial i and selects its fork base.
 func (s *campaignSlot) Base(i int) int {
-	p := planForTrial(s.r.w, &s.r.cfg, i)
-	p.ckpt = s.fw.cs.selectFor(p.fault.At)
-	s.plans[i-s.lo] = p
+	p := &s.plans[i-s.lo]
+	if s.specs != nil {
+		p.TrialSpec = s.specs[i]
+	} else {
+		p.TrialSpec = drawTrial(s.r.w, &s.r.cfg, i, &s.rng)
+	}
+	p.ckpt = s.fw.cs.selectFor(p.Fault.At)
 	return p.ckpt
 }
 

@@ -121,7 +121,7 @@ func (fw *forkWorker) mark(key suffixKey) {
 // finish composes the stopped trial's full-horizon observables — the
 // live prefix plus the entry that ended it, or the empty
 // simulatedSuffix when it ran to the horizon — and classifies them
-// exactly like runTrial. A trial that marked boundaries then ends its
+// exactly like ScratchTrial. A trial that marked boundaries then ends its
 // recorder (the composed extremes joined its last interval) and turns
 // its marks into entries, copying its composed tails from the first mark
 // on once: every later mark's tail is a suffix of the copy.

@@ -19,9 +19,9 @@ func endedGolden(s *ForkSession) bool { return s.fw.hit != nil && s.fw.hit.golde
 func campaignSpecs(w Workload, cfg CampaignConfig) []TrialSpec {
 	cfg.applyDefaults()
 	specs := make([]TrialSpec, cfg.Trials)
+	var rng des.Rand
 	for i := range specs {
-		p := planForTrial(w, &cfg, i)
-		specs[i] = TrialSpec{Fault: p.fault, KernelHit: p.kernelHit, KernelDetected: p.kernelDetected}
+		specs[i] = drawTrial(w, &cfg, i, &rng)
 	}
 	return specs
 }
