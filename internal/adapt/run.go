@@ -201,15 +201,24 @@ func (e *engine) allocate(size int) []int {
 // each trial's stratum index and spec; the runner writes each record at
 // the trial's flat index, so neither the worker count nor completion
 // order can influence what is committed.
+//
+// The round reseeds one stream value in place for every trial and
+// sizes both slices up front, so its allocations do not grow with the
+// trial count.
 func (e *engine) planRound(alloc []int) ([]int, []fault.TrialSpec) {
-	var sis []int
-	var specs []fault.TrialSpec
+	n := 0
+	for _, a := range alloc {
+		n += a
+	}
+	sis := make([]int, 0, n)
+	specs := make([]fault.TrialSpec, 0, n)
+	var rng des.Rand
 	for si, s := range e.strata {
 		for j := 0; j < alloc[si]; j++ {
-			rng := des.NewRandIndexed2(e.cfg.Seed, s.key(), uint64(s.drawn+j))
+			rng.SeedIndexed2(e.cfg.Seed, s.key(), uint64(s.drawn+j))
 			at := s.instant(des.Time(rng.Intn(int(s.freeW))))
 			sis = append(sis, si)
-			specs = append(specs, fault.TrialSpec{Fault: fault.DrawFaultAt(e.w, s.target, at, rng)})
+			specs = append(specs, fault.TrialSpec{Fault: fault.DrawFaultAt(e.w, s.target, at, &rng)})
 		}
 		s.drawn += alloc[si]
 	}

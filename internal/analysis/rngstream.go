@@ -11,7 +11,8 @@ import (
 // Parallel campaigns are bit-identical across worker counts only
 // because every trial derives its stream as a pure function of
 // (seed, trial index) via des.NewRandIndexed (or Rand.SeedIndexed, which
-// reseeds a stream value in place); constructing a stream any
+// reseeds a stream value in place; the adaptive engine's two-level
+// NewRandIndexed2 and SeedIndexed2 likewise); constructing a stream any
 // other way — des.NewRand, Rand.Split (draw-order dependent), or
 // math/rand sources — reintroduces schedule-dependent state.
 var RNGStream = &Analyzer{

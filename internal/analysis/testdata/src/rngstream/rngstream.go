@@ -25,6 +25,12 @@ func perStratumTrial(seed, key uint64, idx int) *des.Rand {
 	return des.NewRandIndexed2(seed, key, uint64(idx))
 }
 
+// reseededStratumTrial is the same seam in place: the stream a round
+// reuses is reseeded from (seed, stratum key, index) for every trial.
+func reseededStratumTrial(r *des.Rand, seed, key uint64, idx int) {
+	r.SeedIndexed2(seed, key, uint64(idx))
+}
+
 func rootStream(seed uint64) *des.Rand {
 	return des.NewRand(seed) // want `des\.NewRand in campaign/worker code`
 }

@@ -1,9 +1,6 @@
 package cpu
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // FuzzAssemble exercises the assembler with arbitrary source text:
 // it must reject or accept, never panic, and anything accepted must
@@ -132,10 +129,16 @@ func FuzzDispatchDifferential(f *testing.F) {
 // must equal the plain one, and the replay must leave the third
 // machine exactly as the recording left the second: every register,
 // PC, flag, signature, pending ALU mask, cycle and retire count, MMU
-// violation, RAM word, the word sum and the dirty pages, the port
-// writes in order, the event and the exception.
+// violation, RAM word, the word sum and the dirty pages, the corrected
+// errors and pending ECC flips, the port writes in order, the event
+// and the exception. It then starts the same slice with up to two ECC
+// flips pending (flips; see injectFlips) three more times: plainly,
+// and twice through the memo, which looks each up under the recorded
+// flip-free key, learns the read set on the first and, where the flips
+// allow it, replays on the second. Both must equal the plain run.
 func FuzzSliceReplay(f *testing.F) {
-	// A store to RAM, an input load, a port store and an event.
+	// A store to RAM, an input load, a port store and an event, with a
+	// single-bit flip on an instruction word it fetches.
 	f.Add(programBytes(`
 	movi r1, 5
 	st r1, [r0+64]
@@ -144,9 +147,9 @@ func FuzzSliceReplay(f *testing.F) {
 	add r3, r3, r1
 	st r3, [r2+16]
 	sys 2
-`), uint64(1), uint16(50), uint32(0), false)
+`), uint64(1), uint16(50), uint32(0), false, uint32(3<<7|2))
 	// A loop through the ALU with a pending mask, cut by the bound, with
-	// the MMU on.
+	// the MMU on, and a multi-bit flip on the stack it pushes to.
 	f.Add(programBytes(`
 	movi r5, 40
 loop:
@@ -156,65 +159,69 @@ loop:
 	cmpi r5, 0
 	bgt loop
 	sys 2
-`), uint64(2), uint16(90), uint32(1<<7), true)
-	// A store the MMU refuses, and a wild jump.
+`), uint64(2), uint16(90), uint32(1<<7), true, uint32(1<<12|9<<7|126))
+	// A store the MMU refuses, and a wild jump, with flips on a word
+	// nothing reads: multi-bit and single-bit.
 	f.Add(programBytes(`
 	movi r1, 8
 	st r1, [r1+0]
 	jr r4
-`), uint64(3), uint16(30), uint32(0), true)
-	f.Add([]byte{0xEE, 0x00, 0x00, 0x00}, uint64(4), uint16(4), uint32(0), false)
-	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, bound uint16, alu uint32, mmu bool) {
+`), uint64(3), uint16(30), uint32(0), true, uint32((1<<12|100)<<16|4<<7|101))
+	f.Add([]byte{0xEE, 0x00, 0x00, 0x00}, uint64(4), uint16(4), uint32(0), false, uint32(0))
+	// Stored before a read, read then stored, read only and stored
+	// only, each with a single-bit flip on its word or its neighbour's.
+	rule := programBytes(flipRuleSrc)
+	for k, w := range []uint32{64, 65, 66, 67} {
+		f.Add(rule, uint64(5+k), uint16(60), uint32(0), false, uint32(w|uint32(k)<<7))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, bound uint16, alu uint32, mmu bool, flips uint32) {
 		maxCycles := uint64(bound%512) + 1
-		ref, refBus := replayMachine(raw, seed, alu, mmu)
-		a, aBus := replayMachine(raw, seed, alu, mmu)
-		b, bBus := replayMachine(raw, seed, alu, mmu)
+		machine := func(flipped bool) *replayRun {
+			c, bus := replayMachine(raw, seed, alu, mmu)
+			if flipped {
+				injectFlips(c.Mem, flips)
+			}
+			return &replayRun{c: c, bus: bus}
+		}
+		ref, a, b := machine(false), machine(false), machine(false)
 		memo := &SliceMemo{Limit: 1}
-		if SliceKey(a, maxCycles, 9) != SliceKey(b, maxCycles, 9) {
+		key := SliceKey(a.c, maxCycles, 9)
+		if SliceKey(b.c, maxCycles, 9) != key {
 			t.Fatal("identical machines key differently")
 		}
-		evRef, excRef, usedRef := ref.RunCycles(maxCycles)
-		evA, excA, usedA := memo.RunCycles(a, maxCycles, 9)
-		evB, excB, usedB := memo.RunCycles(b, maxCycles, 9)
+		ref.plain(maxCycles)
+		a.through(memo, maxCycles)
+		b.through(memo, maxCycles)
 		if got := memo.Stats; got.InterpretedSlices != 1 || got.ReplayedSlices != 1 || memo.Len() != 1 {
 			t.Fatalf("memo stats %+v with %d entries; want one slice recorded and one replayed", got, memo.Len())
 		}
-		same := func(what string, x, y *CPU, xBus, yBus *replayBus, evx, evy Event, excx, excy *Exception, usedx, usedy uint64) {
-			t.Helper()
-			if evx != evy || usedx != usedy {
-				t.Fatalf("%s: event %+v after %d cycles, %+v after %d", what, evx, usedx, evy, usedy)
-			}
-			if (excx == nil) != (excy == nil) || (excx != nil && *excx != *excy) {
-				t.Fatalf("%s: exception %v, %v", what, excx, excy)
-			}
-			var sx, sy CPUState
-			x.SnapshotState(&sx)
-			y.SnapshotState(&sy)
-			if sx != sy {
-				t.Fatalf("%s: CPU state %+v, %+v", what, sx, sy)
-			}
-			if x.MMU.Violations != y.MMU.Violations {
-				t.Fatalf("%s: %d MMU violations, %d", what, x.MMU.Violations, y.MMU.Violations)
-			}
-			if !slices.Equal(x.Mem.words, y.Mem.words) || x.Mem.wordSum != y.Mem.wordSum ||
-				!slices.Equal(x.Mem.dirty, y.Mem.dirty) || x.Mem.CorrectedErrors != y.Mem.CorrectedErrors {
-				t.Fatalf("%s: memory differs (word sums %#x, %#x; dirty %b, %b)",
-					what, x.Mem.wordSum, y.Mem.wordSum, x.Mem.dirty, y.Mem.dirty)
-			}
-			if !slices.Equal(xBus.out, yBus.out) {
-				t.Fatalf("%s: port writes %v, %v", what, xBus.out, yBus.out)
-			}
-		}
-		same("recorded vs plain", a, ref, aBus, refBus, evA, evRef, excA, excRef, usedA, usedRef)
-		same("replayed vs recorded", b, a, bBus, aBus, evB, evA, excB, excA, usedB, usedA)
+		sameRun(t, "recorded vs plain", a, ref)
+		sameRun(t, "replayed vs recorded", b, a)
 		// The replay installed the same RAM, so the next checkpoint of
 		// either machine holds the same words.
 		var ma, mb MemoryState
-		a.Mem.Snapshot(&ma)
-		b.Mem.Snapshot(&mb)
-		if ma.wordSum != mb.wordSum || a.Mem.Snap.PagesCopied != b.Mem.Snap.PagesCopied {
+		a.c.Mem.Snapshot(&ma)
+		b.c.Mem.Snapshot(&mb)
+		if ma.wordSum != mb.wordSum || a.c.Mem.Snap.PagesCopied != b.c.Mem.Snap.PagesCopied {
 			t.Fatalf("next snapshots differ: word sums %#x, %#x; %d, %d pages copied",
-				ma.wordSum, mb.wordSum, a.Mem.Snap.PagesCopied, b.Mem.Snap.PagesCopied)
+				ma.wordSum, mb.wordSum, a.c.Mem.Snap.PagesCopied, b.c.Mem.Snap.PagesCopied)
 		}
+
+		fref, f1, f2 := machine(true), machine(true), machine(true)
+		if len(f1.c.Mem.pendingFlips) == 0 {
+			return
+		}
+		if got := sliceKey(f1.c, f1.c.Mem.flipFreeDigest(), maxCycles, 9); got != key {
+			t.Fatal("the flip-free key differs from the recorded slice's key")
+		}
+		fref.plain(maxCycles)
+		before := memo.Stats
+		f1.through(memo, maxCycles)
+		if d := memo.Stats.InterpretedSlices - before.InterpretedSlices; d != 1 || memo.Len() != 1 {
+			t.Fatalf("the first flip-pending slice: %d interpreted, %d entries; want it interpreted and nothing recorded", d, memo.Len())
+		}
+		f2.through(memo, maxCycles)
+		sameRun(t, "learning run with flips pending vs plain", f1, fref)
+		sameRun(t, "second run with flips pending vs plain", f2, fref)
 	})
 }

@@ -254,8 +254,8 @@ func TestDeltaSnapshotPageTraffic(t *testing.T) {
 	if got := m.Snap.PagesCopied; got != 2 {
 		t.Fatalf("first capture copied %d pages, want the 2 non-zero ones", got)
 	}
-	if s1.pages[1] != zeroPage || s1.pages[3] != zeroPage {
-		t.Fatalf("all-zero pages 1 and 3 hold ids %d and %d, want the zero page", s1.pages[1], s1.pages[3])
+	if pageID(m, &s1, 1) != zeroPage || pageID(m, &s1, 3) != zeroPage {
+		t.Fatalf("all-zero pages 1 and 3 hold ids %d and %d, want the zero page", pageID(m, &s1, 1), pageID(m, &s1, 3))
 	}
 
 	// A clean re-capture copies nothing and shares every buffer.
@@ -264,8 +264,8 @@ func TestDeltaSnapshotPageTraffic(t *testing.T) {
 	if got := m.Snap.PagesCopied; got != 2 {
 		t.Fatalf("clean capture copied %d pages total, want still 2", got)
 	}
-	for p := range s1.pages {
-		if s1.pages[p] != s2.pages[p] {
+	for p := 0; p < 4; p++ {
+		if pageID(m, &s1, p) != pageID(m, &s2, p) {
 			t.Fatalf("page %d not shared across clean captures", p)
 		}
 	}
@@ -277,11 +277,11 @@ func TestDeltaSnapshotPageTraffic(t *testing.T) {
 	if got := m.Snap.PagesCopied; got != 3 {
 		t.Fatalf("dirty capture copied %d pages total, want 3", got)
 	}
-	if s3.pages[0] == s2.pages[0] {
+	if pageID(m, &s3, 0) == pageID(m, &s2, 0) {
 		t.Error("dirtied page 0 still shared")
 	}
 	for p := 1; p < 4; p++ {
-		if s3.pages[p] != s2.pages[p] {
+		if pageID(m, &s3, p) != pageID(m, &s2, p) {
 			t.Errorf("clean page %d not shared", p)
 		}
 	}
@@ -307,8 +307,10 @@ func TestDeltaSnapshotPageTraffic(t *testing.T) {
 
 // TestPageStoreFirstCapture pins what a fresh 256 KiB memory's first
 // capture stores: its non-zero pages, each once, plus the one shared
-// zero page that all 1,021 untouched pages map to. A later capture of a
-// page zeroed again maps it back to the zero page without storing it.
+// zero page that all 1,021 untouched pages map to, and the id blocks
+// of the two bitmap words holding a non-zero page, plus the zero block.
+// A later capture of a page zeroed again maps it back to the zero page
+// without storing it, and stores its block anew.
 func TestPageStoreFirstCapture(t *testing.T) {
 	const words = 64 * 1024 // 256 KiB, 1,024 pages
 	m := NewMemory(words, false)
@@ -327,9 +329,12 @@ func TestPageStoreFirstCapture(t *testing.T) {
 	if got := len(m.store.chunks); got != 1 {
 		t.Errorf("page store holds %d chunks, want 1", got)
 	}
+	if got := m.blocks.n; got != 2+1 {
+		t.Errorf("first capture stored %d id blocks, want the 2 holding a non-zero page + 1 zero", got)
+	}
 	zero := 0
-	for _, id := range st.pages {
-		if id == zeroPage {
+	for p := 0; p < 1024; p++ {
+		if pageID(m, &st, p) == zeroPage {
 			zero++
 		}
 	}
@@ -340,8 +345,9 @@ func TestPageStoreFirstCapture(t *testing.T) {
 	m.Poke(uint32(17*PageBytes+8), 0)
 	var st2 MemoryState
 	m.Snapshot(&st2)
-	if st2.pages[17] != zeroPage || m.store.n != 4 {
-		t.Errorf("re-zeroed page 17 holds id %d with %d pages stored, want the zero page and 4", st2.pages[17], m.store.n)
+	if pageID(m, &st2, 17) != zeroPage || m.store.n != 4 || m.blocks.n != 4 {
+		t.Errorf("re-zeroed page 17 holds id %d with %d pages and %d blocks stored, want the zero page, 4 and 4",
+			pageID(m, &st2, 17), m.store.n, m.blocks.n)
 	}
 	m.Restore(&st)
 	if got := m.Peek(uint32(17*PageBytes + 8)); got != 3 {

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"maps"
 )
 
 // Memory is a word-addressed RAM with an optional SEC-DED ECC model and a
@@ -45,13 +46,22 @@ type Memory struct {
 	// RAM content as of the last Snapshot/Restore unless the page has
 	// been dirtied since. A fresh memory's shadow names the zero page.
 	shadow []uint32
+	// shadowBlk mirrors shadow one block of 64 pages (one dirty-bitmap
+	// word) at a time: shadowBlk[b] names a stored block holding
+	// exactly shadow's ids for block b. A fresh memory's blocks all name
+	// the block of zero pages.
+	shadowBlk []uint32
 	// store holds the immutable page buffers that shadow and every
-	// checkpoint's id array index (see snapshot.go). It only grows:
+	// checkpoint's blocks index (see snapshot.go). It only grows:
 	// states index into it, so it is rewound by restoring ids, not
 	// itself.
 	//nlft:snapshot-skip append-only page store that checkpoint ids index; Snapshot appends and Restore reads it, it is never rewound
 	store pageStore
-	// synced is the state whose page array m.shadow equals exactly: the
+	// blocks holds the immutable id blocks that shadowBlk and every
+	// checkpoint's block ids index, on the same terms as store.
+	//nlft:snapshot-skip append-only block store that checkpoint block ids index; Snapshot appends and Restore reads it, it is never rewound
+	blocks pageStore
+	// synced is the state whose ids m.shadow equals exactly: the
 	// target of the last Snapshot or Restore (nil before the first).
 	// Restore from it visits only dirty pages (see snapshot.go).
 	//nlft:snapshot-skip synchronization metadata naming the last Snapshot/Restore target, not machine state
@@ -60,6 +70,12 @@ type Memory struct {
 	// slice makes, RAM and I/O alike, in order (nil otherwise).
 	//nlft:snapshot-skip recording hook set and cleared within one slice; never live at a Snapshot or Restore
 	log *[]memWrite
+	// reads, while a slice memo learns a slice's read set, receives the
+	// index of every RAM word the slice loads or fetches (nil
+	// otherwise). Reads reach it only on the pending-flip path, which
+	// the memo keeps taken for the whole slice (SliceMemo.learn).
+	//nlft:snapshot-skip learning hook set and cleared within one slice; never live at a Snapshot or Restore
+	reads *[]uint32
 	// Snap counts snapshot/restore page traffic (measurements only;
 	// excluded from digests like the other counters).
 	Snap SnapStats
@@ -89,6 +105,7 @@ func NewMemory(sizeWords int, ecc bool) *Memory {
 		pendingFlips: make(map[uint32]uint32),
 		dirty:        make([]uint64, (nPages+63)/64),
 		shadow:       make([]uint32, nPages),
+		shadowBlk:    make([]uint32, (nPages+63)/64),
 	}
 }
 
@@ -154,14 +171,19 @@ func (m *Memory) Load(addr uint32) (uint32, *Exception) {
 // exactly as a load does: a zero mask is dropped, a single-bit error is
 // corrected transparently (counted), and a multi-bit error traps. The
 // predecoded fetch path shares this helper so latent flips on
-// instruction words fire identically on both engines.
+// instruction words fire identically on both engines. Every RAM read
+// made while a flip is pending passes here, so here a learning slice
+// memo logs them (Memory.reads).
 //
 //nlft:noalloc
 func (m *Memory) resolveFlip(addr uint32) *Exception {
+	idx := addr / 4
+	if m.reads != nil {
+		*m.reads = append(*m.reads, idx)
+	}
 	if !m.ecc {
 		return nil
 	}
-	idx := addr / 4
 	mask, dirty := m.pendingFlips[idx]
 	if !dirty {
 		return nil
@@ -234,6 +256,10 @@ func (m *Memory) Poke(addr, value uint32) {
 	m.words[idx] = value
 	m.markDirty(idx)
 }
+
+// PendingFlips returns a copy of the pending ECC flip masks by word
+// index (for tests and diagnostics; it allocates).
+func (m *Memory) PendingFlips() map[uint32]uint32 { return maps.Clone(m.pendingFlips) }
 
 // Peek reads a word without fault semantics (ignores pending ECC state).
 //

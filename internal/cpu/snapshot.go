@@ -83,9 +83,13 @@ const (
 // id names an immutable buffer: only Snapshot writes a page, into a slot
 // it has just appended, and ids are never reused. Chunks hold no
 // pointers, so the store costs the collector one pointer per chunk, and
-// a checkpoint is an array of ids rather than of buffer pointers. Id 0
-// is the shared all-zero page: every captured page that holds only
-// zeros maps to it instead of being copied.
+// a checkpoint holds ids rather than buffer pointers. Id 0 is the
+// shared all-zero page: every captured page that holds only zeros maps
+// to it instead of being copied.
+//
+// The same type stores id blocks: the page ids of one dirty-bitmap
+// word's 64 pages fill one 64-word buffer exactly, and block id 0, all
+// zero, names the block whose pages are all the zero page.
 type pageStore struct {
 	chunks []*[storeChunk]memPage
 	n      uint32 // pages stored, the zero page included
@@ -113,8 +117,13 @@ func (s *pageStore) add(src []uint32) uint32 {
 	return id
 }
 
-// zeroPage is the id of the shared all-zero page.
+// zeroPage is the id of the shared all-zero page. Id 0 of a block
+// store likewise names the block whose pages are all the zero page.
 const zeroPage = 0
+
+// A block holds the ids of the 64 pages one dirty-bitmap word covers,
+// in a buffer of pageWords words.
+var _ = [1]struct{}{}[pageWords-64]
 
 // allZero reports whether every word of a page is zero.
 //
@@ -142,11 +151,12 @@ type SnapStats struct {
 }
 
 // MemoryState is preallocated scratch for Memory.Snapshot/Restore.
-// RAM content is held as one page id per page into the memory's page
-// store, with structural sharing across checkpoints of the same Memory
-// (see Snapshot).
+// RAM content is held as one block id per 64 pages into the memory's
+// block store, each block holding its pages' ids into the page store,
+// with structural sharing across checkpoints of the same Memory (see
+// Snapshot).
 type MemoryState struct {
-	pages           []uint32
+	blocks          []uint32
 	wordSum         uint64
 	flips           []flipEntry
 	correctedErrors uint64
@@ -165,32 +175,44 @@ type MemoryState struct {
 // is all zero and its shadow names the zero page, so the invariant
 // holds from construction and even the first capture visits only the
 // pages written since. The capture therefore visits only the set bits
-// of the dirty bitmap and copies the id array.
+// of the dirty bitmap.
+//
+// The state holds one id per block of 64 pages (the pages of one
+// bitmap word), not one per page: m.shadowBlk[b] names a stored block
+// equal to block b of m.shadow. A capture stores a new block only
+// where a page id in it changed, and copies the block ids.
 //
 //nlft:noalloc
 func (m *Memory) Snapshot(into *MemoryState) {
-	if len(into.pages) != len(m.shadow) {
+	if len(into.blocks) != len(m.shadowBlk) {
 		//nlft:allow noalloc cold first-capture sizing; the slice is retained for the state's lifetime
-		into.pages = make([]uint32, len(m.shadow))
+		into.blocks = make([]uint32, len(m.shadowBlk))
 	}
 	m.Snap.Snapshots++
 	if m.store.n == 0 {
-		m.store.add(nil) // the shared zero page, id 0
+		m.store.add(nil)  // the shared zero page, id 0
+		m.blocks.add(nil) // the block of zero pages, id 0
 	}
 	for i, w := range m.dirty {
+		changed := false
 		for ; w != 0; w &= w - 1 {
 			p := i<<6 | bits.TrailingZeros64(w)
 			words := m.words[p<<pageShift : min((p+1)<<pageShift, len(m.words))]
-			if allZero(words) {
-				m.shadow[p] = zeroPage
-				continue
+			id := uint32(zeroPage)
+			if !allZero(words) {
+				id = m.store.add(words)
+				m.Snap.PagesCopied++
 			}
-			m.shadow[p] = m.store.add(words)
-			m.Snap.PagesCopied++
+			if m.shadow[p] != id {
+				m.shadow[p], changed = id, true
+			}
+		}
+		if changed {
+			m.shadowBlk[i] = m.blocks.add(m.shadow[i<<6 : min((i+1)<<6, len(m.shadow))])
 		}
 	}
 	clear(m.dirty)
-	copy(into.pages, m.shadow)
+	copy(into.blocks, m.shadowBlk)
 	m.synced = into
 	into.wordSum = m.wordSum
 	into.flips = into.flips[:0]
@@ -213,24 +235,34 @@ func (m *Memory) Snapshot(into *MemoryState) {
 // scan or recompute is needed.
 //
 // Synced-state invariant: every Snapshot(into) and Restore(from) leaves
-// m.shadow equal to that state's id array, and m.synced names that
-// state. Restoring m.synced again finds every id already installed, so
-// only the set bits of the dirty bitmap are visited; restoring any
-// other state first scans the id array, installing each differing id
-// and flagging its page. Either way exactly the pages the full scan
-// would copy are copied, so PagesRestored does not depend on the path.
-// The fork engine runs trials in fork-base order, so only a change of
-// base pays the scan. States are compared by identity, which is sound
-// because only this memory's own Snapshot writes a state's id array.
+// m.shadow equal to that state's page ids (and m.shadowBlk to its block
+// ids), and m.synced names that state. Restoring m.synced again finds
+// every id already installed, so only the set bits of the dirty bitmap
+// are visited; restoring any other state first scans its block ids,
+// skips each block whose id is already installed (stored blocks are
+// immutable, so equal ids mean equal page ids), and in each other
+// block installs every differing page id and flags its page. Either
+// way exactly the pages the full scan would copy are copied, so
+// PagesRestored does not depend on the path. The fork engine runs
+// trials in fork-base order, so only a change of base pays the scan.
+// States are compared by identity, which is sound because only this
+// memory's own Snapshot writes a state's block ids.
 //
 //nlft:noalloc
 func (m *Memory) Restore(from *MemoryState) {
 	m.Snap.Restores++
 	if m.synced != from {
-		for p, id := range from.pages {
-			if m.shadow[p] != id {
-				m.shadow[p] = id
-				m.markDirty(uint32(p) << pageShift)
+		for b, id := range from.blocks {
+			if m.shadowBlk[b] == id {
+				continue
+			}
+			m.shadowBlk[b] = id
+			ids := m.blocks.page(id).words[:]
+			for p := b << 6; p < min((b+1)<<6, len(m.shadow)); p++ {
+				if pg := ids[p&63]; m.shadow[p] != pg {
+					m.shadow[p] = pg
+					m.markDirty(uint32(p) << pageShift)
+				}
 			}
 		}
 		m.synced = from
@@ -359,7 +391,6 @@ func wordSig(idx, w uint32) uint64 {
 //
 //nlft:noalloc
 func (m *Memory) StateDigest() uint64 {
-	d := digestFold(0, m.wordSum)
 	var flips uint64
 	//nlft:allow nodeterminism commutative sum of avalanche-mixed terms; iteration order cannot change the result
 	for addr, mask := range m.pendingFlips {
@@ -367,5 +398,12 @@ func (m *Memory) StateDigest() uint64 {
 			flips += digestMix(uint64(addr)<<32 | uint64(mask))
 		}
 	}
-	return digestFold(d, flips)
+	return digestFold(digestFold(0, m.wordSum), flips)
 }
+
+// flipFreeDigest is the StateDigest the memory would have with no ECC
+// flip pending: the slice memo's key for a flip-pending state (see
+// memo.go). With no flip pending it equals StateDigest.
+//
+//nlft:noalloc
+func (m *Memory) flipFreeDigest() uint64 { return digestFold(digestFold(0, m.wordSum), 0) }

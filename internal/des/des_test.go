@@ -349,11 +349,17 @@ func TestRandIndexed2Determinism(t *testing.T) {
 	// Pure function of (seed, stream, idx): derivation order is
 	// irrelevant, and the two-level family never aliases the one-level
 	// family or its own neighbours.
+	// A value reseeded in place, after draws on another stream, draws
+	// the same as a fresh one.
 	a := NewRandIndexed2(42, 7, 17)
 	_ = NewRandIndexed2(42, 9, 3) // unrelated derivation must not perturb anything
 	b := NewRandIndexed2(42, 7, 17)
+	var c Rand
+	c.SeedIndexed2(42, 9, 3)
+	c.Uint64()
+	c.SeedIndexed2(42, 7, 17)
 	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
+		if x := a.Uint64(); x != b.Uint64() || x != c.Uint64() {
 			t.Fatal("same (seed, stream, idx) diverged")
 		}
 	}

@@ -82,7 +82,19 @@ func (r *Rand) SeedIndexed(seed, idx uint64) {
 // NewRandIndexed2(seed, s, i) never collides structurally with
 // NewRandIndexed(seed, i) (distinct additive constants).
 func NewRandIndexed2(seed, stream, idx uint64) *Rand {
-	return NewRand(mix64(seed+0x9e3779b97f4a7c15) ^
+	r := &Rand{}
+	r.SeedIndexed2(seed, stream, idx)
+	return r
+}
+
+// SeedIndexed2 reseeds r in place as the (stream, idx)-th member of
+// seed's two-level family: r then draws exactly what
+// NewRandIndexed2(seed, stream, idx) would, so a consumer drawing many
+// trials keeps one Rand value and reseeds it per trial.
+//
+//nlft:noalloc
+func (r *Rand) SeedIndexed2(seed, stream, idx uint64) {
+	r.seed(mix64(seed+0x9e3779b97f4a7c15) ^
 		mix64(stream+0xbb67ae8584caa73b) ^ mix64(idx+0x6a09e667f3bcc909))
 }
 

@@ -84,8 +84,8 @@ type SnapshotHinter interface {
 // SnapshotInterval or a workload that dispatches very often cannot
 // exhaust memory: the interval is clamped up so the grid alone fits,
 // and dispatch checkpoints are taken only in the room the grid leaves.
-// With delta snapshots a checkpoint costs only its dirtied pages and
-// its page-id array, so the clamp is loose — it exists to stop
+// With delta snapshots a checkpoint costs only its dirtied pages, the
+// id blocks they changed and its block-id array, so the clamp is loose — it exists to stop
 // degenerate configurations, not to ration full-image copies as the
 // pre-delta engine had to.
 const maxCheckpoints = 4096

@@ -54,14 +54,38 @@ func repeatHeavySpecs(t *testing.T, w Workload, s *ForkSession) (specs []TrialSp
 	return specs, task, idle
 }
 
+// memFlipSpecs places a single-bit ECC flip in the task's code and one
+// in its state words at n instants spread over the injection window
+// and at each of the given ones, cycling through the words and bits.
+// Most are pending when a copy starts a slice it, or the golden run,
+// already ran, so the slice replays its flip-free entry and applies the
+// correction.
+func memFlipSpecs(w Workload, n int, at []des.Time) []TrialSpec {
+	start, end := w.InjectionWindow()
+	for i := 0; i < n; i++ {
+		at = append(at, start+(end-start)*des.Time(i)/des.Time(n))
+	}
+	codeBase, codeWords := w.CodeRange()
+	dataBase, dataWords := w.DataRange()
+	var specs []TrialSpec
+	for k, a := range at {
+		specs = append(specs,
+			TrialSpec{Fault: Fault{At: a, Target: TargetMemoryCode, Addr: codeBase + 4*uint32(k*7%int(codeWords)), Bit: uint(k * 11 % 32)}},
+			TrialSpec{Fault: Fault{At: a, Target: TargetMemoryData, Addr: dataBase + 4*uint32(k%int(dataWords)), Bit: uint(k * 5 % 32)}})
+	}
+	return specs
+}
+
 // TestSliceReplayDifferential runs repeat-heavy placements twice
 // through two fork sessions, one without a collector and one with a
 // metrics-and-events collector, on the gate workload and on its MMU
-// variant. Both sessions replay CPU slices from their slice memos, and
-// the second pass replays nearly all of them; every record must equal
-// the from-scratch oracle's, which never replays, and the collecting
-// session's registry digest and event stream must equal the oracle
-// collector's, trial by trial.
+// variant. The placements include single-bit ECC flips in code and
+// state words at many instants (memFlipSpecs). Both sessions replay CPU
+// slices from their slice memos, slices that start with a flip pending
+// among them, and the second pass replays nearly all of them; every
+// record must equal the from-scratch oracle's, which never replays, and
+// the collecting session's registry digest and event stream must equal
+// the oracle collector's, trial by trial.
 func TestSliceReplayDifferential(t *testing.T) {
 	for _, cfg := range []StdWorkloadConfig{{ECC: true}, {ECC: true, UseMMU: true}} {
 		name := "ecc"
@@ -86,6 +110,11 @@ func TestSliceReplayDifferential(t *testing.T) {
 			if task == 0 || idle == 0 {
 				t.Fatalf("%d placements mid-copy and %d idle; want both", task, idle)
 			}
+			var at []des.Time
+			for _, spec := range specs {
+				at = append(at, spec.Fault.At)
+			}
+			specs = append(specs, memFlipSpecs(w, 97, slices.Compact(at))...)
 			mechs := map[string]int{}
 			before := plain.SliceStats()
 			for pass := 0; pass < 2; pass++ {
@@ -116,16 +145,19 @@ func TestSliceReplayDifferential(t *testing.T) {
 					}
 				}
 			}
-			if mechs["comparison"] == 0 || mechs["illegal-opcode"]+mechs["address-error"]+mechs["bus-error"]+mechs["mmu-violation"] == 0 {
-				t.Errorf("mechanisms %v: want comparisons and trapped copies", mechs)
+			if mechs["comparison"] == 0 || mechs["illegal-opcode"]+mechs["address-error"]+mechs["bus-error"]+mechs["mmu-violation"] == 0 ||
+				mechs["ecc"] == 0 {
+				t.Errorf("mechanisms %v: want comparisons, trapped copies and corrected flips", mechs)
 			}
 			st := plain.SliceStats()
 			replayed, interpreted := st.ReplayedSlices-before.ReplayedSlices, st.InterpretedSlices-before.InterpretedSlices
-			if replayed <= interpreted {
-				t.Errorf("the plain session replayed %d slices and interpreted %d; the placements repeat slices", replayed, interpreted)
+			flipped := st.FlipReplayedSlices - before.FlipReplayedSlices
+			if replayed <= interpreted || flipped == 0 {
+				t.Errorf("the plain session replayed %d slices (%d with a flip pending) and interpreted %d; the placements repeat slices",
+					replayed, flipped, interpreted)
 			}
-			t.Logf("%d specs (%d instants mid-copy, %d idle); mechanisms %v; plain session replayed %d slices, interpreted %d",
-				len(specs), task, idle, mechs, replayed, interpreted)
+			t.Logf("%d specs (%d instants mid-copy, %d idle); mechanisms %v; plain session replayed %d slices (%d with a flip pending), interpreted %d",
+				len(specs), task, idle, mechs, replayed, flipped, interpreted)
 		})
 	}
 }

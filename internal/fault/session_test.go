@@ -180,3 +180,16 @@ func BenchmarkNewForkSession(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkActivityWindows times a plain golden run of the gate
+// workload: a fault-free instance with no slice memo, the interpreter's
+// flip-free load and fetch path throughout.
+func BenchmarkActivityWindows(b *testing.B) {
+	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ActivityWindows(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -75,14 +76,17 @@ func TestSliceKeyCompleteness(t *testing.T) {
 // a preempted long copy waits with its live context in the processor:
 // a register flip (caught by the comparison, then
 // outvoted by a third copy), a pending ALU mask, an ECC flip in the
-// short task's code (pending until its next fetch) and a PC flip out of
-// the task's code (an MMU trap that restarts the copy). It then runs a
-// second memo kernel, whose slices the first one recorded, against a
-// fresh plain one. After every event the processor state (cycle and
-// retire counters included), every RAM word, the pages the next
-// checkpoint copies, the forward digest and the running copy's
-// buffered outputs must agree, and at the end the committed writes,
-// events and metrics.
+// short task's code (pending until its next fetch), a PC flip out of
+// the task's code (an MMU trap that restarts the copy), a single-bit
+// ECC flip in the long task's loop (corrected when the copy resumes)
+// and a multi-bit one on a word no task reads, which stays pending to
+// the end, so every later slice starts with a flip pending. It then
+// runs a second memo kernel, whose slices the first one recorded,
+// against a fresh plain one. After every event the processor state
+// (cycle and retire counters included), every RAM word, the corrected
+// errors, the pending flips, the pages the next checkpoint copies, the
+// forward digest and the running copy's buffered outputs must agree,
+// and at the end the committed writes, events and metrics.
 func TestSliceReplayLockstep(t *testing.T) {
 	const period = 2 * des.Millisecond
 	memo := &cpu.SliceMemo{Limit: 1 << 12}
@@ -95,6 +99,11 @@ func TestSliceReplayLockstep(t *testing.T) {
 			// copy has run, from the saved one: flip both.
 			k.proc.FlipPC(14)
 			k.current.ctx.PC ^= 1 << 14
+		},
+		func(k *Kernel) { k.mem.FlipBit(codeA+8, 11) },
+		func(k *Kernel) {
+			k.mem.FlipBit(0x6000, 1)
+			k.mem.FlipBit(0x6000, 30)
 		},
 	}
 	lockstep := func(name string) cpu.SliceStats {
@@ -132,6 +141,10 @@ func TestSliceReplayLockstep(t *testing.T) {
 				t.Fatalf("%s, event %d at %v: the checkpoint copies %d pages, plain %d", name, step, simR.Now(),
 					kM.mem.Snap.PagesCopied-copied, kR.mem.Snap.PagesCopied-copied)
 			}
+			if kR.mem.CorrectedErrors != kM.mem.CorrectedErrors || !maps.Equal(kR.mem.PendingFlips(), kM.mem.PendingFlips()) {
+				t.Fatalf("%s, event %d at %v: %d corrected errors and pending flips %v, plain %d and %v", name, step, simR.Now(),
+					kM.mem.CorrectedErrors, kM.mem.PendingFlips(), kR.mem.CorrectedErrors, kR.mem.PendingFlips())
+			}
 			for a := uint32(0); a < kR.mem.SizeBytes(); a += 4 {
 				if kR.mem.Peek(a) != kM.mem.Peek(a) {
 					t.Fatalf("%s, event %d at %v: RAM word %#x differs", name, step, simR.Now(), a)
@@ -161,12 +174,17 @@ func TestSliceReplayLockstep(t *testing.T) {
 			len(eventsOf(colR, obs.KindVote)) == 0 {
 			t.Errorf("%s: detections %v; the faults should be compared, voted on and trapped", name, det)
 		}
+		if kR.mem.CorrectedErrors < 2 || len(kR.mem.PendingFlips()) == 0 {
+			t.Errorf("%s: %d corrected errors, pending flips %v; want both single-bit flips corrected and the multi-bit one pending",
+				name, kR.mem.CorrectedErrors, kR.mem.PendingFlips())
+		}
 		d := memo.Stats
 		return cpu.SliceStats{
-			InterpretedSlices: d.InterpretedSlices - before.InterpretedSlices,
-			InterpretedCycles: d.InterpretedCycles - before.InterpretedCycles,
-			ReplayedSlices:    d.ReplayedSlices - before.ReplayedSlices,
-			ReplayedCycles:    d.ReplayedCycles - before.ReplayedCycles,
+			InterpretedSlices:  d.InterpretedSlices - before.InterpretedSlices,
+			InterpretedCycles:  d.InterpretedCycles - before.InterpretedCycles,
+			ReplayedSlices:     d.ReplayedSlices - before.ReplayedSlices,
+			ReplayedCycles:     d.ReplayedCycles - before.ReplayedCycles,
+			FlipReplayedSlices: d.FlipReplayedSlices - before.FlipReplayedSlices,
 		}
 	}
 	first := lockstep("recording")
@@ -175,11 +193,13 @@ func TestSliceReplayLockstep(t *testing.T) {
 		t.Errorf("the recording run replayed no slice (%+v); its TEM copies repeat each other", first)
 	}
 	// The second run makes the first run's slices: it replays every one
-	// the first recorded or replayed, and interprets only those that
-	// started with the ECC flip pending.
+	// the first recorded or replayed, and of those that started with a
+	// flip pending, every one whose flip-free entry the first run
+	// learned the read set of and whose flips that set lets through.
 	second := lockstep("replaying")
 	if second.InterpretedSlices+second.ReplayedSlices != first.InterpretedSlices+first.ReplayedSlices ||
-		second.InterpretedSlices != first.InterpretedSlices-recorded {
+		second.InterpretedSlices > first.InterpretedSlices-recorded ||
+		second.FlipReplayedSlices <= first.FlipReplayedSlices {
 		t.Errorf("replaying run %+v after recording run %+v (%d recorded)", second, first, recorded)
 	}
 	t.Logf("recording run %+v, replaying run %+v, %d entries", first, second, recorded)
