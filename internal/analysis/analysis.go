@@ -188,19 +188,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// isPkgFunc reports whether fn is the package-level function
-// pkgPath.name (not a method).
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if fn.Pkg().Path() != pkgPath || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
 // builtinName returns the name of the built-in being called (append,
 // make, new, ...), or "" when the call is not a built-in.
 func builtinName(info *types.Info, call *ast.CallExpr) string {

@@ -67,31 +67,32 @@ func moduleDir(t *testing.T, elem ...string) string {
 	return filepath.Join(root, filepath.Join(elem...))
 }
 
-// TestSnapshotCoverSeededRegression deletes the speed copy from the
-// real bbw Vehicle.Snapshot and requires snapshotcover to report both
-// the uncaptured receiver field and the broken mirror symmetry.
+// TestSnapshotCoverSeededRegression deletes the dispatchPending copy
+// from the real kernel Kernel.Snapshot and requires snapshotcover to
+// report both the uncaptured receiver field and the broken mirror
+// symmetry.
 func TestSnapshotCoverSeededRegression(t *testing.T) {
-	dir := moduleDir(t, "internal", "bbw")
+	dir := moduleDir(t, "internal", "kernel")
 	path, patched := patchFile(t, dir, "snapshot.go",
-		"\tinto.speed = v.Speed\n", "")
+		"\tinto.dispatchPending = k.dispatchPending\n", "")
 
-	diags := checkReal(t, "repro/internal/bbw", dir,
+	diags := checkReal(t, "repro/internal/kernel", dir,
 		map[string][]byte{path: patched}, []*Analyzer{SnapshotCover})
 	var gotRecv, gotState bool
 	for _, d := range diags {
-		if strings.Contains(d.Message, "field Vehicle.Speed is not captured by Snapshot") {
+		if strings.Contains(d.Message, "field Kernel.dispatchPending is not captured by Snapshot") {
 			gotRecv = true
 		}
-		if strings.Contains(d.Message, "state field VehicleState.speed is never written by Snapshot") {
+		if strings.Contains(d.Message, "state field KernelState.dispatchPending is never written by Snapshot") {
 			gotState = true
 		}
 	}
 	if !gotRecv || !gotState {
-		t.Errorf("deleting the Speed copy must report the uncaptured field and the mirror break; got %v", diags)
+		t.Errorf("deleting the dispatchPending copy must report the uncaptured field and the mirror break; got %v", diags)
 	}
 
-	if clean := checkReal(t, "repro/internal/bbw", dir, nil, []*Analyzer{SnapshotCover}); len(clean) != 0 {
-		t.Errorf("unpatched bbw must be clean, got %v", clean)
+	if clean := checkReal(t, "repro/internal/kernel", dir, nil, []*Analyzer{SnapshotCover}); len(clean) != 0 {
+		t.Errorf("unpatched kernel must be clean, got %v", clean)
 	}
 }
 

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 )
@@ -25,7 +26,9 @@ import (
 // measurements rather than rewindable state are exempted per field with
 // //nlft:snapshot-skip <reason>; a newly added field in a snapshotted
 // struct therefore fails CI until it is either covered by the pair or
-// explicitly skipped with a recorded justification.
+// explicitly skipped with a recorded justification. A skip that exempts
+// no field of a checked struct (its pair was deleted, or it sits on a
+// struct that never had one) is itself a finding.
 //
 // Coverage is reference-based: a field counts as covered by a method
 // when the body mentions it through the receiver (or state parameter)
@@ -79,9 +82,69 @@ func runSnapshotCover(pass *Pass) {
 		}
 	}
 
+	paired := make(map[*types.TypeName]bool)
 	for _, g := range groups {
 		for _, pair := range capturePairs {
-			checkCapturePair(pass, g.tn, pair, g.decls[pair[0]], g.decls[pair[1]])
+			if state := checkCapturePair(pass, g.tn, pair, g.decls[pair[0]], g.decls[pair[1]]); state != nil {
+				paired[g.tn] = true
+				paired[state] = true
+			}
+		}
+	}
+	reportOrphanSkips(pass, paired)
+}
+
+// reportOrphanSkips reports every //nlft:snapshot-skip that exempts no
+// field of a checked struct: one on a field of a struct that is neither
+// the receiver nor the state struct of a recognized capture pair, or one
+// next to no field at all. Without this, an annotation outlives the pair
+// it was written for and reads as a decision about state that nothing
+// captures.
+func reportOrphanSkips(pass *Pass, paired map[*types.TypeName]bool) {
+	type field struct {
+		owner *types.TypeName
+		name  string
+		pos   token.Position
+	}
+	var fields []field
+	scope := pass.Pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			fields = append(fields, field{tn, f.Name(), pass.Fset.Position(f.Pos())})
+		}
+	}
+	for _, s := range pass.Directives.SnapshotSkips {
+		var orphan *field
+		exempts := false
+		for i := range fields {
+			f := &fields[i]
+			// The inverse of SnapshotSkipAt: the directive is on the
+			// field's line or on the line directly above it.
+			if f.pos.Filename != s.File || (f.pos.Line != s.Line && f.pos.Line != s.Line+1) {
+				continue
+			}
+			if paired[f.owner] {
+				exempts = true
+				break
+			}
+			orphan = f
+		}
+		switch {
+		case exempts:
+		case orphan != nil:
+			pass.Reportf(s.Pos, "orphaned //nlft:snapshot-skip: %s is neither the receiver nor the state struct of a Snapshot/Restore pair, so %s.%s is never checked; delete the annotation",
+				orphan.owner.Name(), orphan.owner.Name(), orphan.name)
+		default:
+			pass.Reportf(s.Pos, "orphaned //nlft:snapshot-skip: it annotates no struct field; delete it")
 		}
 	}
 }
@@ -125,7 +188,9 @@ func captureShape(pass *Pass, fd *ast.FuncDecl) (*types.TypeName, *types.Var) {
 	return named.Obj(), p0
 }
 
-func checkCapturePair(pass *Pass, tn *types.TypeName, names [2]string, snapFD, restFD *ast.FuncDecl) {
+// checkCapturePair checks one capture pair of tn and returns its state
+// struct, or nil when tn has no well-formed pair under these names.
+func checkCapturePair(pass *Pass, tn *types.TypeName, names [2]string, snapFD, restFD *ast.FuncDecl) *types.TypeName {
 	snapState, snapParam := (*types.TypeName)(nil), (*types.Var)(nil)
 	restState, restParam := (*types.TypeName)(nil), (*types.Var)(nil)
 	if snapFD != nil && snapFD.Body != nil {
@@ -136,19 +201,19 @@ func checkCapturePair(pass *Pass, tn *types.TypeName, names [2]string, snapFD, r
 	}
 	switch {
 	case snapState == nil && restState == nil:
-		return // no capture pair under these names
+		return nil // no capture pair under these names
 	case snapState != nil && restState == nil:
 		pass.Reportf(snapFD.Pos(), "%s.%s captures into *%s but %s has no mirror %s(from *%s): restores cannot rewind what this captures",
 			tn.Name(), names[0], snapState.Name(), tn.Name(), names[1], snapState.Name())
-		return
+		return nil
 	case snapState == nil && restState != nil:
 		pass.Reportf(restFD.Pos(), "%s.%s restores from *%s but %s has no mirror %s(into *%s): this rewinds state nothing captures",
 			tn.Name(), names[1], restState.Name(), tn.Name(), names[0], restState.Name())
-		return
+		return nil
 	case snapState != restState:
 		pass.Reportf(restFD.Pos(), "%s.%s restores from *%s but %s.%s captures into *%s: the pair must share one state type",
 			tn.Name(), names[1], restState.Name(), tn.Name(), names[0], snapState.Name())
-		return
+		return nil
 	}
 
 	// Receiver coverage: every field must be read at capture and written
@@ -174,6 +239,7 @@ func checkCapturePair(pass *Pass, tn *types.TypeName, names [2]string, snapFD, r
 				"state field %s.%s is never read back by %s: the pair is not mirror-symmetric (annotate //nlft:snapshot-skip <reason> if it is capture metadata, not rewound state)", names[1])
 		}
 	}
+	return snapState
 }
 
 // recvObject returns the receiver variable of a method declaration.

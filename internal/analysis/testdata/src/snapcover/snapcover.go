@@ -1,7 +1,7 @@
 // Package sctest is the snapshotcover fixture: Snapshot/Restore pairs
 // with covered, missed, skipped and allow-suppressed fields, a
 // delegating sub-component pair, a one-sided pair, a state-type
-// mismatch, and shapes outside the contract.
+// mismatch, orphaned skips, and shapes outside the contract.
 package sctest
 
 // inner/innerState: a fully covered SnapshotState/RestoreState pair the
@@ -104,6 +104,13 @@ func (e *extra) Restore(from *extraState, scratch []byte) {
 	e.n = from.n
 	_ = scratch
 }
+
+// stale lost its capture pair, so its skip exempts nothing.
+type stale struct {
+	n int //nlft:snapshot-skip immutable configuration // want "orphaned //nlft:snapshot-skip: stale is neither the receiver nor the state struct"
+}
+
+//nlft:snapshot-skip a skip on no field at all // want "orphaned //nlft:snapshot-skip: it annotates no struct field"
 
 // plain has no capture pair: nothing here is checked.
 type plain struct {

@@ -126,12 +126,15 @@ func (v *Vehicle) Step(dt float64, brakeForces [4]float64) {
 func (v *Vehicle) Stopped() bool { return v.Speed <= 0.01 }
 
 // IdealStoppingDistance returns the physics bound for stopping from
-// speed v0 at peak friction: v0²/(2·μ_peak·g).
+// speed v0 at peak friction: v0²/(2·μ_peak·g). TestVehicleStopsUnderBraking
+// and TestFaultFreeBrakingNLFT bound the simulated stop by it.
 func IdealStoppingDistance(v0 float64) float64 {
 	return v0 * v0 / (2 * 1.0 * gravity)
 }
 
-// LockedStoppingDistance returns the distance with all wheels locked.
+// LockedStoppingDistance returns the distance with all wheels locked:
+// the upper reference TestVehicleStopsUnderBraking and
+// TestFaultFreeBrakingNLFT hold the slip-controlled stop below.
 func LockedStoppingDistance(v0 float64) float64 {
 	return v0 * v0 / (2 * 0.7 * gravity)
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/markov"
-	"repro/internal/sharpe"
 )
 
 // This file models the redundancy alternatives the paper's introduction
@@ -117,38 +116,4 @@ func CompareRedundancy(p Params) ([]RedundancyOption, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Nodes < out[j].Nodes })
 	return out, nil
-}
-
-// SubsystemImportance reports the Birnbaum importance of each subsystem
-// in the Figure 5 fault tree at time t — a quantitative version of the
-// paper's §3.4 bottleneck observation.
-type SubsystemImportance struct {
-	CentralUnit float64
-	Wheels      float64
-}
-
-// BottleneckAnalysis computes Birnbaum importances for the BBW system.
-func BottleneckAnalysis(p Params, nt NodeType, mode Mode, hours float64) (SubsystemImportance, error) {
-	sys, err := BBWSystem(p, nt, mode)
-	if err != nil {
-		return SubsystemImportance{}, err
-	}
-	m, err := sys.Model(ModelBBW)
-	if err != nil {
-		return SubsystemImportance{}, err
-	}
-	ft, ok := m.(*sharpe.FTModel)
-	if !ok {
-		return SubsystemImportance{}, fmt.Errorf("core: %s is not a fault tree", ModelBBW)
-	}
-	tree := ft.Tree()
-	cu, err := tree.BirnbaumImportance("central-unit-fails", hours)
-	if err != nil {
-		return SubsystemImportance{}, err
-	}
-	wn, err := tree.BirnbaumImportance("wheel-subsystem-fails", hours)
-	if err != nil {
-		return SubsystemImportance{}, err
-	}
-	return SubsystemImportance{CentralUnit: cu, Wheels: wn}, nil
 }

@@ -72,28 +72,3 @@ func TestCompareRedundancy(t *testing.T) {
 		t.Error("NLFT MTTF not above FS MTTF")
 	}
 }
-
-// TestBottleneckAnalysis quantifies §3.4's "the main reliability
-// bottleneck is the wheel node subsystem" via Birnbaum importance.
-func TestBottleneckAnalysis(t *testing.T) {
-	p := PaperParams()
-	imp, err := BottleneckAnalysis(p, FS, Degraded, HoursPerYear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Birnbaum importance of the wheel subsystem exceeds the CU's:
-	// improving the wheels buys more system reliability.
-	if !(imp.Wheels > 0 && imp.CentralUnit > 0) {
-		t.Fatalf("importances = %+v", imp)
-	}
-	// For a two-input OR tree, Birnbaum(X) = R(other); the wheels being
-	// the bottleneck means the CU's reliability (= wheels' importance
-	// coefficient) ... check the paper's direction: unreliable wheels
-	// make the CU's importance low.
-	if !(imp.Wheels > imp.CentralUnit) {
-		t.Errorf("wheels importance %v not above CU %v", imp.Wheels, imp.CentralUnit)
-	}
-	if _, err := BottleneckAnalysis(p, NodeType(9), Degraded, 1); err == nil {
-		t.Error("bad node type accepted")
-	}
-}

@@ -90,9 +90,9 @@ type CPU struct {
 	Regs  [NumRegs]uint32
 	PC    uint32
 	Flags Flags
-	//nlft:snapshot-skip component with its own Snapshot/Restore pair, captured separately by the node layer
+	//nlft:snapshot-skip component with its own Snapshot/Restore pair, captured by Kernel.Snapshot through k.mem.Snapshot
 	Mem *Memory
-	//nlft:snapshot-skip component with its own Snapshot/Restore pair, captured separately by the node layer
+	//nlft:snapshot-skip component with its own Snapshot/Restore pair, captured by Kernel.Snapshot through k.mmu.Snapshot
 	MMU *MMU
 	// Cycles accumulates the cost of executed instructions.
 	Cycles uint64

@@ -201,7 +201,9 @@ func decode(w uint32) (decoded, bool) {
 	return d, true
 }
 
-// Disassemble renders an instruction word for traces and debugging.
+// Disassemble renders an instruction word as assembler source. It is
+// the inverse FuzzAssemble and TestAssembleDisassembleProperty
+// round-trip the assembler through.
 func Disassemble(w uint32) string {
 	d, ok := decode(w)
 	if !ok {

@@ -101,14 +101,3 @@ func (s *Simulator) ScheduledAt(e Event) (Time, bool) {
 	}
 	return s.pool[e.slot].at, true
 }
-
-// State returns the stream's internal xoshiro256** state, for inclusion
-// in a model snapshot.
-//
-//nlft:noalloc
-func (r *Rand) State() [4]uint64 { return r.s }
-
-// SetState rewinds the stream to a state previously returned by State.
-//
-//nlft:noalloc
-func (r *Rand) SetState(s [4]uint64) { r.s = s }

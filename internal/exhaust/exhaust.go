@@ -177,8 +177,9 @@ func Verify(w fault.Workload, cfg Config) (*Result, error) {
 }
 
 // VerifyFaults explores an explicit placement list instead of an
-// enumerated space — the fuzz and differential tests drive single
-// placements through the engine with it.
+// enumerated space — FuzzPlacementEquivalence and
+// TestBoundaryPlacements drive single placements through the engine
+// with it and compare against runScratchPlacement.
 func VerifyFaults(w fault.Workload, cfg Config, faults []fault.Fault) (*Result, error) {
 	cfg.applyDefaults()
 	return run(w, &cfg, faults, nil)
@@ -337,8 +338,9 @@ func newResult(cfg *Config, space *Space, recs []fault.TrialRecord, pviols [][]V
 // runScratchPlacement is the independent reference path: the campaign
 // engine's from-scratch oracle (fault.ScratchTrial) with a full-trace
 // collector — a fresh instance, the injection simulated from t=0, no
-// checkpoints, no cutoffs, no composition. The differential and fuzz
-// tests pin the fork engine against it.
+// checkpoints, no cutoffs, no composition. TestVerifyDifferential,
+// TestBoundaryPlacements and FuzzPlacementEquivalence pin the fork
+// engine against it (through verifyScratch).
 func runScratchPlacement(w fault.Workload, f fault.Fault, golden []fault.Write, idx int) (fault.TrialRecord, []Violation, error) {
 	col, err := fullTrace(w)
 	if err != nil {

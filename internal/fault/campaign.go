@@ -370,24 +370,11 @@ func drawFault(w Workload, cfg CampaignConfig, rng *des.Rand) Fault {
 	return f
 }
 
-// DrawFaultIn draws a fault for a fixed target with its injection
-// instant uniform in the half-open window [start, end) — the adaptive
-// campaign's per-stratum sampler (internal/adapt), whose strata fix
-// the (target, window) pair and randomize only instant and locus. The
-// instant is drawn first and the locus fields after, mirroring
-// drawFault's order, and the locus draws are the same Intn sequence,
-// so a one-stratum configuration consumes its stream exactly like the
-// uniform sampler does.
-func DrawFaultIn(w Workload, target Target, start, end des.Time, rng *des.Rand) Fault {
-	at := start + des.Time(rng.Intn(int(end-start)))
-	return DrawFaultAt(w, target, at, rng)
-}
-
 // DrawFaultAt draws the locus fields for a fault at a fixed instant —
 // for samplers that choose the instant themselves (the adaptive
 // campaign draws it uniform over a stratum's kernel-activity-free
 // sub-intervals). The locus draws are the same Intn sequence
-// DrawFaultIn performs after its instant draw.
+// drawFault performs after its instant draw.
 func DrawFaultAt(w Workload, target Target, at des.Time, rng *des.Rand) Fault {
 	f := Fault{At: at, Target: target}
 	drawLocus(w, &f, rng)
@@ -436,8 +423,10 @@ func apply(inst *Instance, f Fault) {
 // ScratchTrial runs spec as the from-scratch reference trial: a fresh
 // instance built with col, the injection scheduled at t=0 and simulated
 // through with no checkpoints and no cutoff, classified against golden.
-// It is a test oracle, not an engine — the differential tests pin every
-// engine's records to it. The trial's fault and kernel coins arrive
+// It is a test oracle, not an engine — the differential tests
+// (TestSliceReplayDifferential, TestDispatchCheckpointDifferential,
+// TestDeadContextCutoffDifferential, TestTrialTelemetryEquivalence and
+// others) pin every engine's records to it. The trial's fault and kernel coins arrive
 // precomputed in spec (a sampled campaign's come from drawTrial). The
 // finished instance is returned for counters the record omits.
 func ScratchTrial(w Workload, spec TrialSpec, golden []Write, col *obs.Collector) (TrialRecord, *Instance, error) {

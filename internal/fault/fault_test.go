@@ -53,29 +53,6 @@ func TestEnumCardinalities(t *testing.T) {
 	}
 }
 
-// TestDrawFaultInWindow pins the stratum sampler's contract: the
-// instant stays inside the half-open window, the target is the fixed
-// one, and a width-1 window always yields its single instant (the
-// end can never be drawn, matching drawFault's half-open convention).
-func TestDrawFaultInWindow(t *testing.T) {
-	w := NewStdWorkload(StdWorkloadConfig{})
-	start, end := w.InjectionWindow()
-	mid := start + (end-start)/2
-	for _, target := range AllTargets() {
-		for i := 0; i < 200; i++ {
-			rng := des.NewRandIndexed2(9, uint64(target), uint64(i))
-			f := DrawFaultIn(w, target, mid, end, rng)
-			if f.Target != target || f.At < mid || f.At >= end {
-				t.Fatalf("%v trial %d: fault %+v outside [%v, %v)", target, i, f, mid, end)
-			}
-		}
-		rng := des.NewRandIndexed2(9, uint64(target), 999)
-		if f := DrawFaultIn(w, target, mid, mid+1, rng); f.At != mid {
-			t.Errorf("%v: width-1 window drew %v, want %v", target, f.At, mid)
-		}
-	}
-}
-
 func TestSubsequenceHelpers(t *testing.T) {
 	a := []Write{{1, 1}, {1, 2}, {1, 3}}
 	if !isSubsequence([]Write{{1, 1}, {1, 3}}, a) {

@@ -1,7 +1,7 @@
 // Package faulttree implements static fault trees: basic events with
 // time-dependent failure probabilities combined through AND, OR and
 // K-of-N gates, with exact top-event evaluation (assuming independent
-// basic events), minimal cut-set extraction and Birnbaum importance.
+// basic events).
 //
 // The paper's Figure 5 is a fault tree whose top event is "BBW system
 // fails", an OR of the central-unit subsystem and the wheel-node
@@ -26,8 +26,6 @@ type Node interface {
 	// Q evaluates the node's failure probability at time t, assuming
 	// independence of all basic events beneath it.
 	Q(hours float64) float64
-	// cutSets returns the node's minimal cut sets over basic-event names.
-	cutSets() [][]string
 	// describe renders a structural description.
 	describe() string
 }
@@ -69,8 +67,6 @@ func ExponentialEvent(name string, ratePerHour float64) *Event {
 
 // Q evaluates the event's probability, clamped to [0,1].
 func (e *Event) Q(hours float64) float64 { return clamp(e.Fn(hours)) }
-
-func (e *Event) cutSets() [][]string { return [][]string{{e.Name}} }
 
 func (e *Event) describe() string { return e.Name }
 
@@ -158,64 +154,6 @@ func (g *Gate) Q(hours float64) float64 {
 		}
 		return clamp(sum)
 	}
-}
-
-func (g *Gate) cutSets() [][]string {
-	switch g.kind {
-	case orGate:
-		var out [][]string
-		for _, c := range g.children {
-			out = append(out, c.cutSets()...)
-		}
-		return out
-	case andGate:
-		return crossProduct(g.children)
-	default:
-		// K-of-N expands to an OR over all k-subsets ANDed together.
-		var out [][]string
-		subsets(len(g.children), g.k, func(idx []int) {
-			group := make([]Node, len(idx))
-			for i, j := range idx {
-				group[i] = g.children[j]
-			}
-			out = append(out, crossProduct(group)...)
-		})
-		return out
-	}
-}
-
-func crossProduct(children []Node) [][]string {
-	acc := [][]string{{}}
-	for _, c := range children {
-		var next [][]string
-		for _, partial := range acc {
-			for _, cs := range c.cutSets() {
-				merged := make([]string, 0, len(partial)+len(cs))
-				merged = append(merged, partial...)
-				merged = append(merged, cs...)
-				next = append(next, merged)
-			}
-		}
-		acc = next
-	}
-	return acc
-}
-
-// subsets invokes fn with every k-subset of [0,n).
-func subsets(n, k int, fn func([]int)) {
-	idx := make([]int, k)
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if depth == k {
-			fn(idx)
-			return
-		}
-		for i := start; i < n; i++ {
-			idx[depth] = i
-			rec(i+1, depth+1)
-		}
-	}
-	rec(0, 0)
 }
 
 func (g *Gate) describe() string {
@@ -365,74 +303,6 @@ func evalAssigned(n Node, assign map[string]bool) bool {
 
 // Reliability returns 1 − Eval(t).
 func (t *Tree) Reliability(hours float64) float64 { return clamp(1 - t.Eval(hours)) }
-
-// MinimalCutSets returns the minimal cut sets of the tree: the irreducible
-// combinations of basic-event failures that fail the top event. Sets are
-// returned with sorted members, ordered by size then lexicographically.
-func (t *Tree) MinimalCutSets() [][]string {
-	raw := t.top.cutSets()
-	// Deduplicate members within each set, then minimize across sets.
-	sets := make([][]string, 0, len(raw))
-	for _, cs := range raw {
-		seen := make(map[string]bool, len(cs))
-		var uniq []string
-		for _, name := range cs {
-			if !seen[name] {
-				seen[name] = true
-				uniq = append(uniq, name)
-			}
-		}
-		sort.Strings(uniq)
-		sets = append(sets, uniq)
-	}
-	sort.Slice(sets, func(i, j int) bool {
-		if len(sets[i]) != len(sets[j]) {
-			return len(sets[i]) < len(sets[j])
-		}
-		return strings.Join(sets[i], ",") < strings.Join(sets[j], ",")
-	})
-	var minimal [][]string
-	for _, cs := range sets {
-		redundant := false
-		for _, m := range minimal {
-			if isSubset(m, cs) {
-				redundant = true
-				break
-			}
-		}
-		if !redundant {
-			minimal = append(minimal, cs)
-		}
-	}
-	return minimal
-}
-
-// isSubset reports whether sorted slice a ⊆ sorted slice b.
-func isSubset(a, b []string) bool {
-	i := 0
-	for _, v := range b {
-		if i < len(a) && a[i] == v {
-			i++
-		}
-	}
-	return i == len(a)
-}
-
-// BirnbaumImportance returns ∂Q_top/∂Q_event for the named event at time
-// t, estimated by conditioning: Q(top | event failed) − Q(top | event ok).
-func (t *Tree) BirnbaumImportance(event string, hours float64) (float64, error) {
-	e, ok := t.events[event]
-	if !ok {
-		return 0, fmt.Errorf("faulttree: unknown event %q", event)
-	}
-	origFn := e.Fn
-	defer func() { e.Fn = origFn }()
-	e.Fn = func(float64) float64 { return 1 }
-	qFailed := t.Eval(hours)
-	e.Fn = func(float64) float64 { return 0 }
-	qOK := t.Eval(hours)
-	return qFailed - qOK, nil
-}
 
 func clamp(v float64) float64 {
 	if v < 0 {

@@ -133,38 +133,6 @@ func TestPaperFigure5Shape(t *testing.T) {
 	}
 }
 
-func TestMinimalCutSetsSimple(t *testing.T) {
-	tree := mustTree(t, OR(
-		AND(ConstEvent("a", 0.1), ConstEvent("b", 0.1)),
-		ConstEvent("c", 0.1),
-	))
-	got := tree.MinimalCutSets()
-	want := [][]string{{"c"}, {"a", "b"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("cut sets = %v, want %v", got, want)
-	}
-}
-
-func TestMinimalCutSetsAbsorption(t *testing.T) {
-	// OR(a, AND(a, b)): the superset {a,b} must be absorbed by {a}.
-	a := ConstEvent("a", 0.1)
-	tree := mustTree(t, OR(a, AND(a, ConstEvent("b", 0.1))))
-	got := tree.MinimalCutSets()
-	want := [][]string{{"a"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("cut sets = %v, want %v", got, want)
-	}
-}
-
-func TestMinimalCutSetsKOfN(t *testing.T) {
-	tree := mustTree(t, KOfN(2, ConstEvent("a", 0.1), ConstEvent("b", 0.1), ConstEvent("c", 0.1)))
-	got := tree.MinimalCutSets()
-	want := [][]string{{"a", "b"}, {"a", "c"}, {"b", "c"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("cut sets = %v, want %v", got, want)
-	}
-}
-
 func TestEventsSorted(t *testing.T) {
 	tree := mustTree(t, OR(ConstEvent("zeta", 0.1), ConstEvent("alpha", 0.1)))
 	got := tree.Events()
@@ -181,26 +149,6 @@ func TestDescribe(t *testing.T) {
 		if !strings.Contains(d, frag) {
 			t.Errorf("Describe %q missing %q", d, frag)
 		}
-	}
-}
-
-func TestBirnbaumImportance(t *testing.T) {
-	// For OR(a, b): ∂Q/∂qa = 1 − qb.
-	tree := mustTree(t, OR(ConstEvent("a", 0.3), ConstEvent("b", 0.2)))
-	got, err := tree.BirnbaumImportance("a", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("Birnbaum(a) = %v, want 0.8", got)
-	}
-	// Eval must be unperturbed afterwards.
-	want := 1 - 0.7*0.8
-	if math.Abs(tree.Eval(1)-want) > 1e-12 {
-		t.Error("BirnbaumImportance perturbed the tree")
-	}
-	if _, err := tree.BirnbaumImportance("nope", 1); err == nil {
-		t.Error("unknown event did not error")
 	}
 }
 

@@ -101,9 +101,6 @@ func TestNorms(t *testing.T) {
 	if got := a.Norm1(); got != 10 {
 		t.Errorf("Norm1 = %v, want 10", got)
 	}
-	if got := a.NormInf(); got != 8 {
-		t.Errorf("NormInf = %v, want 8", got)
-	}
 }
 
 func TestSolveKnownSystem(t *testing.T) {

@@ -95,7 +95,8 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Det returns the determinant of the factored matrix.
+// Det returns the determinant of the factored matrix (checked against
+// hand-computed determinants in TestDet).
 func (f *LU) Det() float64 {
 	d := float64(f.sign)
 	for i := 0; i < f.lu.Rows; i++ {
@@ -113,7 +114,8 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 	return f.Solve(b)
 }
 
-// Inverse returns A⁻¹ or ErrSingular.
+// Inverse returns A⁻¹ or ErrSingular. TestInverse checks the LU
+// solve through it (A·A⁻¹ = I).
 func Inverse(a *Matrix) (*Matrix, error) {
 	f, err := Factor(a)
 	if err != nil {

@@ -38,6 +38,7 @@ func Identity(n int) *Matrix {
 }
 
 // FromRows builds a matrix from row slices. All rows must share a length.
+// The linalg tests build their reference matrices with it.
 func FromRows(rows [][]float64) *Matrix {
 	if len(rows) == 0 {
 		panic("linalg: FromRows with no rows")
@@ -120,7 +121,8 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns the matrix-vector product m*x.
+// MulVec returns the matrix-vector product m*x. TestSolveResidualProperty
+// checks Solve's residual A·x − b through it.
 func (m *Matrix) MulVec(x []float64) []float64 {
 	if m.Cols != len(x) {
 		panic(fmt.Sprintf("linalg: mulvec shape mismatch %dx%d * %d", m.Rows, m.Cols, len(x)))
@@ -181,22 +183,8 @@ func (m *Matrix) Norm1() float64 {
 	return best
 }
 
-// NormInf returns the maximum absolute row sum (the induced ∞-norm).
-func (m *Matrix) NormInf() float64 {
-	best := 0.0
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for j := 0; j < m.Cols; j++ {
-			s += math.Abs(m.At(i, j))
-		}
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference.
+// MaxAbsDiff returns the largest absolute element-wise difference: the
+// comparison TestInverse and the Expm tests judge results by.
 func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
 	m.mustSameShape(other)
 	best := 0.0

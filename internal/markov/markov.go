@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/des"
 	"repro/internal/linalg"
@@ -179,7 +178,8 @@ func (c *Chain) Transient(p0 []float64, t float64) ([]float64, error) {
 // TransientUniform returns the state distribution after t hours using
 // uniformization (Jensen's method) with truncation error below eps.
 // It refuses horizons where q*t exceeds maxUniformSteps, where the Poisson
-// sum degenerates; use Transient for those.
+// sum degenerates; use Transient for those. It is the independent
+// solver TestTransientMatchesUniformization checks Transient against.
 func (c *Chain) TransientUniform(p0 []float64, t, eps float64) ([]float64, error) {
 	const maxUniformSteps = 20_000_000
 	if err := c.checkDist(p0); err != nil {
@@ -509,26 +509,6 @@ func (c *Chain) MTTA(p0 []float64, targets ...string) (float64, error) {
 	return sum, nil
 }
 
-// SteadyState returns the stationary distribution π with πQ = 0, Σπ = 1.
-// The chain must be irreducible for the result to be meaningful; chains
-// with absorbing states yield the absorbing distribution.
-func (c *Chain) SteadyState() ([]float64, error) {
-	n := len(c.names)
-	// Solve Qᵀπ = 0 with the normalization Σπ = 1 replacing one equation.
-	a := c.q.Transpose()
-	for j := 0; j < n; j++ {
-		a.Set(n-1, j, 1)
-	}
-	rhs := make([]float64, n)
-	rhs[n-1] = 1
-	pi, err := linalg.Solve(a, rhs)
-	if err != nil {
-		return nil, fmt.Errorf("markov: steady state: %w", err)
-	}
-	clampDist(pi)
-	return pi, nil
-}
-
 // ProbIn sums the probability mass of the named states in distribution p.
 func (c *Chain) ProbIn(p []float64, states ...string) (float64, error) {
 	sum := 0.0
@@ -545,7 +525,8 @@ func (c *Chain) ProbIn(p []float64, states ...string) (float64, error) {
 // Sample simulates one trajectory from state start until maxT hours have
 // elapsed or an absorbing state is reached, and returns the final state
 // name and the time at which the trajectory settled (maxT if censored).
-// It provides a Monte-Carlo cross-check of the analytic solvers.
+// It provides a Monte-Carlo cross-check of the analytic solvers
+// (TestSampleMatchesAnalytic).
 func (c *Chain) Sample(rng *des.Rand, start string, maxT float64) (string, float64, error) {
 	i, ok := c.index[start]
 	if !ok {
@@ -598,76 +579,4 @@ func clampDist(p []float64) {
 			p[i] = 1
 		}
 	}
-}
-
-// SortedStates returns state names sorted lexicographically; useful for
-// stable iteration in reports.
-func (c *Chain) SortedStates() []string {
-	out := c.States()
-	sort.Strings(out)
-	return out
-}
-
-// ExpectedTimeIn returns the expected total time (hours) spent in the
-// named states over [0, t], starting from p0: ∫₀ᵗ Σᵢ pᵢ(s) ds. It uses
-// composite Gauss-Legendre quadrature over panels sized to the chain's
-// fastest transient, which is exact enough for reward measures such as
-// expected downtime.
-func (c *Chain) ExpectedTimeIn(p0 []float64, t float64, states ...string) (float64, error) {
-	if err := c.checkDist(p0); err != nil {
-		return 0, err
-	}
-	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-		return 0, fmt.Errorf("markov: invalid horizon %v", t)
-	}
-	if t == 0 || len(states) == 0 {
-		return 0, nil
-	}
-	for _, s := range states {
-		if _, ok := c.index[s]; !ok {
-			return 0, fmt.Errorf("markov: unknown state %q", s)
-		}
-	}
-	// Panel width: resolve the fastest rate, but keep the panel count
-	// bounded; the integrand is smooth (sums of exponentials), so
-	// 5-point Gauss per panel converges very fast.
-	qmax := 0.0
-	for i := 0; i < len(c.names); i++ {
-		if v := -c.q.At(i, i); v > qmax {
-			qmax = v
-		}
-	}
-	panels := 8
-	if qmax > 0 {
-		need := int(math.Ceil(t * qmax / 4))
-		if need > panels {
-			panels = need
-		}
-		if panels > 4096 {
-			panels = 4096
-		}
-	}
-	// 5-point Gauss-Legendre nodes/weights on [-1, 1].
-	nodes := []float64{-0.9061798459386640, -0.5384693101056831, 0,
-		0.5384693101056831, 0.9061798459386640}
-	weights := []float64{0.2369268850561891, 0.4786286704993665,
-		0.5688888888888889, 0.4786286704993665, 0.2369268850561891}
-	h := t / float64(panels)
-	total := 0.0
-	for k := 0; k < panels; k++ {
-		a := float64(k) * h
-		for i, x := range nodes {
-			s := a + h/2*(x+1)
-			p, err := c.Transient(p0, s)
-			if err != nil {
-				return 0, err
-			}
-			mass, err := c.ProbIn(p, states...)
-			if err != nil {
-				return 0, err
-			}
-			total += weights[i] * h / 2 * mass
-		}
-	}
-	return total, nil
 }

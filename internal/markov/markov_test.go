@@ -176,18 +176,6 @@ func TestTransientZeroHorizon(t *testing.T) {
 	}
 }
 
-func TestSteadyStateBirthDeath(t *testing.T) {
-	lambda, mu := 0.4, 3.0
-	c := twoStateRepairable(t, lambda, mu)
-	pi, err := c.SteadyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pi[0]-mu/(lambda+mu)) > 1e-12 {
-		t.Errorf("π(up) = %v, want %v", pi[0], mu/(lambda+mu))
-	}
-}
-
 func TestMTTAPureDeathChain(t *testing.T) {
 	// 0 --r0--> 1 --r1--> dead: MTTA = 1/r0 + 1/r1.
 	r0, r1 := 0.5, 0.125
@@ -435,53 +423,5 @@ func BenchmarkMTTA(b *testing.B) {
 		if _, err := c.MTTA(p0); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestExpectedTimeInAnalytic(t *testing.T) {
-	// Two-state repairable system from "up": expected downtime over
-	// [0,t] is (λ/(λ+μ))·[t − (1−e^{−(λ+μ)t})/(λ+μ)].
-	lambda, mu := 0.5, 4.0
-	c := twoStateRepairable(t, lambda, mu)
-	p0, _ := c.InitialAt("up")
-	for _, horizon := range []float64{0.5, 2, 10} {
-		got, err := c.ExpectedTimeIn(p0, horizon, "down")
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := lambda + mu
-		want := lambda / s * (horizon - (1-math.Exp(-s*horizon))/s)
-		if math.Abs(got-want) > 1e-7 {
-			t.Errorf("downtime over %v = %v, want %v", horizon, got, want)
-		}
-	}
-}
-
-func TestExpectedTimeInEdgeCases(t *testing.T) {
-	c := twoStateRepairable(t, 1, 1)
-	p0, _ := c.InitialAt("up")
-	if v, err := c.ExpectedTimeIn(p0, 0, "down"); err != nil || v != 0 {
-		t.Errorf("t=0: %v, %v", v, err)
-	}
-	if v, err := c.ExpectedTimeIn(p0, 5); err != nil || v != 0 {
-		t.Errorf("no states: %v, %v", v, err)
-	}
-	if _, err := c.ExpectedTimeIn(p0, 5, "nope"); err == nil {
-		t.Error("unknown state accepted")
-	}
-	if _, err := c.ExpectedTimeIn(p0, -1, "down"); err == nil {
-		t.Error("negative horizon accepted")
-	}
-	// Complementarity: time in up + time in down = horizon.
-	up, err := c.ExpectedTimeIn(p0, 7, "up")
-	if err != nil {
-		t.Fatal(err)
-	}
-	down, err := c.ExpectedTimeIn(p0, 7, "down")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(up+down-7) > 1e-8 {
-		t.Errorf("up %v + down %v != 7", up, down)
 	}
 }

@@ -105,27 +105,21 @@ func (s State) String() string {
 
 // BehavioralNode is the state machine.
 type BehavioralNode struct {
-	//nlft:snapshot-skip identity label fixed at construction
-	Name string
-	//nlft:snapshot-skip immutable configuration fixed at construction
+	Name     string
 	behavior Behavior
-	//nlft:snapshot-skip immutable configuration fixed at construction
-	rates Rates
-	//nlft:snapshot-skip simulator wiring; the des core snapshots its own state
-	sim   *des.Simulator
-	rng   *des.Rand
-	state State
+	rates    Rates
+	sim      *des.Simulator
+	rng      *des.Rand
+	state    State
 	// masked counts transient faults masked by TEM (NLFT only).
 	masked uint64
 	// OnChange observes transitions.
-	//nlft:snapshot-skip passive observer hook installed per run, not rewindable state
 	OnChange func(n *BehavioralNode, from, to State)
 	// pending repair event, canceled on permanent transitions (the zero
 	// handle means no repair is in flight).
 	repair des.Event
 	// Bound fault/repair callbacks, created once so the recurring
 	// exponential arrivals re-arm without allocating per event.
-	//nlft:snapshot-skip bound method-value closures, identical across the node's lifetime
 	permanentFn, transientFn, repairedFn func()
 }
 

@@ -137,28 +137,8 @@ type MonteCarloResult struct {
 	Horizon float64 // hours
 	// R estimates the reliability at the horizon.
 	R stats.Proportion
-	// FailureHours holds the failure instants of failed trials (hours).
-	FailureHours []float64
 	// MaskedTotal sums locally masked transients across trials (NLFT).
 	MaskedTotal uint64
-}
-
-// MeanTimeToFailure estimates MTTF in hours from the observed failures,
-// treating censored trials (survived the horizon) via the standard
-// exponential-tail assumption is NOT applied; instead it returns the
-// simple estimator total-observed-time / failures, which is unbiased for
-// exponential system lifetimes.
-func (r *MonteCarloResult) MeanTimeToFailure() float64 {
-	failures := len(r.FailureHours)
-	if failures == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, h := range r.FailureHours {
-		total += h
-	}
-	total += float64(r.Trials-failures) * r.Horizon
-	return total / float64(failures)
 }
 
 // MonteCarloBBW estimates the BBW system reliability at horizonHours by
@@ -184,10 +164,7 @@ func MonteCarloBBW(trials int, horizonHours float64, behavior Behavior, mode Clu
 		if err := sim.RunUntil(horizon); err != nil {
 			return nil, err
 		}
-		failed, at, _ := cluster.Failed()
-		if failed {
-			res.FailureHours = append(res.FailureHours, at.Hours())
-		} else {
+		if failed, _, _ := cluster.Failed(); !failed {
 			survivors++
 		}
 		for _, n := range cluster.cu {

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -216,18 +215,6 @@ func TestMonteCarloValidation(t *testing.T) {
 	}
 	if _, err := MonteCarloBBW(1, -1, FSBehavior, FullMode, paperRates(), 1); err == nil {
 		t.Error("negative horizon accepted")
-	}
-}
-
-func TestMonteCarloMTTFEstimator(t *testing.T) {
-	res := &MonteCarloResult{Trials: 4, Horizon: 100, FailureHours: []float64{50, 150}}
-	// total observed = 50 + 150 + 2*100 = 400; failures = 2 → 200.
-	if got := res.MeanTimeToFailure(); math.Abs(got-200) > 1e-12 {
-		t.Errorf("MTTF = %v", got)
-	}
-	empty := &MonteCarloResult{Trials: 4, Horizon: 100}
-	if empty.MeanTimeToFailure() != 0 {
-		t.Error("no-failure MTTF should be 0 (undefined)")
 	}
 }
 

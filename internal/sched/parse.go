@@ -18,7 +18,7 @@ import (
 //
 // Durations use Go syntax (e.g. 500us, 3ms, 1s); D defaults to T and
 // criticality to 0 (non-critical). Priorities are left unassigned for
-// the caller (deadline-monotonic, criticality or Audsley).
+// the caller (deadline-monotonic or criticality).
 func ParseTaskSet(r io.Reader) ([]Task, error) {
 	var tasks []Task
 	sc := bufio.NewScanner(r)

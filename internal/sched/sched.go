@@ -314,69 +314,3 @@ func TEMTransform(tasks []Task, ov TEMOverheads) []Task {
 	}
 	return out
 }
-
-// AssignAudsley performs Audsley's optimal priority assignment under the
-// fault-tolerant analysis: it finds some priority ordering making the set
-// schedulable with the given fault interval iff one exists, returning the
-// tasks with priorities assigned (lowest first search).
-func AssignAudsley(tasks []Task, faultInterval des.Time) ([]Task, bool, error) {
-	if err := ValidateSet(tasks); err != nil {
-		return nil, false, err
-	}
-	remaining := make([]Task, len(tasks))
-	copy(remaining, tasks)
-	assigned := make([]Task, 0, len(tasks))
-	// Assign priorities from lowest (1) to highest (n).
-	for level := 1; len(remaining) > 0; level++ {
-		found := -1
-		for i := range remaining {
-			// Tentatively: remaining[i] at this lowest level, all other
-			// unassigned tasks above it (exact order irrelevant for the
-			// lowest task's response time).
-			trial := make([]Task, 0, len(tasks))
-			cand := remaining[i]
-			cand.Priority = level
-			trial = append(trial, cand)
-			p := level + 1
-			for j := range remaining {
-				if j == i {
-					continue
-				}
-				t := remaining[j]
-				t.Priority = p
-				p++
-				trial = append(trial, t)
-			}
-			// Keep priorities of already-assigned (lower) tasks distinct
-			// below the current level: they do not affect cand's response.
-			var rs []Response
-			var err error
-			if faultInterval > 0 {
-				rs, err = AnalyzeWithFaults(trial, faultInterval)
-			} else {
-				rs, err = Analyze(trial)
-			}
-			if err != nil {
-				return nil, false, err
-			}
-			schedulableAtLevel := false
-			for _, r := range rs {
-				if r.Task.Name == cand.Name {
-					schedulableAtLevel = r.Schedulable
-				}
-			}
-			if schedulableAtLevel {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return nil, false, nil
-		}
-		t := remaining[found]
-		t.Priority = level
-		assigned = append(assigned, t)
-		remaining = append(remaining[:found], remaining[found+1:]...)
-	}
-	return assigned, true, nil
-}

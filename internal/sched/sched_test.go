@@ -300,45 +300,6 @@ func TestTEMSchedulabilityEndToEnd(t *testing.T) {
 	}
 }
 
-func TestAssignAudsleyFindsFeasibleOrder(t *testing.T) {
-	// DM fails on this set under fault recovery, but Audsley's algorithm
-	// must find an order iff one exists; at minimum it must succeed where
-	// DM succeeds.
-	set := classicSet()
-	for i := range set {
-		set[i].Recovery = set[i].C
-		set[i].Priority = 0
-	}
-	assigned, ok, err := AssignAudsley(set, ms(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("no feasible assignment found")
-	}
-	rs, err := AnalyzeWithFaults(assigned, ms(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Schedulable(rs) {
-		t.Error("Audsley assignment not schedulable")
-	}
-}
-
-func TestAssignAudsleyInfeasible(t *testing.T) {
-	set := []Task{
-		{Name: "a", C: ms(15), T: ms(20), D: ms(20)},
-		{Name: "b", C: ms(10), T: ms(25), D: ms(25)},
-	}
-	_, ok, err := AssignAudsley(set, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("overloaded set got an assignment")
-	}
-}
-
 func TestRTAPropertyResponseAtLeastC(t *testing.T) {
 	// Property: for random schedulable-ish sets, R ≥ C and R is monotone
 	// in added interference (removing the top task never increases

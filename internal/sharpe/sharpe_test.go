@@ -467,9 +467,9 @@ end
 	if math.Abs(r-want) > 1e-10 {
 		t.Errorf("R = %v, want %v", r, want)
 	}
-	names := res.System.SortedNames()
+	names := res.System.Names()
 	if len(names) != 2 || names[0] != "sub" || names[1] != "sys" {
-		t.Errorf("SortedNames = %v", names)
+		t.Errorf("Names = %v", names)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/faulttree"
@@ -375,11 +374,4 @@ func (s *System) Curve(name string, horizon float64, n int) ([]SeriesPoint, erro
 		out[i] = SeriesPoint{Hours: times[i], R: rs[i]}
 	}
 	return out, nil
-}
-
-// SortedNames returns model names sorted lexicographically.
-func (s *System) SortedNames() []string {
-	out := s.Names()
-	sort.Strings(out)
-	return out
 }

@@ -148,11 +148,8 @@ type Stats struct {
 
 // Bus is the shared medium plus the global schedule.
 type Bus struct {
-	//nlft:snapshot-skip simulator wiring; the des core snapshots its own state
-	sim *des.Simulator
-	//nlft:snapshot-skip immutable configuration fixed at construction
-	cfg Config
-	//nlft:snapshot-skip derived from cfg at construction, immutable afterwards
+	sim       *des.Simulator
+	cfg       Config
 	owners    []NodeID // slot -> owner
 	endpoints map[NodeID]*Endpoint
 	order     []NodeID
@@ -163,23 +160,17 @@ type Bus struct {
 	// (fault injection).
 	corruptNext map[int]bool
 	stats       Stats
-	//nlft:snapshot-skip one-way start latch; forks only happen after Start
-	started bool
-	dynSeq  uint64
+	started     bool
+	dynSeq      uint64
 
 	// Bound schedule callbacks, created once at Start so the cyclic
 	// schedule re-arms its events without allocating a closure per slot
 	// per cycle: slotFns[i] runs static slot i, deliverFns[i] delivers
 	// the frame staged in pendingFrame[i].
-	//nlft:snapshot-skip bound schedule closures, identical across the bus's lifetime
-	slotFns []func()
-	//nlft:snapshot-skip bound schedule closures, identical across the bus's lifetime
-	deliverFns []func()
-	//nlft:snapshot-skip bound schedule closures, identical across the bus's lifetime
+	slotFns      []func()
+	deliverFns   []func()
 	runDynamicFn func()
-	//nlft:snapshot-skip bound schedule closures, identical across the bus's lifetime
-	endCycleFn func()
-	//nlft:snapshot-skip bound schedule closures, identical across the bus's lifetime
+	endCycleFn   func()
 	deliverDynFn func()
 	// pendingFrame stages each slot's frame between transmission and
 	// end-of-slot delivery.
@@ -187,13 +178,11 @@ type Bus struct {
 	// dynScratch and dynPend are the dynamic segment's reused buffers:
 	// dynScratch collects and orders the cycle's messages, dynPend is the
 	// FIFO of frames awaiting delivery (deliverDynFn pops dynHead).
-	//nlft:snapshot-skip reused arbitration scratch, fully rewritten within each dynamic segment
 	dynScratch []dynEntry
 	dynPend    []Frame
 	dynHead    int
 	// viewScratch is the reused membership view handed to onCycle; the
 	// callback contract is that the map is only valid during the call.
-	//nlft:snapshot-skip reused callback scratch, only valid during the onCycle call
 	viewScratch map[NodeID]bool
 }
 
@@ -265,9 +254,6 @@ func (b *Bus) CorruptNextFrame(slot int) { b.corruptNext[slot] = true }
 
 // Stats returns a copy of the counters.
 func (b *Bus) Stats() Stats { return b.stats }
-
-// Cycle reports the current cycle number.
-func (b *Bus) Cycle() uint64 { return b.cycle }
 
 // Start begins the cyclic schedule. Every slot must be owned.
 func (b *Bus) Start() error {
