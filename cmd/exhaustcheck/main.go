@@ -11,8 +11,7 @@
 // Usage:
 //
 //	exhaustcheck [-quantum d] [-targets list] [-ecc] [-periods N] [-compute N]
-//	             [-parallel N] [-snapshot-interval d]
-//	             [-progress] [-cert-out file] [-label s]
+//	             [-parallel N] [-progress] [-cert-out file] [-label s]
 //
 // The default configuration is the CI gate: the small brake-by-wire
 // control workload (3 periods, compute 16, ECC on) whose full space
@@ -49,21 +48,20 @@ func main() {
 	periods := flag.Int("periods", 3, "task periods per trial (the enumeration window is one hyperperiod)")
 	compute := flag.Int("compute", 16, "workload inner-loop iterations (duty cycle)")
 	parallel := flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS); results are bit-identical for any value")
-	snapshotInterval := flag.Duration("snapshot-interval", 0, "fork checkpoint spacing (0 = default 250µs, or the workload's hint when finer)")
 	progress := flag.Bool("progress", false, "report live placement progress on stderr")
 	certOut := flag.String("cert-out", "", "write the coverage certificate (canonical JSON) to this file")
 	label := flag.String("label", "", "label recorded in the certificate")
 	flag.Parse()
 
 	if err := run(*quantum, *targetsFlag, *ecc, *periods, *compute, *parallel,
-		*snapshotInterval, *progress, *certOut, *label); err != nil {
+		*progress, *certOut, *label); err != nil {
 		fmt.Fprintln(os.Stderr, "exhaustcheck:", err)
 		os.Exit(1)
 	}
 }
 
 func run(quantum time.Duration, targetsFlag string, ecc bool, periods, compute, parallel int,
-	snapshotInterval time.Duration, progress bool, certOut, label string) error {
+	progress bool, certOut, label string) error {
 	targets, err := fault.ParseTargets(targetsFlag)
 	if err != nil {
 		return err
@@ -72,11 +70,10 @@ func run(quantum time.Duration, targetsFlag string, ecc bool, periods, compute, 
 		ECC: ecc, Periods: periods, Compute: compute,
 	})
 	cfg := exhaust.Config{
-		Quantum:          des.Time(quantum),
-		Targets:          targets,
-		Parallelism:      parallel,
-		SnapshotInterval: des.Time(snapshotInterval),
-		Label:            label,
+		Quantum:     des.Time(quantum),
+		Targets:     targets,
+		Parallelism: parallel,
+		Label:       label,
 	}
 	if progress {
 		lastPct := -1
@@ -147,7 +144,7 @@ func run(quantum time.Duration, targetsFlag string, ecc bool, periods, compute, 
 	}
 
 	start = time.Now()
-	camp, err := crossCheckCampaign(w, sp, parallel, des.Time(snapshotInterval))
+	camp, err := crossCheckCampaign(w, sp, parallel)
 	if err != nil {
 		return fmt.Errorf("cross-check campaign: %w", err)
 	}
@@ -172,9 +169,8 @@ func run(quantum time.Duration, targetsFlag string, ecc bool, periods, compute, 
 
 // crossCheckCampaign runs every placement of sp as a coin-free spec on
 // a campaign runner and assembles the records as a campaign result.
-func crossCheckCampaign(w fault.Workload, sp *exhaust.Space, parallel int, interval des.Time) (*fault.Result, error) {
-	runner, err := fault.NewShardRunner(w, fault.CampaignConfig{
-		Trials: sp.Len(), Parallelism: parallel, SnapshotInterval: interval})
+func crossCheckCampaign(w fault.Workload, sp *exhaust.Space, parallel int) (*fault.Result, error) {
+	runner, err := fault.NewShardRunner(w, fault.CampaignConfig{Trials: sp.Len(), Parallelism: parallel})
 	if err != nil {
 		return nil, err
 	}

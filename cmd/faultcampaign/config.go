@@ -74,8 +74,7 @@ type cliConfig struct {
 	Parallel int    `json:"parallel,omitempty"`
 
 	// Engine shape.
-	SnapshotInterval duration `json:"snapshot_interval,omitempty"`
-	SnapshotStats    bool     `json:"snapshot_stats,omitempty"`
+	SnapshotStats bool `json:"snapshot_stats,omitempty"`
 
 	// Output.
 	Derive     bool   `json:"derive,omitempty"`
@@ -129,7 +128,6 @@ func (c *cliConfig) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Targets, "targets", c.Targets, "comma-separated fault targets: register,pc,sp,alu,mem-data,mem-code (default all)")
 	fs.IntVar(&c.Parallel, "parallel", c.Parallel, "worker goroutines for the campaign (0 = GOMAXPROCS); results are identical for any value")
 
-	fs.Var(&c.SnapshotInterval, "snapshot-interval", "fork checkpoint spacing (0 = default 250µs, or the workload's hint when finer)")
 	fs.BoolVar(&c.SnapshotStats, "snapshot-stats", c.SnapshotStats, "report the fork engine's checkpoint-store traffic (delta vs full-image bytes, pages copied/restored)")
 
 	fs.BoolVar(&c.Derive, "derive", c.Derive, "also derive model parameters and print the headline comparison")
@@ -215,7 +213,7 @@ var modeFlags = map[string]map[string]bool{
 	"submit": {
 		"submit": true, "poll": true, "progress": true, "digest": true,
 		"trials": true, "seed": true, "ecc": true, "compute": true, "targets": true,
-		"lease-size": true, "snapshot-interval": true,
+		"lease-size": true,
 	},
 }
 
@@ -306,13 +304,12 @@ func (c *cliConfig) spec() (shard.CampaignSpec, error) {
 		targets = append(targets, t.String())
 	}
 	spec := shard.CampaignSpec{
-		Trials:             c.Trials,
-		Seed:               c.Seed,
-		ECC:                c.ECC,
-		Compute:            c.Compute,
-		Targets:            targets,
-		SnapshotIntervalNs: int64(c.SnapshotInterval),
-		LeaseSize:          c.LeaseSize,
+		Trials:    c.Trials,
+		Seed:      c.Seed,
+		ECC:       c.ECC,
+		Compute:   c.Compute,
+		Targets:   targets,
+		LeaseSize: c.LeaseSize,
 	}
 	return spec, nil
 }

@@ -12,7 +12,7 @@ import (
 // TestConfigRoundTrip: -dump-config output loads back into an
 // identical configuration via -config.
 func TestConfigRoundTrip(t *testing.T) {
-	cfg, _, err := parseFlags([]string{"-trials", "123", "-seed", "9", "-snapshot-interval", "125us", "-targets", "alu,pc"})
+	cfg, _, err := parseFlags([]string{"-trials", "123", "-seed", "9", "-poll", "125ms", "-targets", "alu,pc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestConfigRoundTrip(t *testing.T) {
 	if !bytes.Equal(b, b2) {
 		t.Errorf("round-trip drift:\n%s\nvs\n%s", b, b2)
 	}
-	if loaded.Trials != 123 || loaded.Seed != 9 || loaded.SnapshotInterval != duration(125*time.Microsecond) {
+	if loaded.Trials != 123 || loaded.Seed != 9 || loaded.Poll != duration(125*time.Millisecond) {
 		t.Errorf("loaded %+v", loaded)
 	}
 	// Explicit flags override the file.
@@ -49,14 +49,15 @@ func TestConfigRoundTrip(t *testing.T) {
 }
 
 // TestConfigRejectsUnknownField: stale config files — including ones
-// dumped before the convergence-cutoff switch or the exhaustive mode
-// was retired — fail loudly.
+// dumped before the convergence-cutoff switch, the exhaustive mode or
+// the checkpoint-spacing setting was retired — fail loudly.
 func TestConfigRejectsUnknownField(t *testing.T) {
 	for _, body := range []string{
 		`{"trials": 5, "warp": 9}`,
 		`{"trials": 5, "converge_cutoff": true}`,
 		`{"trials": 5, "exhaustive": true}`,
 		`{"trials": 5, "quantum": "50µs"}`,
+		`{"trials": 5, "snapshot_interval": "125µs"}`,
 	} {
 		path := filepath.Join(t.TempDir(), "cfg.json")
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
@@ -69,10 +70,11 @@ func TestConfigRejectsUnknownField(t *testing.T) {
 }
 
 // TestRetiredFlagsUnknown: the exhaustive mode's flags are gone
-// (cmd/exhaustcheck enumerates the placement space), so passing one is
-// a parse error, not a silent no-op.
+// (cmd/exhaustcheck enumerates the placement space), and so is the
+// checkpoint spacing (the fork engine derives it), so passing one is a
+// parse error, not a silent no-op.
 func TestRetiredFlagsUnknown(t *testing.T) {
-	for _, args := range [][]string{{"-exhaustive"}, {"-quantum", "50us"}} {
+	for _, args := range [][]string{{"-exhaustive"}, {"-quantum", "50us"}, {"-snapshot-interval", "125us"}} {
 		if _, _, err := parseFlags(args); err == nil {
 			t.Errorf("%v: retired flag accepted", args)
 		}
@@ -131,7 +133,6 @@ func TestSpecMapping(t *testing.T) {
 	cfg, _, err := parseFlags([]string{
 		"-submit", "http://c", "-trials", "600", "-seed", "7",
 		"-targets", "alu, pc", "-lease-size", "64",
-		"-snapshot-interval", "125us",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +147,7 @@ func TestSpecMapping(t *testing.T) {
 	if len(spec.Targets) != 2 || spec.Targets[0] != "alu" || spec.Targets[1] != "pc" {
 		t.Errorf("targets %v", spec.Targets)
 	}
-	if spec.LeaseSize != 64 || spec.SnapshotIntervalNs != 125_000 {
+	if spec.LeaseSize != 64 {
 		t.Errorf("spec %+v", spec)
 	}
 	if err := spec.Validate(); err != nil {

@@ -8,7 +8,7 @@
 //	faultcampaign [-trials N] [-seed S] [-ecc] [-compute N] [-targets list]
 //	              [-parallel N] [-cpuprofile file] [-memprofile file] [-progress]
 //	              [-metrics-out file] [-trace-out file] [-digest]
-//	              [-snapshot-interval d] [-snapshot-stats]
+//	              [-snapshot-stats]
 //	              [-adaptive] [-strata N] [-ci-width f] [-ci-outcome o] [-max-trials N]
 //	              [-config file] [-dump-config]
 //	faultcampaign -serve addr [-lease-ttl d]
@@ -45,18 +45,17 @@
 // and exports the merged JSONL (trial 0 is the fault-free golden run).
 //
 // Every engine runs trials on the checkpoint/fork trial core: each
-// worker snapshots the fault-free prefix on a time grid and at every
-// instant the kernel dispatches a task copy, and every trial restores
-// the latest checkpoint before its injection instant instead of
-// re-simulating from t=0 (bit-identical to a from-scratch trial; the
-// test suite pins that against a from-scratch oracle).
-// -snapshot-interval overrides the grid spacing (default 250µs, or the
-// workload's hint when finer) and -snapshot-stats reports the checkpoint
-// store's delta-page traffic. A trial also stops early once its state
-// digest at a checkpoint matches one the worker's suffix table holds
-// (the golden run's or an earlier trial's); with -metrics-out or
-// -trace-out the entry's telemetry is composed in, so the files equal
-// those of fully simulated trials.
+// worker snapshots the fault-free prefix on a fixed 250µs grid and at
+// every instant the kernel dispatches a task copy, and every trial
+// restores the latest checkpoint before its injection instant instead
+// of re-simulating from t=0 (bit-identical to a from-scratch trial; the
+// test suite pins that against a from-scratch oracle). The grid is not
+// a setting, since no result depends on it; -snapshot-stats reports the
+// checkpoint store's delta-page traffic. A trial also stops early once
+// its state digest at a checkpoint matches one the worker's suffix
+// table holds (the golden run's or an earlier trial's); with
+// -metrics-out or -trace-out the entry's telemetry is composed in, so
+// the files equal those of fully simulated trials.
 package main
 
 import (
@@ -156,14 +155,13 @@ func runAdaptive(w nlft.Workload, targets []fault.Target, cfg *cliConfig) error 
 		return err
 	}
 	acfg := nlft.AdaptiveConfig{
-		Seed:             cfg.Seed,
-		Targets:          targets,
-		Buckets:          cfg.Strata,
-		MaxTrials:        cfg.MaxTrials,
-		CIWidth:          cfg.CIWidth,
-		CIOutcome:        outcome,
-		Parallelism:      cfg.Parallel,
-		SnapshotInterval: nlft.Time(cfg.SnapshotInterval),
+		Seed:        cfg.Seed,
+		Targets:     targets,
+		Buckets:     cfg.Strata,
+		MaxTrials:   cfg.MaxTrials,
+		CIWidth:     cfg.CIWidth,
+		CIOutcome:   outcome,
+		Parallelism: cfg.Parallel,
 	}
 	if cfg.Progress {
 		acfg.OnRound = func(ri nlft.AdaptiveRoundInfo) {
@@ -181,22 +179,25 @@ func runAdaptive(w nlft.Workload, targets []fault.Target, cfg *cliConfig) error 
 	return nil
 }
 
-// run executes the campaign locally in this process.
+// run executes the campaign locally in this process. The workload and
+// campaign configuration are the -submit spec's (cliConfig.spec), so a
+// local run and a sharded one share every default by construction; the
+// serial-only telemetry exports and progress reporting go on top.
 func run(cfg *cliConfig) error {
-	targets, err := fault.ParseTargets(cfg.Targets)
+	spec, err := cfg.spec()
 	if err != nil {
 		return err
 	}
-	w := nlft.NewStdWorkload(nlft.StdWorkloadConfig{ECC: cfg.ECC, Compute: cfg.Compute})
+	w := spec.Workload()
+	ccfg, err := spec.Config(cfg.Parallel)
+	if err != nil {
+		return err
+	}
 	if cfg.Adaptive {
-		return runAdaptive(w, targets, cfg)
+		return runAdaptive(w, ccfg.Targets, cfg)
 	}
-	ccfg := nlft.CampaignConfig{
-		Trials: cfg.Trials, Seed: cfg.Seed, Targets: targets, Parallelism: cfg.Parallel,
-		Telemetry:        cfg.MetricsOut != "",
-		TelemetryEvents:  cfg.TraceOut != "",
-		SnapshotInterval: nlft.Time(cfg.SnapshotInterval),
-	}
+	ccfg.Telemetry = cfg.MetricsOut != ""
+	ccfg.TelemetryEvents = cfg.TraceOut != ""
 	if cfg.Progress {
 		lastPct := -1
 		ccfg.OnProgress = func(done, total int) {

@@ -82,9 +82,6 @@ type Config struct {
 	// Parallelism is the number of worker goroutines. Default (0) is
 	// runtime.GOMAXPROCS(0). Results are bit-identical for any value.
 	Parallelism int
-	// SnapshotInterval is the fork checkpoint spacing (0 = the campaign
-	// default; see internal/fault).
-	SnapshotInterval des.Time
 	// KernelShare and KernelDetect parameterize the modelled kernel-hit
 	// branch, exactly as in fault.CampaignConfig (defaults 0.05, 0.98).
 	// The branch is never simulated: it enters every estimate as an
@@ -124,17 +121,6 @@ func (c *Config) applyDefaults(w fault.Workload) {
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.NoKernelModel {
-		c.KernelShare = 0
-		c.KernelDetect = 0
-	} else {
-		if c.KernelShare == 0 {
-			c.KernelShare = 0.05
-		}
-		if c.KernelDetect == 0 {
-			c.KernelDetect = 0.98
-		}
 	}
 }
 

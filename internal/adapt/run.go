@@ -68,10 +68,17 @@ func newEngine(w fault.Workload, cfg Config) (*engine, error) {
 	// deterministically (fault.ActivityWindows), so that mass enters
 	// every estimate analytically and sampling covers only the
 	// activity-free population.
-	runner, err := fault.NewShardRunner(w, fault.CampaignConfig{
-		Parallelism: cfg.Parallelism, SnapshotInterval: cfg.SnapshotInterval})
+	runner, err := fault.NewShardRunner(w, fault.CampaignConfig{Parallelism: cfg.Parallelism,
+		KernelShare: cfg.KernelShare, KernelDetect: cfg.KernelDetect})
 	if err != nil {
 		return nil, err
+	}
+	// The kernel-coin defaults are the campaign layer's.
+	if cfg.NoKernelModel {
+		cfg.KernelShare, cfg.KernelDetect = 0, 0
+	} else {
+		rc := runner.Config()
+		cfg.KernelShare, cfg.KernelDetect = rc.KernelShare, rc.KernelDetect
 	}
 	kact := runner.ActivityWindows()
 	strata, err := initialStrata(&cfg, kact)

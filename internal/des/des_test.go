@@ -480,25 +480,6 @@ func TestRandExpTime(t *testing.T) {
 	}
 }
 
-func TestRandNormMoments(t *testing.T) {
-	r := NewRand(13)
-	const draws = 200000
-	var sum, sumSq float64
-	for i := 0; i < draws; i++ {
-		x := r.Norm()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("Norm mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("Norm variance = %v, want ~1", variance)
-	}
-}
-
 func TestRandBool(t *testing.T) {
 	r := NewRand(17)
 	const draws = 100000
@@ -510,27 +491,6 @@ func TestRandBool(t *testing.T) {
 	}
 	if got := float64(hits) / draws; math.Abs(got-0.25) > 0.01 {
 		t.Errorf("Bool(0.25) frequency = %v", got)
-	}
-}
-
-func TestRandPermIsPermutation(t *testing.T) {
-	check := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		p := NewRand(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
 	}
 }
 

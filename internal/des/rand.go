@@ -158,26 +158,3 @@ func (r *Rand) ExpTime(ratePerHour float64) Time {
 	}
 	return Time(h * float64(Hour))
 }
-
-// Norm returns a standard normal sample (Marsaglia polar method).
-func (r *Rand) Norm() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

@@ -72,13 +72,14 @@ type Config struct {
 	// Parallelism is the worker count. Default GOMAXPROCS. Outcome data
 	// is bit-identical for any value.
 	Parallelism int
-	// SnapshotInterval is the fork checkpoint spacing (0 = the campaign
-	// engine's default).
-	SnapshotInterval des.Time
 	// Label tags the coverage certificate.
 	Label string
 	// OnProgress, when set, is called after every settled placement.
 	OnProgress func(done, total int)
+
+	// interval overrides the sessions' checkpoint spacing (0: the
+	// engine's default); the differential tests vary it.
+	interval des.Time
 }
 
 func (c *Config) applyDefaults() {
@@ -247,7 +248,7 @@ type worker struct {
 // at their placement index.
 func newWorker(w fault.Workload, cfg *Config, faults []fault.Fault,
 	recs []fault.TrialRecord, viols [][]Violation, progress func()) (*worker, error) {
-	s, err := fault.NewForkSession(w, cfg.SnapshotInterval, true)
+	s, err := fault.NewForkSession(w, cfg.interval, true)
 	if err != nil {
 		return nil, err
 	}

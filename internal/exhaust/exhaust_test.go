@@ -244,7 +244,7 @@ func TestVerifyDifferential(t *testing.T) {
 		{"odd-interval", func() Config {
 			c := base
 			c.Parallelism = 2
-			c.SnapshotInterval = 300 * des.Microsecond
+			c.interval = 300 * des.Microsecond
 			return c
 		}, false},
 		{"no-fork", func() Config { return base }, true},

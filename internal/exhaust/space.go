@@ -7,25 +7,15 @@ import (
 	"repro/internal/fault"
 )
 
-// targetBlock is one target class's slice of a quantum's placements.
-type targetBlock struct {
-	target fault.Target
-	// count is the placements this class contributes per quantum.
-	count int
-	// base and words locate memory-class blocks.
-	base  uint32
-	words uint32
-}
-
 // Space is the canonical enumeration of every single-fault placement:
 // the cartesian product of injection quanta in [Start, End) and the
 // full per-target locus×bit support of the campaign's fault model
-// (drawFault's distribution — every placement the sampler could draw at
-// a quantum instant appears exactly once). Placement i is decoded as
-// quantum i/PerQuantum, then target blocks in Targets order, then locus
-// and bit in row-major order within the block. That index IS the
-// canonical order: results are reported in it regardless of worker
-// count or exploration schedule.
+// (fault.Placements, the sampler's distribution — every placement it
+// could draw at a quantum instant appears exactly once). Placement i is
+// decoded as quantum i/PerQuantum, then placement i%PerQuantum of that
+// support: target blocks in Targets order, each word-major. That index
+// IS the canonical order: results are reported in it regardless of
+// worker count or exploration schedule.
 type Space struct {
 	// Quantum is the spacing between enumerated injection instants.
 	Quantum des.Time
@@ -38,15 +28,8 @@ type Space struct {
 	Quanta     int
 	PerQuantum int
 
-	blocks []targetBlock
+	decode func(at des.Time, r int) fault.Fault
 }
-
-// registerCount mirrors drawFault: register faults strike r1..r13, the
-// live computation registers.
-const registerCount = 13
-
-// wordBits is the per-locus bit fan-out for 32-bit machine words.
-const wordBits = 32
 
 // NewSpace builds the placement space for a workload. The window
 // defaults to the workload's InjectionWindow clipped to one hyperperiod
@@ -73,26 +56,9 @@ func NewSpace(w fault.Workload, cfg *Config) (*Space, error) {
 	// end) with the last quantum possibly partial; instant `end` itself
 	// is never enumerated, matching drawFault's Intn(end-start).
 	s.Quanta = int((end - start + cfg.Quantum - 1) / cfg.Quantum)
-	for _, target := range cfg.Targets {
-		b := targetBlock{target: target}
-		switch target {
-		case fault.TargetRegister:
-			b.count = registerCount * wordBits
-		case fault.TargetPC, fault.TargetSP:
-			b.count = wordBits
-		case fault.TargetALU:
-			b.count = wordBits // single-bit masks, like the sampler
-		case fault.TargetMemoryData:
-			b.base, b.words = w.DataRange()
-			b.count = int(b.words) * wordBits
-		case fault.TargetMemoryCode:
-			b.base, b.words = w.CodeRange()
-			b.count = int(b.words) * wordBits
-		default:
-			return nil, fmt.Errorf("exhaust: unknown target %v", target)
-		}
-		s.PerQuantum += b.count
-		s.blocks = append(s.blocks, b)
+	var err error
+	if s.PerQuantum, s.decode, err = fault.Placements(w, cfg.Targets); err != nil {
+		return nil, fmt.Errorf("exhaust: %w", err)
 	}
 	if s.PerQuantum == 0 {
 		return nil, fmt.Errorf("exhaust: no targets")
@@ -106,28 +72,7 @@ func (s *Space) Len() int { return s.Quanta * s.PerQuantum }
 // Fault decodes canonical placement index i.
 func (s *Space) Fault(i int) fault.Fault {
 	q, r := i/s.PerQuantum, i%s.PerQuantum
-	f := fault.Fault{At: s.Start + des.Time(q)*s.Quantum}
-	for _, b := range s.blocks {
-		if r >= b.count {
-			r -= b.count
-			continue
-		}
-		f.Target = b.target
-		switch b.target {
-		case fault.TargetRegister:
-			f.Reg = r/wordBits + 1
-			f.Bit = uint(r % wordBits)
-		case fault.TargetPC, fault.TargetSP:
-			f.Bit = uint(r)
-		case fault.TargetALU:
-			f.Mask = 1 << uint(r)
-		default: // memory classes
-			f.Addr = b.base + uint32(r/wordBits)*4
-			f.Bit = uint(r % wordBits)
-		}
-		return f
-	}
-	panic("exhaust: placement index out of range")
+	return s.decode(s.Start+des.Time(q)*s.Quantum, r)
 }
 
 // Faults materializes the whole space in canonical order.

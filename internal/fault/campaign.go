@@ -14,7 +14,9 @@ import (
 	"repro/internal/stats"
 )
 
-// CampaignConfig parameterizes an injection campaign.
+// CampaignConfig parameterizes an injection campaign. Every campaign
+// runs on the fork engine (fork.go), whose checkpoint grid is derived,
+// not configured: no record depends on it.
 type CampaignConfig struct {
 	// Trials is the number of injection runs. Default 1000.
 	Trials int
@@ -47,9 +49,9 @@ type CampaignConfig struct {
 	// carries kernel counters/histograms plus campaign.* series (trials,
 	// outcomes, detected_by, kernel_hits) that let Table 1 coverage be
 	// recomputed from exported metrics alone. Telemetry keeps the
-	// convergence cutoff (see SnapshotInterval): a trial that stops on a
-	// state the suffix table holds takes that suffix's metrics and
-	// events, so every trial's telemetry equals a from-scratch trial's.
+	// convergence cutoff: a trial that stops on a state the suffix table
+	// holds takes that suffix's metrics and events, so every trial's
+	// telemetry equals a from-scratch trial's.
 	Telemetry bool
 	// TelemetryEvents additionally retains each trial's structured event
 	// stream (up to EventsPerTrial records), merged in trial order into
@@ -64,19 +66,9 @@ type CampaignConfig struct {
 	// but arrive from worker goroutines in completion (not trial) order.
 	OnProgress func(done, total int)
 
-	// SnapshotInterval is the fork checkpoint spacing. Default (0):
-	// 250µs, or the workload's own SnapshotHinter value when that hint
-	// is finer. Delta snapshots make dense checkpoints cheap — each
-	// capture copies only the pages dirtied since the last one — so a
-	// fine default spacing shortens every trial's replayed suffix. The
-	// spacing is widened if needed so a horizon fits in the checkpoint
-	// store (see maxCheckpoints in fork.go). Every campaign also gets
-	// the convergence cutoff: a forked trial whose forward state digest
-	// at a checkpoint boundary after the injection is a state the
-	// slot's suffix table holds (golden, or recorded by an earlier trial
-	// of the slot) is classified, and its telemetry completed, without
-	// simulating its suffix.
-	SnapshotInterval des.Time
+	// interval overrides the checkpoint spacing (0: forkInterval's
+	// default); the package's tests vary the geometry through it.
+	interval des.Time
 }
 
 func (c *CampaignConfig) applyDefaults() {
@@ -381,27 +373,20 @@ func DrawFaultAt(w Workload, target Target, at des.Time, rng *des.Rand) Fault {
 	return f
 }
 
-// drawLocus fills the target-specific locus fields of f. Draw order
-// per target is pinned by the campaign digest tests: any change would
-// shift every subsequent draw on the trial's stream.
+// drawLocus fills the target-specific locus fields of f: a word draw
+// for the classes with a word axis, then the bit draw (support). Draw
+// order per target is pinned by the campaign digest tests: any change
+// would shift every subsequent draw on the trial's stream.
 func drawLocus(w Workload, f *Fault, rng *des.Rand) {
-	switch f.Target {
-	case TargetRegister:
-		f.Reg = rng.Intn(13) + 1 // r1..r13: live computation registers
-		f.Bit = uint(rng.Intn(32))
-	case TargetPC, TargetSP:
-		f.Bit = uint(rng.Intn(32))
-	case TargetALU:
-		f.Mask = 1 << uint(rng.Intn(32))
-	case TargetMemoryData:
-		base, words := w.DataRange()
-		f.Addr = base + uint32(rng.Intn(int(words)))*4
-		f.Bit = uint(rng.Intn(32))
-	case TargetMemoryCode:
-		base, words := w.CodeRange()
-		f.Addr = base + uint32(rng.Intn(int(words)))*4
-		f.Bit = uint(rng.Intn(32))
+	s, err := supportOf(w, f.Target)
+	if err != nil {
+		return
 	}
+	word := 0
+	if !s.bitOnly() {
+		word = rng.Intn(s.words)
+	}
+	*f = s.fault(f.At, word*wordBits+rng.Intn(wordBits))
 }
 
 // apply injects the fault into a live instance.

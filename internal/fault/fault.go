@@ -123,6 +123,95 @@ func (f Fault) String() string {
 	}
 }
 
+// registerCount is the register target's word axis: faults strike
+// r1..r13, the live computation registers.
+const registerCount = 13
+
+// wordBits is the per-locus bit fan-out for 32-bit machine words.
+const wordBits = 32
+
+// support is one target class's share of the fault model's support on
+// a workload: every placement a campaign can draw for the target at an
+// instant. Registers and memory words have a word axis of words loci;
+// PC, SP and the ALU have only the bit. Placement i is word i/32, bit
+// i%32. The sampler (drawLocus) draws the word, when the class has that
+// axis, then the bit; the exhaustive verifier enumerates the same
+// placements in index order (Placements).
+type support struct {
+	target Target
+	base   uint32 // first word address of a memory class
+	words  int    // word-axis loci
+}
+
+func supportOf(w Workload, t Target) (support, error) {
+	s := support{target: t}
+	switch t {
+	case TargetRegister:
+		s.words = registerCount
+	case TargetPC, TargetSP, TargetALU:
+	case TargetMemoryData:
+		base, words := w.DataRange()
+		s.base, s.words = base, int(words)
+	case TargetMemoryCode:
+		base, words := w.CodeRange()
+		s.base, s.words = base, int(words)
+	default:
+		return support{}, fmt.Errorf("fault: unknown target %v", t)
+	}
+	return s, nil
+}
+
+// bitOnly reports a class without a word axis.
+func (s support) bitOnly() bool {
+	return s.target == TargetPC || s.target == TargetSP || s.target == TargetALU
+}
+
+func (s support) count() int {
+	if s.bitOnly() {
+		return wordBits
+	}
+	return s.words * wordBits
+}
+
+// fault decodes placement i, in [0, count()), as a fault at instant at.
+func (s support) fault(at des.Time, i int) Fault {
+	word, bit := i/wordBits, uint(i%wordBits)
+	f := Fault{At: at, Target: s.target, Bit: bit}
+	switch s.target {
+	case TargetRegister:
+		f.Reg = word + 1
+	case TargetALU:
+		f.Mask, f.Bit = 1<<bit, 0 // a single-bit XOR mask
+	case TargetMemoryData, TargetMemoryCode:
+		f.Addr = s.base + uint32(word)*4
+	}
+	return f
+}
+
+// Placements is the fault model's support over targets at one instant:
+// n placements, one block per target in targets order, each in its
+// class's word-major order. decode maps placement r, in [0, n), to its
+// fault at instant at. Every placement the sampler can draw at that
+// instant appears exactly once.
+func Placements(w Workload, targets []Target) (n int, decode func(at des.Time, r int) Fault, err error) {
+	blocks := make([]support, len(targets))
+	for i, t := range targets {
+		if blocks[i], err = supportOf(w, t); err != nil {
+			return 0, nil, err
+		}
+		n += blocks[i].count()
+	}
+	return n, func(at des.Time, r int) Fault {
+		for _, b := range blocks {
+			if r < b.count() {
+				return b.fault(at, r)
+			}
+			r -= b.count()
+		}
+		panic("fault: placement index out of range")
+	}, nil
+}
+
 // Outcome classifies one injection run, in the paper's terms (§3.2.1:
 // an NLFT node masks the error, exhibits an omission failure, or
 // exhibits a fail-silent failure; non-covered errors escape detection).

@@ -3,10 +3,10 @@ package fault
 // The checkpoint/fork campaign engine. Every trial of a campaign
 // simulates the same fault-free prefix up to its injection instant;
 // only the suffix after the fault differs. The engine captures the
-// golden prefix once per worker — full-machine snapshots on a time grid
-// and at every instant the kernel dispatches a copy (see capture) —
-// and each trial restores the latest sound checkpoint before its fault
-// instead of re-simulating from t=0.
+// golden prefix once per worker — full-machine snapshots on a fixed
+// time grid (forkInterval) and at every instant the kernel dispatches a
+// copy (see capture) — and each trial restores the latest sound
+// checkpoint before its fault instead of re-simulating from t=0.
 //
 // Soundness of the fork (why a forked trial is bit-identical to one
 // simulated from scratch):
@@ -64,24 +64,9 @@ import (
 	"repro/internal/obs"
 )
 
-// SnapshotHinter is implemented by workloads that know a natural
-// checkpoint spacing — typically their period, so grid boundaries
-// coincide with release instants. The hint sets only the grid: the
-// capture adds a checkpoint at every dispatch instant whatever the
-// spacing, so the instants that follow each release's copies are
-// covered without it. Since delta snapshots made captures near-free,
-// the hint only matters when it is finer than the 250 µs default
-// (boundary alignment is then preserved); a coarser hint does not win,
-// because dense checkpoints are what make fork restores and
-// convergence cutoffs cheap.
-type SnapshotHinter interface {
-	// SnapshotInterval returns the preferred checkpoint spacing.
-	SnapshotInterval() des.Time
-}
-
 // maxCheckpoints bounds the per-worker checkpoint count, grid and
 // dispatch checkpoints together, so a pathologically small
-// SnapshotInterval or a workload that dispatches very often cannot
+// interval or a workload that dispatches very often cannot
 // exhaust memory: the interval is clamped up so the grid alone fits,
 // and dispatch checkpoints are taken only in the room the grid leaves.
 // With delta snapshots a checkpoint costs only its dirtied pages, the
@@ -90,35 +75,26 @@ type SnapshotHinter interface {
 // pre-delta engine had to.
 const maxCheckpoints = 4096
 
-// defaultForkInterval is the grid spacing used when neither the
-// campaign config nor a finer workload hint supplies one. 250 µs is the
-// dense regime the fork benchmarks identified as the throughput
-// optimum for the standard workload; delta snapshots make its capture
-// cost negligible. The dispatch checkpoints come on top of the grid:
-// on the gate workload they sit 4 µs and 19.9 µs after each release,
-// where no grid this coarse reaches.
+// defaultForkInterval is the grid spacing of every product session.
+// 250 µs is the dense regime the fork benchmarks identified as the
+// throughput optimum for the standard workload; delta snapshots make
+// its capture cost negligible. The dispatch checkpoints come on top of
+// the grid: on the gate workload they sit 4 µs and 19.9 µs after each
+// release, where no grid this coarse reaches. The spacing is not a
+// setting: the soundness argument above makes every trial record
+// bit-identical for any grid, so it can change only speed.
 const defaultForkInterval = 250 * des.Microsecond
 
-// resolveForkInterval picks the grid spacing for a campaign:
-// explicit config wins; otherwise the 250 µs default, tightened to the
-// workload's hint when that is finer; pathologically small results are
-// clamped so the store stays bounded.
-func resolveForkInterval(w Workload, cfg *CampaignConfig) des.Time {
-	horizon := w.Horizon()
-	interval := cfg.SnapshotInterval
+// forkInterval is the grid spacing of a session: interval when
+// positive (tests vary the geometry through it), else the 250 µs
+// default, widened when needed so the grid alone fits the
+// maxCheckpoints bound.
+func forkInterval(w Workload, interval des.Time) des.Time {
 	if interval <= 0 {
 		interval = defaultForkInterval
-		if h, ok := w.(SnapshotHinter); ok {
-			if hint := h.SnapshotInterval(); hint > 0 && hint < interval {
-				interval = hint
-			}
-		}
 	}
-	if min := (horizon + maxCheckpoints - 1) / maxCheckpoints; interval < min {
+	if min := (w.Horizon() + maxCheckpoints - 1) / maxCheckpoints; interval < min {
 		interval = min
-	}
-	if interval <= 0 {
-		interval = horizon
 	}
 	return interval
 }

@@ -18,7 +18,7 @@ var forkEquivCases = []struct {
 	{"classify", CampaignConfig{Trials: 64, Seed: 7}},
 	{"classify-parallel", CampaignConfig{Trials: 64, Seed: 7, Parallelism: 3}},
 	{"classify-odd-interval", CampaignConfig{Trials: 64, Seed: 7,
-		SnapshotInterval: 300 * des.Microsecond}},
+		interval: 300 * des.Microsecond}},
 	{"metrics", CampaignConfig{Trials: 48, Seed: 11, Telemetry: true, Parallelism: 2}},
 	{"events", CampaignConfig{Trials: 48, Seed: 11, TelemetryEvents: true, Parallelism: 2}},
 	// The gate's golden stream has 81 events, so both caps cut it and
@@ -147,7 +147,7 @@ func TestTrialTelemetryEquivalence(t *testing.T) {
 			continue
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := newForkSession(w, campaignCollector(&cfg), cfg.SnapshotInterval)
+			s, err := newForkSession(w, campaignCollector(&cfg), cfg.interval)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -507,39 +507,25 @@ func TestInstanceSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResolveForkInterval pins the spacing policy: explicit config wins,
-// then the 250µs default tightened by a finer workload hint;
-// pathologically small intervals are clamped so the store stays bounded.
+// TestResolveForkInterval pins the spacing rule: an explicit session
+// interval wins, else the 250µs default, whatever the workload's
+// period; pathologically small intervals are clamped so the store
+// stays bounded.
 func TestResolveForkInterval(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{})
-	// The standard workload hints its 1ms period — coarser than the
-	// default, so the default wins.
-	if got := resolveForkInterval(w, &CampaignConfig{}); got != defaultForkInterval {
-		t.Errorf("hinted interval %v, want the %v default", got, defaultForkInterval)
+	if got := forkInterval(w, 0); got != defaultForkInterval {
+		t.Errorf("default interval %v, want %v", got, defaultForkInterval)
 	}
-	// A hint finer than the default tightens it.
+	// A period finer than the default does not tighten the grid: the
+	// dispatch checkpoints already follow each release's copies.
 	fine := NewStdWorkload(StdWorkloadConfig{Period: 100 * des.Microsecond})
-	if got := resolveForkInterval(fine, &CampaignConfig{}); got != 100*des.Microsecond {
-		t.Errorf("finely hinted interval %v, want the 100us period", got)
+	if got := forkInterval(fine, 0); got != defaultForkInterval {
+		t.Errorf("100us-period interval %v, want the %v default", got, defaultForkInterval)
 	}
-	if got := resolveForkInterval(w, &CampaignConfig{SnapshotInterval: 2 * des.Millisecond}); got != 2*des.Millisecond {
+	if got := forkInterval(w, 2*des.Millisecond); got != 2*des.Millisecond {
 		t.Errorf("explicit interval %v, want 2ms", got)
 	}
-	cfg := &CampaignConfig{SnapshotInterval: 1}
-	if got := resolveForkInterval(w, cfg); got < w.Horizon()/maxCheckpoints {
+	if got := forkInterval(w, 1); got < w.Horizon()/maxCheckpoints {
 		t.Errorf("interval %v below the %d-checkpoint clamp", got, maxCheckpoints)
 	}
-	nh := noHint{w}
-	if got := resolveForkInterval(nh, &CampaignConfig{}); got != defaultForkInterval {
-		t.Errorf("unhinted interval %v, want the %v default", got, defaultForkInterval)
-	}
 }
-
-// noHint wraps a workload, hiding any SnapshotHinter implementation.
-type noHint struct{ w Workload }
-
-func (n noHint) New() (*Instance, error)               { return n.w.New() }
-func (n noHint) Horizon() des.Time                     { return n.w.Horizon() }
-func (n noHint) InjectionWindow() (des.Time, des.Time) { return n.w.InjectionWindow() }
-func (n noHint) DataRange() (uint32, uint32)           { return n.w.DataRange() }
-func (n noHint) CodeRange() (uint32, uint32)           { return n.w.CodeRange() }

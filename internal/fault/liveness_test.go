@@ -78,7 +78,7 @@ func TestDeadContextCutoffDifferential(t *testing.T) {
 	add(busy, min(48, len(busy)))
 	add(idle, 48)
 
-	r, err := NewShardRunner(w, CampaignConfig{SnapshotInterval: interval, Parallelism: 1})
+	r, err := NewShardRunner(w, CampaignConfig{interval: interval, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

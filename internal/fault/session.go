@@ -35,9 +35,10 @@ type ForkSession struct {
 }
 
 // NewForkSession builds a session at the given checkpoint spacing
-// (interval 0 means the campaign default). With withEvents the instance
-// carries an events-only collector (obs.NewEventCollector): no event
-// cap, so every restore rewinds a complete event stream — the
+// (interval 0 means the 250 µs default every engine uses; tests pass
+// other spacings to vary the checkpoint geometry). With withEvents the
+// instance carries an events-only collector (obs.NewEventCollector): no
+// event cap, so every restore rewinds a complete event stream — the
 // exhaustive verifier checks TEM invariants over full traces — and no
 // registry, so recording, composing and restoring handle events only.
 func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSession, error) {
@@ -53,7 +54,7 @@ func NewForkSession(w Workload, interval des.Time, withEvents bool) (*ForkSessio
 
 // newForkSession is the one constructor of every engine's fork state:
 // it builds an instance with col attached, captures the golden-prefix
-// checkpoints (interval 0 means the campaign default), and runs the
+// checkpoints (interval 0 means the default grid), and runs the
 // same instance on to the horizon. That capture run is the golden run:
 // its writes are the classification reference, its marks become the
 // golden entries, and it is validated here (checkGolden). The phantom
@@ -73,8 +74,7 @@ func newForkSession(w Workload, col *obs.Collector, interval des.Time) (*ForkSes
 	fw.slices.Limit = maxSliceEntries
 	inst.Kernel.SetSliceMemo(&fw.slices)
 	fw.injectFn = func() { fw.inject() }
-	cfg := CampaignConfig{SnapshotInterval: interval}
-	if err := fw.capture(resolveForkInterval(w, &cfg)); err != nil {
+	if err := fw.capture(forkInterval(w, interval)); err != nil {
 		return nil, err
 	}
 	if err := checkGolden(inst); err != nil {

@@ -95,7 +95,7 @@ func newRunner(w Workload, cfg CampaignConfig) (*ShardRunner, error) {
 
 // newSlot builds one slot's fork session with the campaign's collector.
 func (r *ShardRunner) newSlot() (*ForkSession, error) {
-	return newForkSession(r.w, campaignCollector(&r.cfg), r.cfg.SnapshotInterval)
+	return newForkSession(r.w, campaignCollector(&r.cfg), r.cfg.interval)
 }
 
 // campaignCollector is the collector a campaign slot's trials run

@@ -274,10 +274,6 @@ func (w *stdWorkload) InjectionWindow() (des.Time, des.Time) {
 	return 0, des.Time(w.cfg.Periods-1) * w.cfg.Period
 }
 
-// SnapshotInterval implements SnapshotHinter: one task period, so fork
-// checkpoints land exactly on release boundaries.
-func (w *stdWorkload) SnapshotInterval() des.Time { return w.cfg.Period }
-
 // Hyperperiod implements Hyperperioder: a single periodic task's
 // schedule repeats every period.
 func (w *stdWorkload) Hyperperiod() des.Time { return w.cfg.Period }

@@ -14,20 +14,18 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Unreliability is a failure probability as a function of time:
 // Q(t) = 1 − R(t). Time is in hours.
 type Unreliability func(hours float64) float64
 
-// Node is a node in the fault tree: a basic event or a gate.
+// Node is a node in the fault tree: a basic event or a gate (New
+// rejects any other implementation).
 type Node interface {
 	// Q evaluates the node's failure probability at time t, assuming
 	// independence of all basic events beneath it.
 	Q(hours float64) float64
-	// describe renders a structural description.
-	describe() string
 }
 
 // Event is a basic event (a leaf).
@@ -67,8 +65,6 @@ func ExponentialEvent(name string, ratePerHour float64) *Event {
 
 // Q evaluates the event's probability, clamped to [0,1].
 func (e *Event) Q(hours float64) float64 { return clamp(e.Fn(hours)) }
-
-func (e *Event) describe() string { return e.Name }
 
 // gateKind distinguishes the gate types.
 type gateKind int
@@ -156,26 +152,6 @@ func (g *Gate) Q(hours float64) float64 {
 	}
 }
 
-func (g *Gate) describe() string {
-	var b strings.Builder
-	switch g.kind {
-	case andGate:
-		b.WriteString("AND(")
-	case orGate:
-		b.WriteString("OR(")
-	default:
-		fmt.Fprintf(&b, "%d-of-%d(", g.k, len(g.children))
-	}
-	for i, c := range g.children {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(c.describe())
-	}
-	b.WriteString(")")
-	return b.String()
-}
-
 // Tree is a fault tree with a designated top node.
 type Tree struct {
 	top    Node
@@ -233,9 +209,6 @@ func (t *Tree) Events() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Describe renders the tree structure.
-func (t *Tree) Describe() string { return t.top.describe() }
 
 // Eval returns the top-event probability at time t. When no basic event
 // appears under more than one branch, the gates are evaluated directly

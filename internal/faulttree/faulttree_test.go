@@ -3,7 +3,6 @@ package faulttree
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -138,17 +137,6 @@ func TestEventsSorted(t *testing.T) {
 	got := tree.Events()
 	if !reflect.DeepEqual(got, []string{"alpha", "zeta"}) {
 		t.Errorf("Events = %v", got)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	tree := mustTree(t, OR(AND(ConstEvent("a", 0.1), ConstEvent("b", 0.1)),
-		KOfN(1, ConstEvent("c", 0.1))))
-	d := tree.Describe()
-	for _, frag := range []string{"OR(", "AND(", "1-of-1(", "a", "b", "c"} {
-		if !strings.Contains(d, frag) {
-			t.Errorf("Describe %q missing %q", d, frag)
-		}
 	}
 }
 

@@ -35,15 +35,10 @@ func (m ClusterMode) String() string {
 // a duplex central unit and four simplex wheel nodes, and latches the
 // first violation of the functionality requirement as a system failure.
 type BBWCluster struct {
-	sim    *des.Simulator
 	mode   ClusterMode
 	cu     [2]*BehavioralNode
 	wheels [4]*BehavioralNode
-	// failedAt is the latched system-failure instant (0 = none; the
-	// validity flag distinguishes an instant-zero failure).
-	failedAt   des.Time
-	failed     bool
-	failReason string
+	failed bool // the latched system failure
 }
 
 // NewBBWCluster builds the cluster with independent RNG streams split
@@ -52,7 +47,7 @@ func NewBBWCluster(sim *des.Simulator, rng *des.Rand, behavior Behavior, mode Cl
 	if mode != FullMode && mode != DegradedMode {
 		return nil, fmt.Errorf("node: unknown mode %v", mode)
 	}
-	c := &BBWCluster{sim: sim, mode: mode}
+	c := &BBWCluster{mode: mode}
 	watch := func(n *BehavioralNode, from, to State) { c.onChange() }
 	for i := range c.cu {
 		n, err := NewBehavioral(sim, rng.Split(), fmt.Sprintf("CU%d", i+1), behavior, r)
@@ -74,45 +69,39 @@ func NewBBWCluster(sim *des.Simulator, rng *des.Rand, behavior Behavior, mode Cl
 }
 
 // Failed reports the latched system failure.
-func (c *BBWCluster) Failed() (bool, des.Time, string) {
-	return c.failed, c.failedAt, c.failReason
-}
+func (c *BBWCluster) Failed() bool { return c.failed }
 
 // onChange re-evaluates the failure predicate after any node transition.
 func (c *BBWCluster) onChange() {
-	if c.failed {
-		return
-	}
-	if reason := c.violation(); reason != "" {
-		c.failed = true
-		c.failedAt = c.sim.Now()
-		c.failReason = reason
+	if !c.failed {
+		c.failed = c.violated()
 	}
 }
 
-// violation checks the paper's failure conditions (§3.2.1, §3.2.3):
+// violated checks the paper's failure conditions (§3.2.1, §3.2.3):
 // any non-covered error is a system failure; the central unit fails when
 // both nodes are down; the wheel subsystem fails when the mode's minimum
-// is not met.
-func (c *BBWCluster) violation() string {
+// is not met (full functionality needs all four wheel nodes, degraded
+// mode three).
+func (c *BBWCluster) violated() bool {
 	downCU := 0
 	for _, n := range c.cu {
 		switch n.State() {
 		case Uncovered:
-			return fmt.Sprintf("non-covered error in %s", n.Name)
+			return true
 		case Working:
 		default:
 			downCU++
 		}
 	}
 	if downCU == 2 {
-		return "both central-unit nodes down"
+		return true
 	}
 	downWheels := 0
 	for _, n := range c.wheels {
 		switch n.State() {
 		case Uncovered:
-			return fmt.Sprintf("non-covered error in %s", n.Name)
+			return true
 		case Working:
 		default:
 			downWheels++
@@ -120,15 +109,11 @@ func (c *BBWCluster) violation() string {
 	}
 	switch c.mode {
 	case FullMode:
-		if downWheels > 0 {
-			return "wheel node down (full functionality lost)"
-		}
+		return downWheels > 0
 	case DegradedMode:
-		if downWheels >= 2 {
-			return "two wheel nodes down"
-		}
+		return downWheels >= 2
 	}
-	return ""
+	return false
 }
 
 // MonteCarloResult summarizes a reliability estimation run.
@@ -164,7 +149,7 @@ func MonteCarloBBW(trials int, horizonHours float64, behavior Behavior, mode Clu
 		if err := sim.RunUntil(horizon); err != nil {
 			return nil, err
 		}
-		if failed, _, _ := cluster.Failed(); !failed {
+		if !cluster.Failed() {
 			survivors++
 		}
 		for _, n := range cluster.cu {

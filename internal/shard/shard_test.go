@@ -566,7 +566,6 @@ func TestSpecValidation(t *testing.T) {
 		{Trials: 10, Targets: []string{"warp-core"}},
 		{Trials: 10, Compute: -1},
 		{Trials: 10, LeaseSize: -1},
-		{Trials: 10, SnapshotIntervalNs: -1},
 		{Trials: 10, KernelShare: 1.5},
 	}
 	for i, spec := range bad {
@@ -613,6 +612,7 @@ func TestHandlerRejectsUnknownSpecFields(t *testing.T) {
 	h := NewCoordinator(CoordinatorOptions{}).Handler()
 	for _, body := range []string{
 		`{"trials": 8, "seed": 1, "no_converge_cutoff": true}`,
+		`{"trials": 8, "seed": 1, "snapshot_interval_ns": 125000}`,
 		`{"trials": 8, "seed": 1, "lease_sise": 4}`,
 	} {
 		rec := httptest.NewRecorder()

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/des"
 	"repro/internal/fault"
 )
 
@@ -64,8 +63,6 @@ type CampaignSpec struct {
 
 	// Telemetry merges every trial's metrics registry into the result.
 	Telemetry bool `json:"telemetry,omitempty"`
-	// SnapshotIntervalNs overrides the fork checkpoint spacing.
-	SnapshotIntervalNs int64 `json:"snapshot_interval_ns,omitempty"`
 
 	// LeaseSize is the trials-per-lease granule (0 = DefaultLeaseSize).
 	LeaseSize int `json:"lease_size,omitempty"`
@@ -81,9 +78,6 @@ func (s *CampaignSpec) Validate() error {
 	}
 	if s.LeaseSize < 0 {
 		return fmt.Errorf("shard: negative lease size %d", s.LeaseSize)
-	}
-	if s.SnapshotIntervalNs < 0 {
-		return fmt.Errorf("shard: negative snapshot interval %d", s.SnapshotIntervalNs)
 	}
 	if s.KernelShare < 0 || s.KernelShare > 1 || s.KernelDetect < 0 || s.KernelDetect > 1 {
 		return fmt.Errorf("shard: kernel probabilities outside [0, 1]")
@@ -111,14 +105,13 @@ func (s *CampaignSpec) Config(parallelism int) (fault.CampaignConfig, error) {
 		return fault.CampaignConfig{}, err
 	}
 	return fault.CampaignConfig{
-		Trials:           s.Trials,
-		Seed:             s.Seed,
-		Targets:          targets,
-		KernelShare:      s.KernelShare,
-		KernelDetect:     s.KernelDetect,
-		Parallelism:      parallelism,
-		Telemetry:        s.Telemetry,
-		SnapshotInterval: des.Time(s.SnapshotIntervalNs),
+		Trials:       s.Trials,
+		Seed:         s.Seed,
+		Targets:      targets,
+		KernelShare:  s.KernelShare,
+		KernelDetect: s.KernelDetect,
+		Parallelism:  parallelism,
+		Telemetry:    s.Telemetry,
 	}, nil
 }
 
